@@ -3,7 +3,7 @@
 Every subcommand is a thin adapter around one library call: it parses a
 document from --input (default stdin), applies the operation, and writes
 the result to --output (default stdout) in the requested format.  Exit
-codes: 0 success, 1 validation failure, 2 usage or parse error.
+codes: 0 success, 1 validation failure, 2 usage, parse or I/O error.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"invalid boundary pair:\n{exc.report.describe()}",
               file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

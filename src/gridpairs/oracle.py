@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from itertools import product
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, List, Set, Tuple
 
 from .geometry import Point
-from .gridset import GridSet, Mode, Window
+from .gridset import Component, GridSet, Mode, Window
 from .layers import trace
 from .pairs import BoundaryPair, reconstruct
 from .transfer import GridRatio, interpolate, restrict
@@ -77,6 +78,70 @@ def _neighbors(p: Point, spacing: int) -> List[Point]:
         for combo in product(deltas, repeat=len(p))
         if any(combo)
     ]
+
+
+def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
+                   d1: FrozenSet[Point]) -> Tuple[Component, ...]:
+    """Reference for `gridset.components_within`: a flood fill per cell.
+
+    Visits every grid point of the window, so its cost follows the
+    window's volume.  The frame-touching cells are merged into the
+    unbounded components by the same rules: one for dim >= 2, the left
+    and right rays for dim == 1.
+    """
+    occupied = d0 | d1
+    for p in occupied:
+        if not all(lo + spacing <= c <= hi - spacing for lo, c, hi
+                   in zip(window.lower, p, window.upper)):
+            raise ValueError(
+                f"window too small: {p} is within one step of the frame")
+
+    cells = sorted(window.grid_points(spacing))
+    if not cells:
+        raise ValueError("window contains no grid points")
+    axis_lo = tuple(min(c[j] for c in cells) for j in range(window.dim))
+    axis_hi = tuple(max(c[j] for c in cells) for j in range(window.dim))
+
+    cell_set = set(cells)
+    seen = set(occupied)
+    raw = []
+    for seed in cells:
+        if seed in seen:
+            continue
+        comp = []
+        touches_lo = touches_hi = False
+        adj0 = adj1 = False
+        queue = deque([seed])
+        seen.add(seed)
+        while queue:
+            p = queue.popleft()
+            comp.append(p)
+            touches_lo |= any(c == lo for c, lo in zip(p, axis_lo))
+            touches_hi |= any(c == hi for c, hi in zip(p, axis_hi))
+            for q in _neighbors(p, spacing):
+                adj0 |= q in d0
+                adj1 |= q in d1  # not exclusive: the sets may overlap
+                if q not in occupied and q in cell_set and q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+        raw.append((frozenset(comp), touches_lo, touches_hi, adj0, adj1))
+
+    framed = [e for e in raw if e[1] or e[2]]
+    if window.dim == 1 and not any(e[1] and e[2] for e in raw):
+        groups = [[e for e in raw if e[1]], [e for e in raw if e[2]]]
+    else:
+        groups = [framed]
+    records = [
+        (frozenset().union(*(e[0] for e in group)), True,
+         any(e[3] for e in group), any(e[4] for e in group))
+        for group in groups if group
+    ]
+    bounded = [e for e in raw if not (e[1] or e[2])]
+    records.extend((pts, False, adj0, adj1)
+                   for pts, _, _, adj0, adj1 in sorted(
+                       bounded, key=lambda e: min(e[0])))
+    return tuple(Component(unbounded, adj0, adj1, min(pts), pts.__iter__)
+                 for pts, unbounded, adj0, adj1 in records)
 
 
 def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:

@@ -14,6 +14,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .geometry import Point, moore_neighbors
 from .gridset import (
+    Component,
     GridSet,
     Mode,
     Window,
@@ -136,22 +137,15 @@ _PASS = AxiomCheck(True)
 
 def _adjacency_check(origin: FrozenSet[Point], target: FrozenSet[Point],
                      spacing: int) -> AxiomCheck:
-    for p in sorted(origin):
-        if not any(q in target for q in moore_neighbors(p, spacing)):
-            return AxiomCheck(False, p)
-    return _PASS
+    isdisjoint = target.isdisjoint
+    failing = [p for p in origin if isdisjoint(moore_neighbors(p, spacing))]
+    return AxiomCheck(False, min(failing)) if failing else _PASS
 
 
-def validate(pair: BoundaryPair) -> AxiomReport:
-    """Check the five boundary-pair axioms and report per-axiom results.
-
-    The separation axiom (no short-cut from d0 to d1 through free space)
-    is decided through the connected components of the grid complement
-    of d0 | d1: a violating path exists if and only if some component is
-    Moore-adjacent to both sets.
-    """
+def _checked(pair: BoundaryPair) -> Tuple[AxiomReport, Tuple[Component, ...]]:
+    # One component pass shared by `validate` and `reconstruct`.
     if pair.is_empty:
-        return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
+        return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS), ()
 
     if pair.d0 and pair.d1:
         nonempty = _PASS
@@ -166,13 +160,27 @@ def validate(pair: BoundaryPair) -> AxiomReport:
 
     separation = _PASS
     window = window_of(pair.d0 | pair.d1).inflate(pair.spacing)
-    for comp in components_within(window, pair.spacing, pair.d0, pair.d1):
+    components = components_within(window, pair.spacing, pair.d0, pair.d1)
+    for comp in components:
         if comp.adjacent_d0 and comp.adjacent_d1:
-            separation = AxiomCheck(False, min(comp.points))
+            separation = AxiomCheck(False, comp.lowest)
             break
 
-    return AxiomReport(False, nonempty, disjoint, d0_touches_d1,
-                       d1_touches_d0, separation)
+    report = AxiomReport(False, nonempty, disjoint, d0_touches_d1,
+                         d1_touches_d0, separation)
+    return report, components
+
+
+def validate(pair: BoundaryPair) -> AxiomReport:
+    """Check the five boundary-pair axioms and report per-axiom results.
+
+    The separation axiom (no short-cut from d0 to d1 through free space)
+    is decided through the connected components of the grid complement
+    of d0 | d1: a violating path exists if and only if some component is
+    Moore-adjacent to both sets.  Its witness is the least point of the
+    first such component.
+    """
+    return _checked(pair)[0]
 
 
 def reconstruct(pair: BoundaryPair) -> GridSet:
@@ -182,16 +190,14 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     the set and, for a valid pair, is adjacent to exactly one of d0/d1;
     it is classified by that adjacency.  The result is finite when the
     unbounded components attach to d1 and cofinite when they attach to
-    d0.  The empty pair reconstructs to the full grid.
+    d0.  The empty pair reconstructs to the full grid.  Only the points
+    of bounded components are enumerated.
     """
-    report = validate(pair)
+    report, components = _checked(pair)
     if not report.valid:
         raise InvalidPairError(report)
     if pair.is_empty:
         return GridSet.full_grid(pair.dim, pair.spacing)
-
-    window = window_of(pair.d0 | pair.d1).inflate(pair.spacing)
-    components = components_within(window, pair.spacing, pair.d0, pair.d1)
 
     unbounded_sides = set()
     inside_bounded = []

@@ -144,3 +144,25 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "trace")
         assert code == 0
         assert out == fixture_text("fig1trace.pair")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "validate", "-i",
+                             str(tmp_path / "missing.pair"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        code, _, err = run(capsys, "trace", "-i", fixture_path("fig1a.grid"),
+                           "-o", str(tmp_path / "no-such-dir" / "out.pair"))
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_validate_far_two_point_pair_exits_invalid(tmp_path, capsys):
+    doc = tmp_path / "far.pair"
+    doc.write_text("#coords v1 kind=gridpair m=2 s=1\n"
+                   "D0 0 0\nD1 1000000 1000000\n")
+    code, out, _ = run(capsys, "validate", "-i", str(doc))
+    assert code == 1
+    assert "(separation): FAIL  witness: (-1, -1)" in out

@@ -1,7 +1,8 @@
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpairs.geometry import INFINITE
@@ -19,6 +20,7 @@ from gridpairs.gridset import (
     member,
     window_of,
 )
+from gridpairs.oracle import components_bfs
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import fixture_text
@@ -248,6 +250,80 @@ class TestComponentsWithin:
                 if any(c in (0, 5) for c in cell)
             }
             assert frame <= unbounded[0].points
+
+
+#: Box side in steps and the farthest cluster shift per dimension; the
+#: reference flood fill visits every window cell, so 4-D stays small.
+SPANS = {1: 10, 2: 6, 3: 4, 4: 3}
+FAR = {1: 40, 2: 16, 3: 6, 4: 1}
+
+
+@st.composite
+def labelling_cases(draw):
+    dim = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # dense: bit 0 of a cell's mark puts it in d0, bit 1 in d1
+        box = [tuple(t * s for t in cell)
+               for cell in product(range(SPANS[dim]), repeat=dim)]
+        marks = draw(st.lists(st.integers(0, 3), min_size=len(box),
+                              max_size=len(box)))
+        d0 = frozenset(p for p, m in zip(box, marks) if m & 1)
+        d1 = frozenset(p for p, m in zip(box, marks) if m & 2)
+    else:
+        steps = st.integers(0, SPANS[dim] - 1).map(lambda t: t * s)
+        point = st.tuples(*[steps] * dim)
+        d0 = draw(st.frozensets(point, max_size=2 * SPANS[dim]))
+        d1 = draw(st.frozensets(point, max_size=2 * SPANS[dim]))
+        if d0 and draw(st.booleans()):
+            d1 |= draw(st.frozensets(st.sampled_from(sorted(d0))))
+    shift = draw(st.integers(0, FAR[dim])) * s
+    if shift:
+        # a translated copy of part of the cluster, far along every axis
+        d0 |= {tuple(c + shift for c in p) for p in sorted(d0)[::2]}
+        d1 |= {tuple(c + shift for c in p) for p in sorted(d1)[::2]}
+    occupied = d0 | d1
+    if occupied:
+        core = window_of(occupied).inflate(s)
+    else:
+        origin = tuple(draw(st.lists(st.integers(-5, 5), min_size=dim,
+                                     max_size=dim)))
+        core = Window(origin, origin)
+    slack = st.integers(0, 2 * s if dim < 4 else s)
+    lower = tuple(c - draw(slack) for c in core.lower)
+    upper = tuple(c + draw(slack) + (0 if occupied else s)
+                  for c in core.upper)
+    return Window(lower, upper), s, d0, d1
+
+
+def component_key(comp):
+    return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
+            comp.lowest, comp.points)
+
+
+class TestRunKernelAgainstFloodFill:
+    @settings(max_examples=100)
+    @given(labelling_cases())
+    def test_matches_reference(self, case):
+        window, s, d0, d1 = case
+        fast = components_within(window, s, d0, d1)
+        reference = components_bfs(window, s, d0, d1)
+        assert [component_key(c) for c in fast] == \
+            [component_key(c) for c in reference]
+        assert all(c.lowest == min(c.points) for c in fast)
+
+    def test_far_apart_blocks_without_filling_the_box(self):
+        block = {(x, y) for x in range(3) for y in range(3)}
+        far = {(x + 10**6, y + 10**6) for x, y in block}
+        from gridpairs.layers import trace
+        pair = trace(GridSet.finite(block | far))
+        window = window_of(pair.d0 | pair.d1).inflate(1)
+        comps = components_within(window, 1, pair.d0, pair.d1)
+        assert [c.unbounded for c in comps] == [True, False, False]
+        assert comps[0].lowest == (-2, -2)  # the window corner
+        assert [c.points for c in comps[1:]] == [
+            frozenset({(1, 1)}), frozenset({(10**6 + 1, 10**6 + 1)})]
+        assert all(c.adjacent_d0 and not c.adjacent_d1 for c in comps[1:])
 
 
 class TestDistanceMap:

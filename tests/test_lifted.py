@@ -132,6 +132,17 @@ class TestLocality:
             assert lifted_union.d0 == a.d0 | b.d0
             assert lifted_union.d1 == a.d1 | b.d1
 
+    def test_blocks_a_million_cells_apart(self):
+        block = GridSet.finite({(x, y) for x in range(3) for y in range(3)})
+        far = GridSet.finite({(x + 10**6, y + 10**6) for x, y in block.points})
+        union = GridSet.finite(block.points | far.points)
+        ratio = GridRatio(2)
+        a = lift_restrict(trace(block), ratio)
+        b = lift_restrict(trace(far), ratio)
+        lifted_union = lift_restrict(trace(union), ratio)
+        assert lifted_union.d0 == a.d0 | b.d0
+        assert lifted_union.d1 == a.d1 | b.d1
+
 
 class TestIntermediateSets:
     @pytest.mark.parametrize("n", [2, 3])

@@ -191,3 +191,22 @@ class TestSeparationCriterion:
             assert report.valid == separation_bruteforce(mutated, 6)
             checked += 1
         assert checked >= 40
+
+
+class TestCostFollowsTheBoundary:
+    """Pairs whose bounding box is far too large to visit cell by cell."""
+
+    @pytest.mark.parametrize("far", [(10**6, 10**6), (10**4,) * 3])
+    def test_far_two_point_pair_fails_separation(self, far):
+        origin = (0,) * len(far)
+        report = validate(BoundaryPair.of([origin], [far]))
+        assert "separation" in report.failed
+        # the unbounded component touches both points; its least point
+        # is the lowest corner of the window
+        assert report.separation.witness == (-1,) * len(far)
+
+    def test_two_far_blocks_reconstruct_to_their_union(self):
+        block = {(x, y) for x in range(3) for y in range(3)}
+        far = {(x + 10**6, y + 10**6) for x, y in block}
+        M = GridSet.finite(block | far)
+        assert reconstruct(trace(M)) == M
