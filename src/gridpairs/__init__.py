@@ -15,25 +15,19 @@ from .gridset import (
     Window,
     complement,
     components_within,
-    dist_point_set,
-    hausdorff,
-    hausdorff_semi,
-    is_connected,
     member,
 )
 from .layers import boundary0, boundary1, layer, recover_boundaries, trace
 from .lifted import lift_interpolate, lift_restrict
-from .paths import Path, concatenate, straight_path
 from .pairs import (
     AxiomCheck,
     AxiomReport,
     BoundaryPair,
     InvalidPairError,
-    closer_set_window,
     reconstruct,
     validate,
 )
-from .transfer import GridRatio, interpolate, is_voronoi_cover, restrict
+from .transfer import GridRatio, interpolate, restrict
 
 __version__ = "0.1.0"
 
@@ -50,10 +44,6 @@ __all__ = [
     "Window",
     "complement",
     "components_within",
-    "dist_point_set",
-    "hausdorff",
-    "hausdorff_semi",
-    "is_connected",
     "member",
     "boundary0",
     "boundary1",
@@ -62,19 +52,14 @@ __all__ = [
     "trace",
     "lift_interpolate",
     "lift_restrict",
-    "Path",
-    "concatenate",
-    "straight_path",
     "AxiomCheck",
     "AxiomReport",
     "BoundaryPair",
     "InvalidPairError",
-    "closer_set_window",
     "reconstruct",
     "validate",
     "GridRatio",
     "interpolate",
-    "is_voronoi_cover",
     "restrict",
     "__version__",
 ]

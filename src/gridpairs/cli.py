@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import formats
 from .formats import ParseError
-from .gridset import GridSet, Window
+from .gridset import GridSet, Mode, Window
 from .layers import trace
 from .lifted import lift_interpolate, lift_restrict
 from .oracle import random_set
@@ -76,35 +76,14 @@ def render_text(doc, unit: Optional[int] = None) -> str:
     if unit < 1 or doc.spacing % unit:
         raise ValueError(f"unit {unit} must divide the spacing {doc.spacing}")
     if isinstance(doc, GridSet):
-        layers_ = [("0", doc.points)]
-        label = "excluded" if doc.mode.value == "cofinite" else None
+        _, rows = formats._ascii_grid([("0", doc.points)], unit)
+        if rows and doc.mode is Mode.COFINITE:
+            rows.append("(marks show excluded points)")
     else:
-        layers_ = [("0", doc.d0), ("1", doc.d1)]
-        label = None
-    everything = set()
-    for _, pts in layers_:
-        everything |= pts
-    if not everything:
+        _, rows = formats._ascii_grid([("0", doc.d0), ("1", doc.d1)], unit)
+    if not rows:
         return "(no points to draw)\n"
-    xs = [p[0] for p in everything]
-    ys = [p[1] for p in everything]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    width = (x1 - x0) // unit + 1
-    grid = []
-    for y in range(y0, y1 + 1, unit):
-        row = ["-"] * width
-        grid.append(row)
-    symbol = {}
-    for ch, pts in layers_:
-        for p in pts:
-            symbol[p] = ch
-    for p, ch in symbol.items():
-        grid[(p[1] - y0) // unit][(p[0] - x0) // unit] = ch
-    lines = ["".join(row) for row in grid]
-    if label:
-        lines.append(f"(marks show {label} points)")
-    return "\n".join(lines) + "\n"
+    return "\n".join(rows) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -38,23 +38,6 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-def _parse_fields(tokens: List[str], expected: Tuple[str, ...],
-                  line: int) -> dict:
-    fields = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ParseError(f"malformed header field {token!r}", line)
-        key, value = token.split("=", 1)
-        if key in fields:
-            raise ParseError(f"duplicate header field {key!r}", line)
-        fields[key] = value
-    if set(fields) != set(expected):
-        raise ParseError(
-            f"header fields {sorted(fields)} do not match "
-            f"expected {sorted(expected)}", line)
-    return fields
-
-
 def _parse_int(value: str, name: str, line: int) -> int:
     try:
         return int(value)
@@ -68,6 +51,31 @@ def _parse_origin(value: str, dim: int, line: int) -> Point:
         raise ParseError(f"origin {value!r} does not have {dim} coordinates",
                          line)
     return tuple(_parse_int(p, "origin", line) for p in parts)
+
+
+def _parse_header(head: List[str],
+                  expected: Tuple[str, ...]) -> Tuple[dict, int, int]:
+    """Check the version; return the fields and the positive m and s."""
+    if len(head) < 2 or head[1] != "v1":
+        raise ParseError("expected format version v1", 1)
+    fields = {}
+    for token in head[2:]:
+        if "=" not in token:
+            raise ParseError(f"malformed header field {token!r}", 1)
+        key, value = token.split("=", 1)
+        if key in fields:
+            raise ParseError(f"duplicate header field {key!r}", 1)
+        fields[key] = value
+    if set(fields) != set(expected):
+        raise ParseError(
+            f"header fields {sorted(fields)} do not match "
+            f"expected {sorted(expected)}", 1)
+    dim = _parse_int(fields["m"], "m", 1)
+    spacing = _parse_int(fields["s"], "s", 1)
+    if dim < 1 or spacing < 1:
+        raise ParseError(
+            f"m and s must be positive, got m={dim}, s={spacing}", 1)
+    return fields, dim, spacing
 
 
 def _parse_mode(value: str, line: int) -> Mode:
@@ -121,23 +129,11 @@ def parse_text(text: str) -> Document:
     raise ParseError(f"unknown document kind {head[0]!r}", 1)
 
 
-def _check_version(head: List[str]) -> None:
-    if len(head) < 2 or head[1] != "v1":
-        raise ParseError("expected format version v1", 1)
-
-
 def _parse_ascii(kind: str, head: List[str], lines: List[str]) -> Document:
-    _check_version(head)
-    if kind == "#gridset":
-        fields = _parse_fields(head[2:], ("m", "s", "origin", "mode"), 1)
-    else:
-        fields = _parse_fields(head[2:], ("m", "s", "origin"), 1)
-    dim = _parse_int(fields["m"], "m", 1)
+    expected = ("m", "s", "origin") + (("mode",) if kind == "#gridset" else ())
+    fields, dim, spacing = _parse_header(head, expected)
     if dim != 2:
         raise ParseError(f"the ASCII grid format is 2-D only, got m={dim}", 1)
-    spacing = _parse_int(fields["s"], "s", 1)
-    if spacing < 1:
-        raise ParseError(f"spacing must be positive, got {spacing}", 1)
     origin = _parse_origin(fields["origin"], dim, 1)
     if any(c % spacing for c in origin):
         raise ParseError(f"origin {origin} is off the spacing-{spacing} grid", 1)
@@ -152,24 +148,13 @@ def _parse_ascii(kind: str, head: List[str], lines: List[str]) -> Document:
 
 
 def _parse_coords(head: List[str], lines: List[str]) -> Document:
-    _check_version(head)
-    fields = dict(
-        token.split("=", 1) if "=" in token else (token, None)
-        for token in head[2:]
-    )
-    expected = {"kind", "m", "s", "mode"} if fields.get("kind") == "gridset" \
-        else {"kind", "m", "s"}
-    if None in fields.values() or set(fields) != expected:
-        raise ParseError(
-            f"header fields {sorted(fields)} do not match "
-            f"expected {sorted(expected)}", 1)
-    kind = fields["kind"]
+    # the kind decides which fields the header must have
+    kind = next((t[len("kind="):] for t in head[2:] if t.startswith("kind=")),
+                None)
+    expected = ("kind", "m", "s") + (("mode",) if kind == "gridset" else ())
+    fields, dim, spacing = _parse_header(head, expected)
     if kind not in ("gridset", "gridpair"):
         raise ParseError(f"unknown kind {kind!r}", 1)
-    dim = _parse_int(fields["m"], "m", 1)
-    spacing = _parse_int(fields["s"], "s", 1)
-    if dim < 1 or spacing < 1:
-        raise ParseError("m and s must be positive", 1)
 
     labels = ("M",) if kind == "gridset" else ("D0", "D1")
     sets: dict = {label: set() for label in labels}

@@ -143,9 +143,10 @@ def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
 
 def box_grid_points(lower: Point, upper: Point, spacing: int) -> Iterator[Point]:
     """All points of the spacing-grid inside the inclusive box [lower, upper]."""
+    if spacing < 1:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     ranges = [
         range(ceil_div(lo, spacing), floor_div(hi, spacing) + 1)
         for lo, hi in zip(lower, upper)
     ]
-    for combo in product(*ranges):
-        yield tuple(t * spacing for t in combo)
+    return (tuple(t * spacing for t in combo) for combo in product(*ranges))

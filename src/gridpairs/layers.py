@@ -8,14 +8,14 @@ boundary, layer 1 the first outer layer.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Set, Tuple
+from typing import AbstractSet, Set, Tuple
 
 from .geometry import Point, bounding_box, moore_neighbors
-from .gridset import GridSet, Mode, Window, distance_map
+from .gridset import GridSet, Mode, Window, complement, distance_map
 from .pairs import BoundaryPair
 
 
-def _finite(model: GridSet, points: Set[Point]) -> GridSet:
+def _finite(model: GridSet, points: AbstractSet[Point]) -> GridSet:
     return GridSet(model.dim, model.spacing, Mode.FINITE, frozenset(points))
 
 
@@ -24,73 +24,62 @@ def boundary0(gridset: GridSet) -> GridSet:
 
     Empty exactly for the empty set and the full grid.
     """
-    s = gridset.spacing
-    if gridset.mode is Mode.FINITE:
-        pts = {
-            p for p in gridset.points
-            if any(q not in gridset.points for q in moore_neighbors(p, s))
-        }
-    else:
-        excluded = gridset.points
-        pts = set()
-        for e in excluded:
-            pts.update(q for q in moore_neighbors(e, s) if q not in excluded)
-    return _finite(gridset, pts)
+    if gridset.is_empty:
+        return gridset
+    return _finite(gridset, trace(gridset).d0)
 
 
 def boundary1(gridset: GridSet) -> GridSet:
     """Non-members at distance exactly one step from the set."""
-    s = gridset.spacing
-    if gridset.mode is Mode.FINITE:
-        pts = set()
-        for p in gridset.points:
-            pts.update(q for q in moore_neighbors(p, s)
-                       if q not in gridset.points)
-    else:
-        excluded = gridset.points
-        pts = {
-            e for e in excluded
-            if any(q not in excluded for q in moore_neighbors(e, s))
-        }
-    return _finite(gridset, pts)
+    if gridset.is_empty:
+        return gridset
+    return _finite(gridset, trace(gridset).d1)
 
 
 def layer(gridset: GridSet, k: int) -> GridSet:
     """Layer k of the set, computed by multi-source distance propagation.
 
     For k >= 1 these are complement points at distance k steps from the
-    set; for k <= 0, members at distance 1 - k steps from the complement.
-    Both reductions are windowed: outside a box around the stored points
-    every layer is empty.
+    set; for k <= 0, members at distance 1 - k steps from the complement,
+    which is layer 1 - k of the complement, so that case is computed as
+    such.  What remains is windowed: outside a box around the stored
+    points every layer is empty.  For a finite set the box is inflated
+    by k steps.  For a cofinite set one step suffices: on a geodesic
+    from an excluded point to its nearest member every earlier node is
+    excluded, so that member is one step from the excluded set, and
+    Chebyshev geodesics between points of a box stay inside the box.
     """
     if gridset.is_empty or gridset.is_full_grid:
         return _finite(gridset, set())
+    if k <= 0:
+        gridset, k = complement(gridset), 1 - k
     s = gridset.spacing
     stored = gridset.points
+    target = k * s
     if gridset.mode is Mode.FINITE:
-        if k >= 1:
-            window = Window(*bounding_box(stored)).inflate(k * s)
-            dmap = distance_map(stored, window, s, limit=k * s)
-            pts = {p for p, d in dmap.items() if d == k * s}
-        else:
-            target = (1 - k) * s
-            window = Window(*bounding_box(stored)).inflate(s)
-            sources = [p for p in window.grid_points(s) if p not in stored]
-            dmap = distance_map(sources, window, s, limit=target)
-            pts = {p for p, d in dmap.items() if d == target}
+        window = Window(*bounding_box(stored)).inflate(target)
+        dmap = distance_map(stored, window, s, limit=target)
+        pts = {p for p, d in dmap.items() if d == target}
     else:
-        # Cofinite: all layers live near the excluded set.
-        if k >= 1:
-            window = Window(*bounding_box(stored)).inflate((k + 1) * s)
-            sources = [p for p in window.grid_points(s) if p not in stored]
-            dmap = distance_map(sources, window, s, limit=k * s)
-            pts = {p for p in stored if dmap.get(p) == k * s}
-        else:
-            target = (1 - k) * s
-            window = Window(*bounding_box(stored)).inflate(target)
-            dmap = distance_map(stored, window, s, limit=target)
-            pts = {p for p, d in dmap.items() if d == target}
+        window = Window(*bounding_box(stored)).inflate(s)
+        sources = [p for p in window.grid_points(s) if p not in stored]
+        dmap = distance_map(sources, window, s, limit=target)
+        pts = {p for p in stored if dmap.get(p) == target}
     return _finite(gridset, pts)
+
+
+def _one_step(stored: AbstractSet[Point],
+              spacing: int) -> Tuple[Set[Point], Set[Point]]:
+    # The stored points with a Moore neighbor outside, and those outside
+    # neighbors: one fused scan, seeing every adjacency from the stored side.
+    inner: Set[Point] = set()
+    outer: Set[Point] = set()
+    for p in stored:
+        for q in moore_neighbors(p, spacing):
+            if q not in stored:
+                inner.add(p)
+                outer.add(q)
+    return inner, outer
 
 
 def trace(gridset: GridSet) -> BoundaryPair:
@@ -101,17 +90,7 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    # one fused neighbor scan instead of separate boundary0/boundary1
-    # passes; every boundary adjacency is seen from the stored side
-    s = gridset.spacing
-    stored = gridset.points
-    inner: Set[Point] = set()
-    outer: Set[Point] = set()
-    for p in stored:
-        for q in moore_neighbors(p, s):
-            if q not in stored:
-                inner.add(p)
-                outer.add(q)
+    inner, outer = _one_step(gridset.points, gridset.spacing)
     if gridset.mode is Mode.FINITE:
         d0, d1 = inner, outer
     else:
@@ -133,17 +112,5 @@ def recover_boundaries(h0: GridSet, h1: GridSet) -> Tuple[GridSet, GridSet]:
     if h0.spacing != h1.spacing or h0.dim != h1.dim:
         raise ValueError("the two sets must live on the same grid")
     s = h0.spacing
-
-    def at_one_step(source: FrozenSet[Point], other: FrozenSet[Point]) -> Set[Point]:
-        result = set()
-        for p in source:
-            if p in other:
-                continue
-            if any(q in other for q in moore_neighbors(p, s)):
-                result.add(p)
-        return result
-
-    return (
-        _finite(h0, at_one_step(h0.points, h1.points)),
-        _finite(h1, at_one_step(h1.points, h0.points)),
-    )
+    return (_finite(h0, _one_step(h1.points, s)[1] & h0.points),
+            _finite(h1, _one_step(h0.points, s)[1] & h1.points))

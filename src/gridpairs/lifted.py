@@ -19,6 +19,8 @@ from .geometry import (
     floor_div,
     moore_neighbors,
 )
+from .gridset import GridSet, Mode
+from .layers import recover_boundaries
 from .pairs import BoundaryPair, InvalidPairError, validate
 from .transfer import GridRatio
 
@@ -99,16 +101,11 @@ def _lift_restrict_stages(
             if dist1 is not None:
                 h1.add(x)
 
-    # Coarse points are n apart, so distance exactly n means Moore
-    # adjacency; h0 and h1 are disjoint by construction.
-    d0_hat = frozenset(
-        x for x in h0
-        if any(q in h1 for q in moore_neighbors(x, n)))
-    d1_hat = frozenset(
-        x for x in h1
-        if any(q in h0 for q in moore_neighbors(x, n)))
-    result = BoundaryPair(pair.dim, n, d0_hat, d1_hat)
-    return frozenset(h0), frozenset(h1), result
+    g0 = GridSet(pair.dim, n, Mode.FINITE, frozenset(h0))
+    g1 = GridSet(pair.dim, n, Mode.FINITE, frozenset(h1))
+    d0_hat, d1_hat = recover_boundaries(g0, g1)
+    result = BoundaryPair(pair.dim, n, d0_hat.points, d1_hat.points)
+    return g0.points, g1.points, result
 
 
 def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -144,11 +141,15 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
 
     The output inner boundary collects, for each adjacent coarse pair
     (x in d0, z in d1), the fine points within n/2 of x and within
-    (n+1)/2 of z.  The output outer layer collects fine points within
-    n/2 of z and (n+2)/2 of x that avoid the half-step balls of every
-    d0 point adjacent to z.  Radii are compared in doubled units
-    (n, n+1, n+2); accumulation is into sets, so duplicates and
-    iteration order cannot affect the result.
+    (n+1)/2 of z.  The output outer layer collects the fine points
+    within n/2 of z and (n+2)/2 of x that avoid the half-step balls of
+    the d0 neighbors of z; these balls are subtracted once, for all of
+    d0.  That is exact for the valid pairs accepted here: a point
+    within n/2 of z and of some y in d0 puts y within n of z, and
+    y != z since d0 and d1 are disjoint, so y is a Moore neighbor of z.
+    Radii are compared in doubled units (n, n+1, n+2); accumulation is
+    into sets, so duplicates and iteration order cannot affect the
+    result.
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
@@ -158,25 +159,10 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     out0 = set()
     out1 = set()
     for z in pair.d1:
-        near0 = [x for x in moore_neighbors(z, n) if x in pair.d0]
-        for x in near0:
-            out0.update(_box_intersection(pair.dim, [(x, n), (z, n + 1)]))
-            for v in _box_intersection(pair.dim, [(z, n), (x, n + 2)]):
-                # drop v when it sits in the half-step box of any inner
-                # point adjacent to z (inlined for speed)
-                keep = True
-                for other in near0:
-                    inside = True
-                    for a, b in zip(v, other):
-                        d = a - b
-                        if d < 0:
-                            d = -d
-                        if 2 * d > n:
-                            inside = False
-                            break
-                    if inside:
-                        keep = False
-                        break
-                if keep:
-                    out1.add(v)
+        for x in moore_neighbors(z, n):
+            if x in pair.d0:
+                out0.update(_box_intersection(pair.dim, [(x, n), (z, n + 1)]))
+                out1.update(_box_intersection(pair.dim, [(z, n), (x, n + 2)]))
+    for x in pair.d0:
+        out1.difference_update(_box_intersection(pair.dim, [(x, n)]))
     return BoundaryPair(pair.dim, 1, frozenset(out0), frozenset(out1))

@@ -107,6 +107,15 @@ class TestRandomCommand:
         assert code == 2
         assert "window" in err
 
+    @pytest.mark.parametrize("spacing", ["0", "-2"])
+    def test_nonpositive_spacing(self, spacing, capsys):
+        code, out, err = run(capsys, "random", "--window", "0,0:3,3",
+                             "--density", "0.5", "--seed", "1",
+                             "--spacing", spacing)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestRenderCommand:
     def test_dense_render_of_coarse_set(self, capsys):
@@ -123,6 +132,27 @@ class TestRenderCommand:
                        "0-0-0-0-0\n"
                        "---------\n"
                        "0-0-0-0-0\n")
+
+    @pytest.mark.parametrize("unit,expected", [
+        (None, "0--\n--0\n"),
+        ("1", "0----\n-----\n----0\n"),
+    ])
+    def test_cofinite_set_marks_excluded_points(self, unit, expected,
+                                                tmp_path, capsys):
+        doc = tmp_path / "cofinite.grid"
+        doc.write_text("#gridset v1 m=2 s=2 origin=0,0 mode=cofinite\n"
+                       "0--\n--0\n")
+        args = ("--unit", unit) if unit else ()
+        code, out, _ = run(capsys, "render", *args, "-i", str(doc))
+        assert code == 0
+        assert out == expected + "(marks show excluded points)\n"
+
+    def test_empty_pair_has_nothing_to_draw(self, tmp_path, capsys):
+        doc = tmp_path / "empty.pair"
+        doc.write_text("#gridpair v1 m=2 s=3 origin=0,0\n")
+        code, out, _ = run(capsys, "render", "-i", str(doc))
+        assert code == 0
+        assert out == "(no points to draw)\n"
 
     def test_unit_must_divide_spacing(self, capsys):
         code, _, err = run(capsys, "render", "--unit", "3",

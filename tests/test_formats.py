@@ -139,6 +139,15 @@ class TestCoordsFormat:
             parse_text(
                 "#coords v1 kind=gridset m=2 s=1 mode=finite\nM 1 0\nM 1 0\n")
 
+    @pytest.mark.parametrize("header", [
+        "#coords v1 kind=gridpair m=2 m=3 s=1",
+        "#coords v1 kind=gridpair kind=gridset m=2 s=1 mode=finite",
+        "#coords v1 kind=gridset m=2 s=1 s=1 mode=finite",
+    ])
+    def test_duplicate_header_field(self, header):
+        with pytest.raises(ParseError, match="duplicate header field"):
+            parse_text(header + "\n")
+
     def test_unknown_label(self):
         with pytest.raises(ParseError):
             parse_text("#coords v1 kind=gridset m=2 s=1 mode=finite\nD0 1 0\n")

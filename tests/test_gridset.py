@@ -347,6 +347,12 @@ def test_window_degenerate():
         Window((0, 0), (-1, 0))
 
 
+@pytest.mark.parametrize("spacing", [0, -1])
+def test_window_grid_points_rejects_nonpositive_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        Window((0, 0), (3, 3)).grid_points(spacing)
+
+
 def test_gridset_rejects_off_grid_points():
     with pytest.raises(ValueError):
         GridSet.finite({(1, 0)}, spacing=2)

@@ -19,13 +19,13 @@ FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
     - {(x, y) for x in range(3, 6) for y in range(3, 6)}
 
 
-def random_gridset(rng, span=6, allow_cofinite=True):
+def random_gridset(rng, span=6, allow_cofinite=True, dim=2, spacing=1):
     pts = frozenset(
-        (rng.randrange(-span, span), rng.randrange(-span, span))
+        tuple(spacing * rng.randrange(-span, span) for _ in range(dim))
         for _ in range(rng.randrange(1, 14)))
     mode = Mode.COFINITE if allow_cofinite and rng.random() < 0.3 \
         else Mode.FINITE
-    return GridSet(2, 1, mode, pts)
+    return GridSet(dim, spacing, mode, pts)
 
 
 def layer_by_definition(gridset, k):
@@ -40,8 +40,9 @@ def layer_by_definition(gridset, k):
     b0 = boundary0(gridset).points
     if not b0:
         return frozenset()
-    lo = tuple(min(p[j] for p in b0) - (abs(k) + 1) * s for j in range(2))
-    hi = tuple(max(p[j] for p in b0) + (abs(k) + 1) * s for j in range(2))
+    axes = range(gridset.dim)
+    lo = tuple(min(p[j] for p in b0) - (abs(k) + 1) * s for j in axes)
+    hi = tuple(max(p[j] for p in b0) + (abs(k) + 1) * s for j in axes)
     result = set()
     for cell in Window(lo, hi).grid_points(s):
         d = min(chebyshev(cell, b) for b in b0)
@@ -110,16 +111,26 @@ class TestLayer:
             for k in range(-3, 5):
                 assert layer(M, k) == layer(complement(M), 1 - k), (M, k)
 
-    def test_agrees_with_definition_by_inner_boundary_distance(self):
-        rng = random.Random(10)
-        for _ in range(25):
-            M = random_gridset(rng)
+    @staticmethod
+    def check_against_definition(rng, trials, **shape):
+        for _ in range(trials):
+            M = random_gridset(rng, **shape)
             if M.is_empty or M.is_full_grid:
                 continue
             for k in range(-3, 5):
                 if k == 0:
                     continue
                 assert layer(M, k).points == layer_by_definition(M, k), (M, k)
+
+    def test_agrees_with_definition_by_inner_boundary_distance(self):
+        self.check_against_definition(random.Random(10), 25)
+
+    @pytest.mark.parametrize("dim,s,span,trials", [
+        (2, 2, 6, 10), (2, 3, 6, 10), (3, 1, 2, 10)])
+    def test_agrees_with_definition_on_coarse_and_3d_grids(
+            self, dim, s, span, trials):
+        self.check_against_definition(random.Random(10 + 10 * dim + s),
+                                      trials, span=span, dim=dim, spacing=s)
 
     def test_trivial_sets_have_no_layers(self):
         for M in (GridSet.empty(2), GridSet.full_grid(2)):

@@ -143,6 +143,29 @@ class TestLocality:
         assert lifted_union.d0 == a.d0 | b.d0
         assert lifted_union.d1 == a.d1 | b.d1
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_far_coarse_blocks_interpolate_independently_in_3d(self, n):
+        rng = random.Random(245 + n)
+        ratio = GridRatio(n)
+        shift = 1000 * n
+        for _ in range(6):
+            near, far_raw = [
+                random_set(Window((0, 0, 0), (2 * n, 2 * n, 2 * n)), 0.6,
+                           rng.randrange(10**6), spacing=n)
+                for _ in range(2)]
+            far = GridSet.finite(
+                {tuple(c + shift for c in p) for p in far_raw.points}, n)
+            p_near, p_far = trace(near), trace(far)
+            p_union = BoundaryPair(3, n, p_near.d0 | p_far.d0,
+                                   p_near.d1 | p_far.d1)
+            lifted_union = lift_interpolate(p_union, ratio)
+            a = lift_interpolate(p_near, ratio)
+            b = lift_interpolate(p_far, ratio)
+            assert lifted_union.d0 == a.d0 | b.d0
+            assert lifted_union.d1 == a.d1 | b.d1
+            assert lifted_union == \
+                lifted_via_full(p_union, ratio, Direction.INTERPOLATE)
+
 
 class TestIntermediateSets:
     @pytest.mark.parametrize("n", [2, 3])
