@@ -2,8 +2,9 @@
 
 Every subcommand is a thin adapter around one library call: it parses a
 document from --input (default stdin), applies the operation, and writes
-the result to --output (default stdout) in the requested format.  Exit
-codes: 0 success, 1 validation failure, 2 usage, parse or I/O error.
+the result to --output (default stdout) in the requested format, by
+default the input's.  Exit codes: 0 success, 1 validation failure, 2
+usage, parse or I/O error.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="input file (default: stdin)")
         cmd.add_argument("-o", "--output", default=None,
                          help="output file (default: stdout)")
-        cmd.add_argument("--format", choices=formats.FORMATS,
-                         default=formats.ASCII,
-                         help="output format (default: ascii)")
+        cmd.add_argument("--format", choices=formats.FORMATS, default=None,
+                         help="output format (default: the input's)")
         if ratio:
             cmd.add_argument("--ratio", type=int, required=True,
                              help="coarse-to-fine grid ratio (n >= 2)")
@@ -145,7 +145,8 @@ def _run(args: argparse.Namespace) -> int:
         _write(args.output, formats.serialize(result, args.format))
         return EXIT_OK
 
-    doc = formats.parse_text(_read(args.input))
+    text = _read(args.input)
+    doc = formats.parse_text(text)
 
     if command == "render":
         _write(args.output, render_text(doc, args.unit))
@@ -172,7 +173,10 @@ def _run(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {command!r}")
 
-    _write(args.output, formats.serialize(result, args.format))
+    # the document parsed, so its first token is the header's kind
+    fmt = args.format or (formats.COORDS if text.split(None, 1)[0] == "#coords"
+                          else formats.ASCII)
+    _write(args.output, formats.serialize(result, fmt))
     return EXIT_OK
 
 

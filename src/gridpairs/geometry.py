@@ -108,27 +108,36 @@ def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
     )
 
 
-def _axis_ball_range(center: int, radius_doubled: int, spacing: int) -> range:
-    # multiples s*t with 2*|s*t - center| <= radius_doubled
-    lo = ceil_div(2 * center - radius_doubled, 2 * spacing)
-    hi = floor_div(2 * center + radius_doubled, 2 * spacing)
-    return range(lo, hi + 1)
+def grid_range(lo: int, hi: int, spacing: int) -> range:
+    """The multiples of spacing in the integer interval [lo, hi], ascending."""
+    return range(ceil_div(lo, spacing) * spacing,
+                 floor_div(hi, spacing) * spacing + 1, spacing)
 
 
 def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
     """Grid points within Chebyshev distance radius_doubled/2 of center.
 
     The comparison is 2*dist <= radius_doubled, evaluated exactly, which
-    makes half-integer radii representable without fractions.
+    makes half-integer radii representable without fractions: for an
+    integer center it keeps the offsets up to radius_doubled // 2.
     """
     if spacing < 1:
         raise ValueError(f"spacing must be positive, got {spacing}")
     if radius_doubled < 0:
         raise ValueError(f"radius must be nonnegative, got {radius_doubled}")
-    ranges = [_axis_ball_range(c, radius_doubled, spacing) for c in center]
-    return frozenset(
-        tuple(t * spacing for t in combo) for combo in product(*ranges)
-    )
+    h = radius_doubled // 2
+    return frozenset(product(*[grid_range(c - h, c + h, spacing)
+                               for c in center]))
+
+
+def check_on_grid(points: Iterable[Point], dim: int, spacing: int,
+                  what: str = "point") -> None:
+    """Raise ValueError naming the first point not on the spacing-grid of Z^dim."""
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"{what} {p} has dimension {len(p)}, expected {dim}")
+        if any(c % spacing for c in p):
+            raise ValueError(f"{what} {p} is off the spacing-{spacing} grid")
 
 
 def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
@@ -145,8 +154,5 @@ def box_grid_points(lower: Point, upper: Point, spacing: int) -> Iterator[Point]
     """All points of the spacing-grid inside the inclusive box [lower, upper]."""
     if spacing < 1:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    ranges = [
-        range(ceil_div(lo, spacing), floor_div(hi, spacing) + 1)
-        for lo, hi in zip(lower, upper)
-    ]
-    return (tuple(t * spacing for t in combo) for combo in product(*ranges))
+    return product(*[grid_range(lo, hi, spacing)
+                     for lo, hi in zip(lower, upper)])

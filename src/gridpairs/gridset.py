@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Tuple)
+from typing import (Callable, Container, Dict, FrozenSet, Iterable, Iterator,
+                    List, Optional, Tuple)
 
 from .geometry import (
     INFINITE,
@@ -25,9 +25,9 @@ from .geometry import (
     ball_points,
     bounding_box,
     box_grid_points,
-    ceil_div,
     chebyshev,
-    floor_div,
+    check_on_grid,
+    grid_range,
     moore_neighbors,
     _offsets,
 )
@@ -36,14 +36,6 @@ from .geometry import (
 class Mode(enum.Enum):
     FINITE = "finite"
     COFINITE = "cofinite"
-
-
-def _check_points(points: FrozenSet[Point], dim: int, spacing: int) -> None:
-    for p in points:
-        if len(p) != dim:
-            raise ValueError(f"point {p} has dimension {len(p)}, expected {dim}")
-        if any(c % spacing for c in p):
-            raise ValueError(f"point {p} is not on the spacing-{spacing} grid")
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class GridSet:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         if not isinstance(self.points, frozenset):
             object.__setattr__(self, "points", frozenset(self.points))
-        _check_points(self.points, self.dim, self.spacing)
+        check_on_grid(self.points, self.dim, self.spacing)
 
     @classmethod
     def finite(cls, points: Iterable[Point], spacing: int = 1,
@@ -129,7 +121,7 @@ class Window:
             tuple(c + amount for c in self.upper),
         )
 
-    def contains(self, point: Point) -> bool:
+    def __contains__(self, point: Point) -> bool:
         return all(lo <= c <= hi
                    for lo, c, hi in zip(self.lower, point, self.upper))
 
@@ -148,10 +140,7 @@ def member(gridset: GridSet, point: Point) -> bool:
     The query point must lie on the set's grid.
     """
     point = tuple(point)
-    if len(point) != gridset.dim:
-        raise ValueError(f"point {point} has wrong dimension")
-    if any(c % gridset.spacing for c in point):
-        raise ValueError(f"point {point} is off the spacing-{gridset.spacing} grid")
+    check_on_grid((point,), gridset.dim, gridset.spacing)
     if gridset.mode is Mode.FINITE:
         return point in gridset.points
     return point not in gridset.points
@@ -228,27 +217,22 @@ def is_connected(gridset: GridSet) -> bool:
     if gridset.mode is not Mode.FINITE or not gridset.points:
         raise ValueError("connectivity is defined for finite nonempty sets")
     points = gridset.points
-    start = min(points)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        for q in moore_neighbors(p, gridset.spacing):
-            if q in points and q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return len(seen) == len(points)
+    return len(distance_map([min(points)], points, gridset.spacing)) \
+        == len(points)
 
 
-def distance_map(sources: Iterable[Point], window: Window, spacing: int,
-                 limit: Optional[int] = None) -> Dict[Point, int]:
-    """Multi-source Chebyshev distances over the grid points of a box.
+def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
+                 spacing: int, limit: Optional[int] = None) -> Dict[Point, int]:
+    """Multi-source Chebyshev distances by breadth-first Moore steps.
 
-    Breadth-first propagation with Moore steps; each round adds one
-    spacing to the distance.  Because Chebyshev geodesics between points
-    of a box stay inside the box, the values equal the true distances to
-    the source set whenever the box contains the sources.  `limit` stops
-    the propagation beyond that distance.
+    Each round adds one spacing to the distance and settles the new
+    neighbours that lie in `within`, any container (None: no bound);
+    the sources are settled at 0 wherever they lie.  The values are the
+    lengths of the shortest Moore paths whose later nodes stay in
+    `within`: the true distances to the sources when `within` is None,
+    or a box containing them, since Chebyshev geodesics between points
+    of a box stay inside it.  `limit` stops the propagation beyond that
+    distance.
     """
     dist: Dict[Point, int] = {}
     frontier = []
@@ -256,6 +240,7 @@ def distance_map(sources: Iterable[Point], window: Window, spacing: int,
         if p not in dist:
             dist[p] = 0
             frontier.append(p)
+    bounded = within is not None
     current = 0
     while frontier:
         current += spacing
@@ -264,7 +249,7 @@ def distance_map(sources: Iterable[Point], window: Window, spacing: int,
         new_frontier = []
         for p in frontier:
             for q in moore_neighbors(p, spacing):
-                if q not in dist and window.contains(q):
+                if q not in dist and (not bounded or q in within):
                     dist[q] = current
                     new_frontier.append(q)
         frontier = new_frontier
@@ -336,10 +321,12 @@ def components_within(window: Window, spacing: int,
             p = min(p for p in occupied if not lo <= p[j] <= hi)
             raise ValueError(
                 f"window too small: {p} is within one step of the frame")
-    lower = tuple(ceil_div(lo, s) * s for lo in window.lower)
-    upper = tuple(floor_div(hi, s) * s for hi in window.upper)
-    if any(lo > hi for lo, hi in zip(lower, upper)):
+    axes = [grid_range(lo, hi, s)
+            for lo, hi in zip(window.lower, window.upper)]
+    if not all(axes):
         raise ValueError("window contains no grid points")
+    lower = tuple(axis[0] for axis in axes)
+    upper = tuple(axis[-1] for axis in axes)
     if not occupied:
         return (Component(True, False, False, lower,
                           lambda: window.grid_points(s)),)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, Set, Tuple
 
-from .geometry import Point, bounding_box, moore_neighbors
-from .gridset import GridSet, Mode, Window, complement, distance_map
+from .geometry import Point, moore_neighbors
+from .gridset import GridSet, Mode, complement, distance_map
 from .pairs import BoundaryPair
 
 
@@ -42,12 +42,12 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     For k >= 1 these are complement points at distance k steps from the
     set; for k <= 0, members at distance 1 - k steps from the complement,
     which is layer 1 - k of the complement, so that case is computed as
-    such.  What remains is windowed: outside a box around the stored
-    points every layer is empty.  For a finite set the box is inflated
-    by k steps.  For a cofinite set one step suffices: on a geodesic
+    such.  What remains is one propagation that visits only points
+    within k steps of the stored ones.  For a finite set it runs from
+    the stored points, unbounded.  For a cofinite set it runs inside
+    the excluded points, from the members next to them: on a geodesic
     from an excluded point to its nearest member every earlier node is
-    excluded, so that member is one step from the excluded set, and
-    Chebyshev geodesics between points of a box stay inside the box.
+    excluded, so that member is one step from the excluded set.
     """
     if gridset.is_empty or gridset.is_full_grid:
         return _finite(gridset, set())
@@ -57,15 +57,10 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     stored = gridset.points
     target = k * s
     if gridset.mode is Mode.FINITE:
-        window = Window(*bounding_box(stored)).inflate(target)
-        dmap = distance_map(stored, window, s, limit=target)
-        pts = {p for p, d in dmap.items() if d == target}
+        dmap = distance_map(stored, None, s, limit=target)
     else:
-        window = Window(*bounding_box(stored)).inflate(s)
-        sources = [p for p in window.grid_points(s) if p not in stored]
-        dmap = distance_map(sources, window, s, limit=target)
-        pts = {p for p in stored if dmap.get(p) == target}
-    return _finite(gridset, pts)
+        dmap = distance_map(_one_step(stored, s)[1], stored, s, limit=target)
+    return _finite(gridset, {p for p, d in dmap.items() if d == target})
 
 
 def _one_step(stored: AbstractSet[Point],

@@ -11,14 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .geometry import (
-    Point,
-    ball_points,
-    ceil_div,
-    chebyshev,
-    floor_div,
-    moore_neighbors,
-)
+from .geometry import Point, ball_points, chebyshev, grid_range, moore_neighbors
 from .gridset import GridSet, Mode
 from .layers import recover_boundaries
 from .pairs import BoundaryPair, InvalidPairError, validate
@@ -119,21 +112,11 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     return result
 
 
-def _axis_range(constraints: List[Tuple[int, int]]) -> range:
-    # Integers v with 2*|v - c| <= r for every (c, r) constraint.
-    lo = max(ceil_div(2 * c - r, 2) for c, r in constraints)
-    hi = min(floor_div(2 * c + r, 2) for c, r in constraints)
-    return range(lo, hi + 1)
-
-
-def _box_intersection(dim: int,
-                      constraints: List[Tuple[Point, int]]) -> Iterator[Point]:
-    # Fine points within radius r/2 of every center, radii in doubled units.
-    per_axis = [
-        _axis_range([(center[j], r) for center, r in constraints])
-        for j in range(dim)
-    ]
-    return product(*per_axis)
+def _meet(x: Point, rx: int, z: Point, rz: int) -> Iterator[Point]:
+    # Fine points within rx/2 of x and within rz/2 of z, radii doubled.
+    hx, hz = rx // 2, rz // 2
+    return product(*[grid_range(max(a - hx, b - hz), min(a + hx, b + hz), 1)
+                     for a, b in zip(x, z)])
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -161,8 +144,8 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     for z in pair.d1:
         for x in moore_neighbors(z, n):
             if x in pair.d0:
-                out0.update(_box_intersection(pair.dim, [(x, n), (z, n + 1)]))
-                out1.update(_box_intersection(pair.dim, [(z, n), (x, n + 2)]))
+                out0.update(_meet(x, n, z, n + 1))
+                out1.update(_meet(z, n, x, n + 2))
     for x in pair.d0:
-        out1.difference_update(_box_intersection(pair.dim, [(x, n)]))
+        out1.difference_update(_meet(x, n, x, n))
     return BoundaryPair(pair.dim, 1, frozenset(out0), frozenset(out1))

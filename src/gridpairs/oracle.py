@@ -15,7 +15,7 @@ from itertools import product
 from typing import FrozenSet, List, Set, Tuple
 
 from .geometry import Point
-from .gridset import Component, GridSet, Mode, Window
+from .gridset import Component, GridSet, Mode, Window, distance_map
 from .layers import trace
 from .pairs import BoundaryPair, reconstruct
 from .transfer import GridRatio, interpolate, restrict
@@ -142,6 +142,28 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
                        bounded, key=lambda e: min(e[0])))
     return tuple(Component(unbounded, adj0, adj1, min(pts), pts.__iter__)
                  for pts, unbounded, adj0, adj1 in records)
+
+
+def closer_set_window(pair: BoundaryPair, window: Window) -> FrozenSet[Point]:
+    """Window grid points strictly closer to d0 than to d1.
+
+    Computed from two multi-source distance propagations over a box
+    enclosing the window and both sets; serves as the distance-based
+    oracle for `reconstruct`.
+    """
+    if not pair.d0 or not pair.d1:
+        raise ValueError("both sets of the pair must be nonempty")
+    everything = list(pair.d0 | pair.d1)
+    everything.extend((window.lower, window.upper))
+    lower = tuple(min(p[j] for p in everything) for j in range(pair.dim))
+    upper = tuple(max(p[j] for p in everything) for j in range(pair.dim))
+    domain = Window(lower, upper)
+    dist0 = distance_map(pair.d0, domain, pair.spacing)
+    dist1 = distance_map(pair.d1, domain, pair.spacing)
+    return frozenset(
+        p for p in window.grid_points(pair.spacing)
+        if dist0[p] < dist1[p]
+    )
 
 
 def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:

@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .geometry import Point, moore_neighbors
-from .gridset import (
-    Component,
-    GridSet,
-    Mode,
-    Window,
-    components_within,
-    distance_map,
-    window_of,
-)
+from .geometry import Point, check_on_grid, moore_neighbors
+from .gridset import Component, GridSet, Mode, components_within, window_of
 
 
 @dataclass(frozen=True)
@@ -48,12 +40,7 @@ class BoundaryPair:
             if not isinstance(pts, frozenset):
                 object.__setattr__(self, name, frozenset(pts))
                 pts = getattr(self, name)
-            for p in pts:
-                if len(p) != self.dim:
-                    raise ValueError(f"{name} point {p} has wrong dimension")
-                if any(c % self.spacing for c in p):
-                    raise ValueError(
-                        f"{name} point {p} is off the spacing-{self.spacing} grid")
+            check_on_grid(pts, self.dim, self.spacing, f"{name} point")
 
     @classmethod
     def of(cls, d0: Iterable[Point], d1: Iterable[Point], spacing: int = 1,
@@ -223,24 +210,3 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     members = pair.d0.union(*inside_bounded) if inside_bounded else pair.d0
     return GridSet(pair.dim, pair.spacing, Mode.FINITE, members)
 
-
-def closer_set_window(pair: BoundaryPair, window: Window) -> FrozenSet[Point]:
-    """Window grid points strictly closer to d0 than to d1.
-
-    Computed from two multi-source distance propagations over a box
-    enclosing the window and both sets; serves as the distance-based
-    oracle for `reconstruct`.
-    """
-    if not pair.d0 or not pair.d1:
-        raise ValueError("both sets of the pair must be nonempty")
-    everything = list(pair.d0 | pair.d1)
-    everything.extend((window.lower, window.upper))
-    lower = tuple(min(p[j] for p in everything) for j in range(pair.dim))
-    upper = tuple(max(p[j] for p in everything) for j in range(pair.dim))
-    domain = Window(lower, upper)
-    dist0 = distance_map(pair.d0, domain, pair.spacing)
-    dist1 = distance_map(pair.d1, domain, pair.spacing)
-    return frozenset(
-        p for p in window.grid_points(pair.spacing)
-        if dist0[p] < dist1[p]
-    )

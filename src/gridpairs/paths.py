@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .geometry import Point, chebyshev, rd
+from .geometry import Point, check_on_grid, chebyshev, rd
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,7 @@ class Path:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         if not self.nodes:
             raise ValueError("a path needs at least one node")
-        dim = len(self.nodes[0])
-        for p in self.nodes:
-            if len(p) != dim:
-                raise ValueError("path nodes have mixed dimensions")
-            if any(c % self.spacing for c in p):
-                raise ValueError(f"node {p} is off the spacing-{self.spacing} grid")
+        check_on_grid(self.nodes, len(self.nodes[0]), self.spacing, "node")
         for a, b in zip(self.nodes, self.nodes[1:]):
             if chebyshev(a, b) > self.spacing:
                 raise ValueError(f"step {a} -> {b} exceeds one grid step")
@@ -68,9 +63,7 @@ def straight_path(x: Point, z: Point, spacing: int) -> Path:
     """
     if spacing < 1:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    for p in (x, z):
-        if any(c % spacing for c in p):
-            raise ValueError(f"point {p} is off the spacing-{spacing} grid")
+    check_on_grid((x, z), len(x), spacing)
     if x == z:
         return Path(spacing, (tuple(x),))
     k = chebyshev(x, z) // spacing

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .geometry import Point, ball_points, bounding_box, ceil_div, floor_div
-from .gridset import GridSet, Mode, Window
+from .geometry import Point, ball_points, ceil_div, floor_div
+from .gridset import GridSet, Mode
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,7 @@ def restrict(gridset: GridSet, ratio: GridRatio) -> GridSet:
         raise ValueError("restriction expects a fine set with spacing 1")
     if gridset.is_empty:
         raise ValueError("restriction of the empty set is not defined")
-    n = ratio.n
-    if gridset.mode is Mode.FINITE:
-        coarse = set()
-        for p in gridset.points:
-            coarse.update(ball_points(p, n, n))
-        return GridSet(gridset.dim, n, Mode.FINITE, frozenset(coarse))
-    excluded_fine = gridset.points
-    excluded_coarse = set()
-    if excluded_fine:
-        lower, upper = bounding_box(excluded_fine)
-        for candidate in Window(lower, upper).grid_points(n):
-            if ball_points(candidate, n, 1) <= excluded_fine:
-                excluded_coarse.add(candidate)
-    return GridSet(gridset.dim, n, Mode.COFINITE, frozenset(excluded_coarse))
+    return _transfer(gridset, ratio.n, ratio.n)
 
 
 def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
@@ -66,21 +53,21 @@ def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
             f"interpolation expects a coarse set with spacing {n}")
     if gridset.is_empty:
         raise ValueError("interpolation of the empty set is not defined")
-    if gridset.mode is Mode.FINITE:
-        fine = set()
-        for p in gridset.points:
-            fine.update(ball_points(p, n, 1))
-        return GridSet(gridset.dim, 1, Mode.FINITE, frozenset(fine))
-    excluded_coarse = gridset.points
-    excluded_fine = set()
-    if excluded_coarse:
-        lower, upper = bounding_box(excluded_coarse)
-        half = n // 2
-        window = Window(lower, upper).inflate(half)
-        for candidate in window.grid_points(1):
-            if ball_points(candidate, n, n) <= excluded_coarse:
-                excluded_fine.add(candidate)
-    return GridSet(gridset.dim, 1, Mode.COFINITE, frozenset(excluded_fine))
+    return _transfer(gridset, n, 1)
+
+
+def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
+    # The target points within n/2 of a stored point.  For a finite set
+    # they are the answer.  For a cofinite set a target point is
+    # excluded when its (never empty) ball on the source grid is, so it
+    # lies within n/2 of an excluded point and is among them.
+    near = set()
+    for p in gridset.points:
+        near.update(ball_points(p, n, target_spacing))
+    if gridset.mode is Mode.COFINITE:
+        stored, source = gridset.points, gridset.spacing
+        near = {q for q in near if ball_points(q, n, source) <= stored}
+    return GridSet(gridset.dim, target_spacing, gridset.mode, frozenset(near))
 
 
 def _in_box_union(v: Point, centers_scaled: frozenset, half_width: int,

@@ -84,6 +84,22 @@ class TestTransferCommands:
         assert out == fixture_text("fig6f.grid")
 
 
+class TestOutputFormat:
+    def test_3d_coords_trace_answers_in_coords(self, tmp_path, capsys):
+        doc = tmp_path / "blob3d.coords"
+        doc.write_text("#coords v1 kind=gridset m=3 s=1 mode=finite\n"
+                       "M 0 0 0\nM 1 0 0\n")
+        code, out, err = run(capsys, "trace", "-i", str(doc))
+        assert code == 0, err
+        assert out.startswith("#coords v1 kind=gridpair m=3 s=1\n")
+
+    def test_explicit_format_wins(self, capsys):
+        code, out, _ = run(capsys, "trace", "--format", "coords",
+                           "-i", fixture_path("fig1a.grid"))
+        assert code == 0
+        assert out.startswith("#coords v1 kind=gridpair m=2 s=1\n")
+
+
 class TestRandomCommand:
     def test_deterministic(self, capsys):
         args = ("random", "--window", "0,0:9,9", "--density", "0.5",

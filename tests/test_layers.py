@@ -138,6 +138,20 @@ class TestLayer:
                 assert layer(M, k).points == frozenset()
 
 
+class TestFarApart:
+    # The bounding box of these sets has about 10^12 cells; layers must
+    # follow the stored points instead.
+    FAR = (10**6, 10**6)
+
+    @pytest.mark.parametrize("k", [0, -1, 2])
+    def test_two_points_layer_as_their_union(self, k):
+        M = GridSet.finite({(0, 0), self.FAR})
+        expected = layer(GridSet.finite({(0, 0)}), k).points | \
+            layer(GridSet.finite({self.FAR}), k).points
+        assert layer(M, k).points == expected
+        assert layer(complement(M), k) == layer(M, 1 - k)
+
+
 class TestTrace:
     def test_full_grid_traces_to_empty_pair(self):
         pair = trace(GridSet.full_grid(2))

@@ -5,14 +5,12 @@ import pytest
 from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window, member, window_of
 from gridpairs.layers import trace
-from gridpairs.oracle import separation_bruteforce, random_set
-from gridpairs.pairs import (
-    BoundaryPair,
-    InvalidPairError,
+from gridpairs.oracle import (
     closer_set_window,
-    reconstruct,
-    validate,
+    random_set,
+    separation_bruteforce,
 )
+from gridpairs.pairs import BoundaryPair, InvalidPairError, reconstruct, validate
 
 from conftest import fixture_text
 

@@ -8,8 +8,10 @@ from gridpairs.geometry import ball_points
 from gridpairs.gridset import (
     GridSet,
     Window,
+    complement,
     hausdorff,
     is_connected,
+    member,
 )
 from gridpairs.layers import boundary0
 from gridpairs.oracle import best_approx_bruteforce, random_set
@@ -99,6 +101,64 @@ class TestInterpolate:
     def test_rejects_wrong_spacing(self):
         with pytest.raises(ValueError):
             interpolate(GridSet.finite({(0, 0)}), GridRatio(2))
+
+
+def near_by_definition(point, source_spacing, n):
+    # Source grid points within n/2 of the point, one axis at a time:
+    # a Chebyshev ball is the product of its axis intervals.
+    axes = [[c for c in range(x - n, x + n + 1)
+             if c % source_spacing == 0 and 2 * abs(c - x) <= n]
+            for x in point]
+    return product(*axes)
+
+
+def check_transfer_by_definition(op, source, n, target_spacing):
+    """A target point belongs to the output iff a member of the source
+    lies within n/2 of it, decided over a window around the stored
+    points; outside the window the answer is that of the empty set
+    (finite source) or of the full grid (cofinite source)."""
+    got = op(source, GridRatio(n))
+    assert (got.dim, got.spacing, got.mode) == \
+        (source.dim, target_spacing, source.mode)
+    axes = list(zip(*source.points))
+    lower = tuple(min(a) - n for a in axes)
+    upper = tuple(max(a) + n for a in axes)
+    assert all(lo <= c <= hi for p in got.points
+               for lo, c, hi in zip(lower, p, upper)), (source, n)
+    for q in Window(lower, upper).grid_points(target_spacing):
+        expected = any(member(source, p)
+                       for p in near_by_definition(q, source.spacing, n))
+        assert member(got, q) == expected, (source, n, q)
+
+
+class TestDefinition:
+    # (dim, span in source grid steps) keeps every window small
+    SHAPES = [(1, 10), (2, 6), (3, 3)]
+
+    @pytest.mark.parametrize("dim,span", SHAPES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cofinite", [False, True])
+    def test_restrict(self, dim, span, n, cofinite):
+        rng = random.Random(1000 * dim + 10 * n + cofinite)
+        for _ in range(3):
+            M = random_set(Window((0,) * dim, (span - 1,) * dim),
+                           rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6))
+            if cofinite:
+                M = complement(M)
+            check_transfer_by_definition(restrict, M, n, n)
+
+    @pytest.mark.parametrize("dim,span", SHAPES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cofinite", [False, True])
+    def test_interpolate(self, dim, span, n, cofinite):
+        rng = random.Random(2000 * dim + 10 * n + cofinite)
+        for _ in range(3):
+            M = random_set(Window((0,) * dim, ((span - 1) * n,) * dim),
+                           rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6),
+                           spacing=n)
+            if cofinite:
+                M = complement(M)
+            check_transfer_by_definition(interpolate, M, n, 1)
 
 
 class TestSetAlgebraProperties:
@@ -311,6 +371,33 @@ class TestComposition:
             full = GridSet.full_grid(2, n)
             assert restrict(interpolate(full, GridRatio(n)), GridRatio(n)) \
                 == full
+
+
+class TestFarApart:
+    # Cofinite sets whose excluded blocks are far apart: the transfer
+    # must follow the excluded points, not their bounding box.
+    @staticmethod
+    def check_union_of_blocks(op, n, source_spacing, target_spacing, gap,
+                              dim):
+        block = frozenset(product((-source_spacing, 0, source_spacing),
+                                  repeat=dim))
+        far = frozenset(tuple(c + gap for c in p) for p in block)
+        excluded = set()
+        for part in (block, far):
+            got = op(GridSet.cofinite(part, source_spacing), GridRatio(n))
+            assert got.points  # some point is excluded in each block
+            excluded |= got.points
+        got = op(GridSet.cofinite(block | far, source_spacing), GridRatio(n))
+        assert got == GridSet.cofinite(excluded, target_spacing, dim=dim)
+
+    @pytest.mark.parametrize("dim,gap", [(2, 10**6), (3, 10**4)])
+    def test_restrict(self, dim, gap):
+        self.check_union_of_blocks(restrict, 2, 1, 2, gap, dim)
+
+    @pytest.mark.parametrize("dim,gap", [(2, 10**6), (3, 10**4)])
+    def test_interpolate(self, dim, gap):
+        # a gap on the coarse grid, within 3 of the stated one
+        self.check_union_of_blocks(interpolate, 3, 3, 1, 3 * (gap // 3), dim)
 
 
 def test_grid_ratio_validation():
