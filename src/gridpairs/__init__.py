@@ -17,7 +17,7 @@ from .gridset import (
     components_within,
     member,
 )
-from .layers import boundary0, boundary1, layer, recover_boundaries, trace
+from .layers import boundary0, boundary1, layer, trace
 from .lifted import lift_interpolate, lift_restrict
 from .pairs import (
     AxiomCheck,
@@ -48,7 +48,6 @@ __all__ = [
     "boundary0",
     "boundary1",
     "layer",
-    "recover_boundaries",
     "trace",
     "lift_interpolate",
     "lift_restrict",

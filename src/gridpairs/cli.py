@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import formats
@@ -87,6 +88,7 @@ def render_text(doc, unit: Optional[int] = None) -> str:
     return "\n".join(rows) + "\n"
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridpairs",

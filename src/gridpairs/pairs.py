@@ -178,7 +178,8 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     it is classified by that adjacency.  The result is finite when the
     unbounded components attach to d1 and cofinite when they attach to
     d0.  The empty pair reconstructs to the full grid.  Only the points
-    of bounded components are enumerated.
+    of the bounded components on the stored side are enumerated: in 1-D
+    the gap between two far clusters is one bounded component.
     """
     report, components = _checked(pair)
     if not report.valid:
@@ -196,17 +197,17 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
         if comp.unbounded:
             unbounded_sides.add(side_d0)
         elif side_d0:
-            inside_bounded.append(comp.points)
+            inside_bounded.append(comp)
         else:
-            outside_bounded.append(comp.points)
+            outside_bounded.append(comp)
 
     if len(unbounded_sides) > 1:
         raise ValueError(
             "the two infinite rays reconstruct to different sides, so the "
             "set is neither finite nor cofinite and cannot be represented")
     if unbounded_sides == {True}:
-        excluded = pair.d1.union(*outside_bounded) if outside_bounded else pair.d1
+        excluded = pair.d1.union(*(c.points for c in outside_bounded))
         return GridSet(pair.dim, pair.spacing, Mode.COFINITE, excluded)
-    members = pair.d0.union(*inside_bounded) if inside_bounded else pair.d0
+    members = pair.d0.union(*(c.points for c in inside_bounded))
     return GridSet(pair.dim, pair.spacing, Mode.FINITE, members)
 

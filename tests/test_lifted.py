@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridpairs import formats
-from gridpairs.gridset import GridSet, Mode, Window, member
-from gridpairs.layers import boundary0, boundary1, trace
-from gridpairs.lifted import _lift_restrict_stages, lift_interpolate, lift_restrict
+from gridpairs.gridset import GridSet, Mode, Window
+from gridpairs.layers import trace
+from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.oracle import Direction, lifted_via_full, random_set
 from gridpairs.pairs import BoundaryPair, InvalidPairError, validate
 from gridpairs.transfer import GridRatio, interpolate, restrict
@@ -167,21 +169,38 @@ class TestLocality:
                 lifted_via_full(p_union, ratio, Direction.INTERPOLATE)
 
 
-class TestIntermediateSets:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_sandwich_between_boundaries_and_restriction(self, n):
-        rng = random.Random(250 + n)
-        ratio = GridRatio(n)
-        for _ in range(15):
-            M = random_fine_instance(rng)
-            pair = trace(M)
-            h0, h1, result = _lift_restrict_stages(pair, ratio)
-            R = restrict(M, ratio)
-            assert boundary0(R).points <= h0
-            assert boundary1(R).points <= h1
-            assert all(member(R, x) for x in h0)
-            assert not any(member(R, x) for x in h1)
-            assert result == trace(R)
+#: Box side per dimension, and the budget of fine points, (n + 1)^m per
+#: coarse point, that caps a cluster's size: one point in 4-D at n >= 7.
+CLUSTER_SPANS = {1: 6, 2: 4, 3: 3, 4: 2}
+FINE_BUDGET = 5_000
+
+
+@st.composite
+def two_clusters(draw):
+    """Two clusters, the second shifted by 0, 10^6 or 10^23 (past int64)."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 9))
+    cell = st.tuples(*[st.integers(0, CLUSTER_SPANS[dim] - 1)] * dim)
+    size = max(1, min(CLUSTER_SPANS[dim] ** dim,
+                      FINE_BUDGET // (n + 1) ** dim))
+    first = draw(st.frozensets(cell, min_size=1, max_size=size))
+    second = draw(st.frozensets(cell, max_size=size))
+    shift = draw(st.sampled_from([0, 10**6, 10**23]))
+    points = first | {tuple(c + shift for c in p) for p in second}
+    return dim, n, draw(st.sampled_from(list(Mode))), points
+
+
+@given(two_clusters())
+def test_both_lifts_match_the_full_set_route(case):
+    dim, n, mode, points = case
+    ratio = GridRatio(n)
+    fine = trace(GridSet(dim, 1, mode, points))
+    assert lift_restrict(fine, ratio) == \
+        lifted_via_full(fine, ratio, Direction.RESTRICT)
+    coarse = trace(GridSet(dim, n, mode,
+                           frozenset(tuple(n * c for c in p) for p in points)))
+    assert lift_interpolate(coarse, ratio) == \
+        lifted_via_full(coarse, ratio, Direction.INTERPOLATE)
 
 
 class TestInputChecking:

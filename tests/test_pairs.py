@@ -208,3 +208,9 @@ class TestCostFollowsTheBoundary:
         far = {(x + 10**6, y + 10**6) for x, y in block}
         M = GridSet.finite(block | far)
         assert reconstruct(trace(M)) == M
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_far_points_on_a_line_reconstruct(self, mode):
+        # in 1-D the gap between the two points is one bounded component
+        M = GridSet(1, 1, mode, frozenset({(0,), (10**23,)}))
+        assert reconstruct(trace(M)) == M
