@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Tuple, Union
+from operator import add
+from typing import Iterable, Iterator, Set, Tuple, Union
 
 Point = Tuple[int, ...]
 
@@ -96,16 +97,10 @@ def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
         return ((x - spacing,), (x + spacing,))
     if len(point) == 3:
         x, y, z = point
-        s = spacing
-        return tuple(
-            (x + dx, y + dy, z + dz)
-            for dx in (-s, 0, s) for dy in (-s, 0, s) for dz in (-s, 0, s)
-            if dx or dy or dz
-        )
-    return tuple(
-        tuple(c + o for c, o in zip(point, off))
-        for off in _offsets(len(point), spacing)
-    )
+        return tuple([(x + dx, y + dy, z + dz)
+                      for dx, dy, dz in _offsets(3, spacing)])
+    return tuple([tuple(map(add, point, off))
+                  for off in _offsets(len(point), spacing)])
 
 
 def grid_range(lo: int, hi: int, spacing: int) -> range:
@@ -125,9 +120,21 @@ def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
         raise ValueError(f"spacing must be positive, got {spacing}")
     if radius_doubled < 0:
         raise ValueError(f"radius must be nonnegative, got {radius_doubled}")
+    return frozenset(dilate((center,), radius_doubled, spacing))
+
+
+def dilate(points: Iterable[Point], radius_doubled: int,
+           spacing: int) -> Set[Point]:
+    """Grid points within Chebyshev distance radius_doubled/2 of some point.
+
+    The union of the balls of `ball_points`, with the same doubled-unit
+    comparison, built in one set.
+    """
     h = radius_doubled // 2
-    return frozenset(product(*[grid_range(c - h, c + h, spacing)
-                               for c in center]))
+    out: Set[Point] = set()
+    for p in points:
+        out.update(product(*[grid_range(c - h, c + h, spacing) for c in p]))
+    return out
 
 
 def check_on_grid(points: Iterable[Point], dim: int, spacing: int,

@@ -168,15 +168,16 @@ def dist_point_set(point: Point, gridset: GridSet) -> Distance:
         if not gridset.points:
             return INFINITE
         return min(chebyshev(point, q) for q in gridset.points)
-    # Cofinite: search outward ring by ring; the excluded set is finite,
-    # so some ring contains a member.
-    spacing = gridset.spacing
+    # Cofinite: a member among the grid points nearest the point, or else
+    # a nearest member q beyond them.  One grid step from q toward the
+    # point brings every farthest axis nearer, since q is not the nearest
+    # grid value on it, so that Moore neighbour of q is excluded.
+    excluded, spacing = gridset.points, gridset.spacing
     radius = _nearest_on_grid_distance(point, spacing)
-    while True:
-        for q in ball_points(point, 2 * radius, spacing):
-            if q not in gridset.points:
-                return chebyshev(point, q) if radius else 0
-        radius += 1
+    if not ball_points(point, 2 * radius, spacing) <= excluded:
+        return radius
+    return min(chebyshev(point, q) for p in excluded
+               for q in moore_neighbors(p, spacing) if q not in excluded)
 
 
 def hausdorff_semi(first: GridSet, second: GridSet) -> Distance:

@@ -5,16 +5,15 @@ restricted (or interpolated) set directly from the input boundary pair.
 No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
 outer layer, and settles each candidate's side by a short Moore walk
-toward the inner boundary; interpolation grows balls around adjacent
-coarse pairs.
+toward the inner boundary; interpolation intersects half-step
+dilations of the two coarse boundaries.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import AbstractSet, Iterator
+from typing import AbstractSet
 
-from .geometry import Point, ball_points, grid_range, moore_neighbors
+from .geometry import Point, ball_points, dilate, moore_neighbors
 from .layers import _one_step
 from .pairs import BoundaryPair, InvalidPairError, validate
 from .transfer import GridRatio
@@ -70,40 +69,23 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     return BoundaryPair(pair.dim, n, frozenset(out0), frozenset(out1))
 
 
-def _meet(x: Point, rx: int, z: Point, rz: int) -> Iterator[Point]:
-    # Fine points within rx/2 of x and within rz/2 of z, radii doubled.
-    hx, hz = rx // 2, rz // 2
-    return product(*[grid_range(max(a - hx, b - hz), min(a + hx, b + hz), 1)
-                     for a, b in zip(x, z)])
-
-
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """Boundary pair of the interpolation of the set behind a coarse pair.
 
-    The output inner boundary collects, for each adjacent coarse pair
-    (x in d0, z in d1), the fine points within n/2 of x and within
-    (n+1)/2 of z.  The output outer layer collects the fine points
-    within n/2 of z and (n+2)/2 of x that avoid the half-step balls of
-    the d0 neighbors of z; these balls are subtracted once, for all of
-    d0.  That is exact for the valid pairs accepted here: a point
-    within n/2 of z and of some y in d0 puts y within n of z, and
-    y != z since d0 and d1 are disjoint, so y is a Moore neighbor of z.
-    Radii are compared in doubled units (n, n+1, n+2); accumulation is
-    into sets, so duplicates and iteration order cannot affect the
-    result.
+    Works on boundary data alone, with radii compared in doubled units.
+    The output inner boundary is the fine points within n/2 of d0 and
+    within (n+1)/2 of d1; the output outer layer is the fine points
+    within n/2 of d1 and within (n+2)/2 of d0, less those within n/2 of
+    d0.  The definition pairs each x in d0 with an adjacent z in d1, and
+    that pairing comes free: a fine point within n/2 of one and within
+    (n+2)/2 of the other puts the coarse points x and z at most n + 1
+    apart, hence at most n, and x != z since d0 and d1 are disjoint, so
+    they are Moore neighbors.  For even n, (n+1)//2 == n//2 and the d1
+    dilation serves twice.  The empty pair maps to the empty pair.
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
-    if pair.is_empty:
-        return BoundaryPair(pair.dim, 1, frozenset(), frozenset())
-
-    out0 = set()
-    out1 = set()
-    for z in pair.d1:
-        for x in moore_neighbors(z, n):
-            if x in pair.d0:
-                out0.update(_meet(x, n, z, n + 1))
-                out1.update(_meet(z, n, x, n + 2))
-    for x in pair.d0:
-        out1.difference_update(_meet(x, n, x, n))
+    near0, near1 = dilate(pair.d0, n, 1), dilate(pair.d1, n, 1)
+    out0 = near0 & (near1 if n % 2 == 0 else dilate(pair.d1, n + 1, 1))
+    out1 = (near1 & dilate(pair.d0, n + 2, 1)) - near0
     return BoundaryPair(pair.dim, 1, frozenset(out0), frozenset(out1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .geometry import Point, ball_points, ceil_div, floor_div
+from .geometry import Point, ceil_div, dilate, floor_div
 from .gridset import GridSet, Mode
 
 
@@ -61,12 +61,10 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     # they are the answer.  For a cofinite set a target point is
     # excluded when its (never empty) ball on the source grid is, so it
     # lies within n/2 of an excluded point and is among them.
-    near = set()
-    for p in gridset.points:
-        near.update(ball_points(p, n, target_spacing))
+    near = dilate(gridset.points, n, target_spacing)
     if gridset.mode is Mode.COFINITE:
         stored, source = gridset.points, gridset.spacing
-        near = {q for q in near if ball_points(q, n, source) <= stored}
+        near = {q for q in near if dilate((q,), n, source) <= stored}
     return GridSet(gridset.dim, target_spacing, gridset.mode, frozenset(near))
 
 

@@ -11,6 +11,8 @@ from gridpairs.geometry import (
     bounding_box,
     box_grid_points,
     chebyshev,
+    dilate,
+    moore_neighbors,
     rd,
 )
 
@@ -133,6 +135,26 @@ class TestBallPoints:
     def test_monotone_in_radius(self, small, extra, spacing):
         assert ball_points((1, -2), small, spacing) <= ball_points(
             (1, -2), small + extra, spacing)
+
+
+@given(
+    centers=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                     max_size=4),
+    radius=st.integers(0, 5),
+    spacing=st.integers(1, 3),
+)
+def test_dilate_is_the_union_of_balls(centers, radius, spacing):
+    assert dilate(centers, radius, spacing) == set().union(
+        *[ball_points(c, radius, spacing) for c in centers])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spacing", [1, 3])
+def test_moore_neighbors_are_the_ring_one_step_out(dim, spacing):
+    point = tuple(spacing * (j - 2) for j in range(dim))
+    ring = moore_neighbors(point, spacing)
+    assert len(set(ring)) == len(ring) == 3 ** dim - 1
+    assert all(chebyshev(point, q) == spacing for q in ring)
 
 
 def test_infinite_compares_greater():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpairs.geometry import INFINITE
+from gridpairs.geometry import INFINITE, chebyshev
 from gridpairs.gridset import (
     GridSet,
     Mode,
@@ -88,6 +88,36 @@ class TestDistPointSet:
         # nearest spacing-2 point not excluded
         M = GridSet.cofinite({(0, 0)}, spacing=2)
         assert dist_point_set((1, 0), M) == 1
+
+    def test_centre_of_a_large_excluded_block(self):
+        block = {(x, y) for x in range(160) for y in range(160)}
+        assert dist_point_set((80, 80), GridSet.cofinite(block)) == 80
+
+    def test_off_grid_point_in_a_spacing_3_hole(self):
+        # Members at x = 9 are 8 away, those at y = 9 only 7.
+        hole = {(3 * i, 3 * j) for i in range(-2, 3) for j in range(-2, 3)}
+        assert dist_point_set((1, 2), GridSet.cofinite(hole, spacing=3)) == 7
+
+    @given(
+        excluded=st.frozensets(st.tuples(*[st.integers(-3, 3)] * 2),
+                               max_size=20),
+        query=st.tuples(*[st.integers(-12, 12)] * 2),
+        spacing=st.integers(1, 3),
+    )
+    def test_cofinite_matches_a_scan_of_the_box(self, excluded, query,
+                                                spacing):
+        # The nearest member lies in the box around the query and the
+        # excluded points, widened by one step: clamping into it only
+        # brings a point nearer and keeps it outside the excluded set.
+        excluded = frozenset(tuple(spacing * c for c in p) for p in excluded)
+        lo = [min([c[j] for c in excluded | {query}]) - spacing
+              for j in range(2)]
+        hi = [max([c[j] for c in excluded | {query}]) + spacing
+              for j in range(2)]
+        members = [q for q in Window(tuple(lo), tuple(hi)).grid_points(spacing)
+                   if q not in excluded]
+        assert dist_point_set(query, GridSet.cofinite(excluded, spacing, 2)) \
+            == min(chebyshev(query, q) for q in members)
 
 
 class TestHausdorff:

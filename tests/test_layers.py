@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from gridpairs import formats
-from gridpairs.geometry import chebyshev, moore_neighbors
+from gridpairs.geometry import ball_points, chebyshev, moore_neighbors
 from gridpairs.gridset import GridSet, Mode, Window, complement, member
 from gridpairs.layers import (
     boundary0,
@@ -13,7 +14,7 @@ from gridpairs.layers import (
     trace,
 )
 
-from conftest import fixture_text
+from conftest import fixture_text, two_clusters
 
 FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
     - {(x, y) for x in range(3, 6) for y in range(3, 6)}
@@ -32,25 +33,28 @@ def layer_by_definition(gridset, k):
     """Independent route: distance to the inner boundary.
 
     For k >= 1, complement points at distance k steps from the inner
-    boundary; for k <= -1, members at distance |k| steps from it.  This
-    is the defining form, as opposed to the distance-to-set form the
-    library propagates.
+    boundary; for k <= 0, members at distance |k| steps from it, so
+    layer 0 is the inner boundary itself.  This is the defining form, as
+    opposed to the distance-to-set form the library propagates.  The
+    candidates are the stored points when they are the wanted side, and
+    otherwise the points within |k| steps of the inner boundary but not
+    within |k| - 1 steps.
     """
     s = gridset.spacing
     b0 = boundary0(gridset).points
     if not b0:
         return frozenset()
-    axes = range(gridset.dim)
-    lo = tuple(min(p[j] for p in b0) - (abs(k) + 1) * s for j in axes)
-    hi = tuple(max(p[j] for p in b0) + (abs(k) + 1) * s for j in axes)
-    result = set()
-    for cell in Window(lo, hi).grid_points(s):
-        d = min(chebyshev(cell, b) for b in b0)
-        if k >= 1 and not member(gridset, cell) and d == k * s:
-            result.add(cell)
-        elif k <= -1 and member(gridset, cell) and d == -k * s:
-            result.add(cell)
-    return frozenset(result)
+    want = abs(k) * s
+    inside = k <= 0
+    if inside == (gridset.mode is Mode.FINITE):
+        dist = {c: min(chebyshev(c, b) for b in b0) for c in gridset.points}
+    else:
+        def within(r):
+            return {c for b in b0 for c in ball_points(b, 2 * r, s)} \
+                if r >= 0 else set()
+        dist = dict.fromkeys(within(want) - within(want - s), want)
+    return frozenset(c for c, d in dist.items()
+                     if d == want and member(gridset, c) == inside)
 
 
 class TestBoundary0:
@@ -250,3 +254,11 @@ class TestStructuralIdentities:
                 in_b1 = any(q in b0 for q in moore_neighbors(cell, 1)) \
                     and not member(M, cell)
                 assert (cell in b1) == in_b1
+
+
+@given(two_clusters())
+def test_layers_match_the_definition_on_two_clusters(case):
+    dim, _, mode, points = case
+    M = GridSet(dim, 1, mode, points)
+    for k in range(-2, 4):
+        assert layer(M, k).points == layer_by_definition(M, k), k

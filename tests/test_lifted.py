@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window
@@ -12,7 +11,7 @@ from gridpairs.oracle import Direction, lifted_via_full, random_set
 from gridpairs.pairs import BoundaryPair, InvalidPairError, validate
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_text
+from conftest import fixture_text, two_clusters
 
 
 def empty_pair(spacing, dim=2):
@@ -167,27 +166,6 @@ class TestLocality:
             assert lifted_union.d1 == a.d1 | b.d1
             assert lifted_union == \
                 lifted_via_full(p_union, ratio, Direction.INTERPOLATE)
-
-
-#: Box side per dimension, and the budget of fine points, (n + 1)^m per
-#: coarse point, that caps a cluster's size: one point in 4-D at n >= 7.
-CLUSTER_SPANS = {1: 6, 2: 4, 3: 3, 4: 2}
-FINE_BUDGET = 5_000
-
-
-@st.composite
-def two_clusters(draw):
-    """Two clusters, the second shifted by 0, 10^6 or 10^23 (past int64)."""
-    dim = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 9))
-    cell = st.tuples(*[st.integers(0, CLUSTER_SPANS[dim] - 1)] * dim)
-    size = max(1, min(CLUSTER_SPANS[dim] ** dim,
-                      FINE_BUDGET // (n + 1) ** dim))
-    first = draw(st.frozensets(cell, min_size=1, max_size=size))
-    second = draw(st.frozensets(cell, max_size=size))
-    shift = draw(st.sampled_from([0, 10**6, 10**23]))
-    points = first | {tuple(c + shift for c in p) for p in second}
-    return dim, n, draw(st.sampled_from(list(Mode))), points
 
 
 @given(two_clusters())

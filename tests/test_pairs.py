@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window, member, window_of
@@ -12,7 +13,7 @@ from gridpairs.oracle import (
 )
 from gridpairs.pairs import BoundaryPair, InvalidPairError, reconstruct, validate
 
-from conftest import fixture_text
+from conftest import fixture_text, two_clusters
 
 FIG1A_POINTS = frozenset(
     {(x, y) for x in range(2, 10) for y in range(2, 7)}
@@ -214,3 +215,14 @@ class TestCostFollowsTheBoundary:
         # in 1-D the gap between the two points is one bounded component
         M = GridSet(1, 1, mode, frozenset({(0,), (10**23,)}))
         assert reconstruct(trace(M)) == M
+
+
+@given(two_clusters())
+def test_trace_validates_and_reconstructs_on_two_clusters(case):
+    dim, n, mode, points = case
+    for s in (1, n):
+        M = GridSet(dim, s, mode,
+                    frozenset(tuple(s * c for c in p) for p in points))
+        pair = trace(M)
+        assert validate(pair).valid
+        assert reconstruct(pair) == M
