@@ -141,10 +141,10 @@ def _parse_ascii(kind: str, head: List[str], lines: List[str]) -> Document:
     if kind == "#gridset":
         mode = _parse_mode(fields["mode"], 1)
         marks = _parse_ascii_rows(rows, origin, spacing, "0", 2)
-        return GridSet(dim, spacing, mode, frozenset(marks["0"]))
+        return GridSet._trusted(dim, spacing, mode, frozenset(marks["0"]))
     marks = _parse_ascii_rows(rows, origin, spacing, "01", 2)
-    return BoundaryPair(dim, spacing, frozenset(marks["0"]),
-                        frozenset(marks["1"]))
+    return BoundaryPair._trusted(dim, spacing, frozenset(marks["0"]),
+                                 frozenset(marks["1"]))
 
 
 def _parse_coords(head: List[str], lines: List[str]) -> Document:
@@ -180,9 +180,9 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
 
     if kind == "gridset":
         mode = _parse_mode(fields["mode"], 1)
-        return GridSet(dim, spacing, mode, frozenset(sets["M"]))
-    return BoundaryPair(dim, spacing, frozenset(sets["D0"]),
-                        frozenset(sets["D1"]))
+        return GridSet._trusted(dim, spacing, mode, frozenset(sets["M"]))
+    return BoundaryPair._trusted(dim, spacing, frozenset(sets["D0"]),
+                                 frozenset(sets["D1"]))
 
 
 def _ascii_grid(points_by_char: List[Tuple[str, FrozenSet[Point]]],

@@ -120,7 +120,12 @@ def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
         raise ValueError(f"spacing must be positive, got {spacing}")
     if radius_doubled < 0:
         raise ValueError(f"radius must be nonnegative, got {radius_doubled}")
-    return frozenset(dilate((center,), radius_doubled, spacing))
+    return frozenset(box_around(center, radius_doubled // 2, spacing))
+
+
+def box_around(center: Point, half: int, spacing: int) -> Iterator[Point]:
+    """Grid points within Chebyshev distance `half` of center, lazily."""
+    return product(*[grid_range(c - half, c + half, spacing) for c in center])
 
 
 def dilate(points: Iterable[Point], radius_doubled: int,
@@ -133,7 +138,7 @@ def dilate(points: Iterable[Point], radius_doubled: int,
     h = radius_doubled // 2
     out: Set[Point] = set()
     for p in points:
-        out.update(product(*[grid_range(c - h, c + h, spacing) for c in p]))
+        out.update(box_around(p, h, spacing))
     return out
 
 

@@ -45,6 +45,12 @@ class GridSet:
     In FINITE mode the stored points are the members; in COFINITE mode
     they are the excluded grid points.  FINITE with no points is the
     empty set, COFINITE with no points is the full grid.
+
+    The public constructors check the dimension, the spacing and the
+    grid alignment of every point.  The parser checks each record as it
+    reads it, and the library builds its results from points it made
+    itself, so both use `_trusted`, which skips these checks: outside
+    points are checked exactly once.
     """
 
     dim: int
@@ -60,6 +66,17 @@ class GridSet:
         if not isinstance(self.points, frozenset):
             object.__setattr__(self, "points", frozenset(self.points))
         check_on_grid(self.points, self.dim, self.spacing)
+
+    @classmethod
+    def _trusted(cls, dim: int, spacing: int, mode: Mode,
+                 points: FrozenSet[Point]) -> "GridSet":
+        # Stores fields that are already checked; skips __post_init__.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "points", points)
+        return self
 
     @classmethod
     def finite(cls, points: Iterable[Point], spacing: int = 1,
@@ -149,7 +166,7 @@ def member(gridset: GridSet, point: Point) -> bool:
 def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
-    return GridSet(gridset.dim, gridset.spacing, mode, gridset.points)
+    return GridSet._trusted(gridset.dim, gridset.spacing, mode, gridset.points)
 
 
 def _nearest_on_grid_distance(point: Point, spacing: int) -> int:

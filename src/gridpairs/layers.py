@@ -16,7 +16,8 @@ from .pairs import BoundaryPair
 
 
 def _finite(model: GridSet, points: AbstractSet[Point]) -> GridSet:
-    return GridSet(model.dim, model.spacing, Mode.FINITE, frozenset(points))
+    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE,
+                            frozenset(points))
 
 
 def boundary0(gridset: GridSet) -> GridSet:
@@ -90,8 +91,8 @@ def trace(gridset: GridSet) -> BoundaryPair:
         d0, d1 = inner, outer
     else:
         d0, d1 = outer, inner
-    return BoundaryPair(gridset.dim, gridset.spacing,
-                        frozenset(d0), frozenset(d1))
+    return BoundaryPair._trusted(gridset.dim, gridset.spacing,
+                                 frozenset(d0), frozenset(d1))
 
 
 def recover_boundaries(h0: GridSet, h1: GridSet) -> Tuple[GridSet, GridSet]:

@@ -66,7 +66,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     out1 = {y for y, p in candidates.items()
             if _outside(y, p, pair.d0, pair.d1)}
     out0 = _one_step(out1, n)[1] & near.keys()
-    return BoundaryPair(pair.dim, n, frozenset(out0), frozenset(out1))
+    return BoundaryPair._trusted(pair.dim, n, frozenset(out0), frozenset(out1))
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -88,4 +88,4 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     near0, near1 = dilate(pair.d0, n, 1), dilate(pair.d1, n, 1)
     out0 = near0 & (near1 if n % 2 == 0 else dilate(pair.d1, n + 1, 1))
     out1 = (near1 & dilate(pair.d0, n + 2, 1)) - near0
-    return BoundaryPair(pair.dim, 1, frozenset(out0), frozenset(out1))
+    return BoundaryPair._trusted(pair.dim, 1, frozenset(out0), frozenset(out1))

@@ -21,8 +21,12 @@ class BoundaryPair:
     """Two disjoint finite point sets on a common grid.
 
     d0 plays the role of the inner boundary, d1 of the first outer
-    layer.  Construction only checks grid alignment; whether the pair is
-    a genuine boundary pair is decided by `validate`.
+    layer.  The public constructors check the dimension, the spacing and
+    the grid alignment of every point.  The parser checks each record as
+    it reads it, and the library builds its results from points it made
+    itself, so both use `_trusted`, which skips these checks: outside
+    points are checked exactly once.  Whether the pair is a genuine
+    boundary pair is decided by `validate`.
     """
 
     dim: int
@@ -41,6 +45,17 @@ class BoundaryPair:
                 object.__setattr__(self, name, frozenset(pts))
                 pts = getattr(self, name)
             check_on_grid(pts, self.dim, self.spacing, f"{name} point")
+
+    @classmethod
+    def _trusted(cls, dim: int, spacing: int, d0: FrozenSet[Point],
+                 d1: FrozenSet[Point]) -> "BoundaryPair":
+        # Stores fields that are already checked; skips __post_init__.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+        return self
 
     @classmethod
     def of(cls, d0: Iterable[Point], d1: Iterable[Point], spacing: int = 1,
@@ -207,7 +222,8 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
             "set is neither finite nor cofinite and cannot be represented")
     if unbounded_sides == {True}:
         excluded = pair.d1.union(*(c.points for c in outside_bounded))
-        return GridSet(pair.dim, pair.spacing, Mode.COFINITE, excluded)
+        return GridSet._trusted(pair.dim, pair.spacing, Mode.COFINITE,
+                                excluded)
     members = pair.d0.union(*(c.points for c in inside_bounded))
-    return GridSet(pair.dim, pair.spacing, Mode.FINITE, members)
+    return GridSet._trusted(pair.dim, pair.spacing, Mode.FINITE, members)
 

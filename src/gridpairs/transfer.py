@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .geometry import Point, ceil_div, dilate, floor_div
+from .geometry import Point, box_around, ceil_div, dilate, floor_div
 from .gridset import GridSet, Mode
 
 
@@ -63,9 +63,11 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     # lies within n/2 of an excluded point and is among them.
     near = dilate(gridset.points, n, target_spacing)
     if gridset.mode is Mode.COFINITE:
-        stored, source = gridset.points, gridset.spacing
-        near = {q for q in near if dilate((q,), n, source) <= stored}
-    return GridSet(gridset.dim, target_spacing, gridset.mode, frozenset(near))
+        stored, source, h = gridset.points, gridset.spacing, n // 2
+        near = {q for q in near
+                if stored.issuperset(box_around(q, h, source))}
+    return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
+                            frozenset(near))
 
 
 def _in_box_union(v: Point, centers_scaled: frozenset, half_width: int,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gridpairs.cli import main
 from gridpairs.formats import (
     ParseError,
     parse_text,
@@ -172,3 +173,37 @@ class TestConversion:
             parse_text("#stuff v1\n")
         with pytest.raises(ParseError):
             parse_text("")
+
+
+COORDS_HEADERS = {
+    "M": "#coords v1 kind=gridset m=2 s=2 mode=finite\nM 0 0\nM 2 0\n",
+    "D0": "#coords v1 kind=gridpair m=2 s=2\nD0 0 0\nD1 2 0\n",
+    "D1": "#coords v1 kind=gridpair m=2 s=2\nD0 0 0\nD1 2 0\n",
+}
+BAD_COORDINATES = {
+    "off-grid": "2 3",
+    "too-few-coordinates": "2",
+    "too-many-coordinates": "2 2 2",
+}
+BAD_DOCUMENTS = [
+    pytest.param(COORDS_HEADERS[label] + f"{label} {coords}\n", 4,
+                 id=f"{label}-{kind}")
+    for label in COORDS_HEADERS
+    for kind, coords in BAD_COORDINATES.items()
+] + [pytest.param("#gridpair v1 m=2 s=2 origin=1,0\n0-1\n", 1,
+                  id="ascii-origin-off-grid")]
+
+
+@pytest.mark.parametrize("text, line", BAD_DOCUMENTS)
+def test_parser_rejects_every_bad_record(text, line, tmp_path, capsys):
+    # The parser is the only check that outside points get.
+    with pytest.raises(ParseError) as excinfo:
+        parse_text(text)
+    assert excinfo.value.line == line
+    path = tmp_path / "bad.doc"
+    path.write_text(text)
+    assert main(["render", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+    assert f"(line {line})" in captured.err
