@@ -7,7 +7,7 @@ the restriction and interpolation operators, and transfers boundary
 pairs directly with the lifted variants of these operators.
 """
 
-from .geometry import INFINITE, Distance, Point, ball_points, chebyshev, rd
+from .geometry import Point, ball_points
 from .gridset import (
     Component,
     GridSet,
@@ -32,12 +32,8 @@ from .transfer import GridRatio, interpolate, restrict
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITE",
-    "Distance",
     "Point",
     "ball_points",
-    "chebyshev",
-    "rd",
     "Component",
     "GridSet",
     "Mode",

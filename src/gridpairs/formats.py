@@ -189,6 +189,9 @@ def _ascii_grid(points_by_char: List[Tuple[str, FrozenSet[Point]]],
                 spacing: int) -> Tuple[Point, List[str]]:
     everything: Set[Point] = set()
     for _, pts in points_by_char:
+        if not everything.isdisjoint(pts):
+            raise ValueError(
+                "overlapping d0/d1 cannot be rendered as an ASCII grid")
         everything |= pts
     if not everything:
         return (0, 0), []
@@ -211,9 +214,6 @@ def serialize_ascii(doc: Document) -> str:
         header = (f"#gridset v1 m=2 s={doc.spacing} "
                   f"origin={origin[0]},{origin[1]} mode={doc.mode.value}")
     else:
-        if doc.d0 & doc.d1:
-            raise ValueError(
-                "overlapping d0/d1 cannot be rendered as an ASCII grid")
         origin, rows = _ascii_grid([("0", doc.d0), ("1", doc.d1)], doc.spacing)
         header = (f"#gridpair v1 m=2 s={doc.spacing} "
                   f"origin={origin[0]},{origin[1]}")

@@ -8,72 +8,12 @@ fractions or floats ever enter a geometric predicate.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Iterable, Iterator, Set, Tuple, Union
+from typing import Iterable, Iterator, Set, Tuple
 
 Point = Tuple[int, ...]
-
-#: Extended distance: a nonnegative integer, or INFINITE for distances to
-#: the empty set.  INFINITE compares greater than every finite value.
-Distance = Union[int, float]
-INFINITE: float = math.inf
-
-
-def chebyshev(u: Point, v: Point) -> int:
-    """Chebyshev (maximum-coordinate) distance between two lattice points."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    # unrolled small dimensions; these dominate every inner loop
-    if len(u) == 2:
-        a = u[0] - v[0]
-        b = u[1] - v[1]
-        if a < 0:
-            a = -a
-        if b < 0:
-            b = -b
-        return a if a > b else b
-    if len(u) == 3:
-        a = u[0] - v[0]
-        b = u[1] - v[1]
-        c = u[2] - v[2]
-        if a < 0:
-            a = -a
-        if b < 0:
-            b = -b
-        if c < 0:
-            c = -c
-        if b > a:
-            a = b
-        return a if a > c else c
-    if len(u) == 1:
-        a = u[0] - v[0]
-        return -a if a < 0 else a
-    return max(abs(a - b) for a, b in zip(u, v))
-
-
-def rd(p: int, q: int) -> int:
-    """Round the rational p/q to an integer, ties rounding up.
-
-    Returns floor(p/q) when the fractional part is below 1/2 and
-    ceil(p/q) otherwise.  Evaluated exactly in integer arithmetic, so the
-    tie case (fractional part exactly 1/2) is handled correctly for
-    negative p as well: rd(-1, 2) == 0.
-    """
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
-    quot, rem = divmod(p, q)
-    return quot + (1 if 2 * rem >= q else 0)
-
-
-def floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +45,8 @@ def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
 
 def grid_range(lo: int, hi: int, spacing: int) -> range:
     """The multiples of spacing in the integer interval [lo, hi], ascending."""
-    return range(ceil_div(lo, spacing) * spacing,
-                 floor_div(hi, spacing) * spacing + 1, spacing)
+    return range(-(-lo // spacing) * spacing,
+                 hi // spacing * spacing + 1, spacing)
 
 
 def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:

@@ -19,13 +19,9 @@ from typing import (Callable, Container, Dict, FrozenSet, Iterable, Iterator,
                     List, Optional, Tuple)
 
 from .geometry import (
-    INFINITE,
-    Distance,
     Point,
-    ball_points,
     bounding_box,
     box_grid_points,
-    chebyshev,
     check_on_grid,
     grid_range,
     moore_neighbors,
@@ -167,76 +163,6 @@ def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
     return GridSet._trusted(gridset.dim, gridset.spacing, mode, gridset.points)
-
-
-def _nearest_on_grid_distance(point: Point, spacing: int) -> int:
-    # Chebyshev distance from an integer point to the nearest grid point.
-    best = 0
-    for c in point:
-        r = c % spacing
-        best = max(best, min(r, spacing - r))
-    return best
-
-
-def dist_point_set(point: Point, gridset: GridSet) -> Distance:
-    """Chebyshev distance from a point to a grid set; INFINITE for the empty set."""
-    point = tuple(point)
-    if gridset.mode is Mode.FINITE:
-        if not gridset.points:
-            return INFINITE
-        return min(chebyshev(point, q) for q in gridset.points)
-    # Cofinite: a member among the grid points nearest the point, or else
-    # a nearest member q beyond them.  One grid step from q toward the
-    # point brings every farthest axis nearer, since q is not the nearest
-    # grid value on it, so that Moore neighbour of q is excluded.
-    excluded, spacing = gridset.points, gridset.spacing
-    radius = _nearest_on_grid_distance(point, spacing)
-    if not ball_points(point, 2 * radius, spacing) <= excluded:
-        return radius
-    return min(chebyshev(point, q) for p in excluded
-               for q in moore_neighbors(p, spacing) if q not in excluded)
-
-
-def hausdorff_semi(first: GridSet, second: GridSet) -> Distance:
-    """One-sided Hausdorff distance sup_{x in first} dist(x, second).
-
-    Exact for every finite/cofinite combination.  When both sets are
-    cofinite they must share a spacing.
-    """
-    if first.is_empty:
-        return 0
-    if second.is_empty:
-        return INFINITE
-    if first.mode is Mode.FINITE:
-        return max(dist_point_set(p, second) for p in first.points)
-    if second.mode is Mode.FINITE:
-        # A cofinite set has members arbitrarily far from any finite set.
-        return INFINITE
-    if first.spacing != second.spacing:
-        raise ValueError("cofinite sets must share a spacing for Hausdorff distances")
-    # Both cofinite: only members of `first` that are excluded from
-    # `second` contribute a positive distance.
-    contributors = second.points - first.points
-    if not contributors:
-        return 0
-    return max(dist_point_set(p, second) for p in contributors)
-
-
-def hausdorff(first: GridSet, second: GridSet) -> Distance:
-    """Symmetric Hausdorff distance, max of the two semi-distances."""
-    return max(hausdorff_semi(first, second), hausdorff_semi(second, first))
-
-
-def is_connected(gridset: GridSet) -> bool:
-    """Whether any two members are joined by a Moore path inside the set.
-
-    Defined for finite nonempty sets only.
-    """
-    if gridset.mode is not Mode.FINITE or not gridset.points:
-        raise ValueError("connectivity is defined for finite nonempty sets")
-    points = gridset.points
-    return len(distance_map([min(points)], points, gridset.spacing)) \
-        == len(points)
 
 
 def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],

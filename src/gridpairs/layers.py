@@ -94,19 +94,3 @@ def trace(gridset: GridSet) -> BoundaryPair:
     return BoundaryPair._trusted(gridset.dim, gridset.spacing,
                                  frozenset(d0), frozenset(d1))
 
-
-def recover_boundaries(h0: GridSet, h1: GridSet) -> Tuple[GridSet, GridSet]:
-    """Recover a boundary pair from supersets of its two components.
-
-    Assuming the inner boundary of some set M is sandwiched between h0
-    and M, and its first outer layer between h1 and the complement of M,
-    the boundaries are exactly the points of each superset at distance
-    one step from the other superset.
-    """
-    if h0.mode is not Mode.FINITE or h1.mode is not Mode.FINITE:
-        raise ValueError("boundary recovery expects finite sets")
-    if h0.spacing != h1.spacing or h0.dim != h1.dim:
-        raise ValueError("the two sets must live on the same grid")
-    s = h0.spacing
-    return (_finite(h0, _one_step(h1.points, s)[1] & h0.points),
-            _finite(h1, _one_step(h0.points, s)[1] & h1.points))

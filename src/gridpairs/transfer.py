@@ -10,9 +10,8 @@ odd n (half-integer radii) costs nothing special.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .geometry import Point, box_around, ceil_div, dilate, floor_div
+from .geometry import box_around, dilate
 from .gridset import GridSet, Mode
 
 
@@ -69,49 +68,3 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
                             frozenset(near))
 
-
-def _in_box_union(v: Point, centers_scaled: frozenset, half_width: int,
-                  stride: int) -> bool:
-    # Is the scaled point v inside any closed box of the given half-width
-    # around a center?  Centers are multiples of stride, so at most two
-    # candidates per axis need checking.
-    axis_ranges = []
-    for vj in v:
-        lo = ceil_div(vj - half_width, stride)
-        hi = floor_div(vj + half_width, stride)
-        if lo > hi:
-            return False
-        axis_ranges.append(range(lo, hi + 1))
-    return any(
-        tuple(t * stride for t in combo) in centers_scaled
-        for combo in product(*axis_ranges)
-    )
-
-
-def is_voronoi_cover(gridset: GridSet, cover: GridSet) -> bool:
-    """Whether the half-step boxes of `cover` contain those of `gridset`.
-
-    Both sets must be finite and nonempty; they may live on grids of
-    different spacings.  All box faces lie on the half-unit lattice, so
-    containment of the two box unions is decided exactly by sampling the
-    quarter-unit lattice, represented as integers scaled by four.
-    """
-    for g, name in ((gridset, "covered set"), (cover, "cover")):
-        if g.mode is not Mode.FINITE or not g.points:
-            raise ValueError(f"{name} must be finite and nonempty")
-    if gridset.dim != cover.dim:
-        raise ValueError("sets must have the same dimension")
-    s = gridset.spacing
-    t = cover.spacing
-    cover_scaled = frozenset(
-        tuple(4 * c for c in p) for p in cover.points)
-    half_covered = 2 * s
-    half_cover = 2 * t
-    offsets = range(-half_covered, half_covered + 1)
-    for p in gridset.points:
-        base = tuple(4 * c for c in p)
-        for combo in product(offsets, repeat=gridset.dim):
-            v = tuple(b + o for b, o in zip(base, combo))
-            if not _in_box_union(v, cover_scaled, half_cover, 4 * t):
-                return False
-    return True

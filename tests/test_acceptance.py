@@ -14,16 +14,8 @@ import time
 from contextlib import contextmanager
 
 from gridpairs import formats
-from gridpairs.geometry import ball_points, chebyshev, moore_neighbors, rd
-from gridpairs.gridset import (
-    GridSet,
-    Mode,
-    Window,
-    complement,
-    hausdorff,
-    is_connected,
-    member,
-)
+from gridpairs.geometry import ball_points
+from gridpairs.gridset import GridSet, Mode, Window, complement, member
 from gridpairs.layers import boundary0, layer, trace
 from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.oracle import (
@@ -31,11 +23,12 @@ from gridpairs.oracle import (
     best_approx_bruteforce,
     random_set,
 )
-from gridpairs.paths import straight_path
 from gridpairs.pairs import BoundaryPair, reconstruct, validate
-from gridpairs.transfer import GridRatio, interpolate, is_voronoi_cover, restrict
+from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_text
+from conftest import (chebyshev, coarse_dilation, fixture_text, hausdorff,
+                      is_connected, is_voronoi_cover, largest_component, rd,
+                      straight_path)
 
 DENSITIES = (0.2, 0.5, 0.8)
 
@@ -54,27 +47,6 @@ def criterion(number, label):
 
 def finite_variant(gridset):
     return GridSet(gridset.dim, gridset.spacing, Mode.FINITE, gridset.points)
-
-
-def largest_component(gridset):
-    from collections import deque
-    remaining = set(gridset.points)
-    best = set()
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        remaining.discard(seed)
-        while queue:
-            p = queue.popleft()
-            for q in moore_neighbors(p, gridset.spacing):
-                if q in remaining:
-                    remaining.discard(q)
-                    comp.add(q)
-                    queue.append(q)
-        if len(comp) > len(best):
-            best = comp
-    return GridSet(gridset.dim, gridset.spacing, Mode.FINITE, frozenset(best))
 
 
 def test_criterion_1_figure_exact_golden():
@@ -156,13 +128,6 @@ def test_criterion_3_lifted_operator_oracle_equivalence():
                     cpair = trace(C)
                     assert lift_interpolate(cpair, ratio) == \
                         trace(interpolate(C, ratio)), (dim, n, index)
-
-
-def coarse_dilation(coarse, n):
-    out = set()
-    for p in coarse.points:
-        out.update(ball_points(p, 2 * n, n))
-    return GridSet(coarse.dim, n, Mode.FINITE, frozenset(out))
 
 
 def test_criterion_4_composition_law():

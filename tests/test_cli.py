@@ -175,6 +175,16 @@ class TestRenderCommand:
                            "-i", fixture_path("fig3c.grid"))
         assert code == 2
 
+    @pytest.mark.parametrize("args", [(), ("--unit", "1")])
+    def test_overlapping_pair_is_refused(self, args, tmp_path, capsys):
+        doc = tmp_path / "overlap.pair"
+        doc.write_text("#coords v1 kind=gridpair m=2 s=1\n"
+                       "D0 0 0\nD1 0 0\nD1 1 0\n")
+        code, out, err = run(capsys, "render", *args, "-i", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: overlapping d0/d1 ")
+
 
 class TestErrorPaths:
     def test_parse_error_exit_code(self, tmp_path, capsys):

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (
-    INFINITE,
-    ball_points,
-    bounding_box,
-    box_grid_points,
-    chebyshev,
-    dilate,
-    moore_neighbors,
-    rd,
-)
+from gridpairs.geometry import (ball_points, bounding_box, box_grid_points,
+                                dilate, grid_range, moore_neighbors)
+
+from conftest import INFINITE, chebyshev, rd
 
 
 def brute_ball(center, radius_doubled, spacing):
@@ -171,3 +165,17 @@ def test_bounding_box():
 def test_box_grid_points_off_alignment():
     pts = list(box_grid_points((-1, -1), (2, 2), 2))
     assert pts == [(0, 0), (0, 2), (2, 0), (2, 2)]
+
+
+@given(st.integers(-10**25, 10**25), st.integers(-10**25, 10**25),
+       st.integers(-10, 60), st.integers(1, 7))
+def test_grid_range_holds_the_multiples_in_the_interval(lo, far, span, s):
+    for hi in (far, lo + span):
+        r = grid_range(lo, hi, s)
+        assert r.step == s
+        assert r.start % s == 0
+        assert lo <= r.start < lo + s
+        if r:
+            assert hi - s < r[-1] <= hi
+        if hi - lo <= 60:
+            assert list(r) == [v for v in range(lo, hi + 1) if v % s == 0]

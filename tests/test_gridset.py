@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpairs.geometry import INFINITE, chebyshev
 from gridpairs.gridset import (
     GridSet,
     Mode,
     Window,
     complement,
     components_within,
-    dist_point_set,
     distance_map,
-    hausdorff,
-    hausdorff_semi,
-    is_connected,
     member,
     window_of,
 )
 from gridpairs.oracle import components_bfs
 from gridpairs.transfer import GridRatio, restrict
 
-from conftest import fixture_text
+from conftest import (INFINITE, chebyshev, dist_point_set, fixture_text,
+                      hausdorff, hausdorff_semi, is_connected)
 from gridpairs import formats
 
 

@@ -2,16 +2,18 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window
 from gridpairs.layers import trace
 from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.oracle import Direction, lifted_via_full, random_set
-from gridpairs.pairs import BoundaryPair, InvalidPairError, validate
+from gridpairs.pairs import (BoundaryPair, InvalidPairError, reconstruct,
+                            validate)
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_text, two_clusters
+from conftest import fixture_text, large_cofinite_holes, two_clusters
 
 
 def empty_pair(spacing, dim=2):
@@ -179,6 +181,21 @@ def test_both_lifts_match_the_full_set_route(case):
                            frozenset(tuple(n * c for c in p) for p in points)))
     assert lift_interpolate(coarse, ratio) == \
         lifted_via_full(coarse, ratio, Direction.INTERPOLATE)
+
+
+@given(large_cofinite_holes(), st.integers(2, 4))
+def test_large_cofinite_holes(M, n):
+    pair = trace(M)
+    assert validate(pair).valid
+    assert reconstruct(pair) == M
+    if M.spacing == 1:
+        ratio = GridRatio(n)
+        assert lift_restrict(pair, ratio) == \
+            lifted_via_full(pair, ratio, Direction.RESTRICT)
+    else:
+        ratio = GridRatio(M.spacing)
+        assert lift_interpolate(pair, ratio) == \
+            lifted_via_full(pair, ratio, Direction.INTERPOLATE)
 
 
 class TestInputChecking:

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import chebyshev
-from gridpairs.paths import Path, concatenate, straight_path
+from conftest import Path, chebyshev, concatenate, straight_path
 
 
 class TestPath:

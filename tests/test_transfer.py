@@ -5,19 +5,13 @@ import pytest
 
 from gridpairs import formats
 from gridpairs.geometry import ball_points
-from gridpairs.gridset import (
-    GridSet,
-    Window,
-    complement,
-    hausdorff,
-    is_connected,
-    member,
-)
+from gridpairs.gridset import GridSet, Window, complement, member
 from gridpairs.layers import boundary0
 from gridpairs.oracle import best_approx_bruteforce, random_set
-from gridpairs.transfer import GridRatio, interpolate, is_voronoi_cover, restrict
+from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_text
+from conftest import (coarse_dilation, fixture_text, hausdorff, is_connected,
+                      is_voronoi_cover, largest_component)
 
 
 def random_fine_set(rng, span=8):
@@ -30,36 +24,6 @@ def random_coarse_set(rng, n, span=5):
     window = Window((0, 0), ((span - 1) * n,) * 2)
     return random_set(window, rng.choice((0.3, 0.6)),
                       rng.randrange(10**6), spacing=n)
-
-
-def largest_component(gridset):
-    from collections import deque
-    from gridpairs.geometry import moore_neighbors
-    remaining = set(gridset.points)
-    best = None
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        remaining.discard(seed)
-        while queue:
-            p = queue.popleft()
-            for q in moore_neighbors(p, gridset.spacing):
-                if q in remaining:
-                    remaining.discard(q)
-                    comp.add(q)
-                    queue.append(q)
-        if best is None or len(comp) > len(best):
-            best = comp
-    return GridSet.finite(best, gridset.spacing, dim=gridset.dim)
-
-
-def coarse_dilation(coarse, n):
-    # one coarse Moore step around every point, computed directly
-    out = set()
-    for p in coarse.points:
-        out.update(ball_points(p, 2 * n, n))
-    return GridSet.finite(out, n, dim=coarse.dim)
 
 
 class TestRestrict:
