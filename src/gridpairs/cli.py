@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import formats
 from .formats import ParseError
-from .gridset import GridSet, Mode, Window
+from .gridset import GridSet, Window
 from .layers import trace
 from .lifted import lift_interpolate, lift_restrict
 from .oracle import random_set
@@ -26,6 +26,26 @@ from .transfer import GridRatio, interpolate, restrict
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+
+# The document subcommands: help text, input kind, and whether the
+# command takes --ratio.  Each runs the operation imported above under
+# its name, dashes read as underscores.  `_run` looks it up in this
+# module when the request runs, so a wrapper set on that attribute, as
+# gridbench/tracer.py sets, is the one called.
+_COMMANDS = {
+    "trace": ("boundary pair of a grid set", "grid set", False),
+    "reconstruct": ("grid set behind a boundary pair", "grid pair", False),
+    "validate": ("check the boundary-pair axioms", "grid pair", False),
+    "restrict": ("project a fine grid set to the coarse grid", "grid set",
+                 True),
+    "interpolate": ("refine a coarse grid set to the fine grid", "grid set",
+                    True),
+    "lift-restrict": ("project a fine boundary pair to the coarse grid",
+                      "grid pair", True),
+    "lift-interpolate": ("refine a coarse boundary pair to the fine grid",
+                         "grid pair", True),
+}
+_KINDS = {"grid set": GridSet, "grid pair": BoundaryPair}
 
 
 def _read(path: Optional[str]) -> str:
@@ -43,18 +63,6 @@ def _write(path: Optional[str], text: str) -> None:
         handle.write(text)
 
 
-def _expect_gridset(doc) -> GridSet:
-    if not isinstance(doc, GridSet):
-        raise ValueError("this command expects a grid set document")
-    return doc
-
-
-def _expect_pair(doc) -> BoundaryPair:
-    if not isinstance(doc, BoundaryPair):
-        raise ValueError("this command expects a grid pair document")
-    return doc
-
-
 def _parse_window(spec: str) -> Window:
     try:
         low, high = spec.split(":")
@@ -66,28 +74,6 @@ def _parse_window(spec: str) -> Window:
     return Window(lower, upper)
 
 
-def render_text(doc, unit: Optional[int] = None) -> str:
-    """Goboard rendering with one character per `unit` fine units.
-
-    The default unit is the document's spacing; unit 1 shows the
-    sub-grid positions between coarse points, as the figures do.
-    """
-    if doc.dim != 2:
-        raise ValueError("rendering is 2-D only")
-    unit = doc.spacing if unit is None else unit
-    if unit < 1 or doc.spacing % unit:
-        raise ValueError(f"unit {unit} must divide the spacing {doc.spacing}")
-    if isinstance(doc, GridSet):
-        _, rows = formats._ascii_grid([("0", doc.points)], unit)
-        if rows and doc.mode is Mode.COFINITE:
-            rows.append("(marks show excluded points)")
-    else:
-        _, rows = formats._ascii_grid([("0", doc.d0), ("1", doc.d1)], unit)
-    if not rows:
-        return "(no points to draw)\n"
-    return "\n".join(rows) + "\n"
-
-
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -96,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and multiresolution transfer.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, ratio=False):
+    for name, (help_text, _, ratio) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("-i", "--input", default=None,
                          help="input file (default: stdin)")
@@ -107,17 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if ratio:
             cmd.add_argument("--ratio", type=int, required=True,
                              help="coarse-to-fine grid ratio (n >= 2)")
-        return cmd
-
-    add("trace", "boundary pair of a grid set")
-    add("reconstruct", "grid set behind a boundary pair")
-    add("validate", "check the boundary-pair axioms")
-    add("restrict", "project a fine grid set to the coarse grid", ratio=True)
-    add("interpolate", "refine a coarse grid set to the fine grid", ratio=True)
-    add("lift-restrict", "project a fine boundary pair to the coarse grid",
-        ratio=True)
-    add("lift-interpolate", "refine a coarse boundary pair to the fine grid",
-        ratio=True)
 
     render_cmd = sub.add_parser("render", help="pretty goboard view")
     render_cmd.add_argument("-i", "--input", default=None)
@@ -151,29 +126,19 @@ def _run(args: argparse.Namespace) -> int:
     doc = formats.parse_text(text)
 
     if command == "render":
-        _write(args.output, render_text(doc, args.unit))
+        _write(args.output, formats.render(doc, args.unit))
         return EXIT_OK
 
-    if command == "validate":
-        report = validate(_expect_pair(doc))
-        verdict = "valid" if report.valid else "INVALID"
-        _write(args.output, report.describe() + f"\nresult: {verdict}\n")
-        return EXIT_OK if report.valid else EXIT_INVALID
+    _, kind, ratio = _COMMANDS[command]
+    if not isinstance(doc, _KINDS[kind]):
+        raise ValueError(f"this command expects a {kind} document")
+    operation = globals()[command.replace("-", "_")]
+    result = operation(doc, GridRatio(args.ratio)) if ratio else operation(doc)
 
-    if command == "trace":
-        result = trace(_expect_gridset(doc))
-    elif command == "reconstruct":
-        result = reconstruct(_expect_pair(doc))
-    elif command == "restrict":
-        result = restrict(_expect_gridset(doc), GridRatio(args.ratio))
-    elif command == "interpolate":
-        result = interpolate(_expect_gridset(doc), GridRatio(args.ratio))
-    elif command == "lift-restrict":
-        result = lift_restrict(_expect_pair(doc), GridRatio(args.ratio))
-    elif command == "lift-interpolate":
-        result = lift_interpolate(_expect_pair(doc), GridRatio(args.ratio))
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {command!r}")
+    if command == "validate":
+        verdict = "valid" if result.valid else "INVALID"
+        _write(args.output, result.describe() + f"\nresult: {verdict}\n")
+        return EXIT_OK if result.valid else EXIT_INVALID
 
     # the document parsed, so its first token is the header's kind
     fmt = args.format or (formats.COORDS if text.split(None, 1)[0] == "#coords"

@@ -1,4 +1,4 @@
-"""Text formats for grid sets and boundary pairs.
+"""Text formats for grid sets and boundary pairs, and their rendering.
 
 Two formats are supported.  The ASCII grid format (2-D only) mirrors the
 goboard pictures this library is usually eyeballed with: one character
@@ -11,13 +11,11 @@ of the bounding box, which makes serialize(parse(...)) idempotent.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .geometry import Point, bounding_box
-from .gridset import GridSet, Mode
+from .gridset import Document, GridSet, Mode
 from .pairs import BoundaryPair
-
-Document = Union[GridSet, BoundaryPair]
 
 ASCII = "ascii"
 COORDS = "coords"
@@ -218,6 +216,28 @@ def serialize_ascii(doc: Document) -> str:
         header = (f"#gridpair v1 m=2 s={doc.spacing} "
                   f"origin={origin[0]},{origin[1]}")
     return "\n".join([header] + rows) + "\n"
+
+
+def render(doc: Document, unit: Optional[int] = None) -> str:
+    """Goboard rendering with one character per `unit` fine units.
+
+    The default unit is the document's spacing; unit 1 shows the
+    sub-grid positions between coarse points, as the figures do.
+    """
+    if doc.dim != 2:
+        raise ValueError("rendering is 2-D only")
+    unit = doc.spacing if unit is None else unit
+    if unit < 1 or doc.spacing % unit:
+        raise ValueError(f"unit {unit} must divide the spacing {doc.spacing}")
+    if isinstance(doc, GridSet):
+        _, rows = _ascii_grid([("0", doc.points)], unit)
+        if rows and doc.mode is Mode.COFINITE:
+            rows.append("(marks show excluded points)")
+    else:
+        _, rows = _ascii_grid([("0", doc.d0), ("1", doc.d1)], unit)
+    if not rows:
+        return "(no points to draw)\n"
+    return "\n".join(rows) + "\n"
 
 
 def serialize_coords(doc: Document) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Iterable, Iterator, Set, Tuple
+from typing import AbstractSet, Iterable, Iterator, Set, Tuple
 
 Point = Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _offsets(dim: int, spacing: int) -> Tuple[Point, ...]:
+def moore_offsets(dim: int, spacing: int) -> Tuple[Point, ...]:
+    """The 3^m - 1 nonzero offsets with entries in {-spacing, 0, spacing}."""
     steps = (-spacing, 0, spacing)
     return tuple(off for off in product(steps, repeat=dim) if any(off))
 
@@ -32,15 +33,12 @@ def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
             (x, y - s), (x, y + s),
             (x + s, y - s), (x + s, y), (x + s, y + s),
         )
-    if len(point) == 1:
-        x, = point
-        return ((x - spacing,), (x + spacing,))
     if len(point) == 3:
         x, y, z = point
         return tuple([(x + dx, y + dy, z + dz)
-                      for dx, dy, dz in _offsets(3, spacing)])
+                      for dx, dy, dz in moore_offsets(3, spacing)])
     return tuple([tuple(map(add, point, off))
-                  for off in _offsets(len(point), spacing)])
+                  for off in moore_offsets(len(point), spacing)])
 
 
 def grid_range(lo: int, hi: int, spacing: int) -> range:
@@ -80,6 +78,22 @@ def dilate(points: Iterable[Point], radius_doubled: int,
     for p in points:
         out.update(box_around(p, h, spacing))
     return out
+
+
+def ring(stored: AbstractSet[Point],
+         spacing: int) -> Tuple[Set[Point], Set[Point]]:
+    """The stored points with a Moore neighbor outside, and those neighbors.
+
+    One fused scan, seeing every adjacency from the stored side.
+    """
+    inner: Set[Point] = set()
+    outer: Set[Point] = set()
+    for p in stored:
+        for q in moore_neighbors(p, spacing):
+            if q not in stored:
+                inner.add(p)
+                outer.add(q)
+    return inner, outer
 
 
 def check_on_grid(points: Iterable[Point], dim: int, spacing: int,

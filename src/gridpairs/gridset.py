@@ -12,11 +12,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from operator import add
-from typing import (Callable, Container, Dict, FrozenSet, Iterable, Iterator,
-                    List, Optional, Tuple)
+from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
+                    Iterable, Iterator, List, Optional, Tuple)
 
 from .geometry import (
     Point,
@@ -25,7 +25,7 @@ from .geometry import (
     check_on_grid,
     grid_range,
     moore_neighbors,
-    _offsets,
+    moore_offsets,
 )
 
 
@@ -34,19 +34,56 @@ class Mode(enum.Enum):
     COFINITE = "cofinite"
 
 
+class Document:
+    """The constructor path shared by GridSet and BoundaryPair.
+
+    The public constructors check the dimension, the spacing and the
+    grid alignment of every point field, named with its label in
+    `_point_fields`.  The parser checks each record as it reads it, and
+    the library builds its results from points it made itself, so both
+    use `_trusted`, which skips these checks: outside points are checked
+    exactly once.
+    """
+
+    _point_fields: Tuple[Tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
+        if self.spacing < 1:
+            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        for name, label in self._point_fields:
+            pts = getattr(self, name)
+            if not isinstance(pts, frozenset):
+                pts = frozenset(pts)
+                object.__setattr__(self, name, pts)
+            check_on_grid(pts, self.dim, self.spacing, label)
+
+    @classmethod
+    def _trusted(cls, *values):
+        # Stores fields that are already checked; skips __post_init__.
+        self = object.__new__(cls)
+        for f, value in zip(fields(cls), values):
+            object.__setattr__(self, f.name, value)
+        return self
+
+
+def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
+    """`dim` if given, else the dimension of the (nonempty) points."""
+    if dim is None:
+        if not points:
+            raise ValueError(f"dim is required for an empty {what}")
+        dim = len(next(iter(points)))
+    return dim
+
+
 @dataclass(frozen=True)
-class GridSet:
+class GridSet(Document):
     """A finite or cofinite subset of the grid spacing * Z^dim.
 
     In FINITE mode the stored points are the members; in COFINITE mode
     they are the excluded grid points.  FINITE with no points is the
     empty set, COFINITE with no points is the full grid.
-
-    The public constructors check the dimension, the spacing and the
-    grid alignment of every point.  The parser checks each record as it
-    reads it, and the library builds its results from points it made
-    itself, so both use `_trusted`, which skips these checks: outside
-    points are checked exactly once.
     """
 
     dim: int
@@ -54,45 +91,19 @@ class GridSet:
     mode: Mode
     points: FrozenSet[Point]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
-        if self.spacing < 1:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if not isinstance(self.points, frozenset):
-            object.__setattr__(self, "points", frozenset(self.points))
-        check_on_grid(self.points, self.dim, self.spacing)
-
-    @classmethod
-    def _trusted(cls, dim: int, spacing: int, mode: Mode,
-                 points: FrozenSet[Point]) -> "GridSet":
-        # Stores fields that are already checked; skips __post_init__.
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "points", points)
-        return self
+    _point_fields = (("points", "point"),)
 
     @classmethod
     def finite(cls, points: Iterable[Point], spacing: int = 1,
                dim: Optional[int] = None) -> "GridSet":
         pts = frozenset(tuple(p) for p in points)
-        if dim is None:
-            if not pts:
-                raise ValueError("dim is required for an empty point set")
-            dim = len(next(iter(pts)))
-        return cls(dim, spacing, Mode.FINITE, pts)
+        return cls(dim_of(pts, dim, "point set"), spacing, Mode.FINITE, pts)
 
     @classmethod
     def cofinite(cls, excluded: Iterable[Point], spacing: int = 1,
                  dim: Optional[int] = None) -> "GridSet":
         pts = frozenset(tuple(p) for p in excluded)
-        if dim is None:
-            if not pts:
-                raise ValueError("dim is required for an empty point set")
-            dim = len(next(iter(pts)))
-        return cls(dim, spacing, Mode.COFINITE, pts)
+        return cls(dim_of(pts, dim, "point set"), spacing, Mode.COFINITE, pts)
 
     @classmethod
     def empty(cls, dim: int, spacing: int = 1) -> "GridSet":
@@ -316,7 +327,7 @@ def components_within(window: Window, spacing: int,
             parent[x] = y
 
     zero = (0,) * (dim - 1)
-    offsets = _offsets(dim - 1, s) if dim > 1 else ()
+    offsets = moore_offsets(dim - 1, s) if dim > 1 else ()
     neighbours = {
         key: [tuple(map(add, key, off)) for off in offsets]
         for key in runs

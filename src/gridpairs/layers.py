@@ -8,9 +8,9 @@ boundary, layer 1 the first outer layer.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Set, Tuple
+from typing import AbstractSet
 
-from .geometry import Point, moore_neighbors
+from .geometry import Point, ring
 from .gridset import GridSet, Mode, complement, distance_map
 from .pairs import BoundaryPair
 
@@ -60,22 +60,8 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     if gridset.mode is Mode.FINITE:
         dmap = distance_map(stored, None, s, limit=target)
     else:
-        dmap = distance_map(_one_step(stored, s)[1], stored, s, limit=target)
+        dmap = distance_map(ring(stored, s)[1], stored, s, limit=target)
     return _finite(gridset, {p for p, d in dmap.items() if d == target})
-
-
-def _one_step(stored: AbstractSet[Point],
-              spacing: int) -> Tuple[Set[Point], Set[Point]]:
-    # The stored points with a Moore neighbor outside, and those outside
-    # neighbors: one fused scan, seeing every adjacency from the stored side.
-    inner: Set[Point] = set()
-    outer: Set[Point] = set()
-    for p in stored:
-        for q in moore_neighbors(p, spacing):
-            if q not in stored:
-                inner.add(p)
-                outer.add(q)
-    return inner, outer
 
 
 def trace(gridset: GridSet) -> BoundaryPair:
@@ -86,7 +72,7 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    inner, outer = _one_step(gridset.points, gridset.spacing)
+    inner, outer = ring(gridset.points, gridset.spacing)
     if gridset.mode is Mode.FINITE:
         d0, d1 = inner, outer
     else:

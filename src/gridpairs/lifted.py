@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import AbstractSet
 
-from .geometry import Point, ball_points, dilate, moore_neighbors
-from .layers import _one_step
+from .geometry import Point, ball_points, dilate, moore_neighbors, ring
 from .pairs import BoundaryPair, InvalidPairError, validate
 from .transfer import GridRatio
 
@@ -65,7 +64,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
                   for y in moore_neighbors(x, n) if y not in near}
     out1 = {y for y, p in candidates.items()
             if _outside(y, p, pair.d0, pair.d1)}
-    out0 = _one_step(out1, n)[1] & near.keys()
+    out0 = ring(out1, n)[1] & near.keys()
     return BoundaryPair._trusted(pair.dim, n, frozenset(out0), frozenset(out1))
 
 

@@ -12,21 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .geometry import Point, check_on_grid, moore_neighbors
-from .gridset import Component, GridSet, Mode, components_within, window_of
+from .geometry import Point, moore_neighbors
+from .gridset import (Component, Document, GridSet, Mode, components_within,
+                      dim_of, window_of)
 
 
 @dataclass(frozen=True)
-class BoundaryPair:
+class BoundaryPair(Document):
     """Two disjoint finite point sets on a common grid.
 
     d0 plays the role of the inner boundary, d1 of the first outer
-    layer.  The public constructors check the dimension, the spacing and
-    the grid alignment of every point.  The parser checks each record as
-    it reads it, and the library builds its results from points it made
-    itself, so both use `_trusted`, which skips these checks: outside
-    points are checked exactly once.  Whether the pair is a genuine
-    boundary pair is decided by `validate`.
+    layer.  Whether the pair is a genuine boundary pair is decided by
+    `validate`.
     """
 
     dim: int
@@ -34,40 +31,14 @@ class BoundaryPair:
     d0: FrozenSet[Point]
     d1: FrozenSet[Point]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
-        if self.spacing < 1:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        for name in ("d0", "d1"):
-            pts = getattr(self, name)
-            if not isinstance(pts, frozenset):
-                object.__setattr__(self, name, frozenset(pts))
-                pts = getattr(self, name)
-            check_on_grid(pts, self.dim, self.spacing, f"{name} point")
-
-    @classmethod
-    def _trusted(cls, dim: int, spacing: int, d0: FrozenSet[Point],
-                 d1: FrozenSet[Point]) -> "BoundaryPair":
-        # Stores fields that are already checked; skips __post_init__.
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-        return self
+    _point_fields = (("d0", "d0 point"), ("d1", "d1 point"))
 
     @classmethod
     def of(cls, d0: Iterable[Point], d1: Iterable[Point], spacing: int = 1,
            dim: Optional[int] = None) -> "BoundaryPair":
         d0 = frozenset(tuple(p) for p in d0)
         d1 = frozenset(tuple(p) for p in d1)
-        if dim is None:
-            pool = d0 | d1
-            if not pool:
-                raise ValueError("dim is required for an empty pair")
-            dim = len(next(iter(pool)))
-        return cls(dim, spacing, d0, d1)
+        return cls(dim_of(d0 | d1, dim, "pair"), spacing, d0, d1)
 
     @property
     def is_empty(self) -> bool:

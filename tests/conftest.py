@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from gridpairs.geometry import (Point, ball_points, check_on_grid,
-                                moore_neighbors)
+                                moore_neighbors, ring as _one_step)
 from gridpairs.gridset import GridSet, Mode, distance_map
-from gridpairs.layers import _finite, _one_step
+from gridpairs.layers import _finite
 
 settings.register_profile(
     "deterministic",

@@ -1,10 +1,17 @@
 import io
+import os
+import random
+import sys
 
 import pytest
 
+from gridpairs import cli
 from gridpairs.cli import main
+from gridpairs.formats import serialize
+from gridpairs.gridset import GridSet
+from gridpairs.layers import trace
 
-from conftest import fixture_path, fixture_text
+from conftest import FIXTURES, fixture_path, fixture_text
 
 
 def run(capsys, *argv):
@@ -222,3 +229,80 @@ def test_validate_far_two_point_pair_exits_invalid(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "-i", str(doc))
     assert code == 1
     assert "(separation): FAIL  witness: (-1, -1)" in out
+
+
+@pytest.mark.parametrize("operation, name, extra", [
+    ("trace", "fig1a.grid", ()),
+    ("reconstruct", "fig1trace.pair", ()),
+    ("validate", "fig6a.pair", ()),
+    ("restrict", "fig6e.grid", ("--ratio", "2")),
+    ("interpolate", "fig6d.grid", ("--ratio", "2")),
+    ("lift_restrict", "fig6b.pair", ("--ratio", "2")),
+    ("lift_interpolate", "fig6a.pair", ("--ratio", "2")),
+])
+def test_each_operation_is_called_through_its_module_attribute(
+        operation, name, extra, monkeypatch, capsys):
+    # gridbench/tracer.py times the operations by swapping these attributes
+    argv = [operation.replace("_", "-"), "-i", fixture_path(name), *extra]
+    expected = run(capsys, *argv)
+    original = getattr(cli, operation)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, operation, counting)
+    assert run(capsys, *argv) == expected
+    assert len(calls) == 1
+
+
+FUZZ_ALPHABET = "#=,:-019_+\u0663\0\t\n"
+FUZZ_COMMANDS = (
+    ["trace"], ["reconstruct"], ["validate"], ["render"],
+    ["restrict", "--ratio", "2"], ["interpolate", "--ratio", "2"],
+    ["lift-restrict", "--ratio", "2"], ["lift-interpolate", "--ratio", "2"],
+    ["random", "--window", "0,0:3,3", "--density", "0.5", "--seed", "1"],
+)
+
+
+def _mutate(text, rng):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3) if i < len(chars) else 1
+        if edit == 0:
+            del chars[i]
+        elif edit == 1:
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+        else:
+            chars[i] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def test_malformed_documents_keep_the_exit_code_contract(monkeypatch,
+                                                         capsys):
+    sources = [fixture_text(name) for name in sorted(os.listdir(FIXTURES))]
+    sources += [
+        serialize(trace(GridSet.finite({(0, 0, 0), (1, 0, 0)})), "coords"),
+        serialize(GridSet.cofinite({(0, 0), (1, 0), (4, 4)}), "coords"),
+    ]
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(1500):
+        text = _mutate(rng.choice(sources), rng)
+        argv = list(rng.choice(FUZZ_COMMANDS))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} on {text!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, text)
+        parse_errors = [line for line in err.splitlines()
+                        if line.startswith("parse error:")]
+        for line in parse_errors:
+            assert "(line " in line, (argv, text, line)
+        if argv[0] != "random":
+            outcomes.add("rejected" if parse_errors else "accepted")
+    assert outcomes == {"accepted", "rejected"}
