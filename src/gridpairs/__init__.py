@@ -7,7 +7,7 @@ the restriction and interpolation operators, and transfers boundary
 pairs directly with the lifted variants of these operators.
 """
 
-from .geometry import Point, ball_points
+from .geometry import Point
 from .gridset import (
     Component,
     GridSet,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Point",
-    "ball_points",
     "Component",
     "GridSet",
     "Mode",

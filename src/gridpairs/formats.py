@@ -21,6 +21,9 @@ ASCII = "ascii"
 COORDS = "coords"
 FORMATS = (ASCII, COORDS)
 
+#: Most cells an ASCII grid or rendering may draw: it spans the bounding box.
+ASCII_CELL_BUDGET = 10**7
+
 
 class ParseError(ValueError):
     """A malformed document, with 1-based line and column when known."""
@@ -196,6 +199,9 @@ def _ascii_grid(points_by_char: List[Tuple[str, FrozenSet[Point]]],
     lower, upper = bounding_box(everything)
     width = (upper[0] - lower[0]) // spacing + 1
     height = (upper[1] - lower[1]) // spacing + 1
+    if width * height > ASCII_CELL_BUDGET:
+        raise ValueError(f"an ASCII grid of {width} x {height} cells exceeds "
+                         f"the budget of {ASCII_CELL_BUDGET} cells")
     grid = [["-"] * width for _ in range(height)]
     for ch, pts in points_by_char:
         for p in pts:

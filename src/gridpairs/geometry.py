@@ -47,20 +47,6 @@ def grid_range(lo: int, hi: int, spacing: int) -> range:
                  hi // spacing * spacing + 1, spacing)
 
 
-def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
-    """Grid points within Chebyshev distance radius_doubled/2 of center.
-
-    The comparison is 2*dist <= radius_doubled, evaluated exactly, which
-    makes half-integer radii representable without fractions: for an
-    integer center it keeps the offsets up to radius_doubled // 2.
-    """
-    if spacing < 1:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if radius_doubled < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius_doubled}")
-    return frozenset(box_around(center, radius_doubled // 2, spacing))
-
-
 def box_around(center: Point, half: int, spacing: int) -> Iterator[Point]:
     """Grid points within Chebyshev distance `half` of center, lazily."""
     return product(*[grid_range(c - half, c + half, spacing) for c in center])
@@ -70,8 +56,10 @@ def dilate(points: Iterable[Point], radius_doubled: int,
            spacing: int) -> Set[Point]:
     """Grid points within Chebyshev distance radius_doubled/2 of some point.
 
-    The union of the balls of `ball_points`, with the same doubled-unit
-    comparison, built in one set.
+    The comparison is 2*dist <= radius_doubled, evaluated exactly, which
+    makes half-integer radii representable without fractions: around
+    each integer point it keeps the offsets up to radius_doubled // 2.
+    The balls are united in one set.
     """
     h = radius_doubled // 2
     out: Set[Point] = set()

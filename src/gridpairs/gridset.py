@@ -232,6 +232,13 @@ class Component:
         return frozenset(self.cells())
 
 
+class Components(tuple):
+    """The components of `components_within`.  `containing(q)` is the one
+    holding q, a grid point off d0 and d1, in the window or beyond it."""
+
+    containing: Callable[[Point], Component]
+
+
 def _run_cells(runs: List[Tuple[Point, int, int]],
                spacing: int) -> Iterator[Point]:
     for key, a, b in runs:
@@ -241,7 +248,7 @@ def _run_cells(runs: List[Tuple[Point, int, int]],
 
 def components_within(window: Window, spacing: int,
                       d0: FrozenSet[Point],
-                      d1: FrozenSet[Point]) -> Tuple[Component, ...]:
+                      d1: FrozenSet[Point]) -> Components:
     """Connected components of the window grid minus d0 and d1.
 
     Components touching the window frame are merged into designated
@@ -267,6 +274,11 @@ def components_within(window: Window, spacing: int,
     d1, each located in its line by bisection.  The cost is
     O(|D| 3^(m-1) log |D|) for D = d0 | d1, whatever the window's area;
     only reading `points` of an unbounded component visits the window.
+
+    The runs also locate points: `containing(q)` finds q's line by one
+    dict lookup and its run by one bisection.  A line off d0 | d1 lies
+    in the unbounded component for dim >= 2, and in 1-D a point past
+    either end of the window lies in that end's ray.
     """
     s = spacing
     occupied = d0 | d1
@@ -282,10 +294,6 @@ def components_within(window: Window, spacing: int,
         raise ValueError("window contains no grid points")
     lower = tuple(axis[0] for axis in axes)
     upper = tuple(axis[-1] for axis in axes)
-    if not occupied:
-        return (Component(True, False, False, lower,
-                          lambda: window.grid_points(s)),)
-
     dim = window.dim
     first, last = lower[-1], upper[-1]
     # Run ids: 0 is the unbounded component (dim >= 2), or the left ray
@@ -383,25 +391,35 @@ def components_within(window: Window, spacing: int,
             if root[r] >= rays:
                 groups[root[r]].append((key, a, b))
 
-    if dim == 1:
+    if dim == 1 and occupied:
         starts, ends, _ = runs[()]
-        components = [
-            Component(True, bool(adj0[r]), bool(adj1[r]), (a,),
-                      partial(_run_cells, [((), a, b)], s))
+        found = {
+            r: Component(True, bool(adj0[r]), bool(adj1[r]), (a,),
+                         partial(_run_cells, [((), a, b)], s))
             for r, a, b in ((left, starts[0], ends[0]),
-                            (right, starts[-1], ends[-1]))
-        ]
-    else:
+                            (right, starts[-1], ends[-1]))}
+    else:  # with no stored point, a 1-D line is one unbounded component
         def unbounded_cells() -> Iterator[Point]:
             for key in box_grid_points(lower[:-1], upper[:-1], s):
                 for a, b, r in zip(*runs.get(key, ([first], [last], [0]))):
                     if root[r] == 0:
                         yield from _run_cells([(key, a, b)], s)
 
-        components = [Component(True, bool(adj0[0]), bool(adj1[0]), lower,
-                                unbounded_cells)]
-    components.extend(
-        Component(False, bool(adj0[r]), bool(adj1[r]),
-                  group[0][0] + (group[0][1],), partial(_run_cells, group, s))
-        for r, group in groups.items())
-    return tuple(components)
+        found = {0: Component(True, bool(adj0[0]), bool(adj1[0]), lower,
+                              unbounded_cells)}
+    for r, group in groups.items():
+        found[r] = Component(False, bool(adj0[r]), bool(adj1[r]),
+                             group[0][0] + (group[0][1],),
+                             partial(_run_cells, group, s))
+
+    def containing(q: Point) -> Component:
+        line = runs.get(q[:-1])
+        if line is None:
+            return found[0]
+        # past the last run lies the right ray, the last run's component
+        i = min(bisect_left(line[1], q[-1]), len(line[2]) - 1)
+        return found[root[line[2][i]]]
+
+    located = Components(found.values())
+    located.containing = containing
+    return located

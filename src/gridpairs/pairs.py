@@ -9,11 +9,11 @@ extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .geometry import Point, moore_neighbors
-from .gridset import (Component, Document, GridSet, Mode, components_within,
+from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of)
 
 
@@ -56,7 +56,8 @@ class AxiomReport:
     """Outcome of the five boundary-pair axioms, with failure witnesses.
 
     The pair (empty, empty) is the distinguished boundary pair of the
-    full grid and passes by definition.
+    full grid and passes by definition.  `components`, None for it, are
+    the complement components of d0 | d1, which decide separation.
     """
 
     is_empty_pair: bool
@@ -65,6 +66,8 @@ class AxiomReport:
     d0_touches_d1: AxiomCheck
     d1_touches_d0: AxiomCheck
     separation: AxiomCheck
+    components: Optional[Components] = field(default=None, compare=False,
+                                             repr=False)
 
     _NAMES = ("nonempty", "disjoint", "d0_touches_d1", "d1_touches_d0",
               "separation")
@@ -115,10 +118,10 @@ def _adjacency_check(origin: FrozenSet[Point], target: FrozenSet[Point],
     return AxiomCheck(False, min(failing)) if failing else _PASS
 
 
-def _checked(pair: BoundaryPair) -> Tuple[AxiomReport, Tuple[Component, ...]]:
+def _checked(pair: BoundaryPair) -> AxiomReport:
     # One component pass shared by `validate` and `reconstruct`.
     if pair.is_empty:
-        return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS), ()
+        return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
     if pair.d0 and pair.d1:
         nonempty = _PASS
@@ -139,9 +142,8 @@ def _checked(pair: BoundaryPair) -> Tuple[AxiomReport, Tuple[Component, ...]]:
             separation = AxiomCheck(False, comp.lowest)
             break
 
-    report = AxiomReport(False, nonempty, disjoint, d0_touches_d1,
-                         d1_touches_d0, separation)
-    return report, components
+    return AxiomReport(False, nonempty, disjoint, d0_touches_d1,
+                       d1_touches_d0, separation, components)
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
@@ -153,7 +155,7 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     Moore-adjacent to both sets.  Its witness is the least point of the
     first such component.
     """
-    return _checked(pair)[0]
+    return _checked(pair)
 
 
 def reconstruct(pair: BoundaryPair) -> GridSet:
@@ -167,7 +169,7 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     of the bounded components on the stored side are enumerated: in 1-D
     the gap between two far clusters is one bounded component.
     """
-    report, components = _checked(pair)
+    report = _checked(pair)
     if not report.valid:
         raise InvalidPairError(report)
     if pair.is_empty:
@@ -176,7 +178,7 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     unbounded_sides = set()
     inside_bounded = []
     outside_bounded = []
-    for comp in components:
+    for comp in report.components:
         if not (comp.adjacent_d0 or comp.adjacent_d1):
             raise AssertionError("complement component adjacent to neither set")
         side_d0 = comp.adjacent_d0

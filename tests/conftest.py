@@ -10,7 +10,7 @@ from typing import Tuple, Union
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (Point, ball_points, check_on_grid,
+from gridpairs.geometry import (Point, box_around, check_on_grid,
                                 moore_neighbors, ring as _one_step)
 from gridpairs.gridset import GridSet, Mode, distance_map
 from gridpairs.layers import _finite
@@ -109,6 +109,20 @@ def coarse_dilation(coarse, n):
     for p in coarse.points:
         out.update(ball_points(p, 2 * n, n))
     return GridSet(coarse.dim, n, Mode.FINITE, frozenset(out))
+
+
+def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
+    """Grid points within Chebyshev distance radius_doubled/2 of center.
+
+    The comparison is 2*dist <= radius_doubled, evaluated exactly, which
+    makes half-integer radii representable without fractions: for an
+    integer center it keeps the offsets up to radius_doubled // 2.
+    """
+    if spacing < 1:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    if radius_doubled < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius_doubled}")
+    return frozenset(box_around(center, radius_doubled // 2, spacing))
 
 
 #: Extended distance: a nonnegative integer, or INFINITE for distances to

@@ -14,7 +14,6 @@ import time
 from contextlib import contextmanager
 
 from gridpairs import formats
-from gridpairs.geometry import ball_points
 from gridpairs.gridset import GridSet, Mode, Window, complement, member
 from gridpairs.layers import boundary0, layer, trace
 from gridpairs.lifted import lift_interpolate, lift_restrict
@@ -26,9 +25,9 @@ from gridpairs.oracle import (
 from gridpairs.pairs import BoundaryPair, reconstruct, validate
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import (chebyshev, coarse_dilation, fixture_text, hausdorff,
-                      is_connected, is_voronoi_cover, largest_component, rd,
-                      straight_path)
+from conftest import (ball_points, chebyshev, coarse_dilation, fixture_text,
+                      hausdorff, is_connected, is_voronoi_cover,
+                      largest_component, rd, straight_path)
 
 DENSITIES = (0.2, 0.5, 0.8)
 

@@ -231,6 +231,24 @@ def test_validate_far_two_point_pair_exits_invalid(tmp_path, capsys):
     assert "(separation): FAIL  witness: (-1, -1)" in out
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["render"], "#coords v1 kind=gridpair m=2 s=1\n"
+                 "D0 0 0\nD1 1000000 1000000\n"),
+    (["trace", "--format", "ascii"],
+     "#coords v1 kind=gridset m=2 s=1 mode=finite\nM 0 0\nM 1000000 1000000\n"),
+])
+def test_ascii_grid_over_the_cell_budget_exits_2(argv, text, tmp_path,
+                                                  capsys):
+    # the grid would span 10^12 cells; it is refused before any is drawn
+    doc = tmp_path / "far.doc"
+    doc.write_text(text)
+    code, out, err = run(capsys, *argv, "-i", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: an ASCII grid of ")
+    assert err.rstrip().endswith("exceeds the budget of 10000000 cells")
+
+
 @pytest.mark.parametrize("operation, name, extra", [
     ("trace", "fig1a.grid", ()),
     ("reconstruct", "fig1trace.pair", ()),

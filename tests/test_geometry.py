@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (ball_points, bounding_box, box_grid_points,
-                                dilate, grid_range, moore_neighbors)
+from gridpairs.geometry import (bounding_box, box_grid_points, dilate,
+                                grid_range, moore_neighbors)
 
-from conftest import INFINITE, chebyshev, rd
+from conftest import INFINITE, ball_points, chebyshev, rd
 
 
 def brute_ball(center, radius_doubled, spacing):

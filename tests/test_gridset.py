@@ -216,11 +216,14 @@ class TestIsConnected:
 
 class TestComponentsWithin:
     def test_empty_occupancy_single_unbounded(self):
-        comps = components_within(
-            Window((0, 0), (5, 5)), 1, frozenset(), frozenset())
-        assert len(comps) == 1
-        assert comps[0].unbounded
-        assert not comps[0].adjacent_d0 and not comps[0].adjacent_d1
+        for window in (Window((0, 0), (5, 5)), Window((-3,), (4,)),
+                       Window((0, 0, 0), (2, 2, 2))):
+            comps = components_within(window, 1, frozenset(), frozenset())
+            assert len(comps) == 1
+            assert comps[0].unbounded
+            assert not comps[0].adjacent_d0 and not comps[0].adjacent_d1
+            assert comps[0].points == frozenset(window.grid_points(1))
+            assert comps.containing((-10**9,) * window.dim) is comps[0]
 
     def test_rectangle_with_hole_pair(self):
         from gridpairs.layers import trace

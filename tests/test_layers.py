@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 
 from gridpairs import formats
-from gridpairs.geometry import ball_points, moore_neighbors
+from gridpairs.geometry import moore_neighbors
 from gridpairs.gridset import GridSet, Mode, Window, complement, member
 from gridpairs.layers import boundary0, boundary1, layer, trace
 
-from conftest import chebyshev, fixture_text, recover_boundaries, two_clusters
+from conftest import (ball_points, chebyshev, fixture_text, recover_boundaries,
+                      two_clusters)
 
 FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
     - {(x, y) for x in range(3, 6) for y in range(3, 6)}

@@ -68,9 +68,12 @@ class TestOracleEquivalence:
 
     def test_oracle_module_agrees_too(self):
         rng = random.Random(209)
-        ratio = GridRatio(3)
-        for _ in range(10):
-            pair = trace(random_fine_instance(rng))
+        cases = [(trace(random_fine_instance(rng)), GridRatio(3))
+                 for _ in range(10)]
+        # a ratio far beyond the pair's extent, which the cost must not follow
+        cases.append((formats.parse_text(fixture_text("fig1trace.pair")),
+                      GridRatio(10**6)))
+        for pair, ratio in cases:
             assert lift_restrict(pair, ratio) == \
                 lifted_via_full(pair, ratio, Direction.RESTRICT)
 
@@ -145,6 +148,17 @@ class TestLocality:
         lifted_union = lift_restrict(trace(union), ratio)
         assert lifted_union.d0 == a.d0 | b.d0
         assert lifted_union.d1 == a.d1 | b.d1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_half_line_restricts_like_a_long_segment(self, n):
+        # (-inf, 0] is a valid 1-D pair whose rays lie on opposite sides,
+        # so no full set stands behind it; near 0 it restricts as
+        # [-60, 0] does
+        half = lift_restrict(BoundaryPair.of([(0,)], [(1,)]), GridRatio(n))
+        segment = lift_restrict(trace(GridSet.finite(
+            {(c,) for c in range(-60, 1)})), GridRatio(n))
+        assert half.d0 == {p for p in segment.d0 if p[0] > -30}
+        assert half.d1 == {p for p in segment.d1 if p[0] > -30}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_far_coarse_blocks_interpolate_independently_in_3d(self, n):

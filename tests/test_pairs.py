@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window, member, window_of
@@ -13,7 +14,7 @@ from gridpairs.oracle import (
 )
 from gridpairs.pairs import BoundaryPair, InvalidPairError, reconstruct, validate
 
-from conftest import fixture_text, two_clusters
+from conftest import fixture_text, large_cofinite_holes, two_clusters
 
 FIG1A_POINTS = frozenset(
     {(x, y) for x in range(2, 10) for y in range(2, 7)}
@@ -226,3 +227,37 @@ def test_trace_validates_and_reconstructs_on_two_clusters(case):
         pair = trace(M)
         assert validate(pair).valid
         assert reconstruct(pair) == M
+
+
+def _scaled_cluster(case):
+    dim, n, mode, points = case
+    return GridSet(dim, n, mode,
+                   frozenset(tuple(n * c for c in p) for p in points))
+
+
+@given(st.one_of(two_clusters().map(_scaled_cluster), large_cofinite_holes()),
+       st.data())
+def test_containing_component_decides_membership(M, data):
+    # 1-D cases come from both strategies: their two rays lie on the
+    # same side, as a finite or cofinite set needs
+    pair = trace(M)
+    report = validate(pair)
+    members = reconstruct(pair)
+    s, dim = pair.spacing, pair.dim
+    stored = sorted(pair.d0 | pair.d1)
+    window = window_of(stored).inflate(2 * s)
+
+    def on_grid(coords):
+        return tuple(s * c for c in coords)
+
+    near = st.builds(lambda p, off: tuple(c + s * o for c, o in zip(p, off)),
+                     st.sampled_from(stored),
+                     st.tuples(*[st.integers(-3, 3)] * dim))
+    inside = st.tuples(*[st.integers(lo // s, hi // s) for lo, hi in
+                         zip(window.lower, window.upper)]).map(on_grid)
+    far = st.tuples(*[st.sampled_from([-10**30, 0, 10**30])] * dim).map(on_grid)
+    probes = data.draw(st.lists(st.one_of(near, inside, far), max_size=40))
+    for q in probes:
+        if q not in pair.d0 and q not in pair.d1:
+            assert member(members, q) == \
+                report.components.containing(q).adjacent_d0

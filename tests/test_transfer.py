@@ -4,14 +4,13 @@ from itertools import combinations, product
 import pytest
 
 from gridpairs import formats
-from gridpairs.geometry import ball_points
 from gridpairs.gridset import GridSet, Window, complement, member
 from gridpairs.layers import boundary0
 from gridpairs.oracle import best_approx_bruteforce, random_set
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import (coarse_dilation, fixture_text, hausdorff, is_connected,
-                      is_voronoi_cover, largest_component)
+from conftest import (ball_points, coarse_dilation, fixture_text, hausdorff,
+                      is_connected, is_voronoi_cover, largest_component)
 
 
 def random_fine_set(rng, span=8):
