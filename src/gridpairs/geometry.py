@@ -4,16 +4,36 @@ Everything here is nondimensionalized: the finest grid has step 1, and a
 grid with spacing s consists of the points of s*Z^m.  Comparisons against
 half-integer radii (s/2, 3s/2, ...) are done in doubled units, so no
 fractions or floats ever enter a geometric predicate.
+
+Dilations and erosions work on a line index (`Lines`): the last
+coordinates of a point set, keyed by the first m - 1 coordinates, as
+lists when `lines_of` builds them and as sets when the kernels do.  A
+Chebyshev ball is a box, a product of intervals, so
+both are separable: one sweep per key axis, then one pass within the
+lines, all of them set operations on ints.  They yield their lines one
+at a time (`LineStream`), so a result that is only filtered or turned
+into points is never held whole.  Callers index their points once and
+build point tuples once, at the end.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import product
-from operator import add
-from typing import AbstractSet, Iterable, Iterator, Set, Tuple
+from operator import add, itemgetter
+from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
+                    Iterable, Iterator, List, Set, Tuple)
 
 Point = Tuple[int, ...]
+#: A line index: the last coordinates of a point set, keyed by the
+#: first m - 1 coordinates, the line they share.
+Lines = Dict[Point, Collection[int]]
+#: Lines one at a time, as (key, last coordinates), each key once.  The
+#: kernels yield sets; `difference` and `intersection` need sets first.
+#: One line object may serve several keys, so no line is changed once
+#: it is made.
+LineStream = Iterable[Tuple[Point, Collection[int]]]
 
 
 @lru_cache(maxsize=None)
@@ -47,41 +67,149 @@ def grid_range(lo: int, hi: int, spacing: int) -> range:
                  hi // spacing * spacing + 1, spacing)
 
 
-def box_around(center: Point, half: int, spacing: int) -> Iterator[Point]:
-    """Grid points within Chebyshev distance `half` of center, lazily."""
-    return product(*[grid_range(c - half, c + half, spacing) for c in center])
+def lines_of(points: Iterable[Point]) -> Lines:
+    """The line index of a set of points, each line a list."""
+    lines: DefaultDict[Point, List[int]] = defaultdict(list)
+    for p in points:
+        lines[p[:-1]].append(p[-1])
+    return dict(lines)
 
 
-def dilate(points: Iterable[Point], radius_doubled: int,
-           spacing: int) -> Set[Point]:
+def points_of(lines: LineStream) -> FrozenSet[Point]:
+    """The points of a stream of lines."""
+    return frozenset([key + (c,) for key, line in lines for c in line])
+
+
+def difference(first: LineStream, other: Lines) -> LineStream:
+    """Line by line, the points of first that are not in other."""
+    for key, line in first:
+        cut = other.get(key)
+        if cut is not None:
+            line = line.difference(cut)
+        if line:
+            yield key, line
+
+
+def intersection(first: LineStream, other: Lines) -> LineStream:
+    """Line by line, the points of first that are in other."""
+    for key, line in first:
+        common = other.get(key)
+        if common is not None:
+            common = line.intersection(common)
+            if common:
+                yield key, common
+
+
+def _spans(line: Iterable[int], gap: int, widen: int,
+           spacing: int) -> Set[int]:
+    # The multiples of spacing in the runs of the line, a run being a
+    # maximal stretch whose steps are at most gap, each widened by
+    # `widen` at both ends (narrowed, if it is negative).
+    out: Set[int] = set()
+    ordered = iter(sorted(line))
+    a = b = next(ordered)
+    for c in ordered:
+        if c - b > gap:
+            out.update(grid_range(a - widen, b + widen, spacing))
+            a = c
+        b = c
+    out.update(grid_range(a - widen, b + widen, spacing))
+    return out
+
+
+def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
+           spacing: int, combine: Callable[..., Set[int]]) -> LineStream:
+    # Along key axis j: the keys that differ only there form a row, the
+    # row's target values are the _spans of its values, and the line at
+    # a target is `combine` of the lines within half of it.  Targets
+    # with the same lines in reach share one line object.
+    rows: DefaultDict[Tuple[Point, Point], list] = defaultdict(list)
+    for key, line in lines.items():
+        rows[key[:j], key[j + 1:]].append((key[j], line))
+    for (head, tail), row in rows.items():
+        row.sort(key=itemgetter(0))
+        values = [u for u, _ in row]
+        lo = hi = 0
+        reach = None
+        for w in sorted(_spans(values, gap, widen, spacing)):
+            while values[lo] < w - half:
+                lo += 1
+            while hi < len(values) and values[hi] <= w + half:
+                hi += 1
+            if reach != (lo, hi):
+                reach = lo, hi
+                merged = combine(*[line for _, line in row[lo:hi]])
+            yield head + (w,) + tail, merged
+
+
+def _separable(lines: Lines, half: int, gap: int, widen: int, spacing: int,
+               combine: Callable[..., Set[int]]) -> LineStream:
+    # One sweep per key axis, the last one streamed, then the runs
+    # within each line, once per line object.
+    axes = len(next(iter(lines), ()))
+    for j in range(axes - 1):
+        lines = {key: line for key, line in _sweep(
+            lines, j, half, gap, widen, spacing, combine) if line}
+    found = _sweep(lines, axes - 1, half, gap, widen, spacing,
+                   combine) if axes else lines.items()
+    last = spans = None
+    for key, line in found:
+        if line is not last:
+            last = line
+            spans = _spans(line, gap, widen, spacing) if line else None
+        if spans:
+            yield key, spans
+
+
+def dilate(lines: Lines, radius_doubled: int, spacing: int) -> LineStream:
     """Grid points within Chebyshev distance radius_doubled/2 of some point.
 
     The comparison is 2*dist <= radius_doubled, evaluated exactly, which
     makes half-integer radii representable without fractions: around
     each integer point it keeps the offsets up to radius_doubled // 2.
-    The balls are united in one set.
+    The points may be any integer points.  Separably: along each key
+    axis a line is united into the lines within reach, and within each
+    line the runs of points closer than one ball apart are widened.
     """
     h = radius_doubled // 2
-    out: Set[Point] = set()
-    for p in points:
-        out.update(box_around(p, h, spacing))
-    return out
+    return _separable(lines, h, 2 * h + 1, h, spacing, set().union)
 
 
-def ring(stored: AbstractSet[Point],
-         spacing: int) -> Tuple[Set[Point], Set[Point]]:
+def erode(lines: Lines, radius_doubled: int, source: int,
+          spacing: int) -> LineStream:
+    """Points of the spacing grid whose ball lies in the stored points.
+
+    The ball of a point is the source-grid points within Chebyshev
+    distance radius_doubled/2 of it, compared exactly as in `dilate`;
+    the stored points lie on the source grid, and radius_doubled >=
+    source, so that every ball holds a source-grid point.  Separably:
+    along each key axis the lines of a ball are intersected, and within
+    each line the runs of consecutive points are narrowed.
+    """
+    h = radius_doubled // 2
+    return _separable(lines, h, source, source - 1 - h, spacing,
+                      lambda first, *rest: set(first).intersection(*rest))
+
+
+def _peel(lines: Lines, part: LineStream) -> LineStream:
+    # The lines less part, a stream of subsets of them.
+    rest = dict(lines)
+    for key, line in part:
+        rest[key] = set(rest[key]) - line
+    for key, line in rest.items():
+        if line:
+            yield key, line
+
+
+def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
     """The stored points with a Moore neighbor outside, and those neighbors.
 
-    One fused scan, seeing every adjacency from the stored side.
+    That is, the points less their one-step erosion, and the one-step
+    dilation less the points.  Each part is computed as it is read.
     """
-    inner: Set[Point] = set()
-    outer: Set[Point] = set()
-    for p in stored:
-        for q in moore_neighbors(p, spacing):
-            if q not in stored:
-                inner.add(p)
-                outer.add(q)
-    return inner, outer
+    step = 2 * spacing
+    return (_peel(lines, erode(lines, step, spacing, spacing)),
+            difference(dilate(lines, step, spacing), lines))
 
 
 def check_on_grid(points: Iterable[Point], dim: int, spacing: int,
@@ -99,9 +227,12 @@ def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
     pts = list(points)
     if not pts:
         raise ValueError("bounding box of an empty point set")
-    lower = tuple(min(p[j] for p in pts) for j in range(len(pts[0])))
-    upper = tuple(max(p[j] for p in pts) for j in range(len(pts[0])))
-    return lower, upper
+    lower, upper = [], []
+    for j in range(len(pts[0])):  # zip(*pts) would make an iterator per point
+        axis = list(map(itemgetter(j), pts))
+        lower.append(min(axis))
+        upper.append(max(axis))
+    return tuple(lower), tuple(upper)
 
 
 def box_grid_points(lower: Point, upper: Point, spacing: int) -> Iterator[Point]:

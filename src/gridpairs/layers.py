@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import AbstractSet
 
-from .geometry import Point, ring
-from .gridset import GridSet, Mode, complement, distance_map
+from .geometry import Point, dilate, erode, lines_of, points_of, ring
+from .gridset import GridSet, Mode, complement
 from .pairs import BoundaryPair
 
 
@@ -38,30 +38,33 @@ def boundary1(gridset: GridSet) -> GridSet:
 
 
 def layer(gridset: GridSet, k: int) -> GridSet:
-    """Layer k of the set, computed by multi-source distance propagation.
+    """Layer k of the set, by separable dilation or erosion.
 
     For k >= 1 these are complement points at distance k steps from the
     set; for k <= 0, members at distance 1 - k steps from the complement,
     which is layer 1 - k of the complement, so that case is computed as
-    such.  What remains is one propagation that visits only points
-    within k steps of the stored ones.  For a finite set it runs from
-    the stored points, unbounded.  For a cofinite set it runs inside
-    the excluded points, from the members next to them: on a geodesic
-    from an excluded point to its nearest member every earlier node is
-    excluded, so that member is one step from the excluded set.
+    such.  What remains works on the line index of the stored points.
+    For a finite set the layer is the outer ring of its (k - 1)-step
+    dilation: the k-step dilation less the (k - 1)-step one.  For a
+    cofinite set it is the inner ring of the (k - 1)-step erosion of the
+    excluded points: an excluded point is at distance at least k from
+    the members exactly when its (k - 1)-step ball is excluded.
     """
     if gridset.is_empty or gridset.is_full_grid:
         return _finite(gridset, set())
     if k <= 0:
         gridset, k = complement(gridset), 1 - k
     s = gridset.spacing
-    stored = gridset.points
-    target = k * s
+    near, reach = lines_of(gridset.points), 2 * (k - 1) * s
     if gridset.mode is Mode.FINITE:
-        dmap = distance_map(stored, None, s, limit=target)
+        if k > 1:
+            near = dict(dilate(near, reach, s))
+        found = ring(near, s)[1]
     else:
-        dmap = distance_map(ring(stored, s)[1], stored, s, limit=target)
-    return _finite(gridset, {p for p, d in dmap.items() if d == target})
+        if k > 1:
+            near = dict(erode(near, reach, s, s))
+        found = ring(near, s)[0]
+    return _finite(gridset, points_of(found))
 
 
 def trace(gridset: GridSet) -> BoundaryPair:
@@ -72,11 +75,10 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    inner, outer = ring(gridset.points, gridset.spacing)
+    inner, outer = map(points_of, ring(lines_of(gridset.points),
+                                       gridset.spacing))
     if gridset.mode is Mode.FINITE:
         d0, d1 = inner, outer
     else:
         d0, d1 = outer, inner
-    return BoundaryPair._trusted(gridset.dim, gridset.spacing,
-                                 frozenset(d0), frozenset(d1))
-
+    return BoundaryPair._trusted(gridset.dim, gridset.spacing, d0, d1)

@@ -6,12 +6,15 @@ No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
 outer layer, and settles each candidate's side by locating it in the
 complement components that validation built; interpolation intersects
-half-step dilations of the two coarse boundaries.
+half-step dilations of the two coarse boundaries.  Both work on line
+indexes with the separable kernels of `geometry`, and build point
+tuples only for their output.
 """
 
 from __future__ import annotations
 
-from .geometry import dilate, ring
+from .geometry import (Lines, difference, dilate, intersection, lines_of,
+                       points_of)
 from .pairs import AxiomReport, BoundaryPair, InvalidPairError, validate
 from .transfer import GridRatio
 
@@ -30,7 +33,8 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """Boundary pair of the restriction of the set behind a fine pair.
 
     Equals tracing the restriction R of the reconstructed set M, but
-    works on boundary data alone, in O(|D0| * 6^m) steps plus one
+    works on boundary data alone: one dilation of D0 onto the coarse
+    grid, one coarse step out from it to the candidates, and one
     O(log |D|) point location per candidate, whatever the ratio n.  The
     empty pair maps to the empty pair.  Three facts carry it:
 
@@ -46,11 +50,17 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """
     components = _require_valid(pair, 1, "lift_restrict").components
     n = ratio.n
-    near = dilate(pair.d0, n, n)
-    out1 = {y for y in ring(near, n)[1]
-            if y in pair.d1 or components.containing(y).adjacent_d1}
-    out0 = ring(out1, n)[1] & near
-    return BoundaryPair._trusted(pair.dim, n, frozenset(out0), frozenset(out1))
+    step = 2 * n
+    near = dict(dilate(lines_of(pair.d0), n, n))
+    out1: Lines = {}
+    for key, line in difference(dilate(near, step, n), near):
+        kept = {y for y in line if key + (y,) in pair.d1
+                or components.containing(key + (y,)).adjacent_d1}
+        if kept:
+            out1[key] = kept
+    out0 = intersection(dilate(out1, step, n), near)
+    return BoundaryPair._trusted(pair.dim, n, points_of(out0),
+                                 points_of(out1.items()))
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -65,11 +75,18 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     (n+2)/2 of the other puts the coarse points x and z at most n + 1
     apart, hence at most n, and x != z since d0 and d1 are disjoint, so
     they are Moore neighbors.  For even n, (n+1)//2 == n//2 and the d1
-    dilation serves twice.  The empty pair maps to the empty pair.
+    dilation serves twice.  The two n/2 dilations are held; the wider
+    ones are intersected line by line as they are made.  The empty pair
+    maps to the empty pair.
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
-    near0, near1 = dilate(pair.d0, n, 1), dilate(pair.d1, n, 1)
-    out0 = near0 & (near1 if n % 2 == 0 else dilate(pair.d1, n + 1, 1))
-    out1 = (near1 & dilate(pair.d0, n + 2, 1)) - near0
-    return BoundaryPair._trusted(pair.dim, 1, frozenset(out0), frozenset(out1))
+    d0, d1 = lines_of(pair.d0), lines_of(pair.d1)
+    near0, near1 = dict(dilate(d0, n, 1)), dict(dilate(d1, n, 1))
+    out1 = difference(intersection(dilate(d0, n + 2, 1), near1), near0)
+    if n % 2 == 0:
+        out0 = intersection(near0.items(), near1)
+    else:
+        out0 = intersection(dilate(d1, n + 1, 1), near0)
+    return BoundaryPair._trusted(pair.dim, 1, points_of(out0),
+                                 points_of(out1))

@@ -4,14 +4,17 @@ The fine grid has spacing 1 and the coarse grid spacing n >= 2.
 Restriction maps a fine set to the coarse points within half a coarse
 step of it; interpolation maps a coarse set to the fine points within
 half a coarse step.  Both are decided with doubled-unit comparisons, so
-odd n (half-integer radii) costs nothing special.
+odd n (half-integer radii) costs nothing special.  Both work on the line
+index of the stored points: a finite set moves by the separable
+dilation of `geometry`, a cofinite one by the separable erosion of its
+excluded points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import box_around, dilate
+from .geometry import dilate, erode, lines_of, points_of
 from .gridset import GridSet, Mode
 
 
@@ -56,15 +59,14 @@ def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
 
 
 def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
-    # The target points within n/2 of a stored point.  For a finite set
-    # they are the answer.  For a cofinite set a target point is
-    # excluded when its (never empty) ball on the source grid is, so it
-    # lies within n/2 of an excluded point and is among them.
-    near = dilate(gridset.points, n, target_spacing)
-    if gridset.mode is Mode.COFINITE:
-        stored, source, h = gridset.points, gridset.spacing, n // 2
-        near = {q for q in near
-                if stored.issuperset(box_around(q, h, source))}
+    # A finite set moves by dilation: the target points within n/2 of a
+    # stored point.  A cofinite set moves by erosion of the excluded
+    # points: a target point is excluded when its (never empty) ball on
+    # the source grid is.
+    lines = lines_of(gridset.points)
+    if gridset.mode is Mode.FINITE:
+        moved = dilate(lines, n, target_spacing)
+    else:
+        moved = erode(lines, n, gridset.spacing, target_spacing)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
-                            frozenset(near))
-
+                            points_of(moved))

@@ -5,15 +5,15 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Tuple, Union
+from typing import AbstractSet, Iterator, Set, Tuple, Union
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (Point, box_around, check_on_grid,
-                                moore_neighbors, ring as _one_step)
-from gridpairs.gridset import GridSet, Mode, distance_map
+from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
+from gridpairs.gridset import GridSet, Mode
 from gridpairs.layers import _finite
+from gridpairs.oracle import distance_map
 
 settings.register_profile(
     "deterministic",
@@ -55,6 +55,28 @@ def two_clusters(draw):
     shift = draw(st.sampled_from([0, 10**6, 10**23]))
     points = first | {tuple(c + shift for c in p) for p in second}
     return dim, n, draw(st.sampled_from(list(Mode))), points
+
+
+#: Coordinate span per dimension of the drawn point sets, in grid steps.
+GRID_SET_SPANS = {1: 20, 2: 6, 3: 2, 4: 1}
+
+
+@st.composite
+def grid_sets(draw, on_grid=True):
+    """A random point set of dimension 1-4 at density 0-0.9 and its grid
+    spacing 1-3, shifted by 0, 10^6 or 10^23 steps; off the grid, the
+    points are any integers near the grid points."""
+    dim = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0, 0.1, 0.5, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    span = GRID_SET_SPANS[dim]
+    shift = draw(st.sampled_from([0, 10**6, 10**23]))
+    jitter = 0 if on_grid else draw(st.integers(-1, 1))
+    return dim, s, frozenset(
+        tuple(s * (c + shift) + jitter * c for c in p)
+        for p in product(range(-span, span + 1), repeat=dim)
+        if rng.random() < density)
 
 
 #: Largest side of the excluded block, in grid steps, per dimension.
@@ -109,6 +131,25 @@ def coarse_dilation(coarse, n):
     for p in coarse.points:
         out.update(ball_points(p, 2 * n, n))
     return GridSet(coarse.dim, n, Mode.FINITE, frozenset(out))
+
+
+def box_around(center: Point, half: int, spacing: int) -> Iterator[Point]:
+    """Grid points within Chebyshev distance `half` of center, lazily."""
+    return product(*[grid_range(c - half, c + half, spacing) for c in center])
+
+
+def moore_ring(stored: AbstractSet[Point],
+               spacing: int) -> Tuple[Set[Point], Set[Point]]:
+    """The stored points with a Moore neighbor outside, and those
+    neighbors, by a scan of every stored point's Moore neighbors."""
+    inner: Set[Point] = set()
+    outer: Set[Point] = set()
+    for p in stored:
+        for q in moore_neighbors(p, spacing):
+            if q not in stored:
+                inner.add(p)
+                outer.add(q)
+    return inner, outer
 
 
 def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:
@@ -378,5 +419,5 @@ def recover_boundaries(h0: GridSet, h1: GridSet) -> Tuple[GridSet, GridSet]:
     if h0.spacing != h1.spacing or h0.dim != h1.dim:
         raise ValueError("the two sets must live on the same grid")
     s = h0.spacing
-    return (_finite(h0, _one_step(h1.points, s)[1] & h0.points),
-            _finite(h1, _one_step(h0.points, s)[1] & h1.points))
+    return (_finite(h0, moore_ring(h1.points, s)[1] & h0.points),
+            _finite(h1, moore_ring(h0.points, s)[1] & h1.points))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (bounding_box, box_grid_points, dilate,
-                                grid_range, moore_neighbors)
+from gridpairs.geometry import (bounding_box, box_grid_points, dilate, erode,
+                                grid_range, lines_of, moore_neighbors,
+                                points_of, ring)
 
-from conftest import INFINITE, ball_points, chebyshev, rd
+from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
+                      rd)
 
 
 def brute_ball(center, radius_doubled, spacing):
@@ -131,15 +133,38 @@ class TestBallPoints:
             (1, -2), small + extra, spacing)
 
 
-@given(
-    centers=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-                     max_size=4),
-    radius=st.integers(0, 5),
-    spacing=st.integers(1, 3),
-)
-def test_dilate_is_the_union_of_balls(centers, radius, spacing):
-    assert dilate(centers, radius, spacing) == set().union(
-        *[ball_points(c, radius, spacing) for c in centers])
+@given(grid_sets(on_grid=False), st.integers(0, 7), st.integers(1, 3))
+def test_dilate_is_the_union_of_balls(case, radius, spacing):
+    _, _, centers = case
+    assert points_of(dilate(lines_of(centers), radius, spacing)) == \
+        set().union(*[ball_points(c, radius, spacing) for c in centers])
+
+
+#: Source and target spacings as multiples of the drawn spacing s, for
+#: a ratio n: fine to coarse, coarse to fine, and one grid.
+TRANSFERS = [lambda s, n: (s, n * s), lambda s, n: (n * s, s),
+             lambda s, n: (s, s)]
+
+
+@given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),
+       st.integers(0, 3))
+def test_erode_keeps_the_points_whose_ball_is_stored(case, n, transfer,
+                                                     extra):
+    _, s, cells = case
+    source, target = transfer(s, n)
+    points = {tuple(source // s * c for c in p) for p in cells}  # on source
+    radius = source + extra  # every ball holds a source point
+    near = set().union(*[ball_points(p, radius, target) for p in points])
+    expected = {v for v in near if ball_points(v, radius, source) <= points}
+    assert points_of(erode(lines_of(points), radius, source, target)) == \
+        expected
+
+
+@given(grid_sets())
+def test_ring_matches_the_moore_neighbour_scan(case):
+    _, s, points = case
+    assert tuple(map(points_of, ring(lines_of(points), s))) == \
+        moore_ring(points, s)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

@@ -2,14 +2,16 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gridpairs import formats
 from gridpairs.geometry import moore_neighbors
 from gridpairs.gridset import GridSet, Mode, Window, complement, member
 from gridpairs.layers import boundary0, boundary1, layer, trace
+from gridpairs.oracle import distance_map
 
-from conftest import (ball_points, chebyshev, fixture_text, recover_boundaries,
-                      two_clusters)
+from conftest import (ball_points, chebyshev, fixture_text, grid_sets,
+                      moore_ring, recover_boundaries, two_clusters)
 
 FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
     - {(x, y) for x in range(3, 6) for y in range(3, 6)}
@@ -257,3 +259,26 @@ def test_layers_match_the_definition_on_two_clusters(case):
     M = GridSet(dim, 1, mode, points)
     for k in range(-2, 4):
         assert layer(M, k).points == layer_by_definition(M, k), k
+
+
+def layer_by_distance_map(M, k):
+    # breadth-first Moore steps from the set, or inside the excluded
+    # points from the members next to them
+    if k <= 0:
+        M, k = complement(M), 1 - k
+    s, stored = M.spacing, M.points
+    if M.mode is Mode.FINITE:
+        dmap = distance_map(stored, None, s, limit=k * s)
+    else:
+        dmap = distance_map(moore_ring(stored, s)[1], stored, s, limit=k * s)
+    return {p for p, d in dmap.items() if d == k * s}
+
+
+@given(grid_sets(), st.sampled_from(list(Mode)))
+def test_layers_match_the_distance_map(case, mode):
+    dim, s, points = case
+    M = GridSet(dim, s, mode, points)
+    if M.is_empty or M.is_full_grid:
+        return
+    for k in range(-3, 4):
+        assert layer(M, k).points == layer_by_distance_map(M, k), k
