@@ -15,8 +15,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from operator import add
-from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional, Tuple)
+from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
+                    Iterable, Iterator, List, Optional, Tuple)
 
 from .geometry import (
     Point,
@@ -24,6 +24,7 @@ from .geometry import (
     box_grid_points,
     check_on_grid,
     grid_range,
+    moore_neighbors,
     moore_offsets,
 )
 
@@ -173,6 +174,41 @@ def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
     return GridSet._trusted(gridset.dim, gridset.spacing, mode, gridset.points)
+
+
+def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
+                 spacing: int, limit: Optional[int] = None) -> Dict[Point, int]:
+    """Multi-source Chebyshev distances by breadth-first Moore steps.
+
+    Each round adds one spacing to the distance and settles the new
+    neighbours that lie in `within`, any container (None: no bound);
+    the sources are settled at 0 wherever they lie.  The values are the
+    lengths of the shortest Moore paths whose later nodes stay in
+    `within`: the true distances to the sources when `within` is None,
+    or a box containing them, since Chebyshev geodesics between points
+    of a box stay inside it.  `limit` stops the propagation beyond that
+    distance.
+    """
+    dist: Dict[Point, int] = {}
+    frontier = []
+    for p in sources:
+        if p not in dist:
+            dist[p] = 0
+            frontier.append(p)
+    bounded = within is not None
+    current = 0
+    while frontier:
+        current += spacing
+        if limit is not None and current > limit:
+            break
+        new_frontier = []
+        for p in frontier:
+            for q in moore_neighbors(p, spacing):
+                if q not in dist and (not bounded or q in within):
+                    dist[q] = current
+                    new_frontier.append(q)
+        frontier = new_frontier
+    return dist
 
 
 @dataclass(frozen=True, eq=False)

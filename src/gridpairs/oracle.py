@@ -12,11 +12,10 @@ import enum
 import random
 from collections import deque
 from itertools import product
-from typing import (Container, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import FrozenSet, List, Set, Tuple
 
-from .geometry import Point, moore_neighbors
-from .gridset import Component, GridSet, Mode, Window
+from .geometry import Point
+from .gridset import Component, GridSet, Mode, Window, distance_map
 from .layers import trace
 from .pairs import BoundaryPair, reconstruct
 from .transfer import GridRatio, interpolate, restrict
@@ -79,41 +78,6 @@ def _neighbors(p: Point, spacing: int) -> List[Point]:
         for combo in product(deltas, repeat=len(p))
         if any(combo)
     ]
-
-
-def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
-                 spacing: int, limit: Optional[int] = None) -> Dict[Point, int]:
-    """Multi-source Chebyshev distances by breadth-first Moore steps.
-
-    Each round adds one spacing to the distance and settles the new
-    neighbours that lie in `within`, any container (None: no bound);
-    the sources are settled at 0 wherever they lie.  The values are the
-    lengths of the shortest Moore paths whose later nodes stay in
-    `within`: the true distances to the sources when `within` is None,
-    or a box containing them, since Chebyshev geodesics between points
-    of a box stay inside it.  `limit` stops the propagation beyond that
-    distance.  The reference for `layers.layer` and `reconstruct`.
-    """
-    dist: Dict[Point, int] = {}
-    frontier = []
-    for p in sources:
-        if p not in dist:
-            dist[p] = 0
-            frontier.append(p)
-    bounded = within is not None
-    current = 0
-    while frontier:
-        current += spacing
-        if limit is not None and current > limit:
-            break
-        new_frontier = []
-        for p in frontier:
-            for q in moore_neighbors(p, spacing):
-                if q not in dist and (not bounded or q in within):
-                    dist[q] = current
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return dist
 
 
 def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],

@@ -11,9 +11,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
-from gridpairs.gridset import GridSet, Mode
+from gridpairs.gridset import GridSet, Mode, distance_map
 from gridpairs.layers import _finite
-from gridpairs.oracle import distance_map
 
 settings.register_profile(
     "deterministic",

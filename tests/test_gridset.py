@@ -11,6 +11,7 @@ from gridpairs.gridset import (
     Window,
     complement,
     components_within,
+    distance_map,
     member,
     window_of,
 )
@@ -352,6 +353,22 @@ class TestRunKernelAgainstFloodFill:
         assert [c.points for c in comps[1:]] == [
             frozenset({(1, 1)}), frozenset({(10**6 + 1, 10**6 + 1)})]
         assert all(c.adjacent_d0 and not c.adjacent_d1 for c in comps[1:])
+
+
+class TestDistanceMap:
+    def test_matches_direct_chebyshev_in_free_space(self):
+        window = Window((-4, -4), (4, 4))
+        sources = [(0, 0), (3, 2)]
+        dmap = distance_map(sources, window, 1)
+        for cell in window.grid_points(1):
+            direct = min(
+                max(abs(a - b) for a, b in zip(cell, s)) for s in sources)
+            assert dmap[cell] == direct
+
+    def test_limit_cuts_propagation(self):
+        window = Window((-5, -5), (5, 5))
+        dmap = distance_map([(0, 0)], window, 1, limit=2)
+        assert max(dmap.values()) == 2
 
 
 def test_window_degenerate():

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from gridpairs import formats
 from gridpairs.geometry import moore_neighbors
-from gridpairs.gridset import GridSet, Mode, Window, complement, member
+from gridpairs.gridset import (GridSet, Mode, Window, complement,
+                               distance_map, member)
 from gridpairs.layers import boundary0, boundary1, layer, trace
-from gridpairs.oracle import distance_map
 
 from conftest import (ball_points, chebyshev, fixture_text, grid_sets,
                       moore_ring, recover_boundaries, two_clusters)

@@ -7,7 +7,6 @@ from gridpairs.gridset import GridSet, Window
 from gridpairs.layers import trace
 from gridpairs.oracle import (
     Direction,
-    distance_map,
     separation_bruteforce,
     best_approx_bruteforce,
     lifted_via_full,
@@ -17,22 +16,6 @@ from gridpairs.pairs import BoundaryPair, validate
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import fixture_text
-
-
-class TestDistanceMap:
-    def test_matches_direct_chebyshev_in_free_space(self):
-        window = Window((-4, -4), (4, 4))
-        sources = [(0, 0), (3, 2)]
-        dmap = distance_map(sources, window, 1)
-        for cell in window.grid_points(1):
-            direct = min(
-                max(abs(a - b) for a, b in zip(cell, s)) for s in sources)
-            assert dmap[cell] == direct
-
-    def test_limit_cuts_propagation(self):
-        window = Window((-5, -5), (5, 5))
-        dmap = distance_map([(0, 0)], window, 1, limit=2)
-        assert max(dmap.values()) == 2
 
 
 class TestRandomSet:
