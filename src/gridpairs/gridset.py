@@ -14,16 +14,19 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from itertools import chain
 from operator import add
 from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
                     Iterable, Iterator, List, Optional, Tuple)
 
 from .geometry import (
+    Lines,
     Point,
     bounding_box,
     box_grid_points,
     check_on_grid,
     grid_range,
+    lines_of,
     moore_neighbors,
     moore_offsets,
 )
@@ -234,9 +237,11 @@ class Component:
 
 class Components(tuple):
     """The components of `components_within`.  `containing(q)` is the one
-    holding q, a grid point off d0 and d1, in the window or beyond it."""
+    holding q, a grid point off d0 and d1, in the window or beyond it;
+    `lines` is the line index of d0 and of d1, each line sorted."""
 
     containing: Callable[[Point], Component]
+    lines: Tuple[Lines, Lines]
 
 
 def _run_cells(runs: List[Tuple[Point, int, int]],
@@ -261,19 +266,25 @@ def components_within(window: Window, spacing: int,
     The window must contain every point of d0 and d1 inflated by one
     grid step, so that all relevant adjacencies are realized inside it.
 
-    The labelling works on runs, not cells.  A line is the set of window
-    cells sharing their first m-1 coordinates, and a run is a maximal
-    stretch of free cells along the last axis.  Only lines holding a
-    point of d0 | d1 are split into runs; every other line is one free
-    run spanning the window and, for dim >= 2, lies in the unbounded
-    component, as do the first and last run of each line.  Runs of
-    neighbouring lines [a, b] and [c, d] are Moore-adjacent when
-    a <= d + s and c <= b + s; a union-find over the runs, fed by one
-    two-pointer merge per pair of neighbouring occupied lines, joins
-    them.  The adjacency flags come from the Moore neighbours of d0 and
-    d1, each located in its line by bisection.  The cost is
-    O(|D| 3^(m-1) log |D|) for D = d0 | d1, whatever the window's area;
-    only reading `points` of an unbounded component visits the window.
+    Everything is decided on one line index of d0 and of d1, each line
+    sorted once, which the result keeps as `lines`.  A line is the set
+    of window cells sharing their first m-1 coordinates.  The frame
+    check reads the extents of the keys and the ends of the lines.  A
+    run is a maximal stretch of free cells along the last axis.  Only
+    lines holding a point of d0 | d1 are split into runs, from their
+    merged points; every other line is one free run spanning the window
+    and, for dim >= 2, lies in the unbounded component, as do the first
+    and last run of each line.  Runs of neighbouring lines [a, b] and
+    [c, d] are Moore-adjacent when a <= d + s and c <= b + s; a
+    union-find over the runs, fed by one two-pointer merge per pair of
+    neighbouring occupied lines, joins them.  A run [a, b] is adjacent
+    to a point of its own or a neighbouring line whose last coordinate
+    lies in [a - s, b + s], which one bisection per run, neighbouring
+    line and set decides, for runs whose component is not yet flagged;
+    a line of d0 or d1 with a neighbouring line off d0 | d1 touches the
+    unbounded component.  The cost is O(|D| 3^(m-1) log |D|) for
+    D = d0 | d1, whatever the window's area; only reading `points` of an
+    unbounded component visits the window.
 
     The runs also locate points: `containing(q)` finds q's line by one
     dict lookup and its run by one bisection.  A line off d0 | d1 lies
@@ -281,13 +292,21 @@ def components_within(window: Window, spacing: int,
     either end of the window lies in that end's ray.
     """
     s = spacing
-    occupied = d0 | d1
-    for j, axis in enumerate(zip(*occupied)):
-        lo, hi = window.lower[j] + s, window.upper[j] - s
-        if min(axis) < lo or max(axis) > hi:
-            p = min(p for p in occupied if not lo <= p[j] <= hi)
-            raise ValueError(
-                f"window too small: {p} is within one step of the frame")
+    l0, l1 = lines_of(d0), lines_of(d1)
+    every_line = [*l0.values(), *l1.values()]
+    for line in every_line:
+        line.sort()
+    keys = l0.keys() | l1.keys()
+    if keys:
+        extents = [(min(axis), max(axis)) for axis in zip(*keys)]
+        extents.append((min(line[0] for line in every_line),
+                        max(line[-1] for line in every_line)))
+        for j, (least, most) in enumerate(extents):
+            lo, hi = window.lower[j] + s, window.upper[j] - s
+            if least < lo or most > hi:
+                p = min(p for p in chain(d0, d1) if not lo <= p[j] <= hi)
+                raise ValueError(
+                    f"window too small: {p} is within one step of the frame")
     axes = [grid_range(lo, hi, s)
             for lo, hi in zip(window.lower, window.upper)]
     if not all(axes):
@@ -302,12 +321,10 @@ def components_within(window: Window, spacing: int,
     left, right = 0, rays - 1
     parent = list(range(rays))
 
-    lines: Dict[Point, List[int]] = defaultdict(list)
-    for p in occupied:
-        lines[p[:-1]].append(p[-1])
     runs: Dict[Point, Tuple[List[int], List[int], List[int]]] = {}
-    for key, occ in lines.items():
-        occ.sort()
+    for key in keys:
+        a, b = l0.get(key), l1.get(key)
+        occ = sorted(a + b) if a and b else a or b
         starts, ends, ids = [first], [occ[0] - s], [left]
         prev = occ[0]
         for c in occ:
@@ -341,12 +358,12 @@ def components_within(window: Window, spacing: int,
         for key in runs
     }
     forward = [off > zero for off in offsets]
+    free_side = set()  # lines with a neighbouring line off d0 | d1
     for key, (sa, ea, ia) in runs.items():
-        free_side = False
         for nkey, ahead in zip(neighbours[key], forward):
             other = runs.get(nkey)
             if other is None:
-                free_side = True
+                free_side.add(key)
             elif ahead:
                 sb, eb, ib = other
                 i = j = 0
@@ -358,30 +375,28 @@ def components_within(window: Window, spacing: int,
                         i += 1
                     else:
                         j += 1
-        if free_side:
+        if key in free_side:
             for r in ia:
                 union(r, 0)
     root = [find(r) for r in range(len(parent))]
 
     adj0 = bytearray(len(parent))
     adj1 = bytearray(len(parent))
-    for points, flags in ((d0, adj0), (d1, adj1)):
-        by_line: Dict[Point, List[int]] = defaultdict(list)
-        for p in points:
-            by_line[p[:-1]].append(p[-1])
-        for key, coords in by_line.items():
+    for lines, flags in ((l0, adj0), (l1, adj1)):
+        if not free_side.isdisjoint(lines):
+            flags[0] = 1
+        for key, (starts, ends, ids) in runs.items():
             for nkey in [key, *neighbours[key]]:
-                other = runs.get(nkey)
-                if other is None:
-                    flags[0] = 1
+                coords = lines.get(nkey)
+                if coords is None:
                     continue
-                starts, ends, ids = other
-                n = len(starts)
-                for c in coords:
-                    i = bisect_left(ends, c - s)
-                    while i < n and starts[i] <= c + s:
-                        flags[root[ids[i]]] = 1
-                        i += 1
+                n = len(coords)
+                for a, b, r in zip(starts, ends, ids):
+                    r = root[r]
+                    if not flags[r]:
+                        i = bisect_left(coords, a - s)
+                        if i < n and coords[i] <= b + s:
+                            flags[r] = 1
 
     # Visiting the runs in lexicographic order lists each bounded
     # component's runs from its least point on.
@@ -391,7 +406,7 @@ def components_within(window: Window, spacing: int,
             if root[r] >= rays:
                 groups[root[r]].append((key, a, b))
 
-    if dim == 1 and occupied:
+    if dim == 1 and runs:
         starts, ends, _ = runs[()]
         found = {
             r: Component(True, bool(adj0[r]), bool(adj1[r]), (a,),
@@ -422,4 +437,5 @@ def components_within(window: Window, spacing: int,
 
     located = Components(found.values())
     located.containing = containing
+    located.lines = (l0, l1)
     return located

@@ -33,10 +33,11 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """Boundary pair of the restriction of the set behind a fine pair.
 
     Equals tracing the restriction R of the reconstructed set M, but
-    works on boundary data alone: one dilation of D0 onto the coarse
-    grid, one coarse step out from it to the candidates, and one
-    O(log |D|) point location per candidate, whatever the ratio n.  The
-    empty pair maps to the empty pair.  Three facts carry it:
+    works on boundary data alone: one dilation of D0, from the line
+    index that validation built, onto the coarse grid, one coarse step
+    out from it to the candidates, and one O(log |D|) point location
+    per candidate, whatever the ratio n.  The empty pair maps to the
+    empty pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -48,10 +49,12 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
       D0 | D1 holding it is adjacent to D1: for a valid pair, membership
       changes only across a D0-D1 step.
     """
-    components = _require_valid(pair, 1, "lift_restrict").components
     n = ratio.n
+    components = _require_valid(pair, 1, "lift_restrict").components
+    if components is None:  # the empty pair
+        return BoundaryPair._trusted(pair.dim, n, frozenset(), frozenset())
     step = 2 * n
-    near = dict(dilate(lines_of(pair.d0), n, n))
+    near = dict(dilate(components.lines[0], n, n))
     out1: Lines = {}
     for key, line in difference(dilate(near, step, n), near):
         kept = {y for y in line if key + (y,) in pair.d1

@@ -10,9 +10,11 @@ extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .geometry import Point, moore_neighbors
+from .geometry import Lines, Point, moore_offsets
 from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of)
 
@@ -111,15 +113,28 @@ class InvalidPairError(ValueError):
 _PASS = AxiomCheck(True)
 
 
-def _adjacency_check(origin: FrozenSet[Point], target: FrozenSet[Point],
-                     spacing: int) -> AxiomCheck:
-    isdisjoint = target.isdisjoint
-    failing = [p for p in origin if isdisjoint(moore_neighbors(p, spacing))]
+def _touches(origin: Lines, target: Lines, dim: int,
+             spacing: int) -> AxiomCheck:
+    # Each point of origin needs a point of target one step away: at
+    # c - s, c or c + s on a neighbouring line, or at c - s or c + s on
+    # its own, since a point of both sets is not its own neighbour.
+    s = spacing
+    offsets = moore_offsets(dim - 1, s)
+    failing = []
+    for key, line in origin.items():
+        near = set().union(*[target.get(tuple(map(add, key, off)), ())
+                             for off in offsets])
+        reach = near.union(target.get(key, ()))
+        for c in line:
+            if not (c in near or c - s in reach or c + s in reach):
+                failing.append(key + (c,))
+                break  # the lines are sorted: the least on this line
     return AxiomCheck(False, min(failing)) if failing else _PASS
 
 
 def _checked(pair: BoundaryPair) -> AxiomReport:
-    # One component pass shared by `validate` and `reconstruct`.
+    # One component pass shared by `validate` and `reconstruct`; its
+    # line index decides the adjacency axioms too.
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
@@ -131,12 +146,14 @@ def _checked(pair: BoundaryPair) -> AxiomReport:
     overlap = pair.d0 & pair.d1
     disjoint = _PASS if not overlap else AxiomCheck(False, min(overlap))
 
-    d0_touches_d1 = _adjacency_check(pair.d0, pair.d1, pair.spacing)
-    d1_touches_d0 = _adjacency_check(pair.d1, pair.d0, pair.spacing)
+    s = pair.spacing
+    window = window_of(chain(pair.d0, pair.d1)).inflate(s)
+    components = components_within(window, s, pair.d0, pair.d1)
+    l0, l1 = components.lines
+    d0_touches_d1 = _touches(l0, l1, pair.dim, s)
+    d1_touches_d0 = _touches(l1, l0, pair.dim, s)
 
     separation = _PASS
-    window = window_of(pair.d0 | pair.d1).inflate(pair.spacing)
-    components = components_within(window, pair.spacing, pair.d0, pair.d1)
     for comp in components:
         if comp.adjacent_d0 and comp.adjacent_d1:
             separation = AxiomCheck(False, comp.lowest)
@@ -154,6 +171,12 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     of d0 | d1: a violating path exists if and only if some component is
     Moore-adjacent to both sets.  Its witness is the least point of the
     first such component.
+
+    Validation builds one line index of d0 and d1, the one the component
+    labelling sorts, and decides all five axioms from it: a point
+    touches the other set when that set holds a point one step along
+    its own line or within one step on a neighbouring line.  The
+    adjacency witnesses are the least failing points.
     """
     return _checked(pair)
 

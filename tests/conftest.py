@@ -5,14 +5,15 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import AbstractSet, Iterator, Set, Tuple, Union
+from typing import AbstractSet, FrozenSet, Iterator, Set, Tuple, Union
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
-from gridpairs.gridset import GridSet, Mode, distance_map
+from gridpairs.gridset import GridSet, Mode, Window, distance_map, window_of
 from gridpairs.layers import _finite
+from gridpairs.pairs import AxiomCheck
 
 settings.register_profile(
     "deterministic",
@@ -54,6 +55,52 @@ def two_clusters(draw):
     shift = draw(st.sampled_from([0, 10**6, 10**23]))
     points = first | {tuple(c + shift for c in p) for p in second}
     return dim, n, draw(st.sampled_from(list(Mode))), points
+
+
+#: Box side in steps and the farthest cluster shift per dimension; the
+#: reference flood fill visits every window cell, so 4-D stays small.
+LABELLING_SPANS = {1: 10, 2: 6, 3: 4, 4: 3}
+LABELLING_FAR = {1: 40, 2: 16, 3: 6, 4: 1}
+
+
+@st.composite
+def labelling_cases(draw):
+    """A window and two point sets, dense or sparse, that may overlap."""
+    dim = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    span = LABELLING_SPANS[dim]
+    if draw(st.booleans()):
+        # dense: bit 0 of a cell's mark puts it in d0, bit 1 in d1
+        box = [tuple(t * s for t in cell)
+               for cell in product(range(span), repeat=dim)]
+        marks = draw(st.lists(st.integers(0, 3), min_size=len(box),
+                              max_size=len(box)))
+        d0 = frozenset(p for p, m in zip(box, marks) if m & 1)
+        d1 = frozenset(p for p, m in zip(box, marks) if m & 2)
+    else:
+        steps = st.integers(0, span - 1).map(lambda t: t * s)
+        point = st.tuples(*[steps] * dim)
+        d0 = draw(st.frozensets(point, max_size=2 * span))
+        d1 = draw(st.frozensets(point, max_size=2 * span))
+        if d0 and draw(st.booleans()):
+            d1 |= draw(st.frozensets(st.sampled_from(sorted(d0))))
+    shift = draw(st.integers(0, LABELLING_FAR[dim])) * s
+    if shift:
+        # a translated copy of part of the cluster, far along every axis
+        d0 |= {tuple(c + shift for c in p) for p in sorted(d0)[::2]}
+        d1 |= {tuple(c + shift for c in p) for p in sorted(d1)[::2]}
+    occupied = d0 | d1
+    if occupied:
+        core = window_of(occupied).inflate(s)
+    else:
+        origin = tuple(draw(st.lists(st.integers(-5, 5), min_size=dim,
+                                     max_size=dim)))
+        core = Window(origin, origin)
+    slack = st.integers(0, 2 * s if dim < 4 else s)
+    lower = tuple(c - draw(slack) for c in core.lower)
+    upper = tuple(c + draw(slack) + (0 if occupied else s)
+                  for c in core.upper)
+    return Window(lower, upper), s, d0, d1
 
 
 #: Coordinate span per dimension of the drawn point sets, in grid steps.
@@ -149,6 +196,15 @@ def moore_ring(stored: AbstractSet[Point],
                 inner.add(p)
                 outer.add(q)
     return inner, outer
+
+
+def adjacency_check(origin: FrozenSet[Point], target: FrozenSet[Point],
+                    spacing: int) -> AxiomCheck:
+    """Reference for the adjacency axioms: the least point of origin with
+    no Moore neighbour in target, by a scan of every point's neighbours."""
+    isdisjoint = target.isdisjoint
+    failing = [p for p in origin if isdisjoint(moore_neighbors(p, spacing))]
+    return AxiomCheck(False, min(failing)) if failing else AxiomCheck(True)
 
 
 def ball_points(center: Point, radius_doubled: int, spacing: int) -> frozenset:

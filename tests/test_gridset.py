@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,8 @@ from gridpairs.oracle import components_bfs
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import (INFINITE, chebyshev, dist_point_set, fixture_text,
-                      hausdorff, hausdorff_semi, is_connected)
+                      hausdorff, hausdorff_semi, is_connected,
+                      labelling_cases)
 from gridpairs import formats
 
 
@@ -259,9 +259,18 @@ class TestComponentsWithin:
         assert all(c.adjacent_d1 and not c.adjacent_d0 for c in comps)
 
     def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            components_within(
-                Window((0, 0), (3, 3)), 1, frozenset({(0, 0)}), frozenset())
+        # the key axes are checked first, then the last; on the first
+        # failing axis the least point outside the frame is named
+        square, cube = Window((0, 0), (5, 5)), Window((0, 0, 0), (5, 5, 5))
+        for window, d0, d1, offender in [
+                (square, {(2, 0), (3, 3)}, {(5, 2)}, (5, 2)),
+                (square, {(3, 3), (2, 0)}, {(1, 5)}, (1, 5)),
+                (cube, {(2, 2, 0)}, {(2, 5, 2), (3, 3, 3)}, (2, 5, 2)),
+                (cube, {(2, 2, 5), (3, 3, 3)}, {(2, 3, 0)}, (2, 2, 5))]:
+            with pytest.raises(ValueError) as excinfo:
+                components_within(window, 1, frozenset(d0), frozenset(d1))
+            assert str(excinfo.value) == f"window too small: {offender} " \
+                "is within one step of the frame"
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_frame_is_one_unbounded_component(self, dim):
@@ -279,50 +288,6 @@ class TestComponentsWithin:
                 if any(c in (0, 5) for c in cell)
             }
             assert frame <= unbounded[0].points
-
-
-#: Box side in steps and the farthest cluster shift per dimension; the
-#: reference flood fill visits every window cell, so 4-D stays small.
-SPANS = {1: 10, 2: 6, 3: 4, 4: 3}
-FAR = {1: 40, 2: 16, 3: 6, 4: 1}
-
-
-@st.composite
-def labelling_cases(draw):
-    dim = draw(st.integers(1, 4))
-    s = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        # dense: bit 0 of a cell's mark puts it in d0, bit 1 in d1
-        box = [tuple(t * s for t in cell)
-               for cell in product(range(SPANS[dim]), repeat=dim)]
-        marks = draw(st.lists(st.integers(0, 3), min_size=len(box),
-                              max_size=len(box)))
-        d0 = frozenset(p for p, m in zip(box, marks) if m & 1)
-        d1 = frozenset(p for p, m in zip(box, marks) if m & 2)
-    else:
-        steps = st.integers(0, SPANS[dim] - 1).map(lambda t: t * s)
-        point = st.tuples(*[steps] * dim)
-        d0 = draw(st.frozensets(point, max_size=2 * SPANS[dim]))
-        d1 = draw(st.frozensets(point, max_size=2 * SPANS[dim]))
-        if d0 and draw(st.booleans()):
-            d1 |= draw(st.frozensets(st.sampled_from(sorted(d0))))
-    shift = draw(st.integers(0, FAR[dim])) * s
-    if shift:
-        # a translated copy of part of the cluster, far along every axis
-        d0 |= {tuple(c + shift for c in p) for p in sorted(d0)[::2]}
-        d1 |= {tuple(c + shift for c in p) for p in sorted(d1)[::2]}
-    occupied = d0 | d1
-    if occupied:
-        core = window_of(occupied).inflate(s)
-    else:
-        origin = tuple(draw(st.lists(st.integers(-5, 5), min_size=dim,
-                                     max_size=dim)))
-        core = Window(origin, origin)
-    slack = st.integers(0, 2 * s if dim < 4 else s)
-    lower = tuple(c - draw(slack) for c in core.lower)
-    upper = tuple(c + draw(slack) + (0 if occupied else s)
-                  for c in core.upper)
-    return Window(lower, upper), s, d0, d1
 
 
 def component_key(comp):

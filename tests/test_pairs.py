@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpairs import formats
@@ -12,9 +12,11 @@ from gridpairs.oracle import (
     random_set,
     separation_bruteforce,
 )
-from gridpairs.pairs import BoundaryPair, InvalidPairError, reconstruct, validate
+from gridpairs.pairs import (AxiomCheck, BoundaryPair, InvalidPairError,
+                             reconstruct, validate)
 
-from conftest import fixture_text, large_cofinite_holes, two_clusters
+from conftest import (adjacency_check, fixture_text, labelling_cases,
+                      large_cofinite_holes, two_clusters)
 
 FIG1A_POINTS = frozenset(
     {(x, y) for x in range(2, 10) for y in range(2, 7)}
@@ -53,6 +55,12 @@ class TestValidate:
         assert "d0_touches_d1" in report.failed
         assert report.d0_touches_d1.witness == (9, 9)
 
+    def test_a_point_of_both_sets_is_not_its_own_neighbour(self):
+        # (1, 0) lies in d0 and d1, and no other d1 point is next to it
+        report = validate(BoundaryPair.of([(0, 0), (1, 0)], [(1, 0)]))
+        assert report.d0_touches_d1 == AxiomCheck(False, (1, 0))
+        assert report.d1_touches_d0.passed
+
     @pytest.mark.parametrize("name", ["fig2a.pair", "fig2b.pair", "fig2c.pair"])
     def test_published_counterexamples_fail_only_separation(self, name):
         pair = formats.parse_text(fixture_text(name))
@@ -64,6 +72,23 @@ class TestValidate:
         for _ in range(60):
             _, pair = random_trace(rng)
             assert validate(pair).valid
+
+
+@settings(max_examples=150)
+@given(labelling_cases(), st.sampled_from(["both", "no d0", "no d1"]),
+       st.sampled_from([0, 10**6, 10**23]))
+def test_adjacency_axioms_match_the_neighbour_scan(case, sides, far):
+    window, s, d0, d1 = case
+    if sides == "no d0":
+        d0 = frozenset()
+    elif sides == "no d1":
+        d1 = frozenset()
+    # a translated copy of every third point, far along every axis
+    d0 |= {tuple(c + far * s for c in p) for p in sorted(d0)[::3]}
+    d1 |= {tuple(c + far * s for c in p) for p in sorted(d1)[1::3]}
+    report = validate(BoundaryPair(window.dim, s, d0, d1))
+    assert report.d0_touches_d1 == adjacency_check(d0, d1, s)
+    assert report.d1_touches_d0 == adjacency_check(d1, d0, s)
 
 
 class TestReconstruct:
