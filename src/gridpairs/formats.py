@@ -11,10 +11,11 @@ of the bounding box, which makes serialize(parse(...)) idempotent.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from itertools import compress
+from typing import List, Optional, Tuple
 
-from .geometry import Point, bounding_box
-from .gridset import Document, GridSet, Mode
+from .geometry import Lines, Point
+from .gridset import Document, GridSet, Mode, window_of_lines
 from .pairs import BoundaryPair
 
 ASCII = "ascii"
@@ -23,6 +24,10 @@ FORMATS = (ASCII, COORDS)
 
 #: Most cells an ASCII grid or rendering may draw: it spans the bounding box.
 ASCII_CELL_BUDGET = 10**7
+
+#: Per marker character, the byte table that maps it to 1 and all else to 0.
+_MARK_TABLES = {ch: bytes(int(i == ord(ch)) for i in range(256))
+                for ch in "01"}
 
 
 class ParseError(ValueError):
@@ -95,23 +100,39 @@ def _body_rows(lines: List[str]) -> List[str]:
 
 
 def _parse_ascii_rows(rows: List[str], origin: Point, spacing: int,
-                      allowed: str, first_line: int) -> dict:
-    """Map each marker character to its set of points."""
-    points: dict = {ch: set() for ch in allowed}
+                      allowed: str, first_line: int) -> List[Lines]:
+    """The line index of each marker character, in `allowed` order.
+
+    A line is a column: its key is the column's x and its last
+    coordinates are the y of the column's marks, ascending.  The rows
+    are checked before any column is cut from them: first their widths,
+    then their characters, all at once unless one is wrong, which only
+    then is located.  Column c of the joined rows is every width-th
+    byte from c on, and its marks are picked by a byte table.
+    """
     width = len(rows[0]) if rows else 0
     for r, row in enumerate(rows):
-        line_no = first_line + r
         if len(row) != width:
-            raise ParseError(
-                f"ragged row of width {len(row)}, expected {width}", line_no)
-        for c, ch in enumerate(row):
-            if ch == "-":
-                continue
-            if ch not in allowed:
-                raise ParseError(f"unknown character {ch!r}", line_no, c + 1)
-            points[ch].add((origin[0] + c * spacing,
-                            origin[1] + r * spacing))
-    return points
+            raise ParseError(f"ragged row of width {len(row)}, expected "
+                             f"{width}", first_line + r)
+    known = "-" + allowed
+    body = "".join(rows)
+    data = body.encode()
+    if not body.isascii() or data.translate(None, known.encode()):
+        for r, row in enumerate(rows):
+            for c, ch in enumerate(row):
+                if ch not in known:
+                    raise ParseError(f"unknown character {ch!r}",
+                                     first_line + r, c + 1)
+    ys = range(origin[1], origin[1] + len(rows) * spacing, spacing)
+    marks = [(ord(ch), _MARK_TABLES[ch], {}) for ch in allowed]
+    for c in range(width):
+        column = data[c::width]
+        for mark, table, lines in marks:
+            if mark in column:
+                lines[(origin[0] + c * spacing,)] = list(
+                    compress(ys, column.translate(table)))
+    return [lines for _, _, lines in marks]
 
 
 def parse_text(text: str) -> Document:
@@ -141,11 +162,11 @@ def _parse_ascii(kind: str, head: List[str], lines: List[str]) -> Document:
     rows = _body_rows(lines[1:])
     if kind == "#gridset":
         mode = _parse_mode(fields["mode"], 1)
-        marks = _parse_ascii_rows(rows, origin, spacing, "0", 2)
-        return GridSet._trusted(dim, spacing, mode, frozenset(marks["0"]))
-    marks = _parse_ascii_rows(rows, origin, spacing, "01", 2)
-    return BoundaryPair._trusted(dim, spacing, frozenset(marks["0"]),
-                                 frozenset(marks["1"]))
+        return GridSet._trusted_lines(
+            dim, spacing, mode, *_parse_ascii_rows(rows, origin, spacing,
+                                                   "0", 2))
+    return BoundaryPair._trusted_lines(
+        dim, spacing, *_parse_ascii_rows(rows, origin, spacing, "01", 2))
 
 
 def _parse_coords(head: List[str], lines: List[str]) -> Document:
@@ -186,42 +207,51 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
                                  frozenset(sets["D1"]))
 
 
-def _ascii_grid(points_by_char: List[Tuple[str, FrozenSet[Point]]],
-                spacing: int) -> Tuple[Point, List[str]]:
-    everything: Set[Point] = set()
-    for _, pts in points_by_char:
-        if not everything.isdisjoint(pts):
+def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
+    """The lower corner of the document's marks and its grid, one
+    character per `unit` fine units, each row ending in a newline."""
+    if isinstance(doc, GridSet):
+        marks = [(ord("0"), doc.lines("points"))]
+    else:
+        l0, l1 = doc.lines("d0"), doc.lines("d1")
+        if any(not set(l0[key]).isdisjoint(l1[key])
+               for key in l0.keys() & l1.keys()):
             raise ValueError(
                 "overlapping d0/d1 cannot be rendered as an ASCII grid")
-        everything |= pts
-    if not everything:
-        return (0, 0), []
-    lower, upper = bounding_box(everything)
-    width = (upper[0] - lower[0]) // spacing + 1
-    height = (upper[1] - lower[1]) // spacing + 1
+        marks = [(ord("0"), l0), (ord("1"), l1)]
+    if not any(lines for _, lines in marks):
+        return (0, 0), ""
+    box = window_of_lines(*[lines for _, lines in marks])
+    (left, bottom), (right, top) = box.lower, box.upper
+    width = (right - left) // unit + 1
+    height = (top - bottom) // unit + 1
     if width * height > ASCII_CELL_BUDGET:
         raise ValueError(f"an ASCII grid of {width} x {height} cells exceeds "
                          f"the budget of {ASCII_CELL_BUDGET} cells")
-    grid = [["-"] * width for _ in range(height)]
-    for ch, pts in points_by_char:
-        for p in pts:
-            grid[(p[1] - lower[1]) // spacing][(p[0] - lower[0]) // spacing] = ch
-    return lower, ["".join(row) for row in grid]
+    # Cell (x, y) is at row (y - bottom) / unit of the rows of width + 1
+    # bytes, newline included, and at column (x - left) / unit.
+    stride = width + 1
+    grid = bytearray(b"-" * width + b"\n") * height
+    for mark, lines in marks:
+        for (x,), line in lines.items():
+            at = (x - left) // unit - bottom // unit * stride
+            for y in line:
+                grid[y // unit * stride + at] = mark
+    return (left, bottom), grid.decode()
 
 
 def serialize_ascii(doc: Document) -> str:
     """Normalized ASCII rendering; 2-D documents only."""
     if doc.dim != 2:
         raise ValueError("the ASCII grid format is 2-D only")
+    origin, body = _ascii_body(doc, doc.spacing)
     if isinstance(doc, GridSet):
-        origin, rows = _ascii_grid([("0", doc.points)], doc.spacing)
         header = (f"#gridset v1 m=2 s={doc.spacing} "
                   f"origin={origin[0]},{origin[1]} mode={doc.mode.value}")
     else:
-        origin, rows = _ascii_grid([("0", doc.d0), ("1", doc.d1)], doc.spacing)
         header = (f"#gridpair v1 m=2 s={doc.spacing} "
                   f"origin={origin[0]},{origin[1]}")
-    return "\n".join([header] + rows) + "\n"
+    return f"{header}\n{body}"
 
 
 def render(doc: Document, unit: Optional[int] = None) -> str:
@@ -235,26 +265,32 @@ def render(doc: Document, unit: Optional[int] = None) -> str:
     unit = doc.spacing if unit is None else unit
     if unit < 1 or doc.spacing % unit:
         raise ValueError(f"unit {unit} must divide the spacing {doc.spacing}")
-    if isinstance(doc, GridSet):
-        _, rows = _ascii_grid([("0", doc.points)], unit)
-        if rows and doc.mode is Mode.COFINITE:
-            rows.append("(marks show excluded points)")
-    else:
-        _, rows = _ascii_grid([("0", doc.d0), ("1", doc.d1)], unit)
-    if not rows:
+    _, body = _ascii_body(doc, unit)
+    if not body:
         return "(no points to draw)\n"
-    return "\n".join(rows) + "\n"
+    if isinstance(doc, GridSet) and doc.mode is Mode.COFINITE:
+        body += "(marks show excluded points)\n"
+    return body
+
+
+def _coords_records(label: str, lines: Lines) -> List[str]:
+    # One record per point, in lexicographic order: by line, then along it.
+    records = []
+    for key in sorted(lines):
+        head = " ".join([label, *map(str, key), ""])
+        records += [head + str(c) for c in lines[key]]
+    return records
 
 
 def serialize_coords(doc: Document) -> str:
     if isinstance(doc, GridSet):
         header = (f"#coords v1 kind=gridset m={doc.dim} s={doc.spacing} "
                   f"mode={doc.mode.value}")
-        body = [f"M {' '.join(map(str, p))}" for p in sorted(doc.points)]
+        body = _coords_records("M", doc.lines("points"))
     else:
         header = f"#coords v1 kind=gridpair m={doc.dim} s={doc.spacing}"
-        body = [f"D0 {' '.join(map(str, p))}" for p in sorted(doc.d0)]
-        body += [f"D1 {' '.join(map(str, p))}" for p in sorted(doc.d1)]
+        body = (_coords_records("D0", doc.lines("d0"))
+                + _coords_records("D1", doc.lines("d1")))
     return "\n".join([header] + body) + "\n"
 
 

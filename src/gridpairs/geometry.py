@@ -7,13 +7,15 @@ fractions or floats ever enter a geometric predicate.
 
 Dilations and erosions work on a line index (`Lines`): the last
 coordinates of a point set, keyed by the first m - 1 coordinates, as
-lists when `lines_of` builds them and as sets when the kernels do.  A
-Chebyshev ball is a box, a product of intervals, so
-both are separable: one sweep per key axis, then one pass within the
-lines, all of them set operations on ints.  They yield their lines one
-at a time (`LineStream`), so a result that is only filtered or turned
-into points is never held whole.  Callers index their points once and
-build point tuples once, at the end.
+sorted lists when `lines_of` builds them and as sets when the kernels
+do.  A Chebyshev ball is a box, a product of intervals, so both are
+separable: one sweep per key axis, then one pass within the lines, all
+of them set operations on ints.  They yield their lines one at a time
+(`LineStream`), so a result that is only filtered is never held whole.
+Documents carry their line index (`gridset.Document`): the parser
+builds it, the operations read it and return their results as line
+indexes (`sorted_lines`), and the writers write from it, so point
+tuples are built only on demand.
 """
 
 from __future__ import annotations
@@ -68,11 +70,18 @@ def grid_range(lo: int, hi: int, spacing: int) -> range:
 
 
 def lines_of(points: Iterable[Point]) -> Lines:
-    """The line index of a set of points, each line a list."""
+    """The line index of a set of points, each line a sorted list."""
     lines: DefaultDict[Point, List[int]] = defaultdict(list)
     for p in points:
         lines[p[:-1]].append(p[-1])
+    for line in lines.values():
+        line.sort()
     return dict(lines)
+
+
+def sorted_lines(lines: LineStream) -> Lines:
+    """The line index of a stream of lines, each line a sorted list."""
+    return {key: sorted(line) for key, line in lines}
 
 
 def points_of(lines: LineStream) -> FrozenSet[Point]:

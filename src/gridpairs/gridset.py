@@ -29,6 +29,7 @@ from .geometry import (
     lines_of,
     moore_neighbors,
     moore_offsets,
+    points_of,
 )
 
 
@@ -38,17 +39,23 @@ class Mode(enum.Enum):
 
 
 class Document:
-    """The constructor path shared by GridSet and BoundaryPair.
+    """The constructors and point storage shared by GridSet and BoundaryPair.
 
     The public constructors check the dimension, the spacing and the
     grid alignment of every point field, named with its label in
     `_point_fields`.  The parser checks each record as it reads it, and
     the library builds its results from points it made itself, so both
-    use `_trusted`, which skips these checks: outside points are checked
-    exactly once.
+    use `_trusted` or `_trusted_lines`, which skip these checks: outside
+    points are checked exactly once.
+
+    A point field is held as a frozenset of points, as its line index
+    (`lines`), or as both: each form is built from the other on first
+    use and kept.  Reading the field always gives the frozenset, so
+    equality, hashing and repr see the points, however they were stored.
     """
 
     _point_fields: Tuple[Tuple[str, str], ...]
+    _index: Dict[str, Lines]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -61,6 +68,7 @@ class Document:
                 pts = frozenset(pts)
                 object.__setattr__(self, name, pts)
             check_on_grid(pts, self.dim, self.spacing, label)
+        object.__setattr__(self, "_index", {})
 
     @classmethod
     def _trusted(cls, *values):
@@ -68,7 +76,49 @@ class Document:
         self = object.__new__(cls)
         for f, value in zip(fields(cls), values):
             object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "_index", {})
         return self
+
+    @classmethod
+    def _trusted_lines(cls, *values):
+        # As `_trusted`, with each point field given as its line index:
+        # sorted lists, none of them empty, which nothing changes later.
+        self = cls._trusted(*values)
+        for name, _ in cls._point_fields:
+            self._index[name] = self.__dict__.pop(name)
+        return self
+
+    def __getattr__(self, name: str):
+        # Only a point field held as lines alone gets here: its points
+        # are built now, once.
+        try:
+            lines = self.__dict__["_index"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+        pts = points_of(lines.items())
+        object.__setattr__(self, name, pts)
+        return pts
+
+    def lines(self, name: str) -> Lines:
+        """The line index of the point field `name`, each line a sorted
+        list; read-only, since the document may share it."""
+        index = self._index.get(name)
+        if index is None:
+            index = self._index[name] = lines_of(getattr(self, name))
+        return index
+
+    def _with(self, **changes):
+        # A copy with `changes` to fields other than the point fields,
+        # which it shares in every form held.
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, _index=dict(self._index),
+                              **changes)
+        return other
+
+    def _holds(self, name: str) -> bool:
+        # Whether the point field is nonempty, from either form.
+        pts = self.__dict__.get(name)
+        return bool(self._index[name] if pts is None else pts)
 
 
 def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
@@ -118,11 +168,11 @@ class GridSet(Document):
 
     @property
     def is_empty(self) -> bool:
-        return self.mode is Mode.FINITE and not self.points
+        return self.mode is Mode.FINITE and not self._holds("points")
 
     @property
     def is_full_grid(self) -> bool:
-        return self.mode is Mode.COFINITE and not self.points
+        return self.mode is Mode.COFINITE and not self._holds("points")
 
 
 @dataclass(frozen=True)
@@ -161,6 +211,18 @@ def window_of(points: Iterable[Point]) -> Window:
     return Window(lower, upper)
 
 
+def window_of_lines(*indexes: Lines) -> Window:
+    """The bounding box of the points of line indexes, not all empty,
+    whose lines are sorted: the extents of the keys and the line ends."""
+    keys = set().union(*indexes)
+    every_line = [line for index in indexes for line in index.values()]
+    lower = [min(axis) for axis in zip(*keys)]
+    upper = [max(axis) for axis in zip(*keys)]
+    lower.append(min(line[0] for line in every_line))
+    upper.append(max(line[-1] for line in every_line))
+    return Window(tuple(lower), tuple(upper))
+
+
 def member(gridset: GridSet, point: Point) -> bool:
     """Membership under the finite/cofinite semantics.
 
@@ -176,7 +238,7 @@ def member(gridset: GridSet, point: Point) -> bool:
 def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
-    return GridSet._trusted(gridset.dim, gridset.spacing, mode, gridset.points)
+    return gridset._with(mode=mode)
 
 
 def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
@@ -252,8 +314,9 @@ def _run_cells(runs: List[Tuple[Point, int, int]],
 
 
 def components_within(window: Window, spacing: int,
-                      d0: FrozenSet[Point],
-                      d1: FrozenSet[Point]) -> Components:
+                      d0: FrozenSet[Point], d1: FrozenSet[Point], *,
+                      lines: Optional[Tuple[Lines, Lines]] = None
+                      ) -> Components:
     """Connected components of the window grid minus d0 and d1.
 
     Components touching the window frame are merged into designated
@@ -267,7 +330,9 @@ def components_within(window: Window, spacing: int,
     grid step, so that all relevant adjacencies are realized inside it.
 
     Everything is decided on one line index of d0 and of d1, each line
-    sorted once, which the result keeps as `lines`.  A line is the set
+    sorted, which the result keeps as `lines`; a caller that holds that
+    index already may hand it over as `lines`, and then d0 and d1 are
+    not read.  A line is the set
     of window cells sharing their first m-1 coordinates.  The frame
     check reads the extents of the keys and the ends of the lines.  A
     run is a maximal stretch of free cells along the last axis.  Only
@@ -292,19 +357,15 @@ def components_within(window: Window, spacing: int,
     either end of the window lies in that end's ray.
     """
     s = spacing
-    l0, l1 = lines_of(d0), lines_of(d1)
-    every_line = [*l0.values(), *l1.values()]
-    for line in every_line:
-        line.sort()
+    l0, l1 = (lines_of(d0), lines_of(d1)) if lines is None else lines
     keys = l0.keys() | l1.keys()
     if keys:
-        extents = [(min(axis), max(axis)) for axis in zip(*keys)]
-        extents.append((min(line[0] for line in every_line),
-                        max(line[-1] for line in every_line)))
-        for j, (least, most) in enumerate(extents):
+        box = window_of_lines(l0, l1)
+        for j, (least, most) in enumerate(zip(box.lower, box.upper)):
             lo, hi = window.lower[j] + s, window.upper[j] - s
             if least < lo or most > hi:
-                p = min(p for p in chain(d0, d1) if not lo <= p[j] <= hi)
+                p = min(p for p in points_of(chain(l0.items(), l1.items()))
+                        if not lo <= p[j] <= hi)
                 raise ValueError(
                     f"window too small: {p} is within one step of the frame")
     axes = [grid_range(lo, hi, s)

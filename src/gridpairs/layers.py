@@ -8,16 +8,14 @@ boundary, layer 1 the first outer layer.
 
 from __future__ import annotations
 
-from typing import AbstractSet
-
-from .geometry import Point, dilate, erode, lines_of, points_of, ring
+from .geometry import LineStream, dilate, erode, ring, sorted_lines
 from .gridset import GridSet, Mode, complement
 from .pairs import BoundaryPair
 
 
-def _finite(model: GridSet, points: AbstractSet[Point]) -> GridSet:
-    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE,
-                            frozenset(points))
+def _finite(model: GridSet, lines: LineStream) -> GridSet:
+    return GridSet._trusted_lines(model.dim, model.spacing, Mode.FINITE,
+                                  sorted_lines(lines))
 
 
 def boundary0(gridset: GridSet) -> GridSet:
@@ -27,14 +25,14 @@ def boundary0(gridset: GridSet) -> GridSet:
     """
     if gridset.is_empty:
         return gridset
-    return _finite(gridset, trace(gridset).d0)
+    return _finite(gridset, trace(gridset).lines("d0").items())
 
 
 def boundary1(gridset: GridSet) -> GridSet:
     """Non-members at distance exactly one step from the set."""
     if gridset.is_empty:
         return gridset
-    return _finite(gridset, trace(gridset).d1)
+    return _finite(gridset, trace(gridset).lines("d1").items())
 
 
 def layer(gridset: GridSet, k: int) -> GridSet:
@@ -51,11 +49,11 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     the members exactly when its (k - 1)-step ball is excluded.
     """
     if gridset.is_empty or gridset.is_full_grid:
-        return _finite(gridset, set())
+        return _finite(gridset, ())
     if k <= 0:
         gridset, k = complement(gridset), 1 - k
     s = gridset.spacing
-    near, reach = lines_of(gridset.points), 2 * (k - 1) * s
+    near, reach = gridset.lines("points"), 2 * (k - 1) * s
     if gridset.mode is Mode.FINITE:
         if k > 1:
             near = dict(dilate(near, reach, s))
@@ -64,7 +62,7 @@ def layer(gridset: GridSet, k: int) -> GridSet:
         if k > 1:
             near = dict(erode(near, reach, s, s))
         found = ring(near, s)[0]
-    return _finite(gridset, points_of(found))
+    return _finite(gridset, found)
 
 
 def trace(gridset: GridSet) -> BoundaryPair:
@@ -75,10 +73,10 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    inner, outer = map(points_of, ring(lines_of(gridset.points),
-                                       gridset.spacing))
+    inner, outer = map(sorted_lines, ring(gridset.lines("points"),
+                                          gridset.spacing))
     if gridset.mode is Mode.FINITE:
         d0, d1 = inner, outer
     else:
         d0, d1 = outer, inner
-    return BoundaryPair._trusted(gridset.dim, gridset.spacing, d0, d1)
+    return BoundaryPair._trusted_lines(gridset.dim, gridset.spacing, d0, d1)

@@ -6,15 +6,14 @@ No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
 outer layer, and settles each candidate's side by locating it in the
 complement components that validation built; interpolation intersects
-half-step dilations of the two coarse boundaries.  Both work on line
-indexes with the separable kernels of `geometry`, and build point
-tuples only for their output.
+half-step dilations of the two coarse boundaries.  Both work on the
+pair's line index with the separable kernels of `geometry`, and return
+their results as line indexes.
 """
 
 from __future__ import annotations
 
-from .geometry import (Lines, difference, dilate, intersection, lines_of,
-                       points_of)
+from .geometry import Lines, difference, dilate, intersection, sorted_lines
 from .pairs import AxiomReport, BoundaryPair, InvalidPairError, validate
 from .transfer import GridRatio
 
@@ -33,11 +32,11 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """Boundary pair of the restriction of the set behind a fine pair.
 
     Equals tracing the restriction R of the reconstructed set M, but
-    works on boundary data alone: one dilation of D0, from the line
-    index that validation built, onto the coarse grid, one coarse step
-    out from it to the candidates, and one O(log |D|) point location
-    per candidate, whatever the ratio n.  The empty pair maps to the
-    empty pair.  Three facts carry it:
+    works on boundary data alone: one dilation of D0, from the pair's
+    line index, onto the coarse grid, one coarse step out from it to
+    the candidates, and for each candidate off its line of D1 one
+    O(log |D|) point location, whatever the ratio n.  The empty pair
+    maps to the empty pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -52,18 +51,19 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     n = ratio.n
     components = _require_valid(pair, 1, "lift_restrict").components
     if components is None:  # the empty pair
-        return BoundaryPair._trusted(pair.dim, n, frozenset(), frozenset())
+        return BoundaryPair._trusted_lines(pair.dim, n, {}, {})
     step = 2 * n
-    near = dict(dilate(components.lines[0], n, n))
+    l0, l1 = components.lines
+    near = dict(dilate(l0, n, n))
     out1: Lines = {}
     for key, line in difference(dilate(near, step, n), near):
-        kept = {y for y in line if key + (y,) in pair.d1
-                or components.containing(key + (y,)).adjacent_d1}
+        ones = set(l1.get(key, ()))
+        kept = sorted(y for y in line if y in ones
+                      or components.containing(key + (y,)).adjacent_d1)
         if kept:
             out1[key] = kept
     out0 = intersection(dilate(out1, step, n), near)
-    return BoundaryPair._trusted(pair.dim, n, points_of(out0),
-                                 points_of(out1.items()))
+    return BoundaryPair._trusted_lines(pair.dim, n, sorted_lines(out0), out1)
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -84,12 +84,12 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
-    d0, d1 = lines_of(pair.d0), lines_of(pair.d1)
+    d0, d1 = pair.lines("d0"), pair.lines("d1")
     near0, near1 = dict(dilate(d0, n, 1)), dict(dilate(d1, n, 1))
     out1 = difference(intersection(dilate(d0, n + 2, 1), near1), near0)
     if n % 2 == 0:
         out0 = intersection(near0.items(), near1)
     else:
         out0 = intersection(dilate(d1, n + 1, 1), near0)
-    return BoundaryPair._trusted(pair.dim, 1, points_of(out0),
-                                 points_of(out1))
+    return BoundaryPair._trusted_lines(pair.dim, 1, sorted_lines(out0),
+                                       sorted_lines(out1))

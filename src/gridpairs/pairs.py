@@ -10,13 +10,12 @@ extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import add
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .geometry import Lines, Point, moore_offsets
 from .gridset import (Components, Document, GridSet, Mode, components_within,
-                      dim_of, window_of)
+                      dim_of, window_of_lines)
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class BoundaryPair(Document):
 
     @property
     def is_empty(self) -> bool:
-        return not self.d0 and not self.d1
+        return not self._holds("d0") and not self._holds("d1")
 
 
 @dataclass(frozen=True)
@@ -133,23 +132,22 @@ def _touches(origin: Lines, target: Lines, dim: int,
 
 
 def _checked(pair: BoundaryPair) -> AxiomReport:
-    # One component pass shared by `validate` and `reconstruct`; its
-    # line index decides the adjacency axioms too.
+    # One component pass shared by `validate` and `reconstruct`, on the
+    # pair's line index, which decides every axiom and the window.
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
-    if pair.d0 and pair.d1:
-        nonempty = _PASS
-    else:
-        nonempty = AxiomCheck(False)
+    l0, l1 = pair.lines("d0"), pair.lines("d1")
+    nonempty = _PASS if l0 and l1 else AxiomCheck(False)
 
-    overlap = pair.d0 & pair.d1
+    overlap = [key + (c,) for key in l0.keys() & l1.keys()
+               for c in set(l0[key]).intersection(l1[key])]
     disjoint = _PASS if not overlap else AxiomCheck(False, min(overlap))
 
     s = pair.spacing
-    window = window_of(chain(pair.d0, pair.d1)).inflate(s)
-    components = components_within(window, s, pair.d0, pair.d1)
-    l0, l1 = components.lines
+    window = window_of_lines(l0, l1).inflate(s)
+    components = components_within(window, s, pair.d0, pair.d1,
+                                   lines=(l0, l1))
     d0_touches_d1 = _touches(l0, l1, pair.dim, s)
     d1_touches_d0 = _touches(l1, l0, pair.dim, s)
 
@@ -172,8 +170,8 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     Moore-adjacent to both sets.  Its witness is the least point of the
     first such component.
 
-    Validation builds one line index of d0 and d1, the one the component
-    labelling sorts, and decides all five axioms from it: a point
+    Validation reads the pair's line index of d0 and d1, hands it to the
+    component labelling, and decides all five axioms from it: a point
     touches the other set when that set holds a point one step along
     its own line or within one step on a neighbouring line.  The
     adjacency witnesses are the least failing points.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import dilate, erode, lines_of, points_of
+from .geometry import dilate, erode, sorted_lines
 from .gridset import GridSet, Mode
 
 
@@ -63,10 +63,10 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     # stored point.  A cofinite set moves by erosion of the excluded
     # points: a target point is excluded when its (never empty) ball on
     # the source grid is.
-    lines = lines_of(gridset.points)
+    lines = gridset.lines("points")
     if gridset.mode is Mode.FINITE:
         moved = dilate(lines, n, target_spacing)
     else:
         moved = erode(lines, n, gridset.spacing, target_spacing)
-    return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
-                            points_of(moved))
+    return GridSet._trusted_lines(gridset.dim, target_spacing, gridset.mode,
+                                  sorted_lines(moved))

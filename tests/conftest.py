@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
 from gridpairs.gridset import GridSet, Mode, Window, distance_map, window_of
-from gridpairs.layers import _finite
 from gridpairs.pairs import AxiomCheck
 
 settings.register_profile(
@@ -474,5 +473,5 @@ def recover_boundaries(h0: GridSet, h1: GridSet) -> Tuple[GridSet, GridSet]:
     if h0.spacing != h1.spacing or h0.dim != h1.dim:
         raise ValueError("the two sets must live on the same grid")
     s = h0.spacing
-    return (_finite(h0, moore_ring(h1.points, s)[1] & h0.points),
-            _finite(h1, moore_ring(h0.points, s)[1] & h1.points))
+    return (GridSet.finite(moore_ring(h1.points, s)[1] & h0.points, s, h0.dim),
+            GridSet.finite(moore_ring(h0.points, s)[1] & h1.points, s, h1.dim))

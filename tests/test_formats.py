@@ -68,11 +68,17 @@ class TestAsciiFormat:
         assert parse_text(text) == GridSet.finite({(0, 0), (1, 1)})
 
     def test_unknown_character_position(self):
-        text = "#gridset v1 m=2 s=1 origin=0,0 mode=finite\n0-\n-x\n"
-        with pytest.raises(ParseError) as excinfo:
-            parse_text(text)
-        assert excinfo.value.line == 3
-        assert excinfo.value.column == 2
+        for body, line, column in [
+            ("0-\n-x\n", 3, 2),
+            ("0-\n-\u00e9\n", 3, 2),  # not ASCII: a ParseError all the same
+            ("0\t-\n---\n", 2, 2),  # a tab inside a row is a character
+            ("x\u00e9\n", 2, 1),  # the first wrong character is named
+        ]:
+            text = "#gridset v1 m=2 s=1 origin=0,0 mode=finite\n" + body
+            with pytest.raises(ParseError) as excinfo:
+                parse_text(text)
+            assert excinfo.value.line == line
+            assert excinfo.value.column == column
 
     def test_one_marker_in_gridset_is_unknown(self):
         text = "#gridset v1 m=2 s=1 origin=0,0 mode=finite\n01\n"
@@ -80,9 +86,21 @@ class TestAsciiFormat:
             parse_text(text)
 
     def test_ragged_rows(self):
-        text = "#gridpair v1 m=2 s=1 origin=0,0\n0-\n-0-\n"
-        with pytest.raises(ParseError):
-            parse_text(text)
+        for body, line in [
+            ("0-\n-0-\n", 3),
+            ("0-1\n0-\n-1-\n", 3),  # a short row in the middle, not at the end
+            ("01\n\n10\n", 3),  # a blank row inside the body
+        ]:
+            text = "#gridpair v1 m=2 s=1 origin=0,0\n" + body
+            with pytest.raises(ParseError) as excinfo:
+                parse_text(text)
+            assert excinfo.value.line == line
+
+    def test_header_only_body_parses(self):
+        assert parse_text("#gridpair v1 m=2 s=1 origin=4,2\n") == \
+            BoundaryPair(2, 1, frozenset(), frozenset())
+        assert parse_text("#gridset v1 m=2 s=2 origin=0,0 mode=cofinite"
+                          "\n\n\n") == GridSet.full_grid(2, 2)
 
     def test_header_mismatch(self):
         with pytest.raises(ParseError):

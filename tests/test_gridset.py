@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,14 @@ from gridpairs.gridset import (
     distance_map,
     member,
     window_of,
+    window_of_lines,
 )
+from gridpairs.pairs import BoundaryPair
 from gridpairs.oracle import components_bfs
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import (INFINITE, chebyshev, dist_point_set, fixture_text,
-                      hausdorff, hausdorff_semi, is_connected,
+                      grid_sets, hausdorff, hausdorff_semi, is_connected,
                       labelling_cases)
 from gridpairs import formats
 
@@ -293,6 +296,85 @@ class TestComponentsWithin:
 def component_key(comp):
     return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
             comp.lowest, comp.points)
+
+
+def line_index(points):
+    # Built here, independently of Document.lines: sorted lists by key.
+    lines = {}
+    for p in sorted(points):
+        lines.setdefault(p[:-1], []).append(p[-1])
+    return lines
+
+
+class TestLineStorage:
+    """A document given its line indexes is the document of its points."""
+
+    @staticmethod
+    def documents(case, cofinite):
+        # Pairs of factories: from the points, and from the lines.
+        dim, s, points = case
+        mode = Mode.COFINITE if cofinite else Mode.FINITE
+        d0 = frozenset(sorted(points)[::2])
+        d1 = points - d0
+        return [
+            (lambda: GridSet(dim, s, mode, points),
+             lambda: GridSet._trusted_lines(dim, s, mode,
+                                            line_index(points))),
+            (lambda: BoundaryPair(dim, s, d0, d1),
+             lambda: BoundaryPair._trusted_lines(dim, s, line_index(d0),
+                                                 line_index(d1))),
+        ]
+
+    @given(grid_sets(), st.booleans())
+    def test_equal_hash_repr_and_text(self, case, cofinite):
+        dim = case[0]
+        fmts = formats.FORMATS if dim == 2 else (formats.COORDS,)
+        for by_points, by_lines in self.documents(case, cofinite):
+            expected = by_points()
+            names = [name for name, _ in expected._point_fields]
+            # each check on a fresh document, before its points are built
+            for fmt in fmts:
+                assert formats.serialize(by_lines(), fmt) == \
+                    formats.serialize(expected, fmt)
+            # the same repr, up to the order a frozenset lists its points in
+            doc = by_lines()
+            shown = repr(doc)
+            values = [getattr(doc, f.name) for f in fields(doc)]
+            assert shown == repr(type(doc)(*values))
+            assert type(doc)(*values) == expected
+            assert hash(by_lines()) == hash(expected)
+            assert by_lines() == expected and expected == by_lines()
+            doc = by_lines()
+            for name in names:
+                assert type(getattr(doc, name)) is frozenset
+                assert getattr(doc, name) == getattr(expected, name)
+                assert expected.lines(name) == doc.lines(name)
+            if isinstance(expected, GridSet):
+                assert complement(by_lines()) == complement(expected)
+                assert (by_lines().is_empty, by_lines().is_full_grid) == \
+                    (expected.is_empty, expected.is_full_grid)
+            else:
+                assert by_lines().is_empty == expected.is_empty
+
+    @given(grid_sets())
+    def test_components_from_a_handed_over_index(self, case):
+        _, s, points = case
+        d0 = frozenset(sorted(points)[::2])
+        d1 = points - d0
+        if not points:
+            return
+        l0, l1 = line_index(d0), line_index(d1)
+        window = window_of_lines(l0, l1).inflate(s)
+        assert window == window_of(points).inflate(s)
+        built = components_within(window, s, d0, d1)
+        handed = components_within(window, s, d0, d1, lines=(l0, l1))
+
+        def key(comp):
+            return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
+                    comp.lowest, None if comp.unbounded else comp.points)
+
+        assert [key(c) for c in handed] == [key(c) for c in built]
+        assert handed.lines == built.lines == (l0, l1)
 
 
 class TestRunKernelAgainstFloodFill:
