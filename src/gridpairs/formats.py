@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import List, Optional, Tuple
 
-from .geometry import Lines, Point
+from .geometry import Lines, Point, lines_of
 from .gridset import Document, GridSet, Mode, window_of_lines
 from .pairs import BoundaryPair
 
@@ -162,10 +162,10 @@ def _parse_ascii(kind: str, head: List[str], lines: List[str]) -> Document:
     rows = _body_rows(lines[1:])
     if kind == "#gridset":
         mode = _parse_mode(fields["mode"], 1)
-        return GridSet._trusted_lines(
+        return GridSet._trusted(
             dim, spacing, mode, *_parse_ascii_rows(rows, origin, spacing,
                                                    "0", 2))
-    return BoundaryPair._trusted_lines(
+    return BoundaryPair._trusted(
         dim, spacing, *_parse_ascii_rows(rows, origin, spacing, "01", 2))
 
 
@@ -202,9 +202,9 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
 
     if kind == "gridset":
         mode = _parse_mode(fields["mode"], 1)
-        return GridSet._trusted(dim, spacing, mode, frozenset(sets["M"]))
-    return BoundaryPair._trusted(dim, spacing, frozenset(sets["D0"]),
-                                 frozenset(sets["D1"]))
+        return GridSet._trusted(dim, spacing, mode, lines_of(sets["M"]))
+    return BoundaryPair._trusted(dim, spacing, lines_of(sets["D0"]),
+                                 lines_of(sets["D1"]))
 
 
 def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:

@@ -12,17 +12,18 @@ do.  A Chebyshev ball is a box, a product of intervals, so both are
 separable: one sweep per key axis, then one pass within the lines, all
 of them set operations on ints.  They yield their lines one at a time
 (`LineStream`), so a result that is only filtered is never held whole.
-Documents carry their line index (`gridset.Document`): the parser
-builds it, the operations read it and return their results as line
-indexes (`sorted_lines`), and the writers write from it, so point
-tuples are built only on demand.
+The line index is the one stored form of a document's points
+(`gridset.Document`): the constructors and the parser build it, the
+operations read it and return their results as line indexes
+(`sorted_lines`), and the writers write from it, so point tuples are
+built only on demand (`points_of`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import add, itemgetter
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
                     Iterable, Iterator, List, Set, Tuple)
@@ -221,27 +222,27 @@ def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
             difference(dilate(lines, step, spacing), lines))
 
 
-def check_on_grid(points: Iterable[Point], dim: int, spacing: int,
+def check_on_grid(points: Collection[Point], dim: int, spacing: int,
                   what: str = "point") -> None:
-    """Raise ValueError naming the first point not on the spacing-grid of Z^dim."""
+    """Raise ValueError naming the first point not on the spacing-grid of Z^dim.
+
+    The dimensions, the coordinate types and the alignment are checked
+    for all points at once; only if one fails are the points walked to
+    name the first that fails it.
+    """
+    types = set(map(type, chain.from_iterable(points)))
+    if (set(map(len, points)) <= {dim}
+            and all(issubclass(t, int) for t in types)
+            and not any(map(spacing.__rmod__, chain.from_iterable(points)))):
+        return
     for p in points:
         if len(p) != dim:
             raise ValueError(f"{what} {p} has dimension {len(p)}, expected {dim}")
+        if not all(isinstance(c, int) for c in p):
+            raise ValueError(f"{what} {p} has a coordinate that is not an "
+                             f"integer")
         if any(c % spacing for c in p):
             raise ValueError(f"{what} {p} is off the spacing-{spacing} grid")
-
-
-def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
-    """Componentwise (min, max) corners of a nonempty point collection."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("bounding box of an empty point set")
-    lower, upper = [], []
-    for j in range(len(pts[0])):  # zip(*pts) would make an iterator per point
-        axis = list(map(itemgetter(j), pts))
-        lower.append(min(axis))
-        upper.append(max(axis))
-    return tuple(lower), tuple(upper)
 
 
 def box_grid_points(lower: Point, upper: Point, spacing: int) -> Iterator[Point]:

@@ -22,7 +22,6 @@ from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
 from .geometry import (
     Lines,
     Point,
-    bounding_box,
     box_grid_points,
     check_on_grid,
     grid_range,
@@ -45,52 +44,49 @@ class Document:
     grid alignment of every point field, named with its label in
     `_point_fields`.  The parser checks each record as it reads it, and
     the library builds its results from points it made itself, so both
-    use `_trusted` or `_trusted_lines`, which skip these checks: outside
-    points are checked exactly once.
+    use `_trusted`, which skips these checks: outside points are checked
+    exactly once.
 
-    A point field is held as a frozenset of points, as its line index
-    (`lines`), or as both: each form is built from the other on first
-    use and kept.  Reading the field always gives the frozenset, so
-    equality, hashing and repr see the points, however they were stored.
+    A point field is stored once, as its line index (`lines`): sorted
+    lists, none of them empty, which nothing changes later.  Reading the
+    field builds its frozenset on first use and keeps it, so equality,
+    hashing and repr see the points.
     """
 
     _point_fields: Tuple[Tuple[str, str], ...]
     _index: Dict[str, Lines]
 
     def __post_init__(self) -> None:
+        for name, value in (("dim", self.dim), ("spacing", self.spacing)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dim}")
         if self.spacing < 1:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
+        index = {}
         for name, label in self._point_fields:
             pts = getattr(self, name)
             if not isinstance(pts, frozenset):
                 pts = frozenset(pts)
                 object.__setattr__(self, name, pts)
             check_on_grid(pts, self.dim, self.spacing, label)
-        object.__setattr__(self, "_index", {})
+            index[name] = lines_of(pts)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def _trusted(cls, *values):
-        # Stores fields that are already checked; skips __post_init__.
+        # Stores fields that are already checked, each point field given
+        # as its line index; skips __post_init__.
         self = object.__new__(cls)
-        for f, value in zip(fields(cls), values):
-            object.__setattr__(self, f.name, value)
-        object.__setattr__(self, "_index", {})
-        return self
-
-    @classmethod
-    def _trusted_lines(cls, *values):
-        # As `_trusted`, with each point field given as its line index:
-        # sorted lists, none of them empty, which nothing changes later.
-        self = cls._trusted(*values)
-        for name, _ in cls._point_fields:
-            self._index[name] = self.__dict__.pop(name)
+        self.__dict__.update(zip([f.name for f in fields(cls)], values))
+        self.__dict__["_index"] = {name: self.__dict__.pop(name)
+                                   for name, _ in cls._point_fields}
         return self
 
     def __getattr__(self, name: str):
-        # Only a point field held as lines alone gets here: its points
-        # are built now, once.
+        # Only a point field not yet read gets here: its points are
+        # built now, once.
         try:
             lines = self.__dict__["_index"][name]
         except KeyError:
@@ -101,24 +97,8 @@ class Document:
 
     def lines(self, name: str) -> Lines:
         """The line index of the point field `name`, each line a sorted
-        list; read-only, since the document may share it."""
-        index = self._index.get(name)
-        if index is None:
-            index = self._index[name] = lines_of(getattr(self, name))
-        return index
-
-    def _with(self, **changes):
-        # A copy with `changes` to fields other than the point fields,
-        # which it shares in every form held.
-        other = object.__new__(type(self))
-        other.__dict__.update(self.__dict__, _index=dict(self._index),
-                              **changes)
-        return other
-
-    def _holds(self, name: str) -> bool:
-        # Whether the point field is nonempty, from either form.
-        pts = self.__dict__.get(name)
-        return bool(self._index[name] if pts is None else pts)
+        list; read-only, since other documents may share it."""
+        return self._index[name]
 
 
 def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
@@ -168,11 +148,11 @@ class GridSet(Document):
 
     @property
     def is_empty(self) -> bool:
-        return self.mode is Mode.FINITE and not self._holds("points")
+        return self.mode is Mode.FINITE and not self.lines("points")
 
     @property
     def is_full_grid(self) -> bool:
-        return self.mode is Mode.COFINITE and not self._holds("points")
+        return self.mode is Mode.COFINITE and not self.lines("points")
 
 
 @dataclass(frozen=True)
@@ -183,6 +163,9 @@ class Window:
     upper: Point
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, int) for c in chain(self.lower, self.upper)):
+            raise ValueError(f"window corners {self.lower}..{self.upper} "
+                             f"are not integer points")
         if len(self.lower) != len(self.upper):
             raise ValueError("window corners have different dimensions")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
@@ -207,8 +190,8 @@ class Window:
 
 
 def window_of(points: Iterable[Point]) -> Window:
-    lower, upper = bounding_box(points)
-    return Window(lower, upper)
+    """The bounding box of a nonempty point collection."""
+    return window_of_lines(lines_of(points))
 
 
 def window_of_lines(*indexes: Lines) -> Window:
@@ -216,6 +199,8 @@ def window_of_lines(*indexes: Lines) -> Window:
     whose lines are sorted: the extents of the keys and the line ends."""
     keys = set().union(*indexes)
     every_line = [line for index in indexes for line in index.values()]
+    if not every_line:
+        raise ValueError("bounding box of an empty point set")
     lower = [min(axis) for axis in zip(*keys)]
     upper = [max(axis) for axis in zip(*keys)]
     lower.append(min(line[0] for line in every_line))
@@ -238,7 +223,8 @@ def member(gridset: GridSet, point: Point) -> bool:
 def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
-    return gridset._with(mode=mode)
+    return GridSet._trusted(gridset.dim, gridset.spacing, mode,
+                            gridset.lines("points"))
 
 
 def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
@@ -299,11 +285,9 @@ class Component:
 
 class Components(tuple):
     """The components of `components_within`.  `containing(q)` is the one
-    holding q, a grid point off d0 and d1, in the window or beyond it;
-    `lines` is the line index of d0 and of d1, each line sorted."""
+    holding q, a grid point off d0 and d1, in the window or beyond it."""
 
     containing: Callable[[Point], Component]
-    lines: Tuple[Lines, Lines]
 
 
 def _run_cells(runs: List[Tuple[Point, int, int]],
@@ -330,10 +314,9 @@ def components_within(window: Window, spacing: int,
     grid step, so that all relevant adjacencies are realized inside it.
 
     Everything is decided on one line index of d0 and of d1, each line
-    sorted, which the result keeps as `lines`; a caller that holds that
-    index already may hand it over as `lines`, and then d0 and d1 are
-    not read.  A line is the set
-    of window cells sharing their first m-1 coordinates.  The frame
+    sorted; a caller that holds that index already may hand it over as
+    `lines`, and then d0 and d1 are not read.  A line is the set of
+    window cells sharing their first m-1 coordinates.  The frame
     check reads the extents of the keys and the ends of the lines.  A
     run is a maximal stretch of free cells along the last axis.  Only
     lines holding a point of d0 | d1 are split into runs, from their
@@ -498,5 +481,4 @@ def components_within(window: Window, spacing: int,
 
     located = Components(found.values())
     located.containing = containing
-    located.lines = (l0, l1)
     return located

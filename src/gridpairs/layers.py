@@ -14,8 +14,8 @@ from .pairs import BoundaryPair
 
 
 def _finite(model: GridSet, lines: LineStream) -> GridSet:
-    return GridSet._trusted_lines(model.dim, model.spacing, Mode.FINITE,
-                                  sorted_lines(lines))
+    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE,
+                            sorted_lines(lines))
 
 
 def boundary0(gridset: GridSet) -> GridSet:
@@ -79,4 +79,4 @@ def trace(gridset: GridSet) -> BoundaryPair:
         d0, d1 = inner, outer
     else:
         d0, d1 = outer, inner
-    return BoundaryPair._trusted_lines(gridset.dim, gridset.spacing, d0, d1)
+    return BoundaryPair._trusted(gridset.dim, gridset.spacing, d0, d1)

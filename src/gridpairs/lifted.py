@@ -51,9 +51,9 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     n = ratio.n
     components = _require_valid(pair, 1, "lift_restrict").components
     if components is None:  # the empty pair
-        return BoundaryPair._trusted_lines(pair.dim, n, {}, {})
+        return BoundaryPair._trusted(pair.dim, n, {}, {})
     step = 2 * n
-    l0, l1 = components.lines
+    l0, l1 = pair.lines("d0"), pair.lines("d1")
     near = dict(dilate(l0, n, n))
     out1: Lines = {}
     for key, line in difference(dilate(near, step, n), near):
@@ -63,7 +63,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
         if kept:
             out1[key] = kept
     out0 = intersection(dilate(out1, step, n), near)
-    return BoundaryPair._trusted_lines(pair.dim, n, sorted_lines(out0), out1)
+    return BoundaryPair._trusted(pair.dim, n, sorted_lines(out0), out1)
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -91,5 +91,5 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
         out0 = intersection(near0.items(), near1)
     else:
         out0 = intersection(dilate(d1, n + 1, 1), near0)
-    return BoundaryPair._trusted_lines(pair.dim, 1, sorted_lines(out0),
-                                       sorted_lines(out1))
+    return BoundaryPair._trusted(pair.dim, 1, sorted_lines(out0),
+                                 sorted_lines(out1))

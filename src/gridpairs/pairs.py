@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .geometry import Lines, Point, moore_offsets
+from .geometry import Lines, Point, lines_of, moore_offsets
 from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of_lines)
 
@@ -43,7 +43,7 @@ class BoundaryPair(Document):
 
     @property
     def is_empty(self) -> bool:
-        return not self._holds("d0") and not self._holds("d1")
+        return not self.lines("d0") and not self.lines("d1")
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,10 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
             "the two infinite rays reconstruct to different sides, so the "
             "set is neither finite nor cofinite and cannot be represented")
     if unbounded_sides == {True}:
-        excluded = pair.d1.union(*(c.points for c in outside_bounded))
-        return GridSet._trusted(pair.dim, pair.spacing, Mode.COFINITE,
-                                excluded)
-    members = pair.d0.union(*(c.points for c in inside_bounded))
-    return GridSet._trusted(pair.dim, pair.spacing, Mode.FINITE, members)
+        mode = Mode.COFINITE
+        stored = pair.d1.union(*(c.points for c in outside_bounded))
+    else:
+        mode = Mode.FINITE
+        stored = pair.d0.union(*(c.points for c in inside_bounded))
+    return GridSet._trusted(pair.dim, pair.spacing, mode, lines_of(stored))
 

@@ -25,6 +25,8 @@ class GridRatio:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int):
+            raise ValueError(f"grid ratio must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid ratio must be at least 2, got {self.n}")
 
@@ -68,5 +70,5 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
         moved = dilate(lines, n, target_spacing)
     else:
         moved = erode(lines, n, gridset.spacing, target_spacing)
-    return GridSet._trusted_lines(gridset.dim, target_spacing, gridset.mode,
-                                  sorted_lines(moved))
+    return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
+                            sorted_lines(moved))

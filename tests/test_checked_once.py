@@ -3,7 +3,8 @@
 The parser and the public constructors check the dimension and grid
 alignment of every point.  Results the library builds skip that check,
 so these tests show that they would pass it, and that no CLI request
-runs it again on a result.
+runs it again on a result.  Documents store their line index alone, and
+the last test pins the CLI requests that build point tuples from it.
 """
 
 import sys
@@ -11,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given
 
-from gridpairs import geometry
+from gridpairs import geometry, gridset
 from gridpairs.cli import main
 from gridpairs.formats import parse_text, serialize
 from gridpairs.gridset import GridSet, complement
@@ -20,7 +21,7 @@ from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.pairs import BoundaryPair, reconstruct, validate
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_path, two_clusters
+from conftest import fixture_path, fixture_text, two_clusters
 
 
 def assert_passes_public_checks(doc):
@@ -83,18 +84,26 @@ REQUESTS = (
 )
 
 
-@pytest.mark.parametrize("command, name", REQUESTS)
-def test_no_cli_request_rechecks_a_built_result(command, name, tmp_path,
-                                                monkeypatch, capsys):
-    if name in THREE_D:
+def _argv(command, name, tmp_path, fmt=None):
+    """The CLI request of `command` on the named input, as coords if
+    `fmt` says so."""
+    path = fixture_path(name)
+    if name in THREE_D or fmt == "coords":
+        text = THREE_D.get(name) or serialize(
+            parse_text(fixture_text(name)), "coords")
         path = tmp_path / name
-        path.write_text(THREE_D[name])
-    else:
-        path = fixture_path(name)
+        path.write_text(text)
     argv = [command, "-i", str(path)]
     if command in ("restrict", "interpolate", "lift-restrict",
                    "lift-interpolate"):
         argv += ["--ratio", "2"]
+    return argv
+
+
+@pytest.mark.parametrize("command, name", REQUESTS)
+def test_no_cli_request_rechecks_a_built_result(command, name, tmp_path,
+                                                monkeypatch, capsys):
+    argv = _argv(command, name, tmp_path)
 
     def run():
         code = main(argv)
@@ -112,3 +121,29 @@ def test_no_cli_request_rechecks_a_built_result(command, name, tmp_path,
             monkeypatch.setattr(module, "check_on_grid", refuse)
     assert expected[0] == 0
     assert run() == expected
+
+
+#: Point tuples built per request: only `validate`'s component pass
+#: reads the frozensets of D0 and D1.
+POINT_BUILDS = {"trace": 0, "restrict": 0, "interpolate": 0, "render": 0,
+                "validate": 2, "reconstruct": 2, "lift-restrict": 2,
+                "lift-interpolate": 2}
+
+
+@pytest.mark.parametrize("command, name, fmt", [
+    (command, name, fmt) for command, name in REQUESTS
+    for fmt in ("ascii", "coords") if fmt == "coords" or name not in THREE_D])
+def test_cli_requests_build_points_only_to_label_components(
+        command, name, fmt, tmp_path, monkeypatch, capsys):
+    argv = _argv(command, name, tmp_path, fmt)
+    original = gridset.points_of
+    calls = []
+
+    def counted(lines):
+        calls.append(1)
+        return original(lines)
+
+    monkeypatch.setattr(gridset, "points_of", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == POINT_BUILDS[command]

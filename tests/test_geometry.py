@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (bounding_box, box_grid_points, dilate, erode,
-                                grid_range, lines_of, moore_neighbors,
-                                points_of, ring)
+from gridpairs.geometry import (box_grid_points, dilate, erode, grid_range,
+                                lines_of, moore_neighbors, points_of, ring)
+from gridpairs.gridset import Window, window_of
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
                       rd)
@@ -181,10 +181,11 @@ def test_infinite_compares_greater():
     assert not INFINITE < 5
 
 
-def test_bounding_box():
-    assert bounding_box([(1, 5), (-2, 3)]) == ((-2, 3), (1, 5))
-    with pytest.raises(ValueError):
-        bounding_box([])
+def test_window_of():
+    assert window_of([(1, 5), (-2, 3)]) == Window((-2, 3), (1, 5))
+    assert window_of([(4,), (-7,)]) == Window((-7,), (4,))
+    with pytest.raises(ValueError, match="bounding box of an empty point set"):
+        window_of([])
 
 
 def test_box_grid_points_off_alignment():

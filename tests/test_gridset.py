@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from dataclasses import fields
 
 import pytest
@@ -318,11 +321,10 @@ class TestLineStorage:
         d1 = points - d0
         return [
             (lambda: GridSet(dim, s, mode, points),
-             lambda: GridSet._trusted_lines(dim, s, mode,
-                                            line_index(points))),
+             lambda: GridSet._trusted(dim, s, mode, line_index(points))),
             (lambda: BoundaryPair(dim, s, d0, d1),
-             lambda: BoundaryPair._trusted_lines(dim, s, line_index(d0),
-                                                 line_index(d1))),
+             lambda: BoundaryPair._trusted(dim, s, line_index(d0),
+                                           line_index(d1))),
         ]
 
     @given(grid_sets(), st.booleans())
@@ -374,7 +376,27 @@ class TestLineStorage:
                     comp.lowest, None if comp.unbounded else comp.points)
 
         assert [key(c) for c in handed] == [key(c) for c in built]
-        assert handed.lines == built.lines == (l0, l1)
+
+    @given(grid_sets(), st.booleans())
+    def test_copies_and_pickles(self, case, cofinite):
+        def read(doc):
+            for name, _ in doc._point_fields:
+                getattr(doc, name)
+            return doc
+
+        for by_points, by_lines in self.documents(case, cofinite):
+            # unpickling reaches __getattr__ before the state is restored
+            for clone in (copy.copy, copy.deepcopy,
+                          lambda doc: pickle.loads(pickle.dumps(doc))):
+                kinds = [by_lines(), read(by_lines()), by_points()]
+                if isinstance(kinds[0], GridSet):
+                    kinds.append(complement(by_lines()))
+                for doc in kinds:
+                    copied = clone(doc)
+                    assert vars(copied).keys() == vars(doc).keys()
+                    for name, _ in doc._point_fields:
+                        assert copied.lines(name) == doc.lines(name)
+                    assert copied == doc and hash(copied) == hash(doc)
 
 
 class TestRunKernelAgainstFloodFill:
@@ -427,6 +449,21 @@ def test_window_degenerate():
 def test_window_grid_points_rejects_nonpositive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing must be positive"):
         Window((0, 0), (3, 3)).grid_points(spacing)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: GridSet.finite({(1.0, 0.0)}), "(1.0, 0.0)"),
+    (lambda: BoundaryPair.of([(0, 0)], [(1, 0.5)]), "(1, 0.5)"),
+    (lambda: member(GridSet.finite({(0, 0)}), (0.0, 0)), "(0.0, 0)"),
+    (lambda: GridSet(2, 1.0, Mode.FINITE, frozenset()), "1.0"),
+    (lambda: GridSet(2.0, 1, Mode.FINITE, frozenset()), "2.0"),
+    (lambda: GridRatio(2.5), "2.5"),
+    (lambda: GridRatio(2.0), "2.0"),
+    (lambda: Window((0, 0), (1.5, 2)), "1.5"),
+])
+def test_non_integer_values_are_rejected(build, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
 
 
 def test_gridset_rejects_off_grid_points():
