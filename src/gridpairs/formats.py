@@ -11,10 +11,11 @@ of the bounding box, which makes serialize(parse(...)) idempotent.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import compress
 from typing import List, Optional, Tuple
 
-from .geometry import Lines, Point, lines_of
+from .geometry import Lines, Point, sorted_lines
 from .gridset import Document, GridSet, Mode, window_of_lines
 from .pairs import BoundaryPair
 
@@ -179,7 +180,7 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
         raise ParseError(f"unknown kind {kind!r}", 1)
 
     labels = ("M",) if kind == "gridset" else ("D0", "D1")
-    sets: dict = {label: set() for label in labels}
+    sets = {label: defaultdict(set) for label in labels}
     for index, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -192,19 +193,24 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
             raise ParseError(
                 f"record has {len(tokens) - 1} coordinates, expected {dim}",
                 index)
-        point = tuple(_parse_int(t, "coordinate", index) for t in tokens[1:])
+        try:
+            point = tuple(map(int, tokens[1:]))
+        except ValueError:  # names the first token that is not an integer
+            for t in tokens[1:]:
+                _parse_int(t, "coordinate", index)
         if any(c % spacing for c in point):
             raise ParseError(
                 f"point {point} is off the spacing-{spacing} grid", index)
-        if point in sets[label]:
+        on_line = sets[label][point[:-1]]
+        if point[-1] in on_line:
             raise ParseError(f"duplicate point {point}", index)
-        sets[label].add(point)
+        on_line.add(point[-1])
 
+    indexes = [sorted_lines(sets[label].items()) for label in labels]
     if kind == "gridset":
         mode = _parse_mode(fields["mode"], 1)
-        return GridSet._trusted(dim, spacing, mode, lines_of(sets["M"]))
-    return BoundaryPair._trusted(dim, spacing, lines_of(sets["D0"]),
-                                 lines_of(sets["D1"]))
+        return GridSet._trusted(dim, spacing, mode, *indexes)
+    return BoundaryPair._trusted(dim, spacing, *indexes)
 
 
 def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:

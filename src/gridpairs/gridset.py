@@ -13,7 +13,6 @@ import enum
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
 from itertools import chain
 from operator import add
 from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
@@ -211,13 +210,15 @@ def window_of_lines(*indexes: Lines) -> Window:
 def member(gridset: GridSet, point: Point) -> bool:
     """Membership under the finite/cofinite semantics.
 
-    The query point must lie on the set's grid.
+    The query point must lie on the set's grid.  It is looked up on its
+    line of the set's line index: one dict lookup and one bisection.
     """
     point = tuple(point)
     check_on_grid((point,), gridset.dim, gridset.spacing)
-    if gridset.mode is Mode.FINITE:
-        return point in gridset.points
-    return point not in gridset.points
+    line = gridset.lines("points").get(point[:-1], ())
+    i = bisect_left(line, point[-1])
+    stored = i < len(line) and line[i] == point[-1]
+    return stored if gridset.mode is Mode.FINITE else not stored
 
 
 def complement(gridset: GridSet) -> GridSet:
@@ -267,20 +268,17 @@ class Component:
     """A connected piece of the grid complement of two finite sets.
 
     `lowest` is the least point of the component in lexicographic
-    order.  `points` is built from `cells` on first use; for unbounded
-    components it holds only the in-window part, which is as large as
-    the window.
+    order.  A bounded component lists its `runs`, the maximal stretches
+    of its cells along the last axis, as (key, first, last) in
+    lexicographic order.  An unbounded component lists none: it holds
+    every free cell outside the bounded ones.
     """
 
     unbounded: bool
     adjacent_d0: bool
     adjacent_d1: bool
     lowest: Point
-    cells: Callable[[], Iterable[Point]] = field(repr=False)
-
-    @cached_property
-    def points(self) -> FrozenSet[Point]:
-        return frozenset(self.cells())
+    runs: List[Tuple[Point, int, int]] = field(repr=False)
 
 
 class Components(tuple):
@@ -288,13 +286,6 @@ class Components(tuple):
     holding q, a grid point off d0 and d1, in the window or beyond it."""
 
     containing: Callable[[Point], Component]
-
-
-def _run_cells(runs: List[Tuple[Point, int, int]],
-               spacing: int) -> Iterator[Point]:
-    for key, a, b in runs:
-        for c in range(a, b + 1, spacing):
-            yield key + (c,)
 
 
 def components_within(window: Window, spacing: int,
@@ -331,8 +322,9 @@ def components_within(window: Window, spacing: int,
     line and set decides, for runs whose component is not yet flagged;
     a line of d0 or d1 with a neighbouring line off d0 | d1 touches the
     unbounded component.  The cost is O(|D| 3^(m-1) log |D|) for
-    D = d0 | d1, whatever the window's area; only reading `points` of an
-    unbounded component visits the window.
+    D = d0 | d1, whatever the window's area.  Each bounded component
+    carries its runs, gathered in lexicographic order; an unbounded one
+    carries none, so no cell of the window is enumerated.
 
     The runs also locate points: `containing(q)` finds q's line by one
     dict lookup and its run by one bisection.  A line off d0 | d1 lies
@@ -451,25 +443,14 @@ def components_within(window: Window, spacing: int,
                 groups[root[r]].append((key, a, b))
 
     if dim == 1 and runs:
-        starts, ends, _ = runs[()]
-        found = {
-            r: Component(True, bool(adj0[r]), bool(adj1[r]), (a,),
-                         partial(_run_cells, [((), a, b)], s))
-            for r, a, b in ((left, starts[0], ends[0]),
-                            (right, starts[-1], ends[-1]))}
+        starts = runs[()][0]
+        found = {r: Component(True, bool(adj0[r]), bool(adj1[r]), (a,), [])
+                 for r, a in ((left, starts[0]), (right, starts[-1]))}
     else:  # with no stored point, a 1-D line is one unbounded component
-        def unbounded_cells() -> Iterator[Point]:
-            for key in box_grid_points(lower[:-1], upper[:-1], s):
-                for a, b, r in zip(*runs.get(key, ([first], [last], [0]))):
-                    if root[r] == 0:
-                        yield from _run_cells([(key, a, b)], s)
-
-        found = {0: Component(True, bool(adj0[0]), bool(adj1[0]), lower,
-                              unbounded_cells)}
+        found = {0: Component(True, bool(adj0[0]), bool(adj1[0]), lower, [])}
     for r, group in groups.items():
         found[r] = Component(False, bool(adj0[r]), bool(adj1[r]),
-                             group[0][0] + (group[0][1],),
-                             partial(_run_cells, group, s))
+                             group[0][0] + (group[0][1],), group)
 
     def containing(q: Point) -> Component:
         line = runs.get(q[:-1])

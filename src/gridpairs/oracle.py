@@ -87,7 +87,8 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
     Visits every grid point of the window, so its cost follows the
     window's volume.  The frame-touching cells are merged into the
     unbounded components by the same rules: one for dim >= 2, the left
-    and right rays for dim == 1.
+    and right rays for dim == 1.  Each bounded component reports the
+    runs of its own flood-filled points; the unbounded ones list none.
     """
     occupied = d0 | d1
     for p in occupied:
@@ -140,8 +141,23 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
     records.extend((pts, False, adj0, adj1)
                    for pts, _, _, adj0, adj1 in sorted(
                        bounded, key=lambda e: min(e[0])))
-    return tuple(Component(unbounded, adj0, adj1, min(pts), pts.__iter__)
+    return tuple(Component(unbounded, adj0, adj1, min(pts),
+                           [] if unbounded else _runs(pts, spacing))
                  for pts, unbounded, adj0, adj1 in records)
+
+
+def _runs(points: FrozenSet[Point],
+          spacing: int) -> List[Tuple[Point, int, int]]:
+    # The maximal stretches of the points along the last axis, as
+    # (key, first, last) in lexicographic order.
+    runs: List[Tuple[Point, int, int]] = []
+    for p in sorted(points):
+        key, c = p[:-1], p[-1]
+        if runs and runs[-1][0] == key and runs[-1][2] + spacing == c:
+            runs[-1] = (key, runs[-1][1], c)
+        else:
+            runs.append((key, c, c))
+    return runs
 
 
 def closer_set_window(pair: BoundaryPair, window: Window) -> FrozenSet[Point]:

@@ -9,11 +9,12 @@ extraction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import add
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .geometry import Lines, Point, lines_of, moore_offsets
+from .geometry import Lines, Point, moore_offsets
 from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of_lines)
 
@@ -186,8 +187,10 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     the set and, for a valid pair, is adjacent to exactly one of d0/d1;
     it is classified by that adjacency.  The result is finite when the
     unbounded components attach to d1 and cofinite when they attach to
-    d0.  The empty pair reconstructs to the full grid.  Only the points
-    of the bounded components on the stored side are enumerated: in 1-D
+    d0.  The empty pair reconstructs to the full grid.  The result's
+    line index is that of d0 (d1 when cofinite) plus the runs of the
+    bounded components on that side: only the lines that grow are
+    copied, and only those components' cells are enumerated.  In 1-D
     the gap between two far clusters is one bounded component.
     """
     report = _checked(pair)
@@ -196,29 +199,27 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     if pair.is_empty:
         return GridSet.full_grid(pair.dim, pair.spacing)
 
-    unbounded_sides = set()
-    inside_bounded = []
-    outside_bounded = []
-    for comp in report.components:
-        if not (comp.adjacent_d0 or comp.adjacent_d1):
-            raise AssertionError("complement component adjacent to neither set")
-        side_d0 = comp.adjacent_d0
-        if comp.unbounded:
-            unbounded_sides.add(side_d0)
-        elif side_d0:
-            inside_bounded.append(comp)
-        else:
-            outside_bounded.append(comp)
-
+    components = report.components
+    if not all(comp.adjacent_d0 or comp.adjacent_d1 for comp in components):
+        raise AssertionError("complement component adjacent to neither set")
+    unbounded_sides = {comp.adjacent_d0 for comp in components
+                       if comp.unbounded}
     if len(unbounded_sides) > 1:
         raise ValueError(
             "the two infinite rays reconstruct to different sides, so the "
             "set is neither finite nor cofinite and cannot be represented")
-    if unbounded_sides == {True}:
-        mode = Mode.COFINITE
-        stored = pair.d1.union(*(c.points for c in outside_bounded))
-    else:
-        mode = Mode.FINITE
-        stored = pair.d0.union(*(c.points for c in inside_bounded))
-    return GridSet._trusted(pair.dim, pair.spacing, mode, lines_of(stored))
-
+    cofinite = unbounded_sides == {True}
+    mode, name = (Mode.COFINITE, "d1") if cofinite else (Mode.FINITE, "d0")
+    # the bounded components on the stored side: inside a finite set,
+    # outside a cofinite one
+    grown: Dict[Point, List[int]] = defaultdict(list)
+    for comp in components:
+        if comp.adjacent_d0 != cofinite:
+            for key, a, b in comp.runs:
+                grown[key].extend(range(a, b + 1, pair.spacing))
+    lines = dict(pair.lines(name))
+    for key, line in grown.items():
+        line.extend(lines.get(key, ()))
+        line.sort()
+        lines[key] = line
+    return GridSet._trusted(pair.dim, pair.spacing, mode, lines)

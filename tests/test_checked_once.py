@@ -25,7 +25,14 @@ from conftest import fixture_path, fixture_text, two_clusters
 
 
 def assert_passes_public_checks(doc):
-    """doc equals its rebuild through the public, checking constructor."""
+    """doc equals its rebuild through the public, checking constructor,
+    and its line index is canonical, which equality cannot see."""
+    for name, _ in doc._point_fields:
+        for key, line in doc.lines(name).items():
+            assert len(key) == doc.dim - 1
+            assert type(line) is list and line
+            assert all(a < b for a, b in zip(line, line[1:]))
+            assert all(c % doc.spacing == 0 for c in line)
     if isinstance(doc, GridSet):
         assert type(doc.points) is frozenset
         assert GridSet(doc.dim, doc.spacing, doc.mode, doc.points) == doc
@@ -147,3 +154,25 @@ def test_cli_requests_build_points_only_to_label_components(
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == POINT_BUILDS[command]
+
+
+def test_member_answers_from_the_line_index(monkeypatch):
+    original = gridset.points_of
+    calls = []
+
+    def counted(lines):
+        calls.append(1)
+        return original(lines)
+
+    monkeypatch.setattr(gridset, "points_of", counted)
+    for name in ("fig1a.grid", "fig3c.grid"):
+        M = parse_text(fixture_text(name))
+        s = M.spacing
+        box = gridset.window_of_lines(M.lines("points")).inflate(s)
+        queries = list(box.grid_points(s))
+        answers = [gridset.member(M, q) for q in queries]
+        flipped = [gridset.member(complement(M), q) for q in queries]
+        assert not calls
+        stored = original(M.lines("points").items())
+        assert answers == [q in stored for q in queries]
+        assert flipped == [q not in stored for q in queries]

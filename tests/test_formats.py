@@ -149,14 +149,36 @@ class TestCoordsFormat:
         with pytest.raises(ParseError):
             parse_text("#coords v1 kind=gridset m=2 s=1 mode=finite\nM 1\n")
 
+    def test_non_integer_coordinate(self):
+        # the first token that is not an integer is named, at its line
+        with pytest.raises(ParseError) as excinfo:
+            parse_text("#coords v1 kind=gridset m=3 s=1 mode=finite\n"
+                       "M 1 2 3\nM 1 x 2.5\n")
+        assert str(excinfo.value) == \
+            "field coordinate is not an integer: 'x' (line 3)"
+
     def test_off_grid_point(self):
         with pytest.raises(ParseError):
             parse_text("#coords v1 kind=gridset m=2 s=2 mode=finite\nM 1 0\n")
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ParseError):
-            parse_text(
-                "#coords v1 kind=gridset m=2 s=1 mode=finite\nM 1 0\nM 1 0\n")
+        # named at the second copy's own record line, past a record between
+        with pytest.raises(ParseError) as excinfo:
+            parse_text("#coords v1 kind=gridset m=2 s=1 mode=finite\n"
+                       "M 1 0\nM 1 1\nM 1 0\n")
+        assert str(excinfo.value) == "duplicate point (1, 0) (line 4)"
+        assert excinfo.value.line == 4
+        # the first faulty record is reported: a duplicate before an
+        # off-grid record
+        head = "#coords v1 kind=gridpair m=2 s=2\n"
+        body = "D0 2 0\nD1 4 0\nD0 2 0\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(head + body + "D1 3 0\n")
+        assert str(excinfo.value) == "duplicate point (2, 0) (line 4)"
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(head + "D1 3 0\n" + body)
+        assert str(excinfo.value) == \
+            "point (3, 0) is off the spacing-2 grid (line 2)"
 
     @pytest.mark.parametrize("header", [
         "#coords v1 kind=gridpair m=2 m=3 s=1",

@@ -228,7 +228,9 @@ class TestComponentsWithin:
             assert len(comps) == 1
             assert comps[0].unbounded
             assert not comps[0].adjacent_d0 and not comps[0].adjacent_d1
-            assert comps[0].points == frozenset(window.grid_points(1))
+            assert comps[0].runs == []
+            assert all(comps.containing(q) is comps[0]
+                       for q in window.grid_points(1))
             assert comps.containing((-10**9,) * window.dim) is comps[0]
 
     def test_rectangle_with_hole_pair(self):
@@ -237,21 +239,17 @@ class TestComponentsWithin:
         window = window_of(pair.d0 | pair.d1).inflate(1)
         comps = components_within(window, 1, pair.d0, pair.d1)
         assert len(comps) == 3
-        by_key = {}
-        for comp in comps:
-            if comp.unbounded:
-                by_key["outside"] = comp
-            elif (4, 4) in comp.points:
-                by_key["hole"] = comp
-            else:
-                by_key["interior"] = comp
+        by_key = {"outside": comps[0], "hole": comps.containing((4, 4)),
+                  "interior": comps.containing((7, 3))}
+        assert comps[0].unbounded
+        assert {id(comp) for comp in by_key.values()} == \
+            {id(comp) for comp in comps}
         # the hole center sees only the outer-layer ring around it
-        assert by_key["hole"].points == frozenset({(4, 4)})
+        assert by_key["hole"].runs == [((4,), 4, 4)]
         assert not by_key["hole"].adjacent_d0
         assert by_key["hole"].adjacent_d1
         # the solid interior of the set touches the inner boundary
-        assert by_key["interior"].points == frozenset(
-            (x, y) for x in (7, 8) for y in (3, 4, 5))
+        assert by_key["interior"].runs == [((7,), 3, 5), ((8,), 3, 5)]
         assert by_key["interior"].adjacent_d0
         assert not by_key["interior"].adjacent_d1
         assert by_key["outside"].adjacent_d1
@@ -293,12 +291,13 @@ class TestComponentsWithin:
                 cell for cell in window.grid_points(1)
                 if any(c in (0, 5) for c in cell)
             }
-            assert frame <= unbounded[0].points
+            assert all(comps.containing(cell) is unbounded[0]
+                       for cell in frame)
 
 
 def component_key(comp):
     return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
-            comp.lowest, comp.points)
+            comp.lowest, comp.runs)
 
 
 def line_index(points):
@@ -370,12 +369,8 @@ class TestLineStorage:
         assert window == window_of(points).inflate(s)
         built = components_within(window, s, d0, d1)
         handed = components_within(window, s, d0, d1, lines=(l0, l1))
-
-        def key(comp):
-            return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
-                    comp.lowest, None if comp.unbounded else comp.points)
-
-        assert [key(c) for c in handed] == [key(c) for c in built]
+        assert [component_key(c) for c in handed] == \
+            [component_key(c) for c in built]
 
     @given(grid_sets(), st.booleans())
     def test_copies_and_pickles(self, case, cofinite):
@@ -408,7 +403,29 @@ class TestRunKernelAgainstFloodFill:
         reference = components_bfs(window, s, d0, d1)
         assert [component_key(c) for c in fast] == \
             [component_key(c) for c in reference]
-        assert all(c.lowest == min(c.points) for c in fast)
+
+    @settings(max_examples=100)
+    @given(labelling_cases())
+    def test_containing_matches_reference(self, case):
+        # Each free window cell lies in the flood-fill component at the
+        # fast one's position: the bounded component whose runs hold it,
+        # or else the last unbounded one that starts at or before it (in
+        # 1-D the right ray starts past the left).
+        window, s, d0, d1 = case
+        fast = components_within(window, s, d0, d1)
+        reference = components_bfs(window, s, d0, d1)
+        holder = {key + (c,): i for i, comp in enumerate(reference)
+                  for key, a, b in comp.runs for c in range(a, b + 1, s)}
+        starts = [(comp.lowest, i) for i, comp in enumerate(reference)
+                  if comp.unbounded]
+        position = {id(comp): i for i, comp in enumerate(fast)}
+        for q in window.grid_points(s):
+            if q in d0 or q in d1:
+                continue
+            expected = holder.get(q)
+            if expected is None:
+                expected = max(i for lowest, i in starts if lowest <= q)
+            assert position[id(fast.containing(q))] == expected
 
     def test_far_apart_blocks_without_filling_the_box(self):
         block = {(x, y) for x in range(3) for y in range(3)}
@@ -419,8 +436,8 @@ class TestRunKernelAgainstFloodFill:
         comps = components_within(window, 1, pair.d0, pair.d1)
         assert [c.unbounded for c in comps] == [True, False, False]
         assert comps[0].lowest == (-2, -2)  # the window corner
-        assert [c.points for c in comps[1:]] == [
-            frozenset({(1, 1)}), frozenset({(10**6 + 1, 10**6 + 1)})]
+        assert [c.runs for c in comps[1:]] == [
+            [((1,), 1, 1)], [((10**6 + 1,), 10**6 + 1, 10**6 + 1)]]
         assert all(c.adjacent_d0 and not c.adjacent_d1 for c in comps[1:])
 
 
