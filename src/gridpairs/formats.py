@@ -178,6 +178,7 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
     fields, dim, spacing = _parse_header(head, expected)
     if kind not in ("gridset", "gridpair"):
         raise ParseError(f"unknown kind {kind!r}", 1)
+    mode = _parse_mode(fields["mode"], 1) if kind == "gridset" else None
 
     labels = ("M",) if kind == "gridset" else ("D0", "D1")
     sets = {label: defaultdict(set) for label in labels}
@@ -208,7 +209,6 @@ def _parse_coords(head: List[str], lines: List[str]) -> Document:
 
     indexes = [sorted_lines(sets[label].items()) for label in labels]
     if kind == "gridset":
-        mode = _parse_mode(fields["mode"], 1)
         return GridSet._trusted(dim, spacing, mode, *indexes)
     return BoundaryPair._trusted(dim, spacing, *indexes)
 

@@ -16,7 +16,8 @@ The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
 operations read it and return their results as line indexes
 (`sorted_lines`), and the writers write from it, so point tuples are
-built only on demand (`points_of`).
+built only where points are listed (`points_of`, or iterating a
+document's `gridset.PointView`).
 """
 
 from __future__ import annotations

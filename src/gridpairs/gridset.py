@@ -12,10 +12,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Set
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import add
-from typing import (AbstractSet, Callable, Container, Dict, FrozenSet,
+from typing import (AbstractSet, Callable, Container, Dict,
                     Iterable, Iterator, List, Optional, Tuple)
 
 from .geometry import (
@@ -36,6 +37,52 @@ class Mode(enum.Enum):
     COFINITE = "cofinite"
 
 
+class PointView(Set):
+    """A read-only set view of the points of a line index, like
+    `dict.keys()`.
+
+    Its length sums the line lengths, `in` is one dict lookup and one
+    bisection, and iteration goes line by line; the set operators return
+    plain sets.  Views of canonical indexes compare by their lines, and
+    the repr lists the points sorted.
+    """
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: Lines):
+        self._lines = lines
+
+    @classmethod
+    def _from_iterable(cls, points: Iterable[Point]) -> set:
+        return set(points)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._lines.values()))
+
+    def __iter__(self) -> Iterator[Point]:
+        for key, line in self._lines.items():
+            for c in line:
+                yield key + (c,)
+
+    def __contains__(self, point: object) -> bool:
+        if not isinstance(point, tuple) or not point:
+            return False
+        line = self._lines.get(point[:-1], ())
+        i = bisect_left(line, point[-1])
+        return i < len(line) and line[i] == point[-1]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PointView):
+            return self._lines == other._lines
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
 class Document:
     """The constructors and point storage shared by GridSet and BoundaryPair.
 
@@ -47,9 +94,10 @@ class Document:
     exactly once.
 
     A point field is stored once, as its line index (`lines`): sorted
-    lists, none of them empty, which nothing changes later.  Reading the
-    field builds its frozenset on first use and keeps it, so equality,
-    hashing and repr see the points.
+    lists of distinct values, none of them empty, which nothing changes
+    later, so the index is canonical.  Reading the field gives a
+    `PointView` of its index, made anew and never kept.  Documents
+    compare and hash by class, the other fields and the line indexes.
     """
 
     _point_fields: Tuple[Tuple[str, str], ...]
@@ -65,13 +113,12 @@ class Document:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         index = {}
         for name, label in self._point_fields:
-            pts = getattr(self, name)
+            pts = self.__dict__.pop(name)
             if not isinstance(pts, frozenset):
                 pts = frozenset(pts)
-                object.__setattr__(self, name, pts)
             check_on_grid(pts, self.dim, self.spacing, label)
             index[name] = lines_of(pts)
-        object.__setattr__(self, "_index", index)
+        self.__dict__["_index"] = index
 
     @classmethod
     def _trusted(cls, *values):
@@ -84,15 +131,24 @@ class Document:
         return self
 
     def __getattr__(self, name: str):
-        # Only a point field not yet read gets here: its points are
-        # built now, once.
+        # A point field is never stored: each read makes a view of its
+        # line index.
         try:
-            lines = self.__dict__["_index"][name]
+            return PointView(self.__dict__["_index"][name])
         except KeyError:
             raise AttributeError(name) from None
-        pts = points_of(lines.items())
-        object.__setattr__(self, name, pts)
-        return pts
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        state = dict(vars(self))
+        index = state.pop("_index")
+        return hash((*state.values(), *[
+            frozenset([(key, tuple(line)) for key, line in lines.items()])
+            for lines in index.values()]))
 
     def lines(self, name: str) -> Lines:
         """The line index of the point field `name`, each line a sorted
@@ -109,7 +165,7 @@ def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
     return dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet(Document):
     """A finite or cofinite subset of the grid spacing * Z^dim.
 
@@ -121,7 +177,7 @@ class GridSet(Document):
     dim: int
     spacing: int
     mode: Mode
-    points: FrozenSet[Point]
+    points: AbstractSet[Point]
 
     _point_fields = (("points", "point"),)
 
@@ -289,7 +345,7 @@ class Components(tuple):
 
 
 def components_within(window: Window, spacing: int,
-                      d0: FrozenSet[Point], d1: FrozenSet[Point], *,
+                      d0: AbstractSet[Point], d1: AbstractSet[Point], *,
                       lines: Optional[Tuple[Lines, Lines]] = None
                       ) -> Components:
     """Connected components of the window grid minus d0 and d1.

@@ -90,6 +90,7 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
     and right rays for dim == 1.  Each bounded component reports the
     runs of its own flood-filled points; the unbounded ones list none.
     """
+    d0, d1 = frozenset(d0), frozenset(d1)
     occupied = d0 | d1
     for p in occupied:
         if not all(lo + spacing <= c <= hi - spacing for lo, c, hi
@@ -193,10 +194,11 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
     """
     if max_len > MAX_BRUTE_LEN:
         raise ValueError(f"max_len {max_len} exceeds budget {MAX_BRUTE_LEN}")
-    if not pair.d0 or not pair.d1:
+    d0, d1 = frozenset(pair.d0), frozenset(pair.d1)
+    if not d0 or not d1:
         return True
     s = pair.spacing
-    occupied = pair.d0 | pair.d1
+    occupied = d0 | d1
     lower = tuple(min(p[j] for p in occupied) - s for j in range(pair.dim))
     upper = tuple(max(p[j] for p in occupied) + s for j in range(pair.dim))
     size = 1
@@ -211,7 +213,7 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
     }
 
     def reaches_d1(p: Point) -> bool:
-        return any(q in pair.d1 for q in _neighbors(p, s))
+        return any(q in d1 for q in _neighbors(p, s))
 
     def search(node: Point, depth: int, visited: Set[Point]) -> bool:
         # node is an interior point of a candidate path; depth counts
@@ -230,7 +232,7 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
                 visited.remove(q)
         return False
 
-    for x in sorted(pair.d0):
+    for x in sorted(d0):
         for u in _neighbors(x, s):
             if u in free:
                 if search(u, 1, {u}):

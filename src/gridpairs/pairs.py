@@ -12,14 +12,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import add
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from .geometry import Lines, Point, moore_offsets
 from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of_lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPair(Document):
     """Two disjoint finite point sets on a common grid.
 
@@ -30,8 +30,8 @@ class BoundaryPair(Document):
 
     dim: int
     spacing: int
-    d0: FrozenSet[Point]
-    d1: FrozenSet[Point]
+    d0: AbstractSet[Point]
+    d1: AbstractSet[Point]
 
     _point_fields = (("d0", "d0 point"), ("d1", "d1 point"))
 

@@ -295,7 +295,7 @@ def dist_point_set(point: Point, gridset: GridSet) -> Distance:
     # a nearest member q beyond them.  One grid step from q toward the
     # point brings every farthest axis nearer, since q is not the nearest
     # grid value on it, so that Moore neighbour of q is excluded.
-    excluded, spacing = gridset.points, gridset.spacing
+    excluded, spacing = frozenset(gridset.points), gridset.spacing
     radius = _nearest_on_grid_distance(point, spacing)
     if not ball_points(point, 2 * radius, spacing) <= excluded:
         return radius
@@ -314,6 +314,11 @@ def hausdorff_semi(first: GridSet, second: GridSet) -> Distance:
     if second.is_empty:
         return INFINITE
     if first.mode is Mode.FINITE:
+        if second.mode is Mode.FINITE:
+            # dist_point_set's finite case, with second's points listed once
+            stored = frozenset(second.points)
+            return max(min(chebyshev(p, q) for q in stored)
+                       for p in first.points)
         return max(dist_point_set(p, second) for p in first.points)
     if second.mode is Mode.FINITE:
         # A cofinite set has members arbitrarily far from any finite set.
@@ -340,7 +345,7 @@ def is_connected(gridset: GridSet) -> bool:
     """
     if gridset.mode is not Mode.FINITE or not gridset.points:
         raise ValueError("connectivity is defined for finite nonempty sets")
-    points = gridset.points
+    points = frozenset(gridset.points)
     return len(distance_map([min(points)], points, gridset.spacing)) \
         == len(points)
 

@@ -313,7 +313,7 @@ def test_criterion_7_best_approximation_oracle():
 
 def layer_by_inner_boundary_distance(M, k):
     s = M.spacing
-    b0 = boundary0(M).points
+    b0 = frozenset(boundary0(M).points)
     if not b0:
         return frozenset()
     lo = tuple(min(p[j] for p in b0) - (abs(k) + 1) * s for j in range(M.dim))

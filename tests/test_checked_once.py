@@ -3,8 +3,9 @@
 The parser and the public constructors check the dimension and grid
 alignment of every point.  Results the library builds skip that check,
 so these tests show that they would pass it, and that no CLI request
-runs it again on a result.  Documents store their line index alone, and
-the last test pins the CLI requests that build point tuples from it.
+runs it again on a result.  Documents store their line index alone,
+their point fields read as views of it, and the last tests pin that no
+CLI request builds point tuples from it.
 """
 
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given
 from gridpairs import geometry, gridset
 from gridpairs.cli import main
 from gridpairs.formats import parse_text, serialize
-from gridpairs.gridset import GridSet, complement
+from gridpairs.gridset import GridSet, PointView, complement
 from gridpairs.layers import layer, trace
 from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.pairs import BoundaryPair, reconstruct, validate
@@ -26,19 +27,24 @@ from conftest import fixture_path, fixture_text, two_clusters
 
 def assert_passes_public_checks(doc):
     """doc equals its rebuild through the public, checking constructor,
-    and its line index is canonical, which equality cannot see."""
+    its line index is canonical, which equality by index relies on, and
+    its point fields read as views of its points."""
+    points = {}
     for name, _ in doc._point_fields:
         for key, line in doc.lines(name).items():
             assert len(key) == doc.dim - 1
             assert type(line) is list and line
             assert all(a < b for a, b in zip(line, line[1:]))
             assert all(c % doc.spacing == 0 for c in line)
+        view = getattr(doc, name)
+        points[name] = geometry.points_of(doc.lines(name).items())
+        assert type(view) is PointView and view == points[name]
     if isinstance(doc, GridSet):
-        assert type(doc.points) is frozenset
-        assert GridSet(doc.dim, doc.spacing, doc.mode, doc.points) == doc
+        assert GridSet(doc.dim, doc.spacing, doc.mode,
+                       points["points"]) == doc
     else:
-        assert type(doc.d0) is frozenset and type(doc.d1) is frozenset
-        assert BoundaryPair(doc.dim, doc.spacing, doc.d0, doc.d1) == doc
+        assert BoundaryPair(doc.dim, doc.spacing, points["d0"],
+                            points["d1"]) == doc
         assert validate(doc).valid
     hash(doc)
 
@@ -130,11 +136,27 @@ def test_no_cli_request_rechecks_a_built_result(command, name, tmp_path,
     assert run() == expected
 
 
-#: Point tuples built per request: only `validate`'s component pass
-#: reads the frozensets of D0 and D1.
+#: Point tuples built per request: `validate`'s component pass is
+#: handed D0 and D1 as views of the line index, and reads the index.
 POINT_BUILDS = {"trace": 0, "restrict": 0, "interpolate": 0, "render": 0,
-                "validate": 2, "reconstruct": 2, "lift-restrict": 2,
-                "lift-interpolate": 2}
+                "validate": 0, "reconstruct": 0, "lift-restrict": 0,
+                "lift-interpolate": 0}
+
+
+def count_point_builds(monkeypatch):
+    """A list that gains an entry each time point tuples are built from
+    a line index: by `points_of` or by iterating a point view."""
+    calls = []
+
+    def counted(function):
+        def call(*args):
+            calls.append(1)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(gridset, "points_of", counted(gridset.points_of))
+    monkeypatch.setattr(PointView, "__iter__", counted(PointView.__iter__))
+    return calls
 
 
 @pytest.mark.parametrize("command, name, fmt", [
@@ -143,14 +165,7 @@ POINT_BUILDS = {"trace": 0, "restrict": 0, "interpolate": 0, "render": 0,
 def test_cli_requests_build_points_only_to_label_components(
         command, name, fmt, tmp_path, monkeypatch, capsys):
     argv = _argv(command, name, tmp_path, fmt)
-    original = gridset.points_of
-    calls = []
-
-    def counted(lines):
-        calls.append(1)
-        return original(lines)
-
-    monkeypatch.setattr(gridset, "points_of", counted)
+    calls = count_point_builds(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == POINT_BUILDS[command]
@@ -158,13 +173,7 @@ def test_cli_requests_build_points_only_to_label_components(
 
 def test_member_answers_from_the_line_index(monkeypatch):
     original = gridset.points_of
-    calls = []
-
-    def counted(lines):
-        calls.append(1)
-        return original(lines)
-
-    monkeypatch.setattr(gridset, "points_of", counted)
+    calls = count_point_builds(monkeypatch)
     for name in ("fig1a.grid", "fig3c.grid"):
         M = parse_text(fixture_text(name))
         s = M.spacing

@@ -234,6 +234,17 @@ BAD_DOCUMENTS = [
                   id="ascii-origin-off-grid")]
 
 
+@pytest.mark.parametrize("text", [
+    "#gridset v1 m=2 s=2 origin=0,0 mode=bogus\n0x\n",
+    "#coords v1 kind=gridset m=2 s=2 mode=bogus\nM 1 0\n",
+], ids=["ascii", "coords"])
+def test_the_mode_is_checked_with_the_header(text):
+    # before any record: the header's fault is the one reported
+    with pytest.raises(ParseError) as excinfo:
+        parse_text(text)
+    assert str(excinfo.value) == "unknown mode 'bogus' (line 1)"
+
+
 @pytest.mark.parametrize("text, line", BAD_DOCUMENTS)
 def test_parser_rejects_every_bad_record(text, line, tmp_path, capsys):
     # The parser is the only check that outside points get.

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 from dataclasses import fields
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gridpairs.gridset import (
     GridSet,
     Mode,
+    PointView,
     Window,
     complement,
     components_within,
@@ -25,7 +27,7 @@ from gridpairs.transfer import GridRatio, restrict
 
 from conftest import (INFINITE, chebyshev, dist_point_set, fixture_text,
                       grid_sets, hausdorff, hausdorff_semi, is_connected,
-                      labelling_cases)
+                      labelling_cases, two_clusters)
 from gridpairs import formats
 
 
@@ -337,18 +339,18 @@ class TestLineStorage:
             for fmt in fmts:
                 assert formats.serialize(by_lines(), fmt) == \
                     formats.serialize(expected, fmt)
-            # the same repr, up to the order a frozenset lists its points in
+            # the same repr: a view lists its points sorted
+            assert repr(by_lines()) == repr(expected)
             doc = by_lines()
-            shown = repr(doc)
             values = [getattr(doc, f.name) for f in fields(doc)]
-            assert shown == repr(type(doc)(*values))
             assert type(doc)(*values) == expected
             assert hash(by_lines()) == hash(expected)
             assert by_lines() == expected and expected == by_lines()
             doc = by_lines()
             for name in names:
-                assert type(getattr(doc, name)) is frozenset
-                assert getattr(doc, name) == getattr(expected, name)
+                view = getattr(doc, name)
+                assert type(view) is PointView
+                assert view == frozenset(getattr(expected, name))
                 assert expected.lines(name) == doc.lines(name)
             if isinstance(expected, GridSet):
                 assert complement(by_lines()) == complement(expected)
@@ -392,6 +394,118 @@ class TestLineStorage:
                     for name, _ in doc._point_fields:
                         assert copied.lines(name) == doc.lines(name)
                     assert copied == doc and hash(copied) == hash(doc)
+
+
+def view_cases():
+    """(dim, spacing, points) from grid_sets() and two_clusters()."""
+    return st.one_of(
+        grid_sets(),
+        two_clusters().map(lambda case: (case[0], 1, case[3])))
+
+
+class TestPointView:
+    """A point field reads as a view of its line index that behaves as
+    the frozenset of its points."""
+
+    @staticmethod
+    def documents(dim, s, points, mode=Mode.FINITE):
+        d0 = frozenset(sorted(points)[::2])
+        return [GridSet(dim, s, mode, points),
+                BoundaryPair(dim, s, d0, points - d0)]
+
+    @staticmethod
+    def queries(dim, s, points):
+        # the points, grid points next to them, off the grid, far away
+        # and, for tuples of another length, never on the set
+        near = set(points)
+        for p in sorted(points)[:8]:
+            near.update(tuple(c + d for c, d in zip(p, off))
+                        for off in product((-s, 0, s, 1), repeat=dim))
+        near.add((10**30,) * dim)
+        other = [(), (0,) * (dim + 1), *(p[:-1] for p in sorted(points)[:3]),
+                 *(p + (0,) for p in sorted(points)[:3])]
+        return near, other
+
+    @given(view_cases())
+    def test_behaves_as_the_frozenset_of_its_points(self, case):
+        dim, s, points = case
+        near, other = self.queries(dim, s, points)
+        extra = frozenset([(s * 10**25,) * dim])
+        for doc in self.documents(dim, s, points):
+            for name, _ in doc._point_fields:
+                view = getattr(doc, name)
+                frozen = frozenset(view)
+                listed = list(view)
+                assert len(listed) == len(frozen) == len(view)
+                assert bool(view) == bool(frozen)
+                assert all((q in view) == (q in frozen) for q in near)
+                assert not any(q in view for q in other)
+                assert view == frozen and frozen == view
+                assert not (view != frozen or frozen != view)
+                bigger = frozen | extra
+                assert view != bigger and bigger != view
+                assert not (view == bigger or bigger == view)
+                assert view == getattr(doc, name)
+                assert hash(view) == hash(frozen)
+                some = frozenset(sorted(near)[::3]) | extra
+                for got, expected in [
+                        (view | some, frozen | some),
+                        (view & some, frozen & some),
+                        (view - some, frozen - some),
+                        (view ^ some, frozen ^ some),
+                        (some | view, some | frozen),
+                        (some & view, some & frozen),
+                        (some - view, some - frozen),
+                        (some ^ view, some ^ frozen)]:
+                    assert type(got) is set and got == expected
+                assert view <= frozen and frozen <= view
+                assert view <= bigger and not bigger <= view
+                assert (view <= some) == (frozen <= some)
+                assert (some <= view) == (some <= frozen)
+                grown = set()
+                grown |= view
+                assert type(grown) is set and grown == frozen
+                grown.update(extra)
+                assert grown == bigger
+
+    @given(grid_sets(), st.booleans())
+    def test_documents_compare_as_their_points(self, case, cofinite):
+        dim, s, points = case
+        fmts = formats.FORMATS if dim == 2 else (formats.COORDS,)
+        mode = Mode.COFINITE if cofinite else Mode.FINITE
+
+        def key(doc):
+            return (type(doc), doc.dim, doc.spacing,
+                    getattr(doc, "mode", None),
+                    [frozenset(getattr(doc, name))
+                     for name, _ in doc._point_fields])
+
+        docs = []
+        for doc in self.documents(dim, s, points, mode):
+            if isinstance(doc, GridSet):
+                docs += [complement(doc), complement(complement(doc))]
+            docs += [doc, copy.copy(doc), copy.deepcopy(doc),
+                     pickle.loads(pickle.dumps(doc)),
+                     *(formats.parse_text(formats.serialize(doc, fmt))
+                       for fmt in fmts)]
+        docs += [GridSet(dim, 2 * s, mode, {tuple(2 * c for c in p)
+                                            for p in points}),
+                 GridSet(dim, s, mode, points | {(s * 10**25,) * dim})]
+        keys = [key(doc) for doc in docs]
+        for doc, doc_key in zip(docs, keys):
+            stored = dict(vars(doc))
+            for first, first_key in zip(docs, keys):
+                same = doc_key == first_key
+                assert (doc == first) == same and (doc != first) != same
+                if same:
+                    assert hash(doc) == hash(first)
+            assert vars(doc) == stored
+        views = [getattr(doc, name) for doc in docs
+                 for name, _ in doc._point_fields]
+        frozen = [frozenset(view) for view in views]
+        for view, points in zip(views, frozen):
+            for other, other_points in zip(views, frozen):
+                assert (view == other) == (points == other_points)
 
 
 class TestRunKernelAgainstFloodFill:

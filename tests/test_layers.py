@@ -38,7 +38,7 @@ def layer_by_definition(gridset, k):
     within |k| - 1 steps.
     """
     s = gridset.spacing
-    b0 = boundary0(gridset).points
+    b0 = frozenset(boundary0(gridset).points)
     if not b0:
         return frozenset()
     want = abs(k) * s
@@ -226,7 +226,8 @@ class TestStructuralIdentities:
             M = random_gridset(rng)
             if M.is_empty or M.is_full_grid:
                 continue
-            b0, b1 = boundary0(M).points, boundary1(M).points
+            b0 = frozenset(boundary0(M).points)
+            b1 = frozenset(boundary1(M).points)
             lo = tuple(min(p[j] for p in M.points) - 2 for j in range(2))
             hi = tuple(max(p[j] for p in M.points) + 2 for j in range(2))
             for cell in Window(lo, hi).grid_points(1):
@@ -266,7 +267,7 @@ def layer_by_distance_map(M, k):
     # points from the members next to them
     if k <= 0:
         M, k = complement(M), 1 - k
-    s, stored = M.spacing, M.points
+    s, stored = M.spacing, frozenset(M.points)
     if M.mode is Mode.FINITE:
         dmap = distance_map(stored, None, s, limit=k * s)
     else:
