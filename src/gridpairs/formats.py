@@ -217,9 +217,9 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
     """The lower corner of the document's marks and its grid, one
     character per `unit` fine units, each row ending in a newline."""
     if isinstance(doc, GridSet):
-        marks = [(ord("0"), doc.lines("points"))]
+        marks = [(ord("0"), doc.points.lines)]
     else:
-        l0, l1 = doc.lines("d0"), doc.lines("d1")
+        l0, l1 = doc.d0.lines, doc.d1.lines
         if any(not set(l0[key]).isdisjoint(l1[key])
                for key in l0.keys() & l1.keys()):
             raise ValueError(
@@ -292,11 +292,11 @@ def serialize_coords(doc: Document) -> str:
     if isinstance(doc, GridSet):
         header = (f"#coords v1 kind=gridset m={doc.dim} s={doc.spacing} "
                   f"mode={doc.mode.value}")
-        body = _coords_records("M", doc.lines("points"))
+        body = _coords_records("M", doc.points.lines)
     else:
         header = f"#coords v1 kind=gridpair m={doc.dim} s={doc.spacing}"
-        body = (_coords_records("D0", doc.lines("d0"))
-                + _coords_records("D1", doc.lines("d1")))
+        body = (_coords_records("D0", doc.d0.lines)
+                + _coords_records("D1", doc.d1.lines))
     return "\n".join([header] + body) + "\n"
 
 

@@ -17,11 +17,14 @@ The line index is the one stored form of a document's points
 operations read it and return their results as line indexes
 (`sorted_lines`), and the writers write from it, so point tuples are
 built only where points are listed (`points_of`, or iterating a
-document's `gridset.PointView`).
+`PointView`, the set view of a line index that each point field of a
+document holds).
 """
 
 from __future__ import annotations
 
+import collections.abc
+from bisect import bisect_left
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, product
@@ -71,8 +74,57 @@ def grid_range(lo: int, hi: int, spacing: int) -> range:
                  hi // spacing * spacing + 1, spacing)
 
 
+class PointView(collections.abc.Set):
+    """A read-only set view of the points of a line index (`lines`),
+    like `dict.keys()`.
+
+    Its length sums the line lengths, `in` is one dict lookup and one
+    bisection, and iteration goes line by line; the set operators return
+    plain sets.  Views of canonical indexes compare by their lines, and
+    the repr lists the points sorted.
+    """
+
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: Lines):
+        self.lines = lines
+
+    @classmethod
+    def _from_iterable(cls, points: Iterable[Point]) -> set:
+        return set(points)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.lines.values()))
+
+    def __iter__(self) -> Iterator[Point]:
+        for key, line in self.lines.items():
+            for c in line:
+                yield key + (c,)
+
+    def __contains__(self, point: object) -> bool:
+        if not isinstance(point, tuple) or not point:
+            return False
+        line = self.lines.get(point[:-1], ())
+        i = bisect_left(line, point[-1])
+        return i < len(line) and line[i] == point[-1]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PointView):
+            return self.lines == other.lines
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
 def lines_of(points: Iterable[Point]) -> Lines:
-    """The line index of a set of points, each line a sorted list."""
+    """The line index of a set of points, each line a sorted list; of a
+    view, its own index, which the caller must not change."""
+    if isinstance(points, PointView):
+        return points.lines
     lines: DefaultDict[Point, List[int]] = defaultdict(list)
     for p in points:
         lines[p[:-1]].append(p[-1])
@@ -233,13 +285,14 @@ def check_on_grid(points: Collection[Point], dim: int, spacing: int,
     """
     types = set(map(type, chain.from_iterable(points)))
     if (set(map(len, points)) <= {dim}
-            and all(issubclass(t, int) for t in types)
+            and all(t is not bool and issubclass(t, int) for t in types)
             and not any(map(spacing.__rmod__, chain.from_iterable(points)))):
         return
     for p in points:
         if len(p) != dim:
             raise ValueError(f"{what} {p} has dimension {len(p)}, expected {dim}")
-        if not all(isinstance(c, int) for c in p):
+        if not all(isinstance(c, int) and not isinstance(c, bool)
+                   for c in p):
             raise ValueError(f"{what} {p} has a coordinate that is not an "
                              f"integer")
         if any(c % spacing for c in p):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Set
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import add
@@ -22,6 +21,7 @@ from typing import (AbstractSet, Callable, Container, Dict,
 from .geometry import (
     Lines,
     Point,
+    PointView,
     box_grid_points,
     check_on_grid,
     grid_range,
@@ -37,52 +37,6 @@ class Mode(enum.Enum):
     COFINITE = "cofinite"
 
 
-class PointView(Set):
-    """A read-only set view of the points of a line index, like
-    `dict.keys()`.
-
-    Its length sums the line lengths, `in` is one dict lookup and one
-    bisection, and iteration goes line by line; the set operators return
-    plain sets.  Views of canonical indexes compare by their lines, and
-    the repr lists the points sorted.
-    """
-
-    __slots__ = ("_lines",)
-
-    def __init__(self, lines: Lines):
-        self._lines = lines
-
-    @classmethod
-    def _from_iterable(cls, points: Iterable[Point]) -> set:
-        return set(points)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._lines.values()))
-
-    def __iter__(self) -> Iterator[Point]:
-        for key, line in self._lines.items():
-            for c in line:
-                yield key + (c,)
-
-    def __contains__(self, point: object) -> bool:
-        if not isinstance(point, tuple) or not point:
-            return False
-        line = self._lines.get(point[:-1], ())
-        i = bisect_left(line, point[-1])
-        return i < len(line) and line[i] == point[-1]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PointView):
-            return self._lines == other._lines
-        return super().__eq__(other)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({sorted(self)!r})"
-
-
 class Document:
     """The constructors and point storage shared by GridSet and BoundaryPair.
 
@@ -93,32 +47,28 @@ class Document:
     use `_trusted`, which skips these checks: outside points are checked
     exactly once.
 
-    A point field is stored once, as its line index (`lines`): sorted
-    lists of distinct values, none of them empty, which nothing changes
-    later, so the index is canonical.  Reading the field gives a
-    `PointView` of its index, made anew and never kept.  Documents
-    compare and hash by class, the other fields and the line indexes.
+    A point field is stored once, as a `PointView` of its line index
+    (`doc.<field>.lines`): sorted lists of distinct values, none of them
+    empty, which nothing changes later, so the index is canonical and
+    documents compare and hash by their fields.
     """
 
     _point_fields: Tuple[Tuple[str, str], ...]
-    _index: Dict[str, Lines]
 
     def __post_init__(self) -> None:
         for name, value in (("dim", self.dim), ("spacing", self.spacing)):
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dim}")
         if self.spacing < 1:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        index = {}
         for name, label in self._point_fields:
-            pts = self.__dict__.pop(name)
+            pts = getattr(self, name)
             if not isinstance(pts, frozenset):
                 pts = frozenset(pts)
             check_on_grid(pts, self.dim, self.spacing, label)
-            index[name] = lines_of(pts)
-        self.__dict__["_index"] = index
+            object.__setattr__(self, name, PointView(lines_of(pts)))
 
     @classmethod
     def _trusted(cls, *values):
@@ -126,34 +76,9 @@ class Document:
         # as its line index; skips __post_init__.
         self = object.__new__(cls)
         self.__dict__.update(zip([f.name for f in fields(cls)], values))
-        self.__dict__["_index"] = {name: self.__dict__.pop(name)
-                                   for name, _ in cls._point_fields}
+        for name, _ in cls._point_fields:
+            self.__dict__[name] = PointView(self.__dict__[name])
         return self
-
-    def __getattr__(self, name: str):
-        # A point field is never stored: each read makes a view of its
-        # line index.
-        try:
-            return PointView(self.__dict__["_index"][name])
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        state = dict(vars(self))
-        index = state.pop("_index")
-        return hash((*state.values(), *[
-            frozenset([(key, tuple(line)) for key, line in lines.items()])
-            for lines in index.values()]))
-
-    def lines(self, name: str) -> Lines:
-        """The line index of the point field `name`, each line a sorted
-        list; read-only, since other documents may share it."""
-        return self._index[name]
 
 
 def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
@@ -165,7 +90,7 @@ def dim_of(points: AbstractSet[Point], dim: Optional[int], what: str) -> int:
     return dim
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSet(Document):
     """A finite or cofinite subset of the grid spacing * Z^dim.
 
@@ -203,11 +128,11 @@ class GridSet(Document):
 
     @property
     def is_empty(self) -> bool:
-        return self.mode is Mode.FINITE and not self.lines("points")
+        return self.mode is Mode.FINITE and not self.points.lines
 
     @property
     def is_full_grid(self) -> bool:
-        return self.mode is Mode.COFINITE and not self.lines("points")
+        return self.mode is Mode.COFINITE and not self.points.lines
 
 
 @dataclass(frozen=True)
@@ -266,22 +191,19 @@ def window_of_lines(*indexes: Lines) -> Window:
 def member(gridset: GridSet, point: Point) -> bool:
     """Membership under the finite/cofinite semantics.
 
-    The query point must lie on the set's grid.  It is looked up on its
-    line of the set's line index: one dict lookup and one bisection.
+    The query point must lie on the set's grid.  It is looked up in the
+    stored points' view: one dict lookup and one bisection.
     """
     point = tuple(point)
     check_on_grid((point,), gridset.dim, gridset.spacing)
-    line = gridset.lines("points").get(point[:-1], ())
-    i = bisect_left(line, point[-1])
-    stored = i < len(line) and line[i] == point[-1]
-    return stored if gridset.mode is Mode.FINITE else not stored
+    return (point in gridset.points) is (gridset.mode is Mode.FINITE)
 
 
 def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
     return GridSet._trusted(gridset.dim, gridset.spacing, mode,
-                            gridset.lines("points"))
+                            gridset.points.lines)
 
 
 def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
@@ -345,8 +267,7 @@ class Components(tuple):
 
 
 def components_within(window: Window, spacing: int,
-                      d0: AbstractSet[Point], d1: AbstractSet[Point], *,
-                      lines: Optional[Tuple[Lines, Lines]] = None
+                      d0: AbstractSet[Point], d1: AbstractSet[Point]
                       ) -> Components:
     """Connected components of the window grid minus d0 and d1.
 
@@ -361,8 +282,8 @@ def components_within(window: Window, spacing: int,
     grid step, so that all relevant adjacencies are realized inside it.
 
     Everything is decided on one line index of d0 and of d1, each line
-    sorted; a caller that holds that index already may hand it over as
-    `lines`, and then d0 and d1 are not read.  A line is the set of
+    sorted, from `lines_of`, which hands over a view's own index, so
+    nothing is rebuilt from a document's fields.  A line is the set of
     window cells sharing their first m-1 coordinates.  The frame
     check reads the extents of the keys and the ends of the lines.  A
     run is a maximal stretch of free cells along the last axis.  Only
@@ -388,7 +309,7 @@ def components_within(window: Window, spacing: int,
     either end of the window lies in that end's ray.
     """
     s = spacing
-    l0, l1 = (lines_of(d0), lines_of(d1)) if lines is None else lines
+    l0, l1 = lines_of(d0), lines_of(d1)
     keys = l0.keys() | l1.keys()
     if keys:
         box = window_of_lines(l0, l1)

@@ -25,14 +25,14 @@ def boundary0(gridset: GridSet) -> GridSet:
     """
     if gridset.is_empty:
         return gridset
-    return _finite(gridset, trace(gridset).lines("d0").items())
+    return _finite(gridset, trace(gridset).d0.lines.items())
 
 
 def boundary1(gridset: GridSet) -> GridSet:
     """Non-members at distance exactly one step from the set."""
     if gridset.is_empty:
         return gridset
-    return _finite(gridset, trace(gridset).lines("d1").items())
+    return _finite(gridset, trace(gridset).d1.lines.items())
 
 
 def layer(gridset: GridSet, k: int) -> GridSet:
@@ -53,7 +53,7 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     if k <= 0:
         gridset, k = complement(gridset), 1 - k
     s = gridset.spacing
-    near, reach = gridset.lines("points"), 2 * (k - 1) * s
+    near, reach = gridset.points.lines, 2 * (k - 1) * s
     if gridset.mode is Mode.FINITE:
         if k > 1:
             near = dict(dilate(near, reach, s))
@@ -73,7 +73,7 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    inner, outer = map(sorted_lines, ring(gridset.lines("points"),
+    inner, outer = map(sorted_lines, ring(gridset.points.lines,
                                           gridset.spacing))
     if gridset.mode is Mode.FINITE:
         d0, d1 = inner, outer

@@ -53,7 +53,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     if components is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
     step = 2 * n
-    l0, l1 = pair.lines("d0"), pair.lines("d1")
+    l0, l1 = pair.d0.lines, pair.d1.lines
     near = dict(dilate(l0, n, n))
     out1: Lines = {}
     for key, line in difference(dilate(near, step, n), near):
@@ -84,7 +84,7 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
-    d0, d1 = pair.lines("d0"), pair.lines("d1")
+    d0, d1 = pair.d0.lines, pair.d1.lines
     near0, near1 = dict(dilate(d0, n, 1)), dict(dilate(d1, n, 1))
     out1 = difference(intersection(dilate(d0, n + 2, 1), near1), near0)
     if n % 2 == 0:

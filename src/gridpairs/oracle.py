@@ -9,11 +9,13 @@ oracles may be exponential; they enforce explicit budgets.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections import deque
 from itertools import product
 from typing import FrozenSet, List, Set, Tuple
 
+from .formats import ASCII_CELL_BUDGET
 from .geometry import Point
 from .gridset import Component, GridSet, Mode, Window, distance_map
 from .layers import trace
@@ -41,16 +43,32 @@ def random_set(window: Window, density: float, seed: int,
     drawn from a Mersenne Twister (random.Random) seeded with
     seed * 1_000_003 + attempt; an empty draw is retried with the next
     attempt counter, so the result is nonempty and reproducible.
+
+    Over c grid points, the attempts draw c / (1 - (1 - density)^c)
+    cells in expectation; a request expecting more than
+    `formats.ASCII_CELL_BUDGET` is refused before any draw.
     """
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    cells = list(window.grid_points(spacing))
+    if spacing < 1:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    cells = math.prod(max(0, hi // spacing + (-lo) // spacing + 1)
+                      for lo, hi in zip(window.lower, window.upper))
     if not cells:
         raise ValueError("window contains no grid points")
+    draws = cells
+    if density < 1 and cells <= ASCII_CELL_BUDGET:
+        # the chance of a nonempty draw, exact for tiny densities
+        draws = cells / -math.expm1(cells * math.log1p(-density))
+    if draws > ASCII_CELL_BUDGET:
+        raise ValueError(
+            f"a window of {cells} grid points at density {density:g} "
+            f"expects more than {ASCII_CELL_BUDGET} cell draws")
     attempt = 0
     while True:
         rng = random.Random(seed * 1_000_003 + attempt)
-        points = frozenset(p for p in cells if rng.random() < density)
+        points = frozenset(p for p in window.grid_points(spacing)
+                           if rng.random() < density)
         if points:
             return GridSet(window.dim, spacing, Mode.FINITE, points)
         attempt += 1

@@ -19,7 +19,7 @@ from .gridset import (Components, Document, GridSet, Mode, components_within,
                       dim_of, window_of_lines)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BoundaryPair(Document):
     """Two disjoint finite point sets on a common grid.
 
@@ -44,7 +44,7 @@ class BoundaryPair(Document):
 
     @property
     def is_empty(self) -> bool:
-        return not self.lines("d0") and not self.lines("d1")
+        return not self.d0.lines and not self.d1.lines
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def _checked(pair: BoundaryPair) -> AxiomReport:
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
-    l0, l1 = pair.lines("d0"), pair.lines("d1")
+    l0, l1 = pair.d0.lines, pair.d1.lines
     nonempty = _PASS if l0 and l1 else AxiomCheck(False)
 
     overlap = [key + (c,) for key in l0.keys() & l1.keys()
@@ -147,8 +147,7 @@ def _checked(pair: BoundaryPair) -> AxiomReport:
 
     s = pair.spacing
     window = window_of_lines(l0, l1).inflate(s)
-    components = components_within(window, s, pair.d0, pair.d1,
-                                   lines=(l0, l1))
+    components = components_within(window, s, pair.d0, pair.d1)
     d0_touches_d1 = _touches(l0, l1, pair.dim, s)
     d1_touches_d0 = _touches(l1, l0, pair.dim, s)
 
@@ -217,7 +216,7 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
         if comp.adjacent_d0 != cofinite:
             for key, a, b in comp.runs:
                 grown[key].extend(range(a, b + 1, pair.spacing))
-    lines = dict(pair.lines(name))
+    lines = dict(getattr(pair, name).lines)
     for key, line in grown.items():
         line.extend(lines.get(key, ()))
         line.sort()

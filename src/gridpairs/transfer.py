@@ -65,7 +65,7 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     # stored point.  A cofinite set moves by erosion of the excluded
     # points: a target point is excluded when its (never empty) ball on
     # the source grid is.
-    lines = gridset.lines("points")
+    lines = gridset.points.lines
     if gridset.mode is Mode.FINITE:
         moved = dilate(lines, n, target_spacing)
     else:

@@ -3,9 +3,9 @@
 The parser and the public constructors check the dimension and grid
 alignment of every point.  Results the library builds skip that check,
 so these tests show that they would pass it, and that no CLI request
-runs it again on a result.  Documents store their line index alone,
-their point fields read as views of it, and the last tests pin that no
-CLI request builds point tuples from it.
+runs it again on a result.  Documents store each point field as a
+view of its line index, and the last tests pin that no CLI request
+builds point tuples from it.
 """
 
 import sys
@@ -28,17 +28,19 @@ from conftest import fixture_path, fixture_text, two_clusters
 def assert_passes_public_checks(doc):
     """doc equals its rebuild through the public, checking constructor,
     its line index is canonical, which equality by index relies on, and
-    its point fields read as views of its points."""
+    each point field stores a view of its points, which reading returns."""
     points = {}
     for name, _ in doc._point_fields:
-        for key, line in doc.lines(name).items():
+        view = getattr(doc, name)
+        assert type(view) is PointView and vars(doc)[name] is view
+        assert geometry.lines_of(view) is view.lines
+        for key, line in view.lines.items():
             assert len(key) == doc.dim - 1
             assert type(line) is list and line
             assert all(a < b for a, b in zip(line, line[1:]))
             assert all(c % doc.spacing == 0 for c in line)
-        view = getattr(doc, name)
-        points[name] = geometry.points_of(doc.lines(name).items())
-        assert type(view) is PointView and view == points[name]
+        points[name] = geometry.points_of(view.lines.items())
+        assert view == points[name]
     if isinstance(doc, GridSet):
         assert GridSet(doc.dim, doc.spacing, doc.mode,
                        points["points"]) == doc
@@ -177,11 +179,11 @@ def test_member_answers_from_the_line_index(monkeypatch):
     for name in ("fig1a.grid", "fig3c.grid"):
         M = parse_text(fixture_text(name))
         s = M.spacing
-        box = gridset.window_of_lines(M.lines("points")).inflate(s)
+        box = gridset.window_of_lines(M.points.lines).inflate(s)
         queries = list(box.grid_points(s))
         answers = [gridset.member(M, q) for q in queries]
         flipped = [gridset.member(complement(M), q) for q in queries]
         assert not calls
-        stored = original(M.lines("points").items())
+        stored = original(M.points.lines.items())
         assert answers == [q in stored for q in queries]
         assert flipped == [q not in stored for q in queries]

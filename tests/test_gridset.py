@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridpairs.geometry import lines_of
 from gridpairs.gridset import (
     GridSet,
     Mode,
@@ -303,7 +304,7 @@ def component_key(comp):
 
 
 def line_index(points):
-    # Built here, independently of Document.lines: sorted lists by key.
+    # Built here, independently of geometry.lines_of: sorted lists by key.
     lines = {}
     for p in sorted(points):
         lines.setdefault(p[:-1], []).append(p[-1])
@@ -349,9 +350,10 @@ class TestLineStorage:
             doc = by_lines()
             for name in names:
                 view = getattr(doc, name)
-                assert type(view) is PointView
+                assert type(view) is PointView and vars(doc)[name] is view
+                assert lines_of(view) is view.lines
                 assert view == frozenset(getattr(expected, name))
-                assert expected.lines(name) == doc.lines(name)
+                assert getattr(expected, name).lines == view.lines
             if isinstance(expected, GridSet):
                 assert complement(by_lines()) == complement(expected)
                 assert (by_lines().is_empty, by_lines().is_full_grid) == \
@@ -370,7 +372,7 @@ class TestLineStorage:
         window = window_of_lines(l0, l1).inflate(s)
         assert window == window_of(points).inflate(s)
         built = components_within(window, s, d0, d1)
-        handed = components_within(window, s, d0, d1, lines=(l0, l1))
+        handed = components_within(window, s, PointView(l0), PointView(l1))
         assert [component_key(c) for c in handed] == \
             [component_key(c) for c in built]
 
@@ -382,7 +384,7 @@ class TestLineStorage:
             return doc
 
         for by_points, by_lines in self.documents(case, cofinite):
-            # unpickling reaches __getattr__ before the state is restored
+            # each clone restores the stored views, read or not
             for clone in (copy.copy, copy.deepcopy,
                           lambda doc: pickle.loads(pickle.dumps(doc))):
                 kinds = [by_lines(), read(by_lines()), by_points()]
@@ -392,7 +394,8 @@ class TestLineStorage:
                     copied = clone(doc)
                     assert vars(copied).keys() == vars(doc).keys()
                     for name, _ in doc._point_fields:
-                        assert copied.lines(name) == doc.lines(name)
+                        assert getattr(copied, name).lines == \
+                            getattr(doc, name).lines
                     assert copied == doc and hash(copied) == hash(doc)
 
 
@@ -591,6 +594,12 @@ def test_window_grid_points_rejects_nonpositive_spacing(spacing):
     (lambda: GridRatio(2.5), "2.5"),
     (lambda: GridRatio(2.0), "2.0"),
     (lambda: Window((0, 0), (1.5, 2)), "1.5"),
+    (lambda: GridSet(True, 1, Mode.FINITE, [(0,)]), "dim must be an integer"),
+    (lambda: GridSet(2, True, Mode.FINITE, [(0, 0)]),
+     "spacing must be an integer"),
+    (lambda: BoundaryPair.of([(0, False)], [(1, 0)]), "(0, False)"),
+    (lambda: member(GridSet.finite([(1, 0)]), (True, False)),
+     "(True, False)"),
 ])
 def test_non_integer_values_are_rejected(build, named):
     with pytest.raises(ValueError, match=re.escape(named)):

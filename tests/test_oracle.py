@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from gridpairs import formats
+from gridpairs.cli import main
 from gridpairs.gridset import GridSet, Window
 from gridpairs.layers import trace
 from gridpairs.oracle import (
@@ -56,6 +58,29 @@ class TestRandomSet:
     def test_degenerate_window(self):
         with pytest.raises(ValueError):
             random_set(Window((1, 1), (1, 1)), 0.5, seed=1, spacing=2)
+
+    @pytest.mark.parametrize("window, density, cells", [
+        # about 10^8 cells to list and draw, and a draw that is
+        # never nonempty: both refused before any draw
+        (Window((0, 0), (9999, 9999)), 0.001, 10**8),
+        (Window((0, 0), (3, 3)), 1e-300, 16),
+    ])
+    def test_refuses_draws_over_the_budget(self, window, density, cells):
+        with pytest.raises(ValueError, match=f"window of {cells} grid points"):
+            random_set(window, density, seed=1)
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("--window 0,0:255,255 --density 0.5 --seed 7",
+         "e1883105aeb17c75dbeb4f103af4a8744c0609e173ca14253b691f076f87afc2"),
+        # empty at attempts 0 and 1, two points at attempt 2
+        ("--window 0,0,0:8,8,8 --spacing 2 --density 0.01 --seed 18 "
+         "--format coords",
+         "1e0ac4a8132c73e5f150aa3b552140629f100b424ad6324f97dbcceb3b40675a"),
+    ])
+    def test_pinned_draws(self, argv, digest, capsys):
+        assert main(["random", *argv.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestLiftedViaFull:
