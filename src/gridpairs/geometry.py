@@ -43,6 +43,11 @@ Lines = Dict[Point, Collection[int]]
 LineStream = Iterable[Tuple[Point, Collection[int]]]
 
 
+def is_integer(value: object) -> bool:
+    """Whether value is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @lru_cache(maxsize=None)
 def moore_offsets(dim: int, spacing: int) -> Tuple[Point, ...]:
     """The 3^m - 1 nonzero offsets with entries in {-spacing, 0, spacing}."""
@@ -81,13 +86,15 @@ class PointView(collections.abc.Set):
     Its length sums the line lengths, `in` is one dict lookup and one
     bisection, and iteration goes line by line; the set operators return
     plain sets.  Views of canonical indexes compare by their lines, and
-    the repr lists the points sorted.
+    the repr lists the points sorted.  The hash is that of the frozenset
+    of the points, computed on first use and kept.
     """
 
-    __slots__ = ("lines",)
+    __slots__ = ("lines", "_hash")
 
     def __init__(self, lines: Lines):
         self.lines = lines
+        self._hash = None
 
     @classmethod
     def _from_iterable(cls, points: Iterable[Point]) -> set:
@@ -114,7 +121,9 @@ class PointView(collections.abc.Set):
         return super().__eq__(other)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self))
+        if self._hash is None:
+            self._hash = hash(frozenset(self))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"
@@ -291,17 +300,8 @@ def check_on_grid(points: Collection[Point], dim: int, spacing: int,
     for p in points:
         if len(p) != dim:
             raise ValueError(f"{what} {p} has dimension {len(p)}, expected {dim}")
-        if not all(isinstance(c, int) and not isinstance(c, bool)
-                   for c in p):
+        if not all(map(is_integer, p)):
             raise ValueError(f"{what} {p} has a coordinate that is not an "
                              f"integer")
         if any(c % spacing for c in p):
             raise ValueError(f"{what} {p} is off the spacing-{spacing} grid")
-
-
-def box_grid_points(lower: Point, upper: Point, spacing: int) -> Iterator[Point]:
-    """All points of the spacing-grid inside the inclusive box [lower, upper]."""
-    if spacing < 1:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    return product(*[grid_range(lo, hi, spacing)
-                     for lo, hi in zip(lower, upper)])

@@ -13,7 +13,7 @@ import enum
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, product
 from operator import add
 from typing import (AbstractSet, Callable, Container, Dict,
                     Iterable, Iterator, List, Optional, Tuple)
@@ -22,9 +22,9 @@ from .geometry import (
     Lines,
     Point,
     PointView,
-    box_grid_points,
     check_on_grid,
     grid_range,
+    is_integer,
     lines_of,
     moore_neighbors,
     moore_offsets,
@@ -40,9 +40,9 @@ class Mode(enum.Enum):
 class Document:
     """The constructors and point storage shared by GridSet and BoundaryPair.
 
-    The public constructors check the dimension, the spacing and the
-    grid alignment of every point field, named with its label in
-    `_point_fields`.  The parser checks each record as it reads it, and
+    The public constructors check the dimension, the spacing, a
+    GridSet's mode and the grid alignment of every point field, named
+    with its label in `_point_fields`.  The parser checks each record as it reads it, and
     the library builds its results from points it made itself, so both
     use `_trusted`, which skips these checks: outside points are checked
     exactly once.
@@ -57,7 +57,7 @@ class Document:
 
     def __post_init__(self) -> None:
         for name, value in (("dim", self.dim), ("spacing", self.spacing)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dim}")
@@ -106,6 +106,11 @@ class GridSet(Document):
 
     _point_fields = (("points", "point"),)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        super().__post_init__()
+
     @classmethod
     def finite(cls, points: Iterable[Point], spacing: int = 1,
                dim: Optional[int] = None) -> "GridSet":
@@ -143,7 +148,7 @@ class Window:
     upper: Point
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in chain(self.lower, self.upper)):
+        if not all(map(is_integer, chain(self.lower, self.upper))):
             raise ValueError(f"window corners {self.lower}..{self.upper} "
                              f"are not integer points")
         if len(self.lower) != len(self.upper):
@@ -166,7 +171,11 @@ class Window:
                    for lo, c, hi in zip(self.lower, point, self.upper))
 
     def grid_points(self, spacing: int) -> Iterator[Point]:
-        return box_grid_points(self.lower, self.upper, spacing)
+        """All points of the spacing-grid inside the window."""
+        if spacing < 1:
+            raise ValueError(f"spacing must be positive, got {spacing}")
+        return product(*[grid_range(lo, hi, spacing)
+                         for lo, hi in zip(self.lower, self.upper)])
 
 
 def window_of(points: Iterable[Point]) -> Window:

@@ -14,7 +14,7 @@ their results as line indexes.
 from __future__ import annotations
 
 from .geometry import Lines, difference, dilate, intersection, sorted_lines
-from .pairs import AxiomReport, BoundaryPair, InvalidPairError, validate
+from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
 
@@ -22,10 +22,7 @@ def _require_valid(pair: BoundaryPair, spacing: int, role: str) -> AxiomReport:
     if pair.spacing != spacing:
         raise ValueError(
             f"{role} expects a pair with spacing {spacing}, got {pair.spacing}")
-    report = validate(pair)
-    if not report.valid:
-        raise InvalidPairError(report)
-    return report
+    return require_valid(pair)
 
 
 def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:

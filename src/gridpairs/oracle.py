@@ -1,8 +1,10 @@
 """Brute-force reference implementations and random instance generators.
 
 Everything here is deliberately independent of the efficient code paths
-it is used to check: distances and adjacencies are recomputed from
-scratch, even where the library offers the same functionality.  The
+it is used to check.  The references traverse the grid point by point
+with `gridset.distance_map` and `geometry.moore_neighbors`, which no
+operation calls, so the differential tests compare the run labelling
+and the line kernels against a traversal they do not share.  The
 oracles may be exponential; they enforce explicit budgets.
 """
 
@@ -11,12 +13,10 @@ from __future__ import annotations
 import enum
 import math
 import random
-from collections import deque
-from itertools import product
 from typing import FrozenSet, List, Set, Tuple
 
 from .formats import ASCII_CELL_BUDGET
-from .geometry import Point
+from .geometry import Point, moore_neighbors
 from .gridset import Component, GridSet, Mode, Window, distance_map
 from .layers import trace
 from .pairs import BoundaryPair, reconstruct
@@ -89,15 +89,6 @@ def lifted_via_full(pair: BoundaryPair, ratio: GridRatio,
     return trace(moved)
 
 
-def _neighbors(p: Point, spacing: int) -> List[Point]:
-    deltas = (-spacing, 0, spacing)
-    return [
-        tuple(c + d for c, d in zip(p, combo))
-        for combo in product(deltas, repeat=len(p))
-        if any(combo)
-    ]
-
-
 def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
                    d1: FrozenSet[Point]) -> Tuple[Component, ...]:
     """Reference for `gridset.components_within`: a flood fill per cell.
@@ -122,29 +113,19 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
     axis_lo = tuple(min(c[j] for c in cells) for j in range(window.dim))
     axis_hi = tuple(max(c[j] for c in cells) for j in range(window.dim))
 
-    cell_set = set(cells)
-    seen = set(occupied)
+    free = set(cells).difference(occupied)
     raw = []
     for seed in cells:
-        if seed in seen:
+        if seed not in free:
             continue
-        comp = []
-        touches_lo = touches_hi = False
-        adj0 = adj1 = False
-        queue = deque([seed])
-        seen.add(seed)
-        while queue:
-            p = queue.popleft()
-            comp.append(p)
-            touches_lo |= any(c == lo for c, lo in zip(p, axis_lo))
-            touches_hi |= any(c == hi for c, hi in zip(p, axis_hi))
-            for q in _neighbors(p, spacing):
-                adj0 |= q in d0
-                adj1 |= q in d1  # not exclusive: the sets may overlap
-                if q not in occupied and q in cell_set and q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        raw.append((frozenset(comp), touches_lo, touches_hi, adj0, adj1))
+        comp = frozenset(distance_map([seed], free, spacing))
+        free.difference_update(comp)
+        touches_lo = any(c == lo for p in comp for c, lo in zip(p, axis_lo))
+        touches_hi = any(c == hi for p in comp for c, hi in zip(p, axis_hi))
+        near = set().union(*[moore_neighbors(p, spacing) for p in comp])
+        # not exclusive: the sets may overlap
+        raw.append((comp, touches_lo, touches_hi,
+                    not d0.isdisjoint(near), not d1.isdisjoint(near)))
 
     framed = [e for e in raw if e[1] or e[2]]
     if window.dim == 1 and not any(e[1] and e[2] for e in raw):
@@ -231,7 +212,7 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
     }
 
     def reaches_d1(p: Point) -> bool:
-        return any(q in d1 for q in _neighbors(p, s))
+        return any(q in d1 for q in moore_neighbors(p, s))
 
     def search(node: Point, depth: int, visited: Set[Point]) -> bool:
         # node is an interior point of a candidate path; depth counts
@@ -242,7 +223,7 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
             return True
         if depth + 2 > max_len:
             return False
-        for q in _neighbors(node, s):
+        for q in moore_neighbors(node, s):
             if q in free and q not in visited:
                 visited.add(q)
                 if search(q, depth + 1, visited):
@@ -251,7 +232,7 @@ def separation_bruteforce(pair: BoundaryPair, max_len: int) -> bool:
         return False
 
     for x in sorted(d0):
-        for u in _neighbors(x, s):
+        for u in moore_neighbors(x, s):
             if u in free:
                 if search(u, 1, {u}):
                     return False

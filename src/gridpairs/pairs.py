@@ -76,13 +76,10 @@ class AxiomReport:
 
     @property
     def valid(self) -> bool:
-        return self.is_empty_pair or all(
-            getattr(self, name).passed for name in self._NAMES)
+        return not self.failed
 
     @property
     def failed(self) -> Tuple[str, ...]:
-        if self.is_empty_pair:
-            return ()
         return tuple(name for name in self._NAMES
                      if not getattr(self, name).passed)
 
@@ -132,9 +129,22 @@ def _touches(origin: Lines, target: Lines, dim: int,
     return AxiomCheck(False, min(failing)) if failing else _PASS
 
 
-def _checked(pair: BoundaryPair) -> AxiomReport:
-    # One component pass shared by `validate` and `reconstruct`, on the
-    # pair's line index, which decides every axiom and the window.
+def validate(pair: BoundaryPair) -> AxiomReport:
+    """Check the five boundary-pair axioms and report per-axiom results.
+
+    The separation axiom (no short-cut from d0 to d1 through free space)
+    is decided through the connected components of the grid complement
+    of d0 | d1: a violating path exists if and only if some component is
+    Moore-adjacent to both sets.  Its witness is the least point of the
+    first such component.
+
+    Validation reads the pair's line index of d0 and d1, hands it to the
+    component labelling, and decides all five axioms from it: a point
+    touches the other set when that set holds a point one step along
+    its own line or within one step on a neighbouring line.  The
+    adjacency witnesses are the least failing points.  The report
+    carries the components, which `reconstruct` and `lift_restrict` read.
+    """
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
@@ -161,22 +171,12 @@ def _checked(pair: BoundaryPair) -> AxiomReport:
                        d1_touches_d0, separation, components)
 
 
-def validate(pair: BoundaryPair) -> AxiomReport:
-    """Check the five boundary-pair axioms and report per-axiom results.
-
-    The separation axiom (no short-cut from d0 to d1 through free space)
-    is decided through the connected components of the grid complement
-    of d0 | d1: a violating path exists if and only if some component is
-    Moore-adjacent to both sets.  Its witness is the least point of the
-    first such component.
-
-    Validation reads the pair's line index of d0 and d1, hands it to the
-    component labelling, and decides all five axioms from it: a point
-    touches the other set when that set holds a point one step along
-    its own line or within one step on a neighbouring line.  The
-    adjacency witnesses are the least failing points.
-    """
-    return _checked(pair)
+def require_valid(pair: BoundaryPair) -> AxiomReport:
+    """The report of `validate` for a valid pair, else InvalidPairError."""
+    report = validate(pair)
+    if not report.valid:
+        raise InvalidPairError(report)
+    return report
 
 
 def reconstruct(pair: BoundaryPair) -> GridSet:
@@ -192,9 +192,7 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     copied, and only those components' cells are enumerated.  In 1-D
     the gap between two far clusters is one bounded component.
     """
-    report = _checked(pair)
-    if not report.valid:
-        raise InvalidPairError(report)
+    report = require_valid(pair)
     if pair.is_empty:
         return GridSet.full_grid(pair.dim, pair.spacing)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import dilate, erode, sorted_lines
+from .geometry import dilate, erode, is_integer, sorted_lines
 from .gridset import GridSet, Mode
 
 
@@ -25,7 +25,7 @@ class GridRatio:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int):
+        if not is_integer(self.n):
             raise ValueError(f"grid ratio must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid ratio must be at least 2, got {self.n}")

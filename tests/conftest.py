@@ -2,7 +2,6 @@
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import AbstractSet, FrozenSet, Iterator, Set, Tuple, Union
@@ -152,22 +151,14 @@ def large_cofinite_holes(draw):
 
 def largest_component(gridset):
     remaining = set(gridset.points)
-    best = set()
+    best = frozenset()
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        remaining.discard(seed)
-        while queue:
-            p = queue.popleft()
-            for q in moore_neighbors(p, gridset.spacing):
-                if q in remaining:
-                    remaining.discard(q)
-                    comp.add(q)
-                    queue.append(q)
+        comp = frozenset(distance_map([min(remaining)], remaining,
+                                      gridset.spacing))
+        remaining -= comp
         if len(comp) > len(best):
             best = comp
-    return GridSet(gridset.dim, gridset.spacing, Mode.FINITE, frozenset(best))
+    return GridSet(gridset.dim, gridset.spacing, Mode.FINITE, best)
 
 
 def coarse_dilation(coarse, n):

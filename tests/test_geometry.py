@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (box_grid_points, dilate, erode, grid_range,
-                                lines_of, moore_neighbors, points_of, ring)
+from gridpairs.geometry import (dilate, erode, grid_range, lines_of,
+                                moore_neighbors, points_of, ring)
 from gridpairs.gridset import Window, window_of
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
@@ -189,7 +189,7 @@ def test_window_of():
 
 
 def test_box_grid_points_off_alignment():
-    pts = list(box_grid_points((-1, -1), (2, 2), 2))
+    pts = list(Window((-1, -1), (2, 2)).grid_points(2))
     assert pts == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
 

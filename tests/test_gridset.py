@@ -353,6 +353,7 @@ class TestLineStorage:
                 assert type(view) is PointView and vars(doc)[name] is view
                 assert lines_of(view) is view.lines
                 assert view == frozenset(getattr(expected, name))
+                assert hash(view) == hash(frozenset(view)) == hash(view)
                 assert getattr(expected, name).lines == view.lines
             if isinstance(expected, GridSet):
                 assert complement(by_lines()) == complement(expected)
@@ -594,6 +595,8 @@ def test_window_grid_points_rejects_nonpositive_spacing(spacing):
     (lambda: GridRatio(2.5), "2.5"),
     (lambda: GridRatio(2.0), "2.0"),
     (lambda: Window((0, 0), (1.5, 2)), "1.5"),
+    (lambda: Window((True, 0), (1, 1)), "(True, 0)"),
+    (lambda: GridRatio(True), "must be an integer"),
     (lambda: GridSet(True, 1, Mode.FINITE, [(0,)]), "dim must be an integer"),
     (lambda: GridSet(2, True, Mode.FINITE, [(0, 0)]),
      "spacing must be an integer"),
@@ -604,6 +607,12 @@ def test_window_grid_points_rejects_nonpositive_spacing(spacing):
 def test_non_integer_values_are_rejected(build, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         build()
+
+
+@pytest.mark.parametrize("mode", ["finite", "cofinite", None, 1])
+def test_gridset_refuses_a_mode_that_is_not_a_mode(mode):
+    with pytest.raises(ValueError, match=re.escape(f"got {mode!r}")):
+        GridSet(2, 1, mode, [(0, 0)])
 
 
 def test_gridset_rejects_off_grid_points():
