@@ -57,6 +57,8 @@ def moore_offsets(dim: int, spacing: int) -> Tuple[Point, ...]:
 
 def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
     """The 3^m - 1 grid points at Chebyshev distance exactly one step."""
+    if len(point) == 1:
+        return (point[0] - spacing,), (point[0] + spacing,)
     if len(point) == 2:
         x, y = point
         s = spacing

@@ -142,12 +142,18 @@ class GridSet(Document):
 
 @dataclass(frozen=True)
 class Window:
-    """Inclusive axis-aligned box in fine units, used to bound enumerations."""
+    """Inclusive axis-aligned box in fine units, used to bound enumerations.
+
+    The corners are stored as tuples, whatever sequences they were given
+    as, so that windows compare and hash by their coordinates.
+    """
 
     lower: Point
     upper: Point
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lower", tuple(self.lower))
+        object.__setattr__(self, "upper", tuple(self.upper))
         if not all(map(is_integer, chain(self.lower, self.upper))):
             raise ValueError(f"window corners {self.lower}..{self.upper} "
                              f"are not integer points")
@@ -289,6 +295,9 @@ def components_within(window: Window, spacing: int,
 
     The window must contain every point of d0 and d1 inflated by one
     grid step, so that all relevant adjacencies are realized inside it.
+    `pairs.validate` labels a pair only when its walk over the free
+    runs finds a leak or the sets overlap, to name the separation
+    witness.
 
     Everything is decided on one line index of d0 and of d1, each line
     sorted, from `lines_of`, which hands over a view's own index, so

@@ -4,8 +4,8 @@ These operators compute the coarse (or fine) boundary pair of the
 restricted (or interpolated) set directly from the input boundary pair.
 No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
-outer layer, and settles each candidate's side by locating it in the
-complement components that validation built; interpolation intersects
+outer layer, and settles each candidate by the side of the free run
+holding it, which validation's walk recorded; interpolation intersects
 half-step dilations of the two coarse boundaries.  Both work on the
 pair's line index with the separable kernels of `geometry`, and return
 their results as line indexes.
@@ -32,8 +32,9 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     works on boundary data alone: one dilation of D0, from the pair's
     line index, onto the coarse grid, one coarse step out from it to
     the candidates, and for each candidate off its line of D1 one
-    O(log |D|) point location, whatever the ratio n.  The empty pair
-    maps to the empty pair.  Three facts carry it:
+    bisection among the run ends of its line, or none for a line off
+    D0 | D1, whatever the ratio n.  The empty pair maps to the empty
+    pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -43,11 +44,14 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
       D0 point lies within n/2 of it.
     - A y off D1 is outside M exactly when the complement component of
       D0 | D1 holding it is adjacent to D1: for a valid pair, membership
-      changes only across a D0-D1 step.
+      changes only across a D0-D1 step.  That is the side that
+      validation's walk gives the free run holding y (`pairs.Sides`):
+      the side of the cells of D0 | D1 at the run's ends, or the
+      exterior side for a line off D0 | D1.
     """
     n = ratio.n
-    components = _require_valid(pair, 1, "lift_restrict").components
-    if components is None:  # the empty pair
+    sides = _require_valid(pair, 1, "lift_restrict").sides
+    if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
     step = 2 * n
     l0, l1 = pair.d0.lines, pair.d1.lines
@@ -56,7 +60,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     for key, line in difference(dilate(near, step, n), near):
         ones = set(l1.get(key, ()))
         kept = sorted(y for y in line if y in ones
-                      or components.containing(key + (y,)).adjacent_d1)
+                      or sides.of(key + (y,)) == 1)
         if kept:
             out1[key] = kept
     out0 = intersection(dilate(out1, step, n), near)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the efficient code paths
 it is used to check.  The references traverse the grid point by point
-with `gridset.distance_map` and `geometry.moore_neighbors`, which no
-operation calls, so the differential tests compare the run labelling
-and the line kernels against a traversal they do not share.  The
-oracles may be exponential; they enforce explicit budgets.
+with `gridset.distance_map`, which no operation calls, stepping to the
+Moore neighbours of `geometry.moore_neighbors`, so the differential
+tests compare the walk of `validate`, the run labelling and the line
+kernels against a traversal they do not share.  The oracles may be
+exponential; they enforce explicit budgets.
 """
 
 from __future__ import annotations

@@ -4,19 +4,23 @@ A boundary pair (D0, D1) consists of the inner boundary of a set (members
 with a neighbor outside) and the first outer layer (non-members adjacent
 to the set).  The five axioms checked by `validate` characterize exactly
 the pairs arising this way, and `reconstruct` inverts the boundary
-extraction.
+extraction.  Both read the free runs of the pair's occupied lines: by
+the separation axiom each complement component of D0 | D1 lies wholly
+inside or outside the set, so each free run has the side of the cells
+at its ends, and `Sides` records it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import add
+from itertools import repeat
+from operator import sub
 from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
-from .geometry import Lines, Point, moore_offsets
-from .gridset import (Components, Document, GridSet, Mode, components_within,
-                      dim_of, window_of_lines)
+from .geometry import Lines, Point, moore_neighbors
+from .gridset import (Document, GridSet, Mode, components_within, dim_of,
+                      window_of_lines)
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,37 @@ class BoundaryPair(Document):
         return not self.d0.lines and not self.d1.lines
 
 
+class Sides:
+    """The side of every free cell of a pair whose runs agree: 0 when
+    its complement component of d0 | d1 is adjacent to d0, 1 when to d1.
+
+    `lines` maps each occupied line to the end cells of its free runs
+    and their sides.  The ends, sorted, are the first cell of d0 | d1
+    on the line, the two cells around each bounded run, and the last
+    cell; the sides, as bytes, are those of the left ray, of each
+    bounded run and of the right ray, so one bisection among the ends
+    finds a free cell's side.  `exterior` holds the sides of the left
+    and the right ray: in 1-D each has its own, and for dim >= 2 both
+    are the side of the unbounded component, which holds both rays of
+    every line and every line off d0 | d1.
+    """
+
+    __slots__ = ("lines", "exterior")
+
+    def __init__(self, lines: Dict[Point, Tuple[List[int], bytes]],
+                 exterior: Tuple[int, ...]):
+        self.lines = lines
+        self.exterior = exterior
+
+    def of(self, q: Point) -> int:
+        """The side of q, a grid point off d0 and d1."""
+        found = self.lines.get(q[:-1])
+        if found is None:
+            return self.exterior[0]
+        ends, sides = found
+        return sides[(bisect_left(ends, q[-1]) + 1) // 2]
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     passed: bool
@@ -58,8 +93,10 @@ class AxiomReport:
     """Outcome of the five boundary-pair axioms, with failure witnesses.
 
     The pair (empty, empty) is the distinguished boundary pair of the
-    full grid and passes by definition.  `components`, None for it, are
-    the complement components of d0 | d1, which decide separation.
+    full grid and passes by definition.  `sides` are the `Sides` of the
+    free cells, which `reconstruct` and `lift_restrict` read; they are
+    None for the empty pair and for a pair that is not disjoint or
+    fails separation.
     """
 
     is_empty_pair: bool
@@ -68,8 +105,7 @@ class AxiomReport:
     d0_touches_d1: AxiomCheck
     d1_touches_d0: AxiomCheck
     separation: AxiomCheck
-    components: Optional[Components] = field(default=None, compare=False,
-                                             repr=False)
+    sides: Optional[Sides] = field(default=None, compare=False, repr=False)
 
     _NAMES = ("nonempty", "disjoint", "d0_touches_d1", "d1_touches_d0",
               "separation")
@@ -110,40 +146,140 @@ class InvalidPairError(ValueError):
 _PASS = AxiomCheck(True)
 
 
-def _touches(origin: Lines, target: Lines, dim: int,
-             spacing: int) -> AxiomCheck:
-    # Each point of origin needs a point of target one step away: at
-    # c - s, c or c + s on a neighbouring line, or at c - s or c + s on
-    # its own, since a point of both sets is not its own neighbour.
-    s = spacing
-    offsets = moore_offsets(dim - 1, s)
-    failing = []
-    for key, line in origin.items():
-        near = set().union(*[target.get(tuple(map(add, key, off)), ())
-                             for off in offsets])
-        reach = near.union(target.get(key, ()))
-        for c in line:
-            if not (c in near or c - s in reach or c + s in reach):
-                failing.append(key + (c,))
-                break  # the lines are sorted: the least on this line
-    return AxiomCheck(False, min(failing)) if failing else _PASS
+def _run_ends(cells: List[int], s: int) -> List[int]:
+    # The first and last of the sorted cells, and around them the two
+    # cells at the ends of each gap, found by bisection: cells[i] - i*s
+    # is nondecreasing and grows exactly across a gap.
+    n = len(cells)
+    ends = [cells[0]]
+    if cells[-1] - cells[0] != (n - 1) * s:
+        shifted = list(map(sub, cells, range(0, n * s, s)))
+        i = bisect_right(shifted, shifted[0])
+        while i < n:
+            ends += cells[i - 1], cells[i]
+            i = bisect_right(shifted, shifted[i], i)
+    ends.append(cells[-1])
+    return ends
+
+
+def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
+          ) -> Tuple[List[Point], List[Point], Optional[Sides]]:
+    # One pass over the occupied lines.  It gathers the least point of
+    # each line of d0 (of d1) with no point of the other set one step
+    # away, and, for disjoint sets, the sides of the free runs, or None
+    # once one of the rules (a)-(c) of `validate` fails.
+    sets = (l0, l1)
+    occupied = l0.keys() | l1.keys()
+    failing: Tuple[List[Point], List[Point]] = ([], [])
+    found: Dict[Point, Tuple[List[int], bytes]] = {}
+    agree = disjoint
+    exterior = None
+    for key in occupied:
+        beside = moore_neighbors(key, s)
+        own = l0.get(key), l1.get(key)
+        # A point touches the other set when that set holds a point at
+        # c - s, c or c + s on a neighbouring line, or at c - s or c + s
+        # on its own, since a point of both sets is not its own
+        # neighbour.  The lines are sorted: the first failing point is
+        # the least on its line.
+        for side in (0, 1):
+            origin = own[side]
+            if origin:
+                target = sets[1 - side]
+                near = set().union(*[target.get(n, ()) for n in beside])
+                reach = near.union(own[1 - side] or ())
+                for c in origin:
+                    if not (c in near or c - s in reach or c + s in reach):
+                        failing[side].append(key + (c,))
+                        break
+        if not agree:
+            continue
+        a, b = own
+        if a and b:
+            ends = _run_ends(sorted(a + b), s)
+            # a cell's side is the number of its copies in d1
+            labels = bytes(map(sub, map(bisect_right, repeat(b), ends),
+                               map(bisect_left, repeat(b), ends)))
+            # (a): the two end cells of each bounded run
+            if labels[1:-1:2] != labels[2:-1:2]:
+                agree = False
+                continue
+            sides = labels[::2] + labels[-1:]
+        else:
+            ends = _run_ends(a or b, s)
+            sides = (b"\1" if b else b"\0") * (len(ends) // 2 + 1)
+        found[key] = ends, sides
+        if dim == 1:
+            continue
+        # (b): both rays, and every cell beside a line off d0 | d1
+        if exterior is None:
+            exterior = sides[0]
+        if sides[0] != exterior or sides[-1] != exterior:
+            agree = False
+            continue
+        # (c): the window [a - s, b + s] of a bounded run [a, b] spans
+        # its end cells; that of the left (right) ray ends (starts) at
+        # the first (last) cell
+        runs = list(zip(sides[1:-1], ends[1:-1:2], ends[2:-1:2]))
+        first, last = ends[0], ends[-1]
+        for nkey in beside:
+            if nkey not in occupied:
+                if key in sets[1 - exterior]:
+                    agree = False
+                    break
+                continue
+            # the cells that a run of side 0 (of side 1) must not meet
+            others = l1.get(nkey), l0.get(nkey)
+            other = others[exterior]
+            if other and (other[0] <= first or other[-1] >= last):
+                agree = False
+                break
+            for side, low, high in runs:
+                other = others[side]
+                if other:
+                    i = bisect_left(other, low)
+                    if i < len(other) and other[i] <= high:
+                        agree = False
+                        break
+            if not agree:
+                break
+    if not agree:
+        return failing[0], failing[1], None
+    rays = found[()][1] if dim == 1 else bytes([exterior])
+    return failing[0], failing[1], Sides(found, (rays[0], rays[-1]))
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
     """Check the five boundary-pair axioms and report per-axiom results.
 
-    The separation axiom (no short-cut from d0 to d1 through free space)
-    is decided through the connected components of the grid complement
-    of d0 | d1: a violating path exists if and only if some component is
-    Moore-adjacent to both sets.  Its witness is the least point of the
-    first such component.
+    One walk over the pair's line index decides them.  A point touches
+    the other set when that set holds a point one step along its own
+    line or within one step on a neighbouring line; the adjacency
+    witnesses are the least failing points.  The separation axiom (no
+    short-cut from d0 to d1 through free space) holds exactly when no
+    connected component of the grid complement of d0 | d1 is
+    Moore-adjacent to both sets.  The walk reads it off the free runs of
+    the occupied lines: a run is a maximal stretch of free cells along
+    the last axis, and a bounded one lies between two cells of d0 | d1,
+    which give it its side.  For disjoint sets separation holds exactly
+    when
 
-    Validation reads the pair's line index of d0 and d1, hands it to the
-    component labelling, and decides all five axioms from it: a point
-    touches the other set when that set holds a point one step along
-    its own line or within one step on a neighbouring line.  The
-    adjacency witnesses are the least failing points.  The report
-    carries the components, which `reconstruct` and `lift_restrict` read.
+    - (a) the two end cells of each bounded run lie in one set;
+    - (b) for dim >= 2, the first and last run of every line and every
+      cell on a line beside a line off d0 | d1 share one exterior side,
+      as all of them meet the unbounded component;
+    - (c) no run [a, b] meets a cell of the other side in [a - s, b + s]
+      on a neighbouring line, one bisection per run and neighbouring
+      line, against the other set only.
+
+    In 1-D only (a) applies, and the two rays keep their own sides.
+    Moore-adjacent runs need no union: one run's end cell always lies
+    in the other run's window, so (b) or (c) already catches a side
+    mismatch.  The cost is O(|D| 3^(m-1) log |D|) for D = d0 | d1,
+    whatever the bounding box.  The report carries the `Sides`.  Only
+    when a rule fails, or the sets overlap, are the components labelled
+    (`gridset.components_within`), to name the separation witness: the
+    least point of the first component adjacent to both sets.
     """
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
@@ -156,19 +292,20 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     disjoint = _PASS if not overlap else AxiomCheck(False, min(overlap))
 
     s = pair.spacing
-    window = window_of_lines(l0, l1).inflate(s)
-    components = components_within(window, s, pair.d0, pair.d1)
-    d0_touches_d1 = _touches(l0, l1, pair.dim, s)
-    d1_touches_d0 = _touches(l1, l0, pair.dim, s)
+    failing0, failing1, sides = _walk(l0, l1, pair.dim, s, not overlap)
+    d0_touches_d1 = AxiomCheck(False, min(failing0)) if failing0 else _PASS
+    d1_touches_d0 = AxiomCheck(False, min(failing1)) if failing1 else _PASS
 
     separation = _PASS
-    for comp in components:
-        if comp.adjacent_d0 and comp.adjacent_d1:
-            separation = AxiomCheck(False, comp.lowest)
-            break
+    if sides is None:
+        window = window_of_lines(l0, l1).inflate(s)
+        for comp in components_within(window, s, pair.d0, pair.d1):
+            if comp.adjacent_d0 and comp.adjacent_d1:
+                separation = AxiomCheck(False, comp.lowest)
+                break
 
     return AxiomReport(False, nonempty, disjoint, d0_touches_d1,
-                       d1_touches_d0, separation, components)
+                       d1_touches_d0, separation, sides)
 
 
 def require_valid(pair: BoundaryPair) -> AxiomReport:
@@ -183,40 +320,37 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     """The unique grid set whose boundary pair is the given pair.
 
     Each complement component of d0 | d1 lies entirely inside or outside
-    the set and, for a valid pair, is adjacent to exactly one of d0/d1;
-    it is classified by that adjacency.  The result is finite when the
-    unbounded components attach to d1 and cofinite when they attach to
-    d0.  The empty pair reconstructs to the full grid.  The result's
-    line index is that of d0 (d1 when cofinite) plus the runs of the
-    bounded components on that side: only the lines that grow are
-    copied, and only those components' cells are enumerated.  In 1-D
-    the gap between two far clusters is one bounded component.
+    the set and, for a valid pair, is adjacent to exactly one of d0/d1,
+    which validation's `Sides` record for each free run.  The result is
+    finite when the exterior side is d1 and cofinite when it is d0; in
+    1-D the two rays must have one side.  The empty pair reconstructs to the full grid.  The result's line index
+    is that of d0 (d1 when cofinite) plus the bounded runs of that side:
+    only the lines that grow are copied, and only those runs' cells are
+    enumerated.  In 1-D the gap between two far clusters is one bounded
+    run.
     """
     report = require_valid(pair)
     if pair.is_empty:
         return GridSet.full_grid(pair.dim, pair.spacing)
 
-    components = report.components
-    if not all(comp.adjacent_d0 or comp.adjacent_d1 for comp in components):
-        raise AssertionError("complement component adjacent to neither set")
-    unbounded_sides = {comp.adjacent_d0 for comp in components
-                       if comp.unbounded}
-    if len(unbounded_sides) > 1:
+    exterior = report.sides.exterior
+    if len(set(exterior)) > 1:
         raise ValueError(
             "the two infinite rays reconstruct to different sides, so the "
             "set is neither finite nor cofinite and cannot be represented")
-    cofinite = unbounded_sides == {True}
-    mode, name = (Mode.COFINITE, "d1") if cofinite else (Mode.FINITE, "d0")
-    # the bounded components on the stored side: inside a finite set,
-    # outside a cofinite one
-    grown: Dict[Point, List[int]] = defaultdict(list)
-    for comp in components:
-        if comp.adjacent_d0 != cofinite:
-            for key, a, b in comp.runs:
-                grown[key].extend(range(a, b + 1, pair.spacing))
-    lines = dict(getattr(pair, name).lines)
-    for key, line in grown.items():
-        line.extend(lines.get(key, ()))
-        line.sort()
-        lines[key] = line
+    cofinite = exterior[0] == 0
+    mode, stored = (Mode.COFINITE, 1) if cofinite else (Mode.FINITE, 0)
+    s = pair.spacing
+    lines = dict((pair.d1 if cofinite else pair.d0).lines)
+    # the bounded runs on the stored side: inside a finite set, outside
+    # a cofinite one
+    for key, (ends, sides) in report.sides.lines.items():
+        grown: List[int] = []
+        for j in range(1, len(sides) - 1):
+            if sides[j] == stored:
+                grown.extend(range(ends[2 * j - 1] + s, ends[2 * j], s))
+        if grown:
+            grown.extend(lines.get(key, ()))
+            grown.sort()
+            lines[key] = grown
     return GridSet._trusted(pair.dim, pair.spacing, mode, lines)

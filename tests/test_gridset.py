@@ -580,6 +580,13 @@ def test_window_degenerate():
         Window((0, 0), (-1, 0))
 
 
+def test_window_corners_given_as_lists_are_stored_as_tuples():
+    window = Window([0, 0], [1, 1])
+    assert window.lower == (0, 0) and window.upper == (1, 1)
+    assert window == Window((0, 0), (1, 1))
+    assert hash(window) == hash(Window((0, 0), (1, 1)))
+
+
 @pytest.mark.parametrize("spacing", [0, -1])
 def test_window_grid_points_rejects_nonpositive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing must be positive"):

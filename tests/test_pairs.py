@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from gridpairs import formats
 from gridpairs.gridset import GridSet, Mode, Window, member, window_of
 from gridpairs.layers import trace
 from gridpairs.oracle import (
+    MAX_BRUTE_CELLS,
     closer_set_window,
+    components_bfs,
     random_set,
     separation_bruteforce,
 )
@@ -218,6 +221,124 @@ class TestSeparationCriterion:
         assert checked >= 40
 
 
+#: Box side in grid steps, per dimension, of the sets whose traces,
+#: mutated, test the walk of `validate`.
+WALK_SPANS = {1: 12, 2: 5, 3: 3}
+
+
+def mutated(pair, rng):
+    """The pair with one point moved one step along an axis, given the
+    other label or dropped, or with a lone point added three steps
+    beyond the upper corner of its box."""
+    s = pair.spacing
+    d0, d1 = set(pair.d0), set(pair.d1)
+    kind = rng.choice(("move", "flip", "drop", "far"))
+    if kind == "far":
+        upper = window_of(d0 | d1).upper
+        rng.choice((d0, d1)).add(tuple(c + 3 * s for c in upper))
+    else:
+        p = rng.choice(sorted(d0 | d1))
+        own, other = (d0, d1) if p in d0 else (d1, d0)
+        own.discard(p)
+        if kind == "move":
+            j = rng.randrange(pair.dim)
+            own.add(p[:j] + (p[j] + rng.choice((-s, s)),) + p[j + 1:])
+        elif kind == "flip":
+            other.add(p)
+    return BoundaryPair(pair.dim, s, frozenset(d0), frozenset(d1))
+
+
+def reference_checks(pair):
+    """The five checks of `validate`, decided by brute force: the
+    adjacency axioms by a scan of every point's Moore neighbours, and
+    separation by the first flood-filled complement component adjacent
+    to both sets, whose least point is the witness."""
+    d0, d1, s = frozenset(pair.d0), frozenset(pair.d1), pair.spacing
+    both = d0 & d1
+    separation = AxiomCheck(True)
+    for comp in components_bfs(window_of(d0 | d1).inflate(s), s, d0, d1):
+        if comp.adjacent_d0 and comp.adjacent_d1:
+            separation = AxiomCheck(False, comp.lowest)
+            break
+    return (AxiomCheck(bool(d0 and d1)),
+            AxiomCheck(False, min(both)) if both else AxiomCheck(True),
+            adjacency_check(d0, d1, s), adjacency_check(d1, d0, s),
+            separation)
+
+
+def checks_of(report):
+    return (report.nonempty, report.disjoint, report.d0_touches_d1,
+            report.d1_touches_d0, report.separation)
+
+
+@pytest.mark.parametrize("spacing", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_walk_matches_the_references_on_mutated_traces(dim, spacing):
+    rng = random.Random(10 * dim + spacing)
+    s = spacing
+    box = Window((0,) * dim, ((WALK_SPANS[dim] - 1) * s,) * dim)
+    leaks = 0
+    for _ in range(40):
+        M = random_set(box, rng.choice((0.3, 0.5, 0.7)),
+                       rng.randrange(10**6), s)
+        if rng.random() < 0.5:
+            M = GridSet(dim, s, Mode.COFINITE, M.points)
+        pair = trace(M)
+        for candidate in (pair, mutated(pair, rng)):
+            report = validate(candidate)
+            assert checks_of(report) == reference_checks(candidate)
+            leaks += not report.separation.passed
+            window = window_of(candidate.d0 | candidate.d1).inflate(s)
+            cells = list(window.grid_points(s))
+            if dim < 3 and len(cells) <= MAX_BRUTE_CELLS:
+                # a short path from d0 to d1 through free cells is a leak
+                assert (separation_bruteforce(candidate, 4)
+                        or not report.separation.passed)
+            if report.valid:
+                # each free cell's side: the set it is strictly closer to
+                inside = closer_set_window(candidate, window)
+                assert all(report.sides.of(q) == (q not in inside)
+                           for q in cells if q not in candidate.d0
+                           and q not in candidate.d1)
+    assert leaks >= 10
+
+
+def _block_trace_edited(dim, edits):
+    # The trace of the solid block {0, 1, 2}^dim, whose centre is a free
+    # run of one cell inside the set, with each edited point moved to
+    # the named set, or to neither.
+    block = trace(GridSet.finite(product(range(3), repeat=dim)))
+    sets = {"d0": set(block.d0), "d1": set(block.d1)}
+    for p, to in edits:
+        for points in sets.values():
+            points.discard(p)
+        if to is not None:
+            sets[to].add(p)
+    return BoundaryPair(dim, 1, frozenset(sets["d0"]), frozenset(sets["d1"]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("rule, edits", [
+    # (a): the run through the centre ends at a d0 and at a d1 cell
+    ("a", lambda one: [(one + (2,), "d1")]),
+    # (b): the last run of the centre line begins after a d0 cell
+    ("b, first and last run", lambda one: [(one + (3,), None)]),
+    # (b): a d0 cell on a line beside a line off d0 | d1
+    ("b, beside a free line", lambda one: [((3,) + one, "d0")]),
+    # (c): the centre run meets the d1 cell (2, ..., 2) only diagonally;
+    # the outer corner (3, ..., 3), whose one d0 neighbour that cell
+    # was, leaves d1 too, so both adjacency axioms still hold
+    ("c", lambda one: [((2,) * len(one) + (2,), "d1"),
+                       ((3,) * len(one) + (3,), None)]),
+])
+def test_each_rule_of_the_walk_alone_finds_a_leak(dim, rule, edits):
+    pair = _block_trace_edited(dim, edits((1,) * (dim - 1)))
+    report = validate(pair)
+    assert report.failed == ("separation",)
+    assert report.sides is None
+    assert checks_of(report) == reference_checks(pair)
+
+
 class TestCostFollowsTheBoundary:
     """Pairs whose bounding box is far too large to visit cell by cell."""
 
@@ -284,5 +405,4 @@ def test_containing_component_decides_membership(M, data):
     probes = data.draw(st.lists(st.one_of(near, inside, far), max_size=40))
     for q in probes:
         if q not in pair.d0 and q not in pair.d1:
-            assert member(members, q) == \
-                report.components.containing(q).adjacent_d0
+            assert member(members, q) == (report.sides.of(q) == 0)
