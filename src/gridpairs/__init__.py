@@ -9,12 +9,10 @@ pairs directly with the lifted variants of these operators.
 
 from .geometry import Point
 from .gridset import (
-    Component,
     GridSet,
     Mode,
     Window,
     complement,
-    components_within,
     member,
 )
 from .layers import boundary0, boundary1, layer, trace
@@ -33,12 +31,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Point",
-    "Component",
     "GridSet",
     "Mode",
     "Window",
     "complement",
-    "components_within",
     "member",
     "boundary0",
     "boundary1",

@@ -24,11 +24,11 @@ document holds).
 from __future__ import annotations
 
 import collections.abc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, product
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
                     Iterable, Iterator, List, Set, Tuple)
 
@@ -129,6 +129,22 @@ class PointView(collections.abc.Set):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"
+
+
+def run_ends(cells: List[int], s: int) -> List[int]:
+    """The first and last of a line's sorted, distinct cells at step s,
+    and between them the two cells around each gap, found by bisection:
+    cells[i] - i*s is nondecreasing and grows exactly across a gap."""
+    n = len(cells)
+    ends = [cells[0]]
+    if cells[-1] - cells[0] != (n - 1) * s:
+        shifted = list(map(sub, cells, range(0, n * s, s)))
+        i = bisect_right(shifted, shifted[0])
+        while i < n:
+            ends += cells[i - 1], cells[i]
+            i = bisect_right(shifted, shifted[i], i)
+    ends.append(cells[-1])
+    return ends
 
 
 def lines_of(points: Iterable[Point]) -> Lines:

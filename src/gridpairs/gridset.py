@@ -5,18 +5,20 @@ finite (the stored points are the members) or cofinite (the stored points
 are the finitely many grid points *excluded* from the set).  Cofinite
 sets close the data model under complement and make the full grid
 representable.
+
+`components_within` labels the complement components of two finite sets
+from their free runs, only to name a failing pair's separation witness.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain, product
 from operator import add
-from typing import (AbstractSet, Callable, Container, Dict,
-                    Iterable, Iterator, List, Optional, Tuple)
+from typing import (AbstractSet, Container, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 from .geometry import (
     Lines,
@@ -29,6 +31,7 @@ from .geometry import (
     moore_neighbors,
     moore_offsets,
     points_of,
+    run_ends,
 )
 
 
@@ -256,79 +259,47 @@ def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],
     return dist
 
 
-@dataclass(frozen=True, eq=False)
-class Component:
-    """A connected piece of the grid complement of two finite sets.
-
-    `lowest` is the least point of the component in lexicographic
-    order.  A bounded component lists its `runs`, the maximal stretches
-    of its cells along the last axis, as (key, first, last) in
-    lexicographic order.  An unbounded component lists none: it holds
-    every free cell outside the bounded ones.
-    """
+class Component(NamedTuple):
+    """A connected piece of the grid complement of two finite sets: its
+    Moore adjacency to each and `lowest`, its lexicographically least point."""
 
     unbounded: bool
     adjacent_d0: bool
     adjacent_d1: bool
     lowest: Point
-    runs: List[Tuple[Point, int, int]] = field(repr=False)
-
-
-class Components(tuple):
-    """The components of `components_within`.  `containing(q)` is the one
-    holding q, a grid point off d0 and d1, in the window or beyond it."""
-
-    containing: Callable[[Point], Component]
 
 
 def components_within(window: Window, spacing: int,
                       d0: AbstractSet[Point], d1: AbstractSet[Point]
-                      ) -> Components:
-    """Connected components of the window grid minus d0 and d1.
+                      ) -> Tuple[Component, ...]:
+    """Connected components of the window grid minus d0 and d1, with
+    their Moore adjacency to each set.
 
-    Components touching the window frame are merged into designated
-    unbounded components: one for dim >= 2 (the exterior of a box is
-    Moore-connected), two (left and right rays) for dim == 1.  Each
-    component carries flags for Moore adjacency to d0 and to d1.  The
-    unbounded components come first, then the bounded ones by their
-    least point.
+    Components touching the window frame merge into the unbounded ones:
+    one for dim >= 2 (the exterior of a box is Moore-connected), the
+    left and right rays for dim == 1.  They come first, from the
+    window's least grid point (in 1-D the right ray from the first cell
+    past d0 | d1), then the bounded ones by their least point.  The
+    window must hold d0 | d1 inflated by one grid step, so that every
+    adjacency is realized in it; `pairs.validate` calls this only to
+    name the separation witness of a pair that fails.
 
-    The window must contain every point of d0 and d1 inflated by one
-    grid step, so that all relevant adjacencies are realized inside it.
-    `pairs.validate` labels a pair only when its walk over the free
-    runs finds a leak or the sets overlap, to name the separation
-    witness.
-
-    Everything is decided on one line index of d0 and of d1, each line
-    sorted, from `lines_of`, which hands over a view's own index, so
-    nothing is rebuilt from a document's fields.  A line is the set of
-    window cells sharing their first m-1 coordinates.  The frame
-    check reads the extents of the keys and the ends of the lines.  A
-    run is a maximal stretch of free cells along the last axis.  Only
-    lines holding a point of d0 | d1 are split into runs, from their
-    merged points; every other line is one free run spanning the window
-    and, for dim >= 2, lies in the unbounded component, as do the first
-    and last run of each line.  Runs of neighbouring lines [a, b] and
-    [c, d] are Moore-adjacent when a <= d + s and c <= b + s; a
-    union-find over the runs, fed by one two-pointer merge per pair of
-    neighbouring occupied lines, joins them.  A run [a, b] is adjacent
-    to a point of its own or a neighbouring line whose last coordinate
-    lies in [a - s, b + s], which one bisection per run, neighbouring
-    line and set decides, for runs whose component is not yet flagged;
-    a line of d0 or d1 with a neighbouring line off d0 | d1 touches the
-    unbounded component.  The cost is O(|D| 3^(m-1) log |D|) for
-    D = d0 | d1, whatever the window's area.  Each bounded component
-    carries its runs, gathered in lexicographic order; an unbounded one
-    carries none, so no cell of the window is enumerated.
-
-    The runs also locate points: `containing(q)` finds q's line by one
-    dict lookup and its run by one bisection.  A line off d0 | d1 lies
-    in the unbounded component for dim >= 2, and in 1-D a point past
-    either end of the window lies in that end's ray.
+    Only the lines holding a point of d0 | d1 are split, by
+    `geometry.run_ends` on their merged cells, into free runs: the open
+    intervals (p, q) between those cells, the rays reaching the frame.
+    Every other line, and both rays of each line, lie in the unbounded
+    component for dim >= 2.  Runs (p, q) and (p', q') of neighbouring
+    lines touch when p < q' and p' < q; one two-pointer merge per pair
+    of neighbouring lines feeds a union-find whose roots are the least
+    runs, numbered in lexicographic order.  A run (p, q) touches a set
+    with a cell in [p, q] on its own or a neighbouring line, one
+    bisection each, until its component is flagged; a line off d0 | d1
+    touches the sets on the lines beside it.  The cost is
+    O(|D| 3^(m-1) log |D|) for D = d0 | d1, whatever the window's area.
     """
     s = spacing
     l0, l1 = lines_of(d0), lines_of(d1)
-    keys = l0.keys() | l1.keys()
+    keys = sorted(l0.keys() | l1.keys())
     if keys:
         box = window_of_lines(l0, l1)
         for j, (least, most) in enumerate(zip(box.lower, box.upper)):
@@ -343,32 +314,27 @@ def components_within(window: Window, spacing: int,
     if not all(axes):
         raise ValueError("window contains no grid points")
     lower = tuple(axis[0] for axis in axes)
-    upper = tuple(axis[-1] for axis in axes)
     dim = window.dim
-    first, last = lower[-1], upper[-1]
-    # Run ids: 0 is the unbounded component (dim >= 2), or the left ray
-    # with 1 the right ray (dim == 1); bounded runs follow.
-    rays = 1 if dim > 1 else 2
-    left, right = 0, rays - 1
+    before, after = axes[-1][0] - s, axes[-1][-1] + s
+    # Run ids: 0 is the unbounded component (dim >= 2, or a 1-D line
+    # with no stored point), or the left ray with 1 the right ray
+    # (dim == 1); the bounded runs follow in lexicographic order.
+    rays = 2 if dim == 1 and keys else 1
     parent = list(range(rays))
 
     runs: Dict[Point, Tuple[List[int], List[int], List[int]]] = {}
     for key in keys:
         a, b = l0.get(key), l1.get(key)
-        occ = sorted(a + b) if a and b else a or b
-        starts, ends, ids = [first], [occ[0] - s], [left]
-        prev = occ[0]
-        for c in occ:
-            if c - prev > s:
-                starts.append(prev + s)
-                ends.append(c - s)
-                ids.append(len(parent))
-                parent.append(len(parent))
-            prev = c
-        starts.append(prev + s)
-        ends.append(last)
-        ids.append(right)
-        runs[key] = (starts, ends, ids)
+        cells = a or b
+        if a and b:  # run_ends needs distinct cells; the sets may overlap
+            cells = (sorted(a + b) if set(a).isdisjoint(b)
+                     else sorted(set(a).union(b)))
+        ends = run_ends(cells, s)
+        n = len(parent)
+        bounded = range(n, n + len(ends) // 2 - 1)
+        parent.extend(bounded)
+        runs[key] = ([before, *ends[1::2]], [*ends[::2], after],
+                     [0, *bounded, rays - 1])
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -377,32 +343,27 @@ def components_within(window: Window, spacing: int,
 
     def union(x: int, y: int) -> None:
         x, y = find(x), find(y)
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
+        parent[max(x, y)] = min(x, y)
 
-    zero = (0,) * (dim - 1)
     offsets = moore_offsets(dim - 1, s) if dim > 1 else ()
     neighbours = {
         key: [tuple(map(add, key, off)) for off in offsets]
         for key in runs
     }
-    forward = [off > zero for off in offsets]
     free_side = set()  # lines with a neighbouring line off d0 | d1
-    for key, (sa, ea, ia) in runs.items():
-        for nkey, ahead in zip(neighbours[key], forward):
+    for key, (pa, qa, ia) in runs.items():
+        for nkey in neighbours[key]:
             other = runs.get(nkey)
             if other is None:
                 free_side.add(key)
-            elif ahead:
-                sb, eb, ib = other
+            elif nkey > key:
+                pb, qb, ib = other
                 i = j = 0
-                na, nb = len(sa), len(sb)
+                na, nb = len(pa), len(pb)
                 while i < na and j < nb:
-                    if sa[i] <= eb[j] + s and sb[j] <= ea[i] + s:
+                    if pa[i] < qb[j] and pb[j] < qa[i] and ia[i] != ib[j]:
                         union(ia[i], ib[j])
-                    if ea[i] < eb[j]:
+                    if qa[i] < qb[j]:
                         i += 1
                     else:
                         j += 1
@@ -416,45 +377,23 @@ def components_within(window: Window, spacing: int,
     for lines, flags in ((l0, adj0), (l1, adj1)):
         if not free_side.isdisjoint(lines):
             flags[0] = 1
-        for key, (starts, ends, ids) in runs.items():
-            for nkey in [key, *neighbours[key]]:
-                coords = lines.get(nkey)
-                if coords is None:
-                    continue
-                n = len(coords)
-                for a, b, r in zip(starts, ends, ids):
-                    r = root[r]
-                    if not flags[r]:
-                        i = bisect_left(coords, a - s)
-                        if i < n and coords[i] <= b + s:
+        for key, (starts, stops, ids) in runs.items():
+            near = [c for c in map(lines.get, [key, *neighbours[key]]) if c]
+            for p, q, r in zip(starts, stops, ids):
+                r = root[r]
+                if not flags[r]:
+                    for coords in near:
+                        i = bisect_left(coords, p)
+                        if i < len(coords) and coords[i] <= q:
                             flags[r] = 1
+                            break
 
-    # Visiting the runs in lexicographic order lists each bounded
-    # component's runs from its least point on.
-    groups: Dict[int, List[Tuple[Point, int, int]]] = defaultdict(list)
-    for key in sorted(runs):
-        for a, b, r in zip(*runs[key]):
-            if root[r] >= rays:
-                groups[root[r]].append((key, a, b))
-
-    if dim == 1 and runs:
-        starts = runs[()][0]
-        found = {r: Component(True, bool(adj0[r]), bool(adj1[r]), (a,), [])
-                 for r, a in ((left, starts[0]), (right, starts[-1]))}
-    else:  # with no stored point, a 1-D line is one unbounded component
-        found = {0: Component(True, bool(adj0[0]), bool(adj1[0]), lower, [])}
-    for r, group in groups.items():
-        found[r] = Component(False, bool(adj0[r]), bool(adj1[r]),
-                             group[0][0] + (group[0][1],), group)
-
-    def containing(q: Point) -> Component:
-        line = runs.get(q[:-1])
-        if line is None:
-            return found[0]
-        # past the last run lies the right ray, the last run's component
-        i = min(bisect_left(line[1], q[-1]), len(line[2]) - 1)
-        return found[root[line[2][i]]]
-
-    located = Components(found.values())
-    located.containing = containing
-    return located
+    found = [Component(True, bool(adj0[0]), bool(adj1[0]), lower)]
+    if rays == 2:
+        found.append(Component(True, bool(adj0[1]), bool(adj1[1]),
+                               (runs[()][0][-1] + s,)))
+    # the runs in order: each component comes at its root, its least run
+    found += [Component(False, bool(adj0[r]), bool(adj1[r]), key + (p + s,))
+              for key, (starts, _, ids) in runs.items()
+              for p, r in zip(starts[1:-1], ids[1:-1]) if root[r] == r]
+    return tuple(found)

@@ -4,9 +4,10 @@ Everything here is deliberately independent of the efficient code paths
 it is used to check.  The references traverse the grid point by point
 with `gridset.distance_map`, which no operation calls, stepping to the
 Moore neighbours of `geometry.moore_neighbors`, so the differential
-tests compare the walk of `validate`, the run labelling and the line
-kernels against a traversal they do not share.  The oracles may be
-exponential; they enforce explicit budgets.
+tests compare the walk of `validate`, the witness labelling of
+`gridset.components_within` and the line kernels against a traversal
+they do not share.  The oracles may be exponential; they enforce
+explicit budgets.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from operator import attrgetter
 from typing import FrozenSet, List, Set, Tuple
 
 from .formats import ASCII_CELL_BUDGET
@@ -97,8 +99,8 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
     Visits every grid point of the window, so its cost follows the
     window's volume.  The frame-touching cells are merged into the
     unbounded components by the same rules: one for dim >= 2, the left
-    and right rays for dim == 1.  Each bounded component reports the
-    runs of its own flood-filled points; the unbounded ones list none.
+    and right rays for dim == 1.  Each component's least point is the
+    least of its own flood-filled points.
     """
     d0, d1 = frozenset(d0), frozenset(d1)
     occupied = d0 | d1
@@ -125,40 +127,20 @@ def components_bfs(window: Window, spacing: int, d0: FrozenSet[Point],
         touches_hi = any(c == hi for p in comp for c, hi in zip(p, axis_hi))
         near = set().union(*[moore_neighbors(p, spacing) for p in comp])
         # not exclusive: the sets may overlap
-        raw.append((comp, touches_lo, touches_hi,
+        raw.append((min(comp), touches_lo, touches_hi,
                     not d0.isdisjoint(near), not d1.isdisjoint(near)))
 
-    framed = [e for e in raw if e[1] or e[2]]
     if window.dim == 1 and not any(e[1] and e[2] for e in raw):
         groups = [[e for e in raw if e[1]], [e for e in raw if e[2]]]
     else:
-        groups = [framed]
-    records = [
-        (frozenset().union(*(e[0] for e in group)), True,
-         any(e[3] for e in group), any(e[4] for e in group))
-        for group in groups if group
-    ]
-    bounded = [e for e in raw if not (e[1] or e[2])]
-    records.extend((pts, False, adj0, adj1)
-                   for pts, _, _, adj0, adj1 in sorted(
-                       bounded, key=lambda e: min(e[0])))
-    return tuple(Component(unbounded, adj0, adj1, min(pts),
-                           [] if unbounded else _runs(pts, spacing))
-                 for pts, unbounded, adj0, adj1 in records)
-
-
-def _runs(points: FrozenSet[Point],
-          spacing: int) -> List[Tuple[Point, int, int]]:
-    # The maximal stretches of the points along the last axis, as
-    # (key, first, last) in lexicographic order.
-    runs: List[Tuple[Point, int, int]] = []
-    for p in sorted(points):
-        key, c = p[:-1], p[-1]
-        if runs and runs[-1][0] == key and runs[-1][2] + spacing == c:
-            runs[-1] = (key, runs[-1][1], c)
-        else:
-            runs.append((key, c, c))
-    return runs
+        groups = [[e for e in raw if e[1] or e[2]]]
+    found = [Component(True, any(e[3] for e in group),
+                       any(e[4] for e in group), min(e[0] for e in group))
+             for group in groups if group]
+    found += sorted((Component(False, adj0, adj1, lowest)
+                     for lowest, lo, hi, adj0, adj1 in raw if not (lo or hi)),
+                    key=attrgetter("lowest"))
+    return tuple(found)
 
 
 def closer_set_window(pair: BoundaryPair, window: Window) -> FrozenSet[Point]:

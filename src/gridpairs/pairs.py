@@ -7,7 +7,9 @@ the pairs arising this way, and `reconstruct` inverts the boundary
 extraction.  Both read the free runs of the pair's occupied lines: by
 the separation axiom each complement component of D0 | D1 lies wholly
 inside or outside the set, so each free run has the side of the cells
-at its ends, and `Sides` records it.
+at its ends, and `Sides` records it.  The runs of a line come from
+`geometry.run_ends`, which also splits the lines that
+`gridset.components_within` labels to name a failing pair's witness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import repeat
 from operator import sub
 from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
-from .geometry import Lines, Point, moore_neighbors
+from .geometry import Lines, Point, moore_neighbors, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -146,22 +148,6 @@ class InvalidPairError(ValueError):
 _PASS = AxiomCheck(True)
 
 
-def _run_ends(cells: List[int], s: int) -> List[int]:
-    # The first and last of the sorted cells, and around them the two
-    # cells at the ends of each gap, found by bisection: cells[i] - i*s
-    # is nondecreasing and grows exactly across a gap.
-    n = len(cells)
-    ends = [cells[0]]
-    if cells[-1] - cells[0] != (n - 1) * s:
-        shifted = list(map(sub, cells, range(0, n * s, s)))
-        i = bisect_right(shifted, shifted[0])
-        while i < n:
-            ends += cells[i - 1], cells[i]
-            i = bisect_right(shifted, shifted[i], i)
-    ends.append(cells[-1])
-    return ends
-
-
 def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
           ) -> Tuple[List[Point], List[Point], Optional[Sides]]:
     # One pass over the occupied lines.  It gathers the least point of
@@ -196,7 +182,7 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
             continue
         a, b = own
         if a and b:
-            ends = _run_ends(sorted(a + b), s)
+            ends = run_ends(sorted(a + b), s)
             # a cell's side is the number of its copies in d1
             labels = bytes(map(sub, map(bisect_right, repeat(b), ends),
                                map(bisect_left, repeat(b), ends)))
@@ -206,7 +192,7 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
                 continue
             sides = labels[::2] + labels[-1:]
         else:
-            ends = _run_ends(a or b, s)
+            ends = run_ends(a or b, s)
             sides = (b"\1" if b else b"\0") * (len(ends) // 2 + 1)
         found[key] = ends, sides
         if dim == 1:
@@ -278,8 +264,9 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     mismatch.  The cost is O(|D| 3^(m-1) log |D|) for D = d0 | d1,
     whatever the bounding box.  The report carries the `Sides`.  Only
     when a rule fails, or the sets overlap, are the components labelled
-    (`gridset.components_within`), to name the separation witness: the
-    least point of the first component adjacent to both sets.
+    (`gridset.components_within`, on the same `geometry.run_ends`), to
+    name the separation witness: the least point of the first component
+    adjacent to both sets, the unbounded ones first.
     """
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)

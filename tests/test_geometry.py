@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridpairs.geometry import (dilate, erode, grid_range, lines_of,
-                                moore_neighbors, points_of, ring)
+                                moore_neighbors, points_of, ring, run_ends)
 from gridpairs.gridset import Window, window_of
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
@@ -205,3 +205,18 @@ def test_grid_range_holds_the_multiples_in_the_interval(lo, far, span, s):
             assert hi - s < r[-1] <= hi
         if hi - lo <= 60:
             assert list(r) == [v for v in range(lo, hi + 1) if v % s == 0]
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 5),
+       st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**30)),
+                max_size=30))
+def test_run_ends_match_a_linear_scan(start, s, steps):
+    cells = [start * s]
+    for step in steps:
+        cells.append(cells[-1] + step * s)
+    expected = [cells[0]]
+    for prev, c in zip(cells, cells[1:]):
+        if c - prev > s:
+            expected += prev, c
+    expected.append(cells[-1])
+    assert run_ends(cells, s) == expected

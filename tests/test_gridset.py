@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpairs.geometry import lines_of
+from gridpairs.geometry import lines_of, moore_neighbors
 from gridpairs.gridset import (
     GridSet,
     Mode,
@@ -22,7 +22,8 @@ from gridpairs.gridset import (
     window_of,
     window_of_lines,
 )
-from gridpairs.pairs import BoundaryPair
+from gridpairs.layers import trace
+from gridpairs.pairs import BoundaryPair, validate
 from gridpairs.oracle import components_bfs
 from gridpairs.transfer import GridRatio, restrict
 
@@ -231,32 +232,33 @@ class TestComponentsWithin:
             assert len(comps) == 1
             assert comps[0].unbounded
             assert not comps[0].adjacent_d0 and not comps[0].adjacent_d1
-            assert comps[0].runs == []
-            assert all(comps.containing(q) is comps[0]
-                       for q in window.grid_points(1))
-            assert comps.containing((-10**9,) * window.dim) is comps[0]
+            assert comps[0].lowest == window.lower
+            assert comps == components_bfs(window, 1, frozenset(),
+                                           frozenset())
 
     def test_rectangle_with_hole_pair(self):
-        from gridpairs.layers import trace
         pair = trace(GridSet.finite(FIG1A_POINTS))
         window = window_of(pair.d0 | pair.d1).inflate(1)
         comps = components_within(window, 1, pair.d0, pair.d1)
-        assert len(comps) == 3
-        by_key = {"outside": comps[0], "hole": comps.containing((4, 4)),
-                  "interior": comps.containing((7, 3))}
-        assert comps[0].unbounded
-        assert {id(comp) for comp in by_key.values()} == \
-            {id(comp) for comp in comps}
+        outside, hole, interior = comps
+        assert outside.unbounded and outside.lowest == window.lower
+        assert not hole.unbounded and not interior.unbounded
         # the hole center sees only the outer-layer ring around it
-        assert by_key["hole"].runs == [((4,), 4, 4)]
-        assert not by_key["hole"].adjacent_d0
-        assert by_key["hole"].adjacent_d1
+        assert hole.lowest == (4, 4)
+        assert not hole.adjacent_d0
+        assert hole.adjacent_d1
         # the solid interior of the set touches the inner boundary
-        assert by_key["interior"].runs == [((7,), 3, 5), ((8,), 3, 5)]
-        assert by_key["interior"].adjacent_d0
-        assert not by_key["interior"].adjacent_d1
-        assert by_key["outside"].adjacent_d1
-        assert not by_key["outside"].adjacent_d0
+        assert interior.lowest == (7, 3)
+        assert interior.adjacent_d0
+        assert not interior.adjacent_d1
+        assert outside.adjacent_d1
+        assert not outside.adjacent_d0
+        # the walk's sides put each free cell on its component's side
+        sides = validate(pair).sides
+        assert sides.of((4, 4)) == 1
+        assert all(sides.of((x, y)) == 0 for x in (7, 8) for y in (3, 4, 5))
+        assert all(sides.of(q) == 1
+                   for q in (window.lower, (-10**9, 3), (4, 10**9)))
 
     def test_one_dimensional_two_rays(self):
         comps = components_within(
@@ -264,6 +266,16 @@ class TestComponentsWithin:
         assert len(comps) == 2
         assert all(c.unbounded for c in comps)
         assert all(c.adjacent_d1 and not c.adjacent_d0 for c in comps)
+
+    def test_sets_sharing_cells_on_a_line(self):
+        # d0 and d1 share (1, 0) and (1, 2), the cells of the line x = 1
+        # around the free cell (1, 1), which must still be a component
+        window = Window((-1, -1), (3, 3))
+        d0 = frozenset(moore_neighbors((1, 1), 1))
+        d1 = frozenset({(0, 0), (1, 0), (1, 2), (2, 1)})
+        comps = components_within(window, 1, d0, d1)
+        assert comps == components_bfs(window, 1, d0, d1)
+        assert comps[1:] == ((False, True, True, (1, 1)),)
 
     def test_window_too_small(self):
         # the key axes are checked first, then the last; on the first
@@ -289,18 +301,24 @@ class TestComponentsWithin:
             window = Window((0,) * dim, (5,) * dim)
             comps = components_within(window, 1, pts, frozenset())
             unbounded = [c for c in comps if c.unbounded]
-            assert len(unbounded) == 1
-            frame = {
-                cell for cell in window.grid_points(1)
-                if any(c in (0, 5) for c in cell)
-            }
-            assert all(comps.containing(cell) is unbounded[0]
-                       for cell in frame)
+            assert unbounded == [comps[0]]
+            assert comps[0].lowest == window.lower
+            assert comps == components_bfs(window, 1, pts, frozenset())
+            # the frame of a window around the traced set has the side
+            # of the flood fill's unbounded component
+            pair = trace(GridSet.finite(pts))
+            window = window.inflate(1)
+            outside = components_bfs(window, 1, pair.d0, pair.d1)[0]
+            assert outside.adjacent_d0 != outside.adjacent_d1
+            sides = validate(pair).sides
+            assert all(sides.of(cell) == outside.adjacent_d1
+                       for cell in window.grid_points(1)
+                       if any(c in (-1, 6) for c in cell))
 
 
 def component_key(comp):
     return (comp.unbounded, comp.adjacent_d0, comp.adjacent_d1,
-            comp.lowest, comp.runs)
+            comp.lowest)
 
 
 def line_index(points):
@@ -525,38 +543,43 @@ class TestRunKernelAgainstFloodFill:
     @settings(max_examples=100)
     @given(labelling_cases())
     def test_containing_matches_reference(self, case):
-        # Each free window cell lies in the flood-fill component at the
-        # fast one's position: the bounded component whose runs hold it,
-        # or else the last unbounded one that starts at or before it (in
-        # 1-D the right ray starts past the left).
+        # The walk gives sides exactly to a nonempty pair of disjoint
+        # sets that no flood-fill component touches on both sides.  Then
+        # each free window cell has the side of the component holding
+        # it, flood-filled from its least cell, which names the record.
         window, s, d0, d1 = case
-        fast = components_within(window, s, d0, d1)
+        if not d0 | d1:
+            return
         reference = components_bfs(window, s, d0, d1)
-        holder = {key + (c,): i for i, comp in enumerate(reference)
-                  for key, a, b in comp.runs for c in range(a, b + 1, s)}
-        starts = [(comp.lowest, i) for i, comp in enumerate(reference)
-                  if comp.unbounded]
-        position = {id(comp): i for i, comp in enumerate(fast)}
-        for q in window.grid_points(s):
-            if q in d0 or q in d1:
-                continue
-            expected = holder.get(q)
-            if expected is None:
-                expected = max(i for lowest, i in starts if lowest <= q)
-            assert position[id(fast.containing(q))] == expected
+        sides = validate(BoundaryPair(window.dim, s, d0, d1)).sides
+        assert (sides is not None) == (d0.isdisjoint(d1) and not any(
+            comp.adjacent_d0 and comp.adjacent_d1 for comp in reference))
+        if sides is None:
+            return
+        by_lowest = {comp.lowest: comp for comp in reference}
+        free = set(window.grid_points(s)) - d0 - d1
+        while free:
+            lowest = min(free)
+            held = distance_map([lowest], free, s)
+            side = int(by_lowest[lowest].adjacent_d1)
+            assert all(sides.of(q) == side for q in held)
+            free.difference_update(held)
 
     def test_far_apart_blocks_without_filling_the_box(self):
         block = {(x, y) for x in range(3) for y in range(3)}
         far = {(x + 10**6, y + 10**6) for x, y in block}
-        from gridpairs.layers import trace
         pair = trace(GridSet.finite(block | far))
         window = window_of(pair.d0 | pair.d1).inflate(1)
         comps = components_within(window, 1, pair.d0, pair.d1)
         assert [c.unbounded for c in comps] == [True, False, False]
         assert comps[0].lowest == (-2, -2)  # the window corner
-        assert [c.runs for c in comps[1:]] == [
-            [((1,), 1, 1)], [((10**6 + 1,), 10**6 + 1, 10**6 + 1)]]
+        assert [c.lowest for c in comps[1:]] == [(1, 1), (10**6 + 1,) * 2]
         assert all(c.adjacent_d0 and not c.adjacent_d1 for c in comps[1:])
+        # each block's centre is inside, the gap between them outside
+        sides = validate(pair).sides
+        assert [sides.of(q) for q in [(1, 1), (10**6 + 1,) * 2,
+                                      (5 * 10**5,) * 2, (1, 10**6 + 1)]] \
+            == [0, 0, 1, 1]
 
 
 class TestDistanceMap:
