@@ -125,7 +125,8 @@ def _parse_ascii_rows(rows: List[str], origin: Point, spacing: int,
                 if ch not in known:
                     raise ParseError(f"unknown character {ch!r}",
                                      first_line + r, c + 1)
-    ys = range(origin[1], origin[1] + len(rows) * spacing, spacing)
+    # a list: compress over a range would make an int per cell
+    ys = list(range(origin[1], origin[1] + len(rows) * spacing, spacing))
     marks = [(ord(ch), _MARK_TABLES[ch], {}) for ch in allowed]
     for c in range(width):
         column = data[c::width]

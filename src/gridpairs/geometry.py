@@ -9,9 +9,10 @@ Dilations and erosions work on a line index (`Lines`): the last
 coordinates of a point set, keyed by the first m - 1 coordinates, as
 sorted lists when `lines_of` builds them and as sets when the kernels
 do.  A Chebyshev ball is a box, a product of intervals, so both are
-separable: one sweep per key axis, then one pass within the lines, all
-of them set operations on ints.  They yield their lines one at a time
-(`LineStream`), so a result that is only filtered is never held whole.
+separable: one sweep per key axis, and one pass within the lines
+before or after the sweeps, all of them set operations on ints.  They
+yield their lines one at a time (`LineStream`), so a result that is
+only filtered is never held whole.
 The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
 operations read it and return their results as line indexes
@@ -232,16 +233,29 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
             yield head + (w,) + tail, merged
 
 
-def _separable(lines: Lines, half: int, gap: int, widen: int, spacing: int,
-               combine: Callable[..., Set[int]]) -> LineStream:
-    # One sweep per key axis, the last one streamed, then the runs
-    # within each line, once per line object.
+def _separable(lines: Lines, half: int, gap: int, widen: int, source: int,
+               spacing: int, combine: Callable[..., Set[int]]) -> LineStream:
+    # One sweep per key axis, the last one streamed, and the runs within
+    # each line.  Along the last axis a dilation commutes with the
+    # sweeps' unions, and an erosion with their intersections, so the
+    # runs are taken on the input lines when refining (spacing <
+    # source), which has about n times fewer lines than its output, and
+    # otherwise on the output lines, once per line object.
+    first = spacing < source
+    if first:
+        lines = {key: spans for key, line in lines.items()
+                 if (spans := _spans(line, gap, widen, spacing))}
     axes = len(next(iter(lines), ()))
     for j in range(axes - 1):
         lines = {key: line for key, line in _sweep(
             lines, j, half, gap, widen, spacing, combine) if line}
     found = _sweep(lines, axes - 1, half, gap, widen, spacing,
                    combine) if axes else lines.items()
+    if first:
+        for key, line in found:
+            if line:
+                yield key, line
+        return
     last = spans = None
     for key, line in found:
         if line is not last:
@@ -251,18 +265,23 @@ def _separable(lines: Lines, half: int, gap: int, widen: int, spacing: int,
             yield key, spans
 
 
-def dilate(lines: Lines, radius_doubled: int, spacing: int) -> LineStream:
-    """Grid points within Chebyshev distance radius_doubled/2 of some point.
+def dilate(lines: Lines, radius_doubled: int, source: int,
+           spacing: int) -> LineStream:
+    """Points of the spacing grid within Chebyshev distance
+    radius_doubled/2 of some stored point.
 
     The comparison is 2*dist <= radius_doubled, evaluated exactly, which
     makes half-integer radii representable without fractions: around
     each integer point it keeps the offsets up to radius_doubled // 2.
-    The points may be any integer points.  Separably: along each key
-    axis a line is united into the lines within reach, and within each
-    line the runs of points closer than one ball apart are widened.
+    The stored points lie on the source grid.  Separably: along each
+    key axis a line is united into the lines within reach, and within
+    each line the runs of points closer than one ball apart are widened.
+    Widening a line commutes with uniting lines, so the source lines are
+    widened before the sweeps when refining (spacing < source), where
+    there are fewer of them, and the output lines after them otherwise.
     """
     h = radius_doubled // 2
-    return _separable(lines, h, 2 * h + 1, h, spacing, set().union)
+    return _separable(lines, h, 2 * h + 1, h, source, spacing, set().union)
 
 
 def erode(lines: Lines, radius_doubled: int, source: int,
@@ -274,10 +293,12 @@ def erode(lines: Lines, radius_doubled: int, source: int,
     the stored points lie on the source grid, and radius_doubled >=
     source, so that every ball holds a source-grid point.  Separably:
     along each key axis the lines of a ball are intersected, and within
-    each line the runs of consecutive points are narrowed.
+    each line the runs of consecutive points are narrowed, before the
+    sweeps or after them as in `dilate`, since narrowing a line commutes
+    with intersecting lines.
     """
     h = radius_doubled // 2
-    return _separable(lines, h, source, source - 1 - h, spacing,
+    return _separable(lines, h, source, source - 1 - h, source, spacing,
                       lambda first, *rest: set(first).intersection(*rest))
 
 
@@ -299,7 +320,7 @@ def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
     """
     step = 2 * spacing
     return (_peel(lines, erode(lines, step, spacing, spacing)),
-            difference(dilate(lines, step, spacing), lines))
+            difference(dilate(lines, step, spacing, spacing), lines))
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

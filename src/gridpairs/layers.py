@@ -56,7 +56,7 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     near, reach = gridset.points.lines, 2 * (k - 1) * s
     if gridset.mode is Mode.FINITE:
         if k > 1:
-            near = dict(dilate(near, reach, s))
+            near = dict(dilate(near, reach, s, s))
         found = ring(near, s)[1]
     else:
         if k > 1:

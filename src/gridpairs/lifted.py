@@ -55,15 +55,15 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
         return BoundaryPair._trusted(pair.dim, n, {}, {})
     step = 2 * n
     l0, l1 = pair.d0.lines, pair.d1.lines
-    near = dict(dilate(l0, n, n))
+    near = dict(dilate(l0, n, 1, n))
     out1: Lines = {}
-    for key, line in difference(dilate(near, step, n), near):
+    for key, line in difference(dilate(near, step, n, n), near):
         ones = set(l1.get(key, ()))
-        kept = sorted(y for y in line if y in ones
-                      or sides.of(key + (y,)) == 1)
+        side = sides.along(key)
+        kept = sorted(y for y in line if y in ones or side(y))
         if kept:
             out1[key] = kept
-    out0 = intersection(dilate(out1, step, n), near)
+    out0 = intersection(dilate(out1, step, n, n), near)
     return BoundaryPair._trusted(pair.dim, n, sorted_lines(out0), out1)
 
 
@@ -86,11 +86,11 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
     d0, d1 = pair.d0.lines, pair.d1.lines
-    near0, near1 = dict(dilate(d0, n, 1)), dict(dilate(d1, n, 1))
-    out1 = difference(intersection(dilate(d0, n + 2, 1), near1), near0)
+    near0, near1 = dict(dilate(d0, n, n, 1)), dict(dilate(d1, n, n, 1))
+    out1 = difference(intersection(dilate(d0, n + 2, n, 1), near1), near0)
     if n % 2 == 0:
         out0 = intersection(near0.items(), near1)
     else:
-        out0 = intersection(dilate(d1, n + 1, 1), near0)
+        out0 = intersection(dilate(d1, n + 1, n, 1), near0)
     return BoundaryPair._trusted(pair.dim, 1, sorted_lines(out0),
                                  sorted_lines(out1))

@@ -14,11 +14,10 @@ at its ends, and `Sides` records it.  The runs of a line come from
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import sub
-from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from .geometry import Lines, Point, moore_neighbors, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
@@ -62,26 +61,30 @@ class Sides:
     on the line, the two cells around each bounded run, and the last
     cell; the sides, as bytes, are those of the left ray, of each
     bounded run and of the right ray, so one bisection among the ends
-    finds a free cell's side.  `exterior` holds the sides of the left
+    finds a free cell's side: `along` looks a line up once and maps its
+    free cells, `of` one point.  `exterior` holds the sides of the left
     and the right ray: in 1-D each has its own, and for dim >= 2 both
     are the side of the unbounded component, which holds both rays of
     every line and every line off d0 | d1.
     """
 
-    __slots__ = ("lines", "exterior")
+    __slots__ = ("lines", "exterior", "_off")
 
     def __init__(self, lines: Dict[Point, Tuple[List[int], bytes]],
                  exterior: Tuple[int, ...]):
         self.lines = lines
         self.exterior = exterior
+        # a line off d0 | d1: no ends, and one run of the exterior side
+        self._off = (), bytes(exterior[:1])
+
+    def along(self, key: Point) -> Callable[[int], int]:
+        """The side of each free cell of line key, by its last coordinate."""
+        ends, sides = self.lines.get(key, self._off)
+        return lambda c: sides[(bisect_left(ends, c) + 1) // 2]
 
     def of(self, q: Point) -> int:
         """The side of q, a grid point off d0 and d1."""
-        found = self.lines.get(q[:-1])
-        if found is None:
-            return self.exterior[0]
-        ends, sides = found
-        return sides[(bisect_left(ends, q[-1]) + 1) // 2]
+        return self.along(q[:-1])(q[-1])
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,6 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
     # each line of d0 (of d1) with no point of the other set one step
     # away, and, for disjoint sets, the sides of the free runs, or None
     # once one of the rules (a)-(c) of `validate` fails.
-    sets = (l0, l1)
     occupied = l0.keys() | l1.keys()
     failing: Tuple[List[Point], List[Point]] = ([], [])
     found: Dict[Point, Tuple[List[int], bytes]] = {}
@@ -163,17 +165,20 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
     for key in occupied:
         beside = moore_neighbors(key, s)
         own = l0.get(key), l1.get(key)
+        # each neighbouring line of d0 and of d1, None where it is empty
+        around = list(map(l0.get, beside)), list(map(l1.get, beside))
         # A point touches the other set when that set holds a point at
         # c - s, c or c + s on a neighbouring line, or at c - s or c + s
-        # on its own, since a point of both sets is not its own
-        # neighbour.  The lines are sorted: the first failing point is
-        # the least on its line.
+        # on its own.  For disjoint sets no point lies on its own line
+        # of the other set, so one set of cells serves both tests; a
+        # point of both sets is not its own neighbour.  The lines are
+        # sorted: the first failing point is the least on its line.
         for side in (0, 1):
             origin = own[side]
             if origin:
-                target = sets[1 - side]
-                near = set().union(*[target.get(n, ()) for n in beside])
-                reach = near.union(own[1 - side] or ())
+                others = [line for line in around[1 - side] if line]
+                reach = set().union(own[1 - side] or (), *others)
+                near = reach if disjoint else set().union(*others)
                 for c in origin:
                     if not (c in near or c - s in reach or c + s in reach):
                         failing[side].append(key + (c,))
@@ -183,9 +188,8 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
         a, b = own
         if a and b:
             ends = run_ends(sorted(a + b), s)
-            # a cell's side is the number of its copies in d1
-            labels = bytes(map(sub, map(bisect_right, repeat(b), ends),
-                               map(bisect_left, repeat(b), ends)))
+            # a cell's side is 1 when it lies in d1
+            labels = bytes(map(set(b).__contains__, ends))
             # (a): the two end cells of each bounded run
             if labels[1:-1:2] != labels[2:-1:2]:
                 agree = False
@@ -203,28 +207,27 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
         if sides[0] != exterior or sides[-1] != exterior:
             agree = False
             continue
-        # (c): the window [a - s, b + s] of a bounded run [a, b] spans
-        # its end cells; that of the left (right) ray ends (starts) at
-        # the first (last) cell
-        runs = list(zip(sides[1:-1], ends[1:-1:2], ends[2:-1:2]))
+        # (c): the window [a - s, b + s] of the bounded run [a, b] between
+        # ends[k - 1] and ends[k] spans those cells; that of the left
+        # (right) ray ends (starts) at the first (last) cell
         first, last = ends[0], ends[-1]
-        for nkey in beside:
-            if nkey not in occupied:
-                if key in sets[1 - exterior]:
+        for near0, near1 in zip(*around):
+            if near0 is None and near1 is None:
+                if own[1 - exterior]:
                     agree = False
                     break
                 continue
             # the cells that a run of side 0 (of side 1) must not meet
-            others = l1.get(nkey), l0.get(nkey)
+            others = near1, near0
             other = others[exterior]
             if other and (other[0] <= first or other[-1] >= last):
                 agree = False
                 break
-            for side, low, high in runs:
-                other = others[side]
+            for k in range(2, len(ends) - 1, 2):
+                other = others[sides[k // 2]]
                 if other:
-                    i = bisect_left(other, low)
-                    if i < len(other) and other[i] <= high:
+                    i = bisect_left(other, ends[k - 1])
+                    if i < len(other) and other[i] <= ends[k]:
                         agree = False
                         break
             if not agree:

@@ -67,7 +67,7 @@ def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
     # the source grid is.
     lines = gridset.points.lines
     if gridset.mode is Mode.FINITE:
-        moved = dilate(lines, n, target_spacing)
+        moved = dilate(lines, n, gridset.spacing, target_spacing)
     else:
         moved = erode(lines, n, gridset.spacing, target_spacing)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,

@@ -20,22 +20,30 @@ FIG1A_POINTS = frozenset(
     - {(x, y) for x in range(3, 6) for y in range(3, 6)})
 
 
-def random_gridset(rng, dim=2, spacing=1):
-    pts = frozenset(
-        tuple(spacing * rng.randrange(-5, 6) for _ in range(dim))
-        for _ in range(rng.randrange(1, 12)))
+def random_points(rng, dim, spacing, shift, most):
+    # 1 to most points of the box [-5, 5]^dim, shifted by shift, in
+    # grid steps
+    return frozenset(
+        tuple(spacing * (rng.randrange(-5, 6) + shift) for _ in range(dim))
+        for _ in range(rng.randrange(1, most)))
+
+
+def random_gridset(rng, dim=2, spacing=1, shift=0):
+    pts = random_points(rng, dim, spacing, shift, 12)
     mode = Mode.COFINITE if rng.random() < 0.3 else Mode.FINITE
     return GridSet(dim, spacing, mode, pts)
 
 
-def random_pair(rng, dim=2, spacing=1):
-    d0 = frozenset(
-        tuple(spacing * rng.randrange(-5, 6) for _ in range(dim))
-        for _ in range(rng.randrange(1, 8)))
-    d1 = frozenset(
-        tuple(spacing * rng.randrange(-5, 6) for _ in range(dim))
-        for _ in range(rng.randrange(1, 8))) - d0
+def random_pair(rng, dim=2, spacing=1, shift=0):
+    d0 = random_points(rng, dim, spacing, shift, 8)
+    d1 = random_points(rng, dim, spacing, shift, 8) - d0
     return BoundaryPair(dim, spacing, d0, d1)
+
+
+#: (shift, spacing) of the random ASCII documents: near the origin, and
+#: far from it, where no coordinate is a cached small int.
+PLACEMENTS = [(shift, spacing) for shift in (0, -300, 10**6, -10**23)
+              for spacing in (1, 3)]
 
 
 class TestAsciiFormat:
@@ -54,10 +62,12 @@ class TestAsciiFormat:
 
     def test_round_trip_random(self):
         rng = random.Random(71)
-        for _ in range(40):
-            doc = random_gridset(rng) if rng.random() < 0.5 \
-                else random_pair(rng)
-            assert parse_text(serialize_ascii(doc)) == doc
+        for shift, spacing in PLACEMENTS:
+            for _ in range(40):
+                doc = random_gridset(rng, 2, spacing, shift) \
+                    if rng.random() < 0.5 \
+                    else random_pair(rng, 2, spacing, shift)
+                assert parse_text(serialize_ascii(doc)) == doc
 
     def test_round_trip_cofinite_coarse(self):
         M = GridSet.cofinite({(2, -4), (6, 0)}, spacing=2)
@@ -197,12 +207,15 @@ class TestCoordsFormat:
 class TestConversion:
     def test_ascii_to_coords_to_ascii_is_lossless(self):
         rng = random.Random(73)
-        for _ in range(25):
-            doc = random_gridset(rng) if rng.random() < 0.5 \
-                else random_pair(rng)
-            ascii_once = serialize(doc, "ascii")
-            through = parse_text(serialize(parse_text(ascii_once), "coords"))
-            assert serialize(through, "ascii") == ascii_once
+        for shift, spacing in PLACEMENTS:
+            for _ in range(25):
+                doc = random_gridset(rng, 2, spacing, shift) \
+                    if rng.random() < 0.5 \
+                    else random_pair(rng, 2, spacing, shift)
+                ascii_once = serialize(doc, "ascii")
+                through = parse_text(
+                    serialize(parse_text(ascii_once), "coords"))
+                assert serialize(through, "ascii") == ascii_once
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

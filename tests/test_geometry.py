@@ -133,17 +133,21 @@ class TestBallPoints:
             (1, -2), small + extra, spacing)
 
 
-@given(grid_sets(on_grid=False), st.integers(0, 7), st.integers(1, 3))
-def test_dilate_is_the_union_of_balls(case, radius, spacing):
-    _, _, centers = case
-    assert points_of(dilate(lines_of(centers), radius, spacing)) == \
-        set().union(*[ball_points(c, radius, spacing) for c in centers])
-
-
 #: Source and target spacings as multiples of the drawn spacing s, for
 #: a ratio n: fine to coarse, coarse to fine, and one grid.
 TRANSFERS = [lambda s, n: (s, n * s), lambda s, n: (n * s, s),
              lambda s, n: (s, s)]
+
+
+@given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),
+       st.integers(0, 7))
+def test_dilate_is_the_union_of_balls(case, n, transfer, radius):
+    # coarse to fine widens the lines before the sweeps, the others after
+    _, s, cells = case
+    source, target = transfer(s, n)
+    centers = {tuple(source // s * c for c in p) for p in cells}
+    assert points_of(dilate(lines_of(centers), radius, source, target)) == \
+        set().union(*[ball_points(c, radius, target) for c in centers])
 
 
 @given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),

@@ -228,22 +228,23 @@ WALK_SPANS = {1: 12, 2: 5, 3: 3}
 
 def mutated(pair, rng):
     """The pair with one point moved one step along an axis, given the
-    other label or dropped, or with a lone point added three steps
-    beyond the upper corner of its box."""
+    other label, given both labels or dropped, or with a lone point
+    added three steps beyond the upper corner of its box."""
     s = pair.spacing
     d0, d1 = set(pair.d0), set(pair.d1)
-    kind = rng.choice(("move", "flip", "drop", "far"))
+    kind = rng.choice(("move", "flip", "both", "drop", "far"))
     if kind == "far":
         upper = window_of(d0 | d1).upper
         rng.choice((d0, d1)).add(tuple(c + 3 * s for c in upper))
     else:
         p = rng.choice(sorted(d0 | d1))
         own, other = (d0, d1) if p in d0 else (d1, d0)
-        own.discard(p)
+        if kind != "both":
+            own.discard(p)
         if kind == "move":
             j = rng.randrange(pair.dim)
             own.add(p[:j] + (p[j] + rng.choice((-s, s)),) + p[j + 1:])
-        elif kind == "flip":
+        elif kind in ("flip", "both"):
             other.add(p)
     return BoundaryPair(pair.dim, s, frozenset(d0), frozenset(d1))
 
@@ -389,6 +390,10 @@ def test_containing_component_decides_membership(M, data):
     pair = trace(M)
     report = validate(pair)
     members = reconstruct(pair)
+    if pair.is_empty:
+        # a hole filled by its islands: the full grid, with no free runs
+        assert members.is_full_grid
+        return
     s, dim = pair.spacing, pair.dim
     stored = sorted(pair.d0 | pair.d1)
     window = window_of(stored).inflate(2 * s)
