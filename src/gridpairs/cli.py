@@ -106,7 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument("--format", choices=formats.FORMATS,
                             default=formats.ASCII)
     random_cmd.add_argument("--window", required=True,
-                            help="inclusive box, e.g. 0,0:15,15")
+                            help="inclusive box, e.g. 0,0:15,15; a box "
+                                 "whose lower corner starts with a minus "
+                                 "sign is written with =, e.g. "
+                                 "--window=-300,-260:-45,-5")
     random_cmd.add_argument("--density", type=float, required=True)
     random_cmd.add_argument("--seed", type=int, required=True)
     random_cmd.add_argument("--spacing", type=int, default=1)

@@ -151,45 +151,54 @@ class InvalidPairError(ValueError):
 _PASS = AxiomCheck(True)
 
 
-def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
-          ) -> Tuple[List[Point], List[Point], Optional[Sides]]:
+def _walk(l0: Lines, l1: Lines, dim: int, s: int
+          ) -> Tuple[List[Point], List[Point], List[Point], Optional[Sides]]:
     # One pass over the occupied lines.  It gathers the least point of
     # each line of d0 (of d1) with no point of the other set one step
-    # away, and, for disjoint sets, the sides of the free runs, or None
-    # once one of the rules (a)-(c) of `validate` fails.
+    # away, the least point of each line in both sets, and, while no
+    # such point is found, the sides of the free runs, or None once one
+    # of the rules (a)-(c) of `validate` fails.
     occupied = l0.keys() | l1.keys()
     failing: Tuple[List[Point], List[Point]] = ([], [])
+    overlap: List[Point] = []
     found: Dict[Point, Tuple[List[int], bytes]] = {}
-    agree = disjoint
+    agree = True
     exterior = None
     for key in occupied:
         beside = moore_neighbors(key, s)
-        own = l0.get(key), l1.get(key)
+        own = a, b = l0.get(key), l1.get(key)
         # each neighbouring line of d0 and of d1, None where it is empty
         around = list(map(l0.get, beside)), list(map(l1.get, beside))
+        # d1's line as a set, where the line holds both sets
+        in_b = set(b) if a and b else None
+        shared = in_b is not None and not in_b.isdisjoint(a)
+        if shared:
+            overlap.append(key + (min(in_b.intersection(a)),))
+            agree = False
+        across = in_b or b or (), a or ()
         # A point touches the other set when that set holds a point at
         # c - s, c or c + s on a neighbouring line, or at c - s or c + s
-        # on its own.  For disjoint sets no point lies on its own line
-        # of the other set, so one set of cells serves both tests; a
-        # point of both sets is not its own neighbour.  The lines are
-        # sorted: the first failing point is the least on its line.
+        # on its own.  On a line without a point of both sets no point
+        # lies on its own line of the other set, so one set of cells
+        # serves both tests; a point of both sets is not its own
+        # neighbour.  The lines are sorted: the first failing point is
+        # the least on its line.
         for side in (0, 1):
             origin = own[side]
             if origin:
                 others = [line for line in around[1 - side] if line]
-                reach = set().union(own[1 - side] or (), *others)
-                near = reach if disjoint else set().union(*others)
+                reach = set().union(across[side], *others)
+                near = set().union(*others) if shared else reach
                 for c in origin:
                     if not (c in near or c - s in reach or c + s in reach):
                         failing[side].append(key + (c,))
                         break
         if not agree:
             continue
-        a, b = own
-        if a and b:
+        if in_b is not None:
             ends = run_ends(sorted(a + b), s)
             # a cell's side is 1 when it lies in d1
-            labels = bytes(map(set(b).__contains__, ends))
+            labels = bytes(map(in_b.__contains__, ends))
             # (a): the two end cells of each bounded run
             if labels[1:-1:2] != labels[2:-1:2]:
                 agree = False
@@ -233,15 +242,18 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int, disjoint: bool
             if not agree:
                 break
     if not agree:
-        return failing[0], failing[1], None
+        return failing[0], failing[1], overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
-    return failing[0], failing[1], Sides(found, (rays[0], rays[-1]))
+    return failing[0], failing[1], overlap, Sides(found, (rays[0], rays[-1]))
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
     """Check the five boundary-pair axioms and report per-axiom results.
 
-    One walk over the pair's line index decides them.  A point touches
+    One walk over the pair's line index decides them.  On a line that
+    holds both sets, one set of d1's cells serves the overlap test, the
+    adjacency of d0 and the sides of the runs; the disjointness witness
+    is the least point of both sets.  A point touches
     the other set when that set holds a point one step along its own
     line or within one step on a neighbouring line; the adjacency
     witnesses are the least failing points.  The separation axiom (no
@@ -277,12 +289,9 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     l0, l1 = pair.d0.lines, pair.d1.lines
     nonempty = _PASS if l0 and l1 else AxiomCheck(False)
 
-    overlap = [key + (c,) for key in l0.keys() & l1.keys()
-               for c in set(l0[key]).intersection(l1[key])]
-    disjoint = _PASS if not overlap else AxiomCheck(False, min(overlap))
-
     s = pair.spacing
-    failing0, failing1, sides = _walk(l0, l1, pair.dim, s, not overlap)
+    failing0, failing1, overlap, sides = _walk(l0, l1, pair.dim, s)
+    disjoint = AxiomCheck(False, min(overlap)) if overlap else _PASS
     d0_touches_d1 = AxiomCheck(False, min(failing0)) if failing0 else _PASS
     d1_touches_d0 = AxiomCheck(False, min(failing1)) if failing1 else _PASS
 

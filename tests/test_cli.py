@@ -7,7 +7,7 @@ import pytest
 
 from gridpairs import cli
 from gridpairs.cli import main
-from gridpairs.formats import serialize
+from gridpairs.formats import parse_text, serialize
 from gridpairs.gridset import GridSet
 from gridpairs.layers import trace
 
@@ -123,6 +123,24 @@ class TestRandomCommand:
                            "--format", "coords")
         assert code == 0
         assert out.startswith("#coords v1 kind=gridset m=3 s=1 mode=finite")
+
+    def test_negative_window_is_written_with_equals(self, capsys):
+        # a value that starts with "-" is read as an option unless it is
+        # joined to the flag with "="
+        code, out, _ = run(capsys, "random", "--window=-300,-260:-45,-5",
+                           "--density", "0.5", "--seed", "5")
+        assert code == 0
+        drawn = parse_text(out)
+        xs = [x for (x,) in drawn.points.lines]
+        ys = [y for line in drawn.points.lines.values() for y in line]
+        assert -300 <= min(xs) and max(xs) <= -45
+        assert -260 <= min(ys) and max(ys) <= -5
+        assert out.startswith(f"#gridset v1 m=2 s=1 origin={min(xs)},"
+                              f"{min(ys)} mode=finite\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["random", "--help"])
+        assert excinfo.value.code == 0
+        assert "--window=-300,-260:-45,-5" in capsys.readouterr().out
 
     def test_bad_window_spec(self, capsys):
         code, _, err = run(capsys, "random", "--window", "zap",

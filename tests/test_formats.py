@@ -4,7 +4,10 @@ import pytest
 
 from gridpairs.cli import main
 from gridpairs.formats import (
+    _CHUNK,
     ParseError,
+    _read_records,
+    _scan_records,
     parse_text,
     serialize,
     serialize_ascii,
@@ -271,3 +274,141 @@ def test_parser_rejects_every_bad_record(text, line, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
     assert f"(line {line})" in captured.err
+
+
+# The bulk reader against the per-record scan.  A coords document is
+# drawn as token lists, one per record, and written out with blank and
+# whitespace-only lines and odd gaps between its tokens.
+LABELS = {"gridset": ("M",), "gridpair": ("D0", "D1")}
+BLANKS = ("", " ", "\t", " \t  ")
+GAPS = (" ", "  ", "\t", " \t ")
+SHIFTS = (0, -300, 10**6, -10**23, 10**23)
+
+
+def random_records(rng, kind, dim, spacing, count):
+    """count records of distinct points, shuffled, about a shift of up
+    to 10^23 grid steps; a pair also has one point in both sets."""
+    shift = rng.choice(SHIFTS)
+    side = max(2, round(2 * count ** (1 / dim)))
+    points = set()
+    while len(points) < count:
+        points.add(tuple(spacing * (rng.randrange(side) + shift)
+                         for _ in range(dim)))
+    records = [[rng.choice(LABELS[kind]), *map(str, p)]
+               for p in sorted(points)]
+    if kind == "gridpair":
+        label, *coords = records[0]
+        records.append(["D1" if label == "D0" else "D0", *coords])
+    rng.shuffle(records)
+    return records
+
+
+def coords_document(rng, kind, dim, spacing, records):
+    """The document's text and the line number of each record."""
+    header = f"#coords v1 kind={kind} m={dim} s={spacing}"
+    lines = [header + (" mode=finite" if kind == "gridset" else "")]
+    numbers = []
+    for tokens in records:
+        while rng.random() < 0.05:
+            lines.append(rng.choice(BLANKS))
+        body = "".join(t + rng.choice(GAPS) for t in tokens[:-1])
+        lines.append(rng.choice(BLANKS) + body + tokens[-1]
+                     + rng.choice(BLANKS))
+        numbers.append(len(lines))
+    return "\n".join(lines) + "\n", numbers
+
+
+def record_sizes(rng):
+    # small documents, and one past the first chunk of lines
+    return [rng.randrange(1, 80) for _ in range(6)] + [
+        _CHUNK + rng.randrange(1, 300)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bulk_reader_matches_the_scan_on_valid_documents(dim):
+    rng = random.Random(90 + dim)
+    for spacing in (1, 2, 3):
+        for kind, labels in LABELS.items():
+            for count in record_sizes(rng):
+                records = random_records(rng, kind, dim, spacing, count)
+                text, _ = coords_document(rng, kind, dim, spacing, records)
+                lines = text.splitlines()
+                read = _read_records(lines, dim, spacing, labels)
+                scanned = _scan_records(lines, dim, spacing, labels)
+                assert read is not None
+                expected = [list(index.items()) for index in scanned]
+                assert [list(index.items()) for index in read] == expected
+                assert all(type(line) is list
+                           for index in read for line in index.values())
+                doc = parse_text(text)
+                fields = ((doc.points,) if kind == "gridset"
+                          else (doc.d0, doc.d1))
+                assert [list(field.lines.items())
+                        for field in fields] == expected
+                for label, field in zip(labels, fields):
+                    assert set(field) == {
+                        tuple(map(int, coords))
+                        for name, *coords in records if name == label}
+
+
+def inject(rng, fault, records, at, sound, dim, spacing, labels):
+    """Make record `at` faulty, a duplicate of one of the `sound` records
+    before it or a record faulty by itself; return the message of its
+    ParseError."""
+    tokens = records[at]
+    if fault == "label":
+        name = rng.choice([label for label in ("M", "D0", "D1", "D2", "x")
+                           if label not in labels])
+        records[at] = [name, *tokens[1:]]
+        return f"unexpected record label {name!r}"
+    if fault == "arity":
+        records[at] = tokens[:-1] if rng.random() < 0.5 else tokens + ["0"]
+        return (f"record has {len(records[at]) - 1} coordinates, "
+                f"expected {dim}")
+    if fault == "integer":
+        bad = rng.choice(("x", "1.5", "0x10", "--1", "1e3"))
+        records[at] = tokens[:]
+        records[at][rng.randrange(1, dim + 1)] = bad
+        return f"field coordinate is not an integer: {bad!r}"
+    if fault == "grid":
+        point = list(map(int, tokens[1:]))
+        point[rng.randrange(dim)] += rng.randrange(1, spacing)
+        records[at] = [tokens[0], *map(str, point)]
+        return f"point {tuple(point)} is off the spacing-{spacing} grid"
+    records[at] = records[rng.choice([i for i in sound if i < at])][:]
+    return f"duplicate point {tuple(map(int, records[at][1:]))}"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bulk_reader_rejects_what_the_scan_rejects(dim):
+    rng = random.Random(95 + dim)
+    for spacing in (1, 2, 3):
+        faults = ["label", "arity", "integer", "duplicate"] + (
+            ["grid"] if spacing > 1 else [])
+        for kind, labels in LABELS.items():
+            for count in record_sizes(rng):
+                records = random_records(rng, kind, dim, spacing,
+                                         max(count, 3))
+                # one or two faults of different kinds at different
+                # records after the first, which stays sound; in a large
+                # document, past the first chunk half the time
+                chosen = rng.sample(faults, rng.choice((1, 2)))
+                low = _CHUNK if count > _CHUNK and rng.random() < 0.5 else 1
+                places = rng.sample(range(low, len(records)), len(chosen))
+                sound = sorted(set(range(len(records))) - set(places))
+                messages = {
+                    at: inject(rng, fault, records, at, sound, dim, spacing,
+                               labels)
+                    for fault, at in zip(chosen, places)}
+                text, numbers = coords_document(rng, kind, dim, spacing,
+                                                records)
+                at = min(messages)
+                expected = f"{messages[at]} (line {numbers[at]})"
+                lines = text.splitlines()
+                assert _read_records(lines, dim, spacing, labels) is None
+                with pytest.raises(ParseError) as scanned:
+                    _scan_records(lines, dim, spacing, labels)
+                with pytest.raises(ParseError) as parsed:
+                    parse_text(text)
+                assert str(parsed.value) == str(scanned.value) == expected
+                assert parsed.value.line == numbers[at]
