@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from . import formats
 from .formats import ParseError
@@ -75,7 +75,9 @@ def _parse_window(spec: str) -> Window:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> Tuple[argparse.ArgumentParser,
+                              Dict[str, argparse.ArgumentParser]]:
+    # The full parser, and each subcommand's own parser by name.
     parser = argparse.ArgumentParser(
         prog="gridpairs",
         description="Digital images on integer lattices: boundary pairs "
@@ -113,7 +115,27 @@ def _build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument("--density", type=float, required=True)
     random_cmd.add_argument("--seed", type=int, required=True)
     random_cmd.add_argument("--spacing", type=int, default=1)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: Optional[list]) -> argparse.Namespace:
+    """The arguments as the full parser reads them.
+
+    A known subcommand's arguments go straight to its own parser, the
+    one the full parser hands them to, which saves the full parser's
+    own pass.  When that parser leaves an argument over, or argv names
+    no subcommand, the full parser reads argv and reports the error.
+    """
+    parser, commands = _build_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -144,15 +166,14 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK if result.valid else EXIT_INVALID
 
     # the document parsed, so its first token is the header's kind
-    fmt = args.format or (formats.COORDS if text.split(None, 1)[0] == "#coords"
+    fmt = args.format or (formats.COORDS if text.lstrip().startswith("#coords")
                           else formats.ASCII)
     _write(args.output, formats.serialize(result, fmt))
     return EXIT_OK
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _run(args)
     except ParseError as exc:

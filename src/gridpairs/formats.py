@@ -11,6 +11,7 @@ of the bounding box, which makes serialize(parse(...)) idempotent.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from itertools import chain, compress, repeat
 from typing import List, Optional, Tuple
@@ -25,6 +26,11 @@ FORMATS = (ASCII, COORDS)
 
 #: Most cells an ASCII grid or rendering may draw: it spans the bounding box.
 ASCII_CELL_BUDGET = 10**7
+
+#: An integer as the formats write it: an optional minus sign and ASCII
+#: digits.  `int` also takes a plus sign, underscores between digits and
+#: the digits of other scripts, which no writer produces.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 #: Per marker character, the byte table that maps it to 1 and all else to 0.
 _MARK_TABLES = {ch: bytes(int(i == ord(ch)) for i in range(256))
@@ -46,10 +52,9 @@ class ParseError(ValueError):
 
 
 def _parse_int(value: str, name: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
+    if not _INTEGER.fullmatch(value):
         raise ParseError(f"field {name} is not an integer: {value!r}", line)
+    return int(value)
 
 
 def _parse_origin(value: str, dim: int, line: int) -> Point:
@@ -209,10 +214,10 @@ def _read_records(lines: List[str], dim: int, spacing: int,
     """The line index of each label, or None if any record is faulty.
 
     A chunk's records are checked together, each check one pass in C:
-    their arities, their labels, their coordinates as integers, and
-    their grid.  Each label's lines are then plain lists, sorted once
-    all records are read; a line holds a duplicate when its set is
-    shorter than it.
+    their arities, their labels, their coordinates as integers (`int`
+    on tokens that are ASCII and hold no `_` or `+`), and their grid.
+    Each label's lines are then plain lists, sorted once all records
+    are read; a line holds a duplicate when its set is shorter than it.
     """
     width = dim + 1
     known = set(labels)
@@ -224,6 +229,9 @@ def _read_records(lines: List[str], dim: int, spacing: int,
         tokens = list(chain.from_iterable(rows))
         names = tokens[::width]
         if set(map(len, rows)) != {width} or not known.issuperset(names):
+            return None
+        joined = "".join(tokens)
+        if not joined.isascii() or "_" in joined or "+" in joined:
             return None
         try:
             columns = [list(map(int, tokens[k::width]))
@@ -265,11 +273,8 @@ def _scan_records(lines: List[str], dim: int, spacing: int,
             raise ParseError(
                 f"record has {len(tokens) - 1} coordinates, expected {dim}",
                 index)
-        try:
-            point = tuple(map(int, tokens[1:]))
-        except ValueError:  # names the first token that is not an integer
-            for t in tokens[1:]:
-                _parse_int(t, "coordinate", index)
+        point = tuple([_parse_int(t, "coordinate", index)
+                       for t in tokens[1:]])
         if any(c % spacing for c in point):
             raise ParseError(
                 f"point {point} is off the spacing-{spacing} grid", index)

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, product
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
                     Iterable, Iterator, List, Set, Tuple)
 
@@ -38,7 +38,7 @@ Point = Tuple[int, ...]
 #: first m - 1 coordinates, the line they share.
 Lines = Dict[Point, Collection[int]]
 #: Lines one at a time, as (key, last coordinates), each key once.  The
-#: kernels yield sets; `difference` and `intersection` need sets first.
+#: kernels yield sets; `difference` needs sets first.
 #: One line object may serve several keys, so no line is changed once
 #: it is made.
 LineStream = Iterable[Tuple[Point, Collection[int]]]
@@ -181,16 +181,6 @@ def difference(first: LineStream, other: Lines) -> LineStream:
             yield key, line
 
 
-def intersection(first: LineStream, other: Lines) -> LineStream:
-    """Line by line, the points of first that are in other."""
-    for key, line in first:
-        common = other.get(key)
-        if common is not None:
-            common = line.intersection(common)
-            if common:
-                yield key, common
-
-
 def _spans(line: Iterable[int], gap: int, widen: int,
            spacing: int) -> Set[int]:
     # The multiples of spacing in the runs of the line, a run being a
@@ -214,23 +204,33 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
     # row's target values are the _spans of its values, and the line at
     # a target is `combine` of the lines within half of it.  Targets
     # with the same lines in reach share one line object.
-    rows: DefaultDict[Tuple[Point, Point], list] = defaultdict(list)
+    rows: Dict[Tuple[Point, Point], Tuple[List[int], list]] = {}
     for key, line in lines.items():
-        rows[key[:j], key[j + 1:]].append((key[j], line))
-    for (head, tail), row in rows.items():
-        row.sort(key=itemgetter(0))
-        values = [u for u, _ in row]
+        at = key[:j], key[j + 1:]
+        row = rows.get(at)
+        if row is None:
+            rows[at] = [key[j]], [line]
+        else:
+            row[0].append(key[j])
+            row[1].append(line)
+    for (head, tail), (values, row) in rows.items():
+        n = len(values)
+        if n > 1 and values != sorted(values):
+            order = sorted(range(n), key=values.__getitem__)
+            values = [values[i] for i in order]
+            row = [row[i] for i in order]
         lo = hi = 0
-        reach = None
+        # the reach [lo, hi) of the last merged line
+        at_lo = at_hi = -1
         for w in sorted(_spans(values, gap, widen, spacing)):
             while values[lo] < w - half:
                 lo += 1
-            while hi < len(values) and values[hi] <= w + half:
+            while hi < n and values[hi] <= w + half:
                 hi += 1
-            if reach != (lo, hi):
-                reach = lo, hi
-                merged = combine(*[line for _, line in row[lo:hi]])
-            yield head + (w,) + tail, merged
+            if lo != at_lo or hi != at_hi:
+                at_lo, at_hi = lo, hi
+                merged = combine(*row[lo:hi])
+            yield (*head, w, *tail), merged
 
 
 def _separable(lines: Lines, half: int, gap: int, widen: int, source: int,

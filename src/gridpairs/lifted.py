@@ -13,7 +13,9 @@ their results as line indexes.
 
 from __future__ import annotations
 
-from .geometry import Lines, difference, dilate, intersection, sorted_lines
+from typing import Optional
+
+from .geometry import Lines, LineStream, difference, dilate
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -23,6 +25,24 @@ def _require_valid(pair: BoundaryPair, spacing: int, role: str) -> AxiomReport:
         raise ValueError(
             f"{role} expects a pair with spacing {spacing}, got {pair.spacing}")
     return require_valid(pair)
+
+
+def _within(lines: LineStream, keep: Lines,
+            cut: Optional[Lines] = None) -> Lines:
+    # Line by line, the points of lines in keep and not in cut, each line
+    # a sorted list.  The kernels share one line object between keys,
+    # so each line kept is a new set.
+    out: Lines = {}
+    for key, line in lines:
+        common = keep.get(key)
+        if common is None:
+            continue
+        line = line.intersection(common)
+        if cut:
+            line.difference_update(cut.get(key, ()))
+        if line:
+            out[key] = sorted(line)
+    return out
 
 
 def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -63,8 +83,8 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
         kept = sorted(y for y in line if y in ones or side(y))
         if kept:
             out1[key] = kept
-    out0 = intersection(dilate(out1, step, n, n), near)
-    return BoundaryPair._trusted(pair.dim, n, sorted_lines(out0), out1)
+    out0 = _within(dilate(out1, step, n, n), near)
+    return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 
 def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -87,10 +107,9 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     _require_valid(pair, n, "lift_interpolate")
     d0, d1 = pair.d0.lines, pair.d1.lines
     near0, near1 = dict(dilate(d0, n, n, 1)), dict(dilate(d1, n, n, 1))
-    out1 = difference(intersection(dilate(d0, n + 2, n, 1), near1), near0)
+    out1 = _within(dilate(d0, n + 2, n, 1), near1, near0)
     if n % 2 == 0:
-        out0 = intersection(near0.items(), near1)
+        out0 = _within(near0.items(), near1)
     else:
-        out0 = intersection(dilate(d1, n + 1, n, 1), near0)
-    return BoundaryPair._trusted(pair.dim, 1, sorted_lines(out0),
-                                 sorted_lines(out1))
+        out0 = _within(dilate(d1, n + 1, n, 1), near0)
+    return BoundaryPair._trusted(pair.dim, 1, out0, out1)

@@ -158,24 +158,24 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
     # away, the least point of each line in both sets, and, while no
     # such point is found, the sides of the free runs, or None once one
     # of the rules (a)-(c) of `validate` fails.
-    occupied = l0.keys() | l1.keys()
-    failing: Tuple[List[Point], List[Point]] = ([], [])
+    get0, get1 = l0.get, l1.get
+    failing0: List[Point] = []
+    failing1: List[Point] = []
     overlap: List[Point] = []
     found: Dict[Point, Tuple[List[int], bytes]] = {}
     agree = True
     exterior = None
-    for key in occupied:
+    for key in l0.keys() | l1.keys():
         beside = moore_neighbors(key, s)
-        own = a, b = l0.get(key), l1.get(key)
+        own = a, b = get0(key), get1(key)
         # each neighbouring line of d0 and of d1, None where it is empty
-        around = list(map(l0.get, beside)), list(map(l1.get, beside))
+        around0, around1 = list(map(get0, beside)), list(map(get1, beside))
         # d1's line as a set, where the line holds both sets
         in_b = set(b) if a and b else None
         shared = in_b is not None and not in_b.isdisjoint(a)
         if shared:
             overlap.append(key + (min(in_b.intersection(a)),))
             agree = False
-        across = in_b or b or (), a or ()
         # A point touches the other set when that set holds a point at
         # c - s, c or c + s on a neighbouring line, or at c - s or c + s
         # on its own.  On a line without a point of both sets no point
@@ -183,16 +183,20 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
         # serves both tests; a point of both sets is not its own
         # neighbour.  The lines are sorted: the first failing point is
         # the least on its line.
-        for side in (0, 1):
-            origin = own[side]
-            if origin:
-                others = [line for line in around[1 - side] if line]
-                reach = set().union(across[side], *others)
-                near = set().union(*others) if shared else reach
-                for c in origin:
-                    if not (c in near or c - s in reach or c + s in reach):
-                        failing[side].append(key + (c,))
-                        break
+        if a:
+            reach = set().union(in_b or b or (), *filter(None, around1))
+            near = set().union(*filter(None, around1)) if shared else reach
+            for c in a:
+                if not (c in near or c - s in reach or c + s in reach):
+                    failing0.append(key + (c,))
+                    break
+        if b:
+            reach = set().union(a or (), *filter(None, around0))
+            near = set().union(*filter(None, around0)) if shared else reach
+            for c in b:
+                if not (c in near or c - s in reach or c + s in reach):
+                    failing1.append(key + (c,))
+                    break
         if not agree:
             continue
         if in_b is not None:
@@ -220,7 +224,7 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
         # ends[k - 1] and ends[k] spans those cells; that of the left
         # (right) ray ends (starts) at the first (last) cell
         first, last = ends[0], ends[-1]
-        for near0, near1 in zip(*around):
+        for near0, near1 in zip(around0, around1):
             if near0 is None and near1 is None:
                 if own[1 - exterior]:
                     agree = False
@@ -242,9 +246,9 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
             if not agree:
                 break
     if not agree:
-        return failing[0], failing[1], overlap, None
+        return failing0, failing1, overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
-    return failing[0], failing[1], overlap, Sides(found, (rays[0], rays[-1]))
+    return failing0, failing1, overlap, Sides(found, (rays[0], rays[-1]))
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:

@@ -342,3 +342,72 @@ def test_malformed_documents_keep_the_exit_code_contract(monkeypatch,
         if argv[0] != "random":
             outcomes.add("rejected" if parse_errors else "accepted")
     assert outcomes == {"accepted", "rejected"}
+
+
+# The two parsing routes: `main` hands a known subcommand's arguments to
+# that subcommand's own parser, and the full parser must read every
+# argv the same way, down to the text and exit code of its errors.
+def _required(command):
+    if command == "random":
+        return ["--window", "0,0:3,3", "--density", "0.5", "--seed", "1"]
+    if command == "render" or not cli._COMMANDS[command][2]:
+        return []
+    return ["--ratio", "2"]
+
+
+SUBCOMMANDS = [*cli._COMMANDS, "render", "random"]
+GOOD_ARGVS = [
+    argv for command in SUBCOMMANDS for argv in (
+        [command, *_required(command)],
+        [command, "-o", "out", *_required(command),
+         *(["--unit", "2", "-i", "in"] if command == "render" else
+           ["--format", "coords"] if command == "random" else
+           ["--input=in", "--format", "ascii"])],
+    )
+] + [["random", "--window=-300,-260:-45,-5", "--density", "0.5", "--seed",
+      "1", "--spacing", "5"]]
+BAD_ARGVS = [
+    argv for command in SUBCOMMANDS for argv in (
+        [command, *_required(command), "--bogus"],
+        [command, *_required(command), "stray"],
+        [command, "--format", "json", *_required(command)],
+        [command, "-h"],
+    )
+] + [
+    argv for command, (_, _, ratio) in cli._COMMANDS.items() if ratio
+    for argv in ([command], [command, "--ratio"], [command, "--ratio", "x"],
+                 [command, "--ratio", "2", "--ratio"])
+] + [
+    ["random", "--window", "0,0:3,3", "--density", "0.5", "--seed", "x"],
+    ["random", "--window", "-3,-3:0,0", "--density", "0.5", "--seed", "1"],
+    ["render", "--unit", "x"],
+    ["trace", "--", "x"],
+    [], ["bogus"], ["--help"], ["-h", "trace"], ["--bogus", "trace"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", GOOD_ARGVS, ids=" ".join)
+def test_both_parsing_routes_give_one_namespace(argv, capsys):
+    routed = _outcome(cli._parse_args, argv, capsys)
+    full = _outcome(cli._build_parsers()[0].parse_args, argv, capsys)
+    assert routed == full
+    assert routed[0].command == argv[0]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_both_parsing_routes_report_one_usage_error(argv, capsys):
+    routed = _outcome(cli._parse_args, argv, capsys)
+    full = _outcome(cli._build_parsers()[0].parse_args, argv, capsys)
+    assert routed == full
+    assert routed[0] == ("exit", 0 if {"-h", "--help"} & set(argv) else 2)
+    assert (routed[1] + routed[2]).startswith("usage: gridpairs")

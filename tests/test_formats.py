@@ -137,6 +137,11 @@ class TestAsciiFormat:
             serialize_ascii(GridSet.finite({(0, 0, 0)}))
 
 
+#: Integers that int() reads and no writer makes: an underscore between
+#: digits, a plus sign, and Arabic-Indic digits.
+NOT_WRITTEN = ["1_000", "+5", "\u0661\u0662"]
+
+
 class TestCoordsFormat:
     def test_singleton_three_dimensional(self):
         M = GridSet.finite({(1, 2, 3)})
@@ -169,6 +174,47 @@ class TestCoordsFormat:
                        "M 1 2 3\nM 1 x 2.5\n")
         assert str(excinfo.value) == \
             "field coordinate is not an integer: 'x' (line 3)"
+
+    @pytest.mark.parametrize("token", NOT_WRITTEN)
+    def test_integer_forms_no_writer_makes_are_refused(self, token):
+        # int() reads each of them, so a record that spells one would
+        # name a point of its own: here the duplicate of "M 12"
+        text = ("#coords v1 kind=gridset m=1 s=1 mode=finite\n"
+                f"M {token}\nM 12\n")
+        assert _read_records(text.splitlines(), 1, 1, ("M",)) is None
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(text)
+        assert str(excinfo.value) == \
+            f"field coordinate is not an integer: {token!r} (line 2)"
+
+    @pytest.mark.parametrize("token", NOT_WRITTEN)
+    def test_integer_forms_past_the_first_chunk_are_refused(self, token):
+        records = [f"D0 {x} {y}" for x in range(0, 130, 2)
+                   for y in range(0, 130, 2)]
+        assert len(records) > _CHUNK
+        records[_CHUNK + 7] = f"D1 {token} 0"
+        text = "#coords v1 kind=gridpair m=2 s=2\n" + "\n".join(records)
+        lines = text.splitlines()
+        assert _read_records(lines, 2, 2, ("D0", "D1")) is None
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(text)
+        assert str(excinfo.value) == (f"field coordinate is not an integer: "
+                                      f"{token!r} (line {_CHUNK + 9})")
+
+    @pytest.mark.parametrize("token", NOT_WRITTEN)
+    @pytest.mark.parametrize("name, template", [
+        ("m", "#coords v1 kind=gridset m={} s=1 mode=finite\nM 0\n"),
+        ("s", "#coords v1 kind=gridpair m=1 s={}\nD0 0\nD1 1\n"),
+        ("m", "#gridset v1 m={} s=1 origin=0,0 mode=finite\n0\n"),
+        ("s", "#gridpair v1 m=2 s={} origin=0,0\n01\n"),
+        ("origin", "#gridpair v1 m=2 s=1 origin=0,{}\n01\n"),
+    ])
+    def test_integer_forms_in_the_header_are_refused(self, name, template,
+                                                      token):
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(template.format(token))
+        assert str(excinfo.value) == \
+            f"field {name} is not an integer: {token!r} (line 1)"
 
     def test_off_grid_point(self):
         with pytest.raises(ParseError):
@@ -366,7 +412,7 @@ def inject(rng, fault, records, at, sound, dim, spacing, labels):
         return (f"record has {len(records[at]) - 1} coordinates, "
                 f"expected {dim}")
     if fault == "integer":
-        bad = rng.choice(("x", "1.5", "0x10", "--1", "1e3"))
+        bad = rng.choice(("x", "1.5", "0x10", "--1", "1e3", *NOT_WRITTEN))
         records[at] = tokens[:]
         records[at][rng.randrange(1, dim + 1)] = bad
         return f"field coordinate is not an integer: {bad!r}"
