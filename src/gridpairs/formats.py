@@ -32,6 +32,9 @@ ASCII_CELL_BUDGET = 10**7
 #: the digits of other scripts, which no writer produces.
 _INTEGER = re.compile(r"-?[0-9]+")
 
+#: Why a pair whose d0 and d1 share a point has no ASCII grid.
+_OVERLAP = "overlapping d0/d1 cannot be rendered as an ASCII grid"
+
 #: Per marker character, the byte table that maps it to 1 and all else to 0.
 _MARK_TABLES = {ch: bytes(int(i == ord(ch)) for i in range(256))
                 for ch in "01"}
@@ -287,15 +290,18 @@ def _scan_records(lines: List[str], dim: int, spacing: int,
 
 def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
     """The lower corner of the document's marks and its grid, one
-    character per `unit` fine units, each row ending in a newline."""
+    character per `unit` fine units, each row ending in a newline.
+
+    A pair whose d0 and d1 overlap is refused.  The unit divides the
+    spacing, so distinct points fill distinct cells, and the sets
+    overlap exactly when the filled grid holds fewer marks than they
+    have points; only a grid over the budget, which is never filled,
+    is refused for an overlap found line by line.
+    """
     if isinstance(doc, GridSet):
         marks = [(ord("0"), doc.points.lines)]
     else:
         l0, l1 = doc.d0.lines, doc.d1.lines
-        if any(not set(l0[key]).isdisjoint(l1[key])
-               for key in l0.keys() & l1.keys()):
-            raise ValueError(
-                "overlapping d0/d1 cannot be rendered as an ASCII grid")
         marks = [(ord("0"), l0), (ord("1"), l1)]
     if not any(lines for _, lines in marks):
         return (0, 0), ""
@@ -304,6 +310,9 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
     width = (right - left) // unit + 1
     height = (top - bottom) // unit + 1
     if width * height > ASCII_CELL_BUDGET:
+        if len(marks) > 1 and any(not set(l0[key]).isdisjoint(l1[key])
+                                  for key in l0.keys() & l1.keys()):
+            raise ValueError(_OVERLAP)
         raise ValueError(f"an ASCII grid of {width} x {height} cells exceeds "
                          f"the budget of {ASCII_CELL_BUDGET} cells")
     # Cell (x, y) is at row (y - bottom) / unit of the rows of width + 1
@@ -315,6 +324,9 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
             at = (x - left) // unit - bottom // unit * stride
             for y in line:
                 grid[y // unit * stride + at] = mark
+    if len(marks) > 1 and (grid.count(b"0") + grid.count(b"1")
+                           != len(doc.d0) + len(doc.d1)):
+        raise ValueError(_OVERLAP)
     return (left, bottom), grid.decode()
 
 

@@ -12,7 +12,10 @@ do.  A Chebyshev ball is a box, a product of intervals, so both are
 separable: one sweep per key axis, and one pass within the lines
 before or after the sweeps, all of them set operations on ints.  They
 yield their lines one at a time (`LineStream`), so a result that is
-only filtered is never held whole.
+only filtered is never held whole.  They pay for the lines they keep:
+a run that narrows to nothing is skipped before any range is built,
+and a target with one line in reach shares that line, not a copy.  No
+line they yield is a line of their input, which their callers keep.
 The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
 operations read it and return their results as line indexes
@@ -185,16 +188,21 @@ def _spans(line: Iterable[int], gap: int, widen: int,
            spacing: int) -> Set[int]:
     # The multiples of spacing in the runs of the line, a run being a
     # maximal stretch whose steps are at most gap, each widened by
-    # `widen` at both ends (narrowed, if it is negative).
+    # `widen` at both ends (narrowed, if it is negative).  A run [a, b]
+    # with b - a < -2 * widen narrows to nothing and is skipped; on a
+    # dense erosion most runs do.
     out: Set[int] = set()
+    keep = -2 * widen
     ordered = iter(sorted(line))
     a = b = next(ordered)
     for c in ordered:
         if c - b > gap:
-            out.update(grid_range(a - widen, b + widen, spacing))
+            if b - a >= keep:
+                out.update(grid_range(a - widen, b + widen, spacing))
             a = c
         b = c
-    out.update(grid_range(a - widen, b + widen, spacing))
+    if b - a >= keep:
+        out.update(grid_range(a - widen, b + widen, spacing))
     return out
 
 
@@ -202,8 +210,11 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
            spacing: int, combine: Callable[..., Set[int]]) -> LineStream:
     # Along key axis j: the keys that differ only there form a row, the
     # row's target values are the _spans of its values, and the line at
-    # a target is `combine` of the lines within half of it.  Targets
-    # with the same lines in reach share one line object.
+    # a target is `combine` of the lines within half of it, or the one
+    # line itself.  Targets with the same lines in reach share one line
+    # object.  No sweep changes a line, and `_separable` yields only
+    # lines that `_spans` or `combine` made, so no yielded line is an
+    # input line.
     rows: Dict[Tuple[Point, Point], Tuple[List[int], list]] = {}
     for key, line in lines.items():
         at = key[:j], key[j + 1:]
@@ -229,7 +240,7 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
                 hi += 1
             if lo != at_lo or hi != at_hi:
                 at_lo, at_hi = lo, hi
-                merged = combine(*row[lo:hi])
+                merged = row[lo] if hi - lo == 1 else combine(*row[lo:hi])
             yield (*head, w, *tail), merged
 
 

@@ -170,12 +170,18 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
         own = a, b = get0(key), get1(key)
         # each neighbouring line of d0 and of d1, None where it is empty
         around0, around1 = list(map(get0, beside)), list(map(get1, beside))
-        # d1's line as a set, where the line holds both sets
+        # d1's line as a set, where the line holds both sets: the
+        # overlap test and the labels of the run ends read it first,
+        # and then it grows into the reach of d0's cells
         in_b = set(b) if a and b else None
         shared = in_b is not None and not in_b.isdisjoint(a)
         if shared:
             overlap.append(key + (min(in_b.intersection(a)),))
             agree = False
+        if agree and in_b is not None:
+            ends = run_ends(sorted(a + b), s)
+            # a cell's side is 1 when it lies in d1
+            labels = bytes(map(in_b.__contains__, ends))
         # A point touches the other set when that set holds a point at
         # c - s, c or c + s on a neighbouring line, or at c - s or c + s
         # on its own.  On a line without a point of both sets no point
@@ -184,8 +190,10 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
         # neighbour.  The lines are sorted: the first failing point is
         # the least on its line.
         if a:
-            reach = set().union(in_b or b or (), *filter(None, around1))
+            # without in_b, b is empty
+            reach = set() if in_b is None else in_b
             near = set().union(*filter(None, around1)) if shared else reach
+            reach.update(*filter(None, around1))
             for c in a:
                 if not (c in near or c - s in reach or c + s in reach):
                     failing0.append(key + (c,))
@@ -200,9 +208,6 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
         if not agree:
             continue
         if in_b is not None:
-            ends = run_ends(sorted(a + b), s)
-            # a cell's side is 1 when it lies in d1
-            labels = bytes(map(in_b.__contains__, ends))
             # (a): the two end cells of each bounded run
             if labels[1:-1:2] != labels[2:-1:2]:
                 agree = False

@@ -5,10 +5,12 @@ import pytest
 from gridpairs.cli import main
 from gridpairs.formats import (
     _CHUNK,
+    ASCII_CELL_BUDGET,
     ParseError,
     _read_records,
     _scan_records,
     parse_text,
+    render,
     serialize,
     serialize_ascii,
     serialize_coords,
@@ -17,6 +19,9 @@ from gridpairs.gridset import GridSet, Mode
 from gridpairs.pairs import BoundaryPair, validate
 
 from conftest import fixture_text
+
+#: The writers' message for a pair whose d0 and d1 share a point.
+OVERLAP = "^overlapping d0/d1 cannot be rendered as an ASCII grid$"
 
 FIG1A_POINTS = frozenset(
     {(x, y) for x in range(2, 10) for y in range(2, 7)}
@@ -128,13 +133,52 @@ class TestAsciiFormat:
             parse_text("#gridset v1 m=2 s=2 origin=1,0 mode=finite\n0\n")
 
     def test_overlapping_pair_cannot_serialize(self):
-        pair = BoundaryPair(2, 1, frozenset({(0, 0)}), frozenset({(0, 0)}))
-        with pytest.raises(ValueError):
-            serialize_ascii(pair)
+        # a shared point alone, one on a line past the first among
+        # others, and one of a spacing-2 pair drawn at every unit
+        for s, d0, d1 in [
+                (1, {(0, 0)}, {(0, 0)}),
+                (1, {(0, 0), (1, 0), (2, 2)}, {(0, 1), (2, 2), (3, 3)}),
+                (2, {(0, 0), (2, 0)}, {(2, 0), (4, 4)})]:
+            pair = BoundaryPair(2, s, frozenset(d0), frozenset(d1))
+            with pytest.raises(ValueError, match=OVERLAP):
+                serialize_ascii(pair)
+            for unit in (None, 1, s):
+                with pytest.raises(ValueError, match=OVERLAP):
+                    render(pair, unit)
 
     def test_three_dimensional_rejected(self):
         with pytest.raises(ValueError):
             serialize_ascii(GridSet.finite({(0, 0, 0)}))
+
+    def test_overlap_is_named_before_the_cell_budget(self):
+        far = 10**6
+        assert (far + 1) ** 2 > ASCII_CELL_BUDGET
+        overlapping = BoundaryPair(2, 1, frozenset({(0, 0)}),
+                                   frozenset({(0, 0), (far, far)}))
+        disjoint = BoundaryPair(2, 1, frozenset({(0, 0)}),
+                                frozenset({(far, far)}))
+        for write in (serialize_ascii, render):
+            with pytest.raises(ValueError, match=OVERLAP):
+                write(overlapping)
+            with pytest.raises(ValueError, match="exceeds the budget"):
+                write(disjoint)
+
+    def test_writers_refuse_exactly_the_overlapping_pairs(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            s = rng.choice((1, 2, 3))
+            cells = [(s * x, s * y) for x in range(5) for y in range(5)]
+            d0 = frozenset(rng.sample(cells, rng.randrange(1, 8)))
+            d1 = frozenset(rng.sample(cells, rng.randrange(1, 8)))
+            pair = BoundaryPair(2, s, d0, d1)
+            for unit in (u for u in (1, 2, 3) if s % u == 0):
+                if d0 & d1:
+                    with pytest.raises(ValueError, match=OVERLAP):
+                        render(pair, unit)
+                else:
+                    marks = render(pair, unit)
+                    assert marks.count("0") == len(d0)
+                    assert marks.count("1") == len(d1)
 
 
 #: Integers that int() reads and no writer makes: an underscore between

@@ -1,3 +1,4 @@
+import copy
 import math
 from itertools import product
 
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridpairs.geometry import (dilate, erode, grid_range, lines_of,
-                                moore_neighbors, points_of, ring, run_ends)
+                                moore_neighbors, points_of, ring, run_ends,
+                                sorted_lines)
 from gridpairs.gridset import Window, window_of
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
@@ -162,6 +164,70 @@ def test_erode_keeps_the_points_whose_ball_is_stored(case, n, transfer,
     expected = {v for v in near if ball_points(v, radius, source) <= points}
     assert points_of(erode(lines_of(points), radius, source, target)) == \
         expected
+
+
+def eroded_by_brute_force(points, radius, source, target):
+    near = set().union(*[ball_points(p, radius, target) for p in points])
+    return {v for v in near if ball_points(v, radius, source) <= points}
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("transfer", TRANSFERS)
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_erode_at_the_runs_that_narrow_to_nothing(dim, s, transfer, n,
+                                                  extra):
+    # A run [a, b] of source steps narrows by h - source + 1 at both
+    # ends, to nothing when b - a < 2 (h - source + 1), which the kernel
+    # skips.  The runs here are one cell shorter than, as long as and
+    # one cell longer than the shortest run that keeps its interval, at
+    # every start modulo the target spacing: on one grid with spacing 1
+    # they are 2h, 2h + 1 and 2h + 2 cells long, and a run at the edge
+    # keeps one point, on the target grid or off it.  In 2-D the line
+    # is repeated across a band of keys, so the sweep meets the runs.
+    source, target = transfer(s, n)
+    radius = source + extra
+    keep = 2 * (radius // 2 - source + 1)
+    at_edge = max(0, -(-keep // source)) + 1
+    lengths = range(max(1, at_edge - 1), at_edge + 2)
+    stride = 2 * (at_edge + 2 + n) * source
+    line = []
+    for i, (cells, j) in enumerate(product(lengths, range(n + 1))):
+        start = i * stride + j * source
+        line += range(start, start + cells * source, source)
+    keys = [(source * k,) for k in range(-3, 4)] if dim == 2 else [()]
+    points = {key + (c,) for key in keys for c in line}
+    found = points_of(erode(lines_of(points), radius, source, target))
+    assert found == eroded_by_brute_force(points, radius, source, target)
+
+
+def test_erode_coarsening_a_run_whose_narrowed_interval_misses_the_grid():
+    # [0, 3] narrows by one at both ends to [1, 2], which holds no
+    # multiple of 3; one step along, [2, 3] holds 3
+    assert sorted_lines(erode({(): [0, 1, 2, 3]}, 3, 1, 3)) == {}
+    assert sorted_lines(erode({(): [1, 2, 3, 4]}, 3, 1, 3)) == {(): [3]}
+
+
+@given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),
+       st.integers(0, 7), st.booleans())
+def test_kernels_yield_no_line_of_their_input(case, n, transfer, extra,
+                                              as_sets):
+    # A document's index holds sorted lists; `layer` and `lift_restrict`
+    # pass the sets a kernel made.  The sweeps share one line between
+    # targets, so no line they yield may be a line of the input, and
+    # the input is unchanged once the stream is read.
+    _, s, cells = case
+    source, target = transfer(s, n)
+    lines = lines_of({tuple(source // s * c for c in p) for p in cells})
+    if as_sets:
+        lines = {key: set(line) for key, line in lines.items()}
+    before = copy.deepcopy(lines)
+    given_lines = {id(line) for line in lines.values()}
+    for kernel in (dilate, erode):
+        for _, line in kernel(lines, source + extra, source, target):
+            assert id(line) not in given_lines
+    assert lines == before
 
 
 @given(grid_sets())

@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import product
 
@@ -92,6 +93,21 @@ def test_adjacency_axioms_match_the_neighbour_scan(case, sides, far):
     report = validate(BoundaryPair(window.dim, s, d0, d1))
     assert report.d0_touches_d1 == adjacency_check(d0, d1, s)
     assert report.d1_touches_d0 == adjacency_check(d1, d0, s)
+
+
+@given(labelling_cases())
+def test_validate_leaves_the_pair_lines_unchanged(case):
+    # The walk grows a set of each shared line's d1 cells into the reach
+    # of its d0 cells; the pair's own lines, sorted lists, stay as they
+    # were, for a pair that may overlap and for the valid trace of d0.
+    window, s, d0, d1 = case
+    pairs = [BoundaryPair(window.dim, s, d0, d1)]
+    if d0:
+        pairs.append(trace(GridSet(window.dim, s, Mode.FINITE, d0)))
+    for pair in pairs:
+        before = copy.deepcopy((pair.d0.lines, pair.d1.lines))
+        validate(pair)
+        assert (pair.d0.lines, pair.d1.lines) == before
 
 
 class TestReconstruct:
