@@ -16,10 +16,9 @@ from typing import Dict, Optional, Tuple
 
 from . import formats
 from .formats import ParseError
-from .gridset import GridSet, Window
+from .gridset import GridSet, Window, random_set
 from .layers import trace
 from .lifted import lift_interpolate, lift_restrict
-from .oracle import random_set
 from .pairs import BoundaryPair, InvalidPairError, reconstruct, validate
 from .transfer import GridRatio, interpolate, restrict
 
@@ -143,6 +142,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if command == "random":
         window = _parse_window(args.window)
+        formats.check_format(args.format, window.dim)
         result = random_set(window, args.density, args.seed, args.spacing)
         _write(args.output, formats.serialize(result, args.format))
         return EXIT_OK
@@ -157,6 +157,12 @@ def _run(args: argparse.Namespace) -> int:
     _, kind, ratio = _COMMANDS[command]
     if not isinstance(doc, _KINDS[kind]):
         raise ValueError(f"this command expects a {kind} document")
+    if command != "validate":
+        # the document parsed, so its first token is the header's kind
+        fmt = args.format or (formats.COORDS
+                              if text.lstrip().startswith("#coords")
+                              else formats.ASCII)
+        formats.check_format(fmt, doc.dim)
     operation = globals()[command.replace("-", "_")]
     result = operation(doc, GridRatio(args.ratio)) if ratio else operation(doc)
 
@@ -165,9 +171,6 @@ def _run(args: argparse.Namespace) -> int:
         _write(args.output, result.describe() + f"\nresult: {verdict}\n")
         return EXIT_OK if result.valid else EXIT_INVALID
 
-    # the document parsed, so its first token is the header's kind
-    fmt = args.format or (formats.COORDS if text.lstrip().startswith("#coords")
-                          else formats.ASCII)
     _write(args.output, formats.serialize(result, fmt))
     return EXIT_OK
 

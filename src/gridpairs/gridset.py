@@ -8,11 +8,14 @@ representable.
 
 `components_within` labels the complement components of two finite sets
 from their free runs, only to name a failing pair's separation witness.
+`random_set` draws seeded random finite sets.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain, product
@@ -33,6 +36,11 @@ from .geometry import (
     points_of,
     run_ends,
 )
+
+
+#: Most cells an ASCII grid or rendering may draw, as it spans the
+#: bounding box, and most cells `random_set` may expect to draw.
+ASCII_CELL_BUDGET = 10**7
 
 
 class Mode(enum.Enum):
@@ -222,6 +230,45 @@ def complement(gridset: GridSet) -> GridSet:
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
     return GridSet._trusted(gridset.dim, gridset.spacing, mode,
                             gridset.points.lines)
+
+
+def random_set(window: Window, density: float, seed: int,
+               spacing: int = 1) -> GridSet:
+    """A random finite subset of the window grid points.
+
+    Each grid point is included independently with the given probability,
+    drawn from a Mersenne Twister (random.Random) seeded with
+    seed * 1_000_003 + attempt; an empty draw is retried with the next
+    attempt counter, so the result is nonempty and reproducible.
+
+    Over c grid points, the attempts draw c / (1 - (1 - density)^c)
+    cells in expectation; a request expecting more than
+    `ASCII_CELL_BUDGET` is refused before any draw.
+    """
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    if spacing < 1:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    cells = math.prod(max(0, hi // spacing + (-lo) // spacing + 1)
+                      for lo, hi in zip(window.lower, window.upper))
+    if not cells:
+        raise ValueError("window contains no grid points")
+    draws = cells
+    if density < 1 and cells <= ASCII_CELL_BUDGET:
+        # the chance of a nonempty draw, exact for tiny densities
+        draws = cells / -math.expm1(cells * math.log1p(-density))
+    if draws > ASCII_CELL_BUDGET:
+        raise ValueError(
+            f"a window of {cells} grid points at density {density:g} "
+            f"expects more than {ASCII_CELL_BUDGET} cell draws")
+    attempt = 0
+    while True:
+        rng = random.Random(seed * 1_000_003 + attempt)
+        points = frozenset(p for p in window.grid_points(spacing)
+                           if rng.random() < density)
+        if points:
+            return GridSet(window.dim, spacing, Mode.FINITE, points)
+        attempt += 1
 
 
 def distance_map(sources: Iterable[Point], within: Optional[Container[Point]],

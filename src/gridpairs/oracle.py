@@ -1,4 +1,4 @@
-"""Brute-force reference implementations and random instance generators.
+"""Brute-force reference implementations.
 
 Everything here is deliberately independent of the efficient code paths
 it is used to check.  The references traverse the grid point by point
@@ -7,20 +7,20 @@ Moore neighbours of `geometry.moore_neighbors`, so the differential
 tests compare the walk of `validate`, the witness labelling of
 `gridset.components_within` and the line kernels against a traversal
 they do not share.  The oracles may be exponential; they enforce
-explicit budgets.
+explicit budgets.  `random_set`, which draws the random test sets,
+lives beside the set model in `gridset`; it is also importable from
+here.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import random
 from operator import attrgetter
 from typing import FrozenSet, List, Set, Tuple
 
-from .formats import ASCII_CELL_BUDGET
 from .geometry import Point, moore_neighbors
 from .gridset import Component, GridSet, Mode, Window, distance_map
+from .gridset import random_set  # noqa: F401  (importable from here)
 from .layers import trace
 from .pairs import BoundaryPair, reconstruct
 from .transfer import GridRatio, interpolate, restrict
@@ -36,45 +36,6 @@ MAX_BRUTE_CANDIDATES = 12
 class Direction(enum.Enum):
     RESTRICT = "restrict"
     INTERPOLATE = "interpolate"
-
-
-def random_set(window: Window, density: float, seed: int,
-               spacing: int = 1) -> GridSet:
-    """A random finite subset of the window grid points.
-
-    Each grid point is included independently with the given probability,
-    drawn from a Mersenne Twister (random.Random) seeded with
-    seed * 1_000_003 + attempt; an empty draw is retried with the next
-    attempt counter, so the result is nonempty and reproducible.
-
-    Over c grid points, the attempts draw c / (1 - (1 - density)^c)
-    cells in expectation; a request expecting more than
-    `formats.ASCII_CELL_BUDGET` is refused before any draw.
-    """
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    if spacing < 1:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    cells = math.prod(max(0, hi // spacing + (-lo) // spacing + 1)
-                      for lo, hi in zip(window.lower, window.upper))
-    if not cells:
-        raise ValueError("window contains no grid points")
-    draws = cells
-    if density < 1 and cells <= ASCII_CELL_BUDGET:
-        # the chance of a nonempty draw, exact for tiny densities
-        draws = cells / -math.expm1(cells * math.log1p(-density))
-    if draws > ASCII_CELL_BUDGET:
-        raise ValueError(
-            f"a window of {cells} grid points at density {density:g} "
-            f"expects more than {ASCII_CELL_BUDGET} cell draws")
-    attempt = 0
-    while True:
-        rng = random.Random(seed * 1_000_003 + attempt)
-        points = frozenset(p for p in window.grid_points(spacing)
-                           if rng.random() < density)
-        if points:
-            return GridSet(window.dim, spacing, Mode.FINITE, points)
-        attempt += 1
 
 
 def lifted_via_full(pair: BoundaryPair, ratio: GridRatio,

@@ -267,6 +267,51 @@ def test_ascii_grid_over_the_cell_budget_exits_2(argv, text, tmp_path,
     assert err.rstrip().endswith("exceeds the budget of 10000000 cells")
 
 
+NOT_2D_SET = "#coords v1 kind=gridset m=3 s=1 mode=finite\nM 0 0 0\nM 1 0 0\n"
+NOT_2D_PAIR = "#coords v1 kind=gridpair m=3 s=2\nD0 0 0 0\nD1 2 0 0\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["random", "--window", "0,0,0:199,199,199", "--density", "0.5",
+      "--seed", "1"], ""),
+    (["random", "--window", "0:9", "--density", "0.5", "--seed", "1",
+      "--format", "ascii"], ""),
+    (["trace", "--format", "ascii"], NOT_2D_SET),
+    (["trace", "--format", "ascii"],
+     "#coords v1 kind=gridset m=1 s=1 mode=finite\nM 0\n"),
+    (["reconstruct", "--format", "ascii"], NOT_2D_PAIR),
+    (["restrict", "--ratio", "2", "--format", "ascii"], NOT_2D_SET),
+    (["interpolate", "--ratio", "2", "--format", "ascii"], NOT_2D_SET),
+    (["lift-restrict", "--ratio", "2", "--format", "ascii"], NOT_2D_PAIR),
+    (["lift-interpolate", "--ratio", "2", "--format", "ascii"], NOT_2D_PAIR),
+])
+def test_ascii_output_of_a_non_2d_input_is_refused_before_the_work(
+        argv, text, monkeypatch, capsys):
+    # the draw and every operation fail the test if they run: a 200^3
+    # draw took seconds and hundreds of MB before its refusal
+    ran = []
+
+    def forbidden(*args, **kwargs):
+        ran.append(args)
+        raise AssertionError("the work ran before the format was refused")
+
+    for name in ("random_set", "trace", "reconstruct", "restrict",
+                 "interpolate", "lift_restrict", "lift_interpolate"):
+        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, *argv) == (
+        2, "", "error: the ASCII grid format is 2-D only\n")
+    assert ran == []
+
+
+def test_validate_ignores_the_ascii_format_of_a_3d_pair(monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(NOT_2D_PAIR))
+    code, out, _ = run(capsys, "validate", "--format", "ascii")
+    assert code == 1
+    assert out.endswith("result: INVALID\n")
+
+
 @pytest.mark.parametrize("operation, name, extra", [
     ("trace", "fig1a.grid", ()),
     ("reconstruct", "fig1trace.pair", ()),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gridpairs import formats
 from gridpairs.cli import main
 from gridpairs.formats import (
     _CHUNK,
@@ -15,7 +16,8 @@ from gridpairs.formats import (
     serialize_ascii,
     serialize_coords,
 )
-from gridpairs.gridset import GridSet, Mode
+from gridpairs.gridset import GridSet, Mode, Window, complement, random_set
+from gridpairs.layers import trace
 from gridpairs.pairs import BoundaryPair, validate
 
 from conftest import fixture_text
@@ -179,6 +181,182 @@ class TestAsciiFormat:
                     marks = render(pair, unit)
                     assert marks.count("0") == len(d0)
                     assert marks.count("1") == len(d1)
+
+
+# The ASCII reader: a canonical body, rows of one width each ending in
+# "\n", is read as it is; any other is split into rows first.  Either
+# way its columns' marks are found one by one on a sparse grid and
+# picked from every cell on a dense one.  A gate of 0 forces the dense
+# column reader, and one of infinity the sparse one.
+def read_both_ways(text):
+    """The document each column reader reads from the text; they agree."""
+    docs = []
+    for gate in (0.0, float("inf")):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_SPARSE", gate)
+            docs.append(parse_text(text))
+    dense, sparse = docs
+    assert dense == sparse
+    assert line_indexes(dense) == line_indexes(sparse)
+    return dense
+
+
+def line_indexes(doc):
+    fields = (doc.points,) if isinstance(doc, GridSet) else (doc.d0, doc.d1)
+    return [list(field.lines.items()) for field in fields]
+
+
+def disk_points(radius, offset):
+    # a digital disk about a centre off the grid by offset / 7 steps
+    fx, fy = offset
+    return {(x, y) for x in range(-radius - 1, radius + 2)
+            for y in range(-radius - 1, radius + 2)
+            if (7 * x - fx) ** 2 + (7 * y - fy) ** 2 <= 49 * radius ** 2}
+
+
+def box_points(rng):
+    # one to three boxes, apart or overlapping, thin or wide
+    points = set()
+    for _ in range(rng.randrange(1, 4)):
+        x, y = rng.randrange(0, 60), rng.randrange(0, 60)
+        w, h = rng.randrange(1, 90), rng.randrange(1, 40)
+        points |= {(x + i, y + j) for i in range(w) for j in range(h)}
+    return points
+
+
+#: Densities of the noise sets, from nearly empty to nearly full.
+NOISE_DENSITIES = (0.005, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.9)
+
+
+def reader_documents():
+    """Random 2-D sets and their pairs, at every placement: traced boxes
+    and disks, whose boundaries are thin, and noise at each density,
+    finite and cofinite."""
+    rng = random.Random(2026)
+    docs = []
+    for shift, spacing in PLACEMENTS + [(10**23, 1), (10**23, 3)]:
+        shapes = [box_points(rng), box_points(rng),
+                  disk_points(rng.randrange(2, 45),
+                              (rng.randrange(7), rng.randrange(7)))]
+        for density in NOISE_DENSITIES:
+            side = rng.randrange(8, 48)
+            shapes.append(random_set(Window((0, 0), (side, side)), density,
+                                     rng.randrange(10**6)).points)
+        for points in shapes:
+            placed = {(spacing * (x + shift), spacing * (y + shift))
+                      for x, y in points}
+            shape = GridSet(2, spacing, Mode.FINITE, placed)
+            if rng.random() < 0.4:
+                shape = complement(shape)
+            docs += [shape, trace(shape)]
+    return docs
+
+
+#: What each document's twins may end a line with instead of "\n": the
+#: other breaks that str.splitlines splits at.
+BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029")
+#: Trailing junk a row may carry: blanks and tabs, then perhaps "\r",
+#: which before a "\n" is part of its break.
+TRAILS = ("", " ", "\t", " \t ", "\r", "  \r", "\t\r")
+
+
+def twins(text, rng):
+    """Non-canonical texts of the canonical text's document."""
+    lines = text.split("\n")[:-1]
+    yield "\r\n".join(lines) + "\r\n"
+    yield "".join(line + rng.choice(TRAILS) + "\n" for line in lines)
+    yield text + rng.choice(("\n", "\n\n", " \n\t\n", "\r\n\r\n"))
+    yield "\n".join(lines)  # no break after the last row
+    yield "".join(line + rng.choice(BREAKS) for line in lines)
+    # the header ends in another break, and the body is canonical
+    yield lines[0] + rng.choice(BREAKS) + text[len(lines[0]) + 1:]
+
+
+class TestAsciiReader:
+    def test_both_readers_and_every_twin_read_the_document(self):
+        rng = random.Random(26)
+        sides = {1: set(), 2: set()}
+        for doc in reader_documents():
+            text = serialize_ascii(doc)
+            body = text[text.index("\n") + 1:].encode()
+            if body:
+                marks = 1 if isinstance(doc, GridSet) else 2
+                share = formats._marks_per_cell(body, body.index(b"\n") + 1)
+                sides[marks].add(share < formats._SPARSE * marks)
+            canonical = read_both_ways(text)
+            assert canonical == doc
+            for twin in twins(text, rng):
+                read = read_both_ways(twin)
+                assert read == doc
+                assert line_indexes(read) == line_indexes(canonical)
+        # sets and pairs alike fell on both sides of the gate
+        assert sides == {1: {False, True}, 2: {False, True}}
+
+    @staticmethod
+    def sparse_text():
+        pair = trace(GridSet.finite(disk_points(40, (3, 5))))
+        text = serialize_ascii(pair)
+        body = text[text.index("\n") + 1:].encode()
+        width = body.index(b"\n")
+        assert formats._marks_per_cell(body, width + 1) < \
+            2 * formats._SPARSE
+        return text.split("\n")[:-1], width
+
+    @pytest.mark.parametrize("fault", [
+        "short", "long", "short-last", "short-then-long", "split", "byte",
+        "tab", "non-ascii", "marker"])
+    def test_a_fault_deep_in_a_sparse_body_is_named(self, fault):
+        lines, width = self.sparse_text()
+        r = len(lines) * 3 // 4
+        c = width // 3
+        row = lines[r]
+        if fault == "short":
+            lines[r] = row[:-1]
+            expected = (f"ragged row of width {width - 1}, expected {width}",
+                        r + 1, None)
+        elif fault == "long":
+            lines[r] = row + "-"
+            expected = (f"ragged row of width {width + 1}, expected {width}",
+                        r + 1, None)
+        elif fault == "short-then-long":
+            # the body keeps its length and its count of newlines
+            lines[r] = row[:-1]
+            lines[r + 1] += "-"
+            expected = (f"ragged row of width {width - 1}, expected {width}",
+                        r + 1, None)
+        elif fault == "split":
+            # a newline in place of a cell: every row end stays in place
+            lines[r] = row[:c] + "\n" + row[c + 1:]
+            expected = (f"ragged row of width {c}, expected {width}",
+                        r + 1, None)
+        elif fault == "short-last":
+            r = len(lines) - 1
+            lines[r] = lines[r][1:]
+            expected = (f"ragged row of width {width - 1}, expected {width}",
+                        r + 1, None)
+        else:
+            ch = {"byte": "x", "tab": "\t", "non-ascii": "\u00e9",
+                  "marker": "2"}[fault]
+            lines[r] = row[:c] + ch + row[c + 1:]
+            expected = (f"unknown character {ch!r}", r + 1, c + 1)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_text(text)
+        message, line, column = expected
+        where = f"line {line}" + (f", column {column}" if column else "")
+        assert str(excinfo.value) == f"{message} ({where})"
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_a_gridset_refuses_the_pair_marker(self):
+        text = serialize_ascii(GridSet.finite(disk_points(30, (0, 0))))
+        lines = text.split("\n")
+        lines[20] = lines[20].replace("-", "1", 1)
+        column = lines[20].index("1") + 1
+        with pytest.raises(ParseError) as excinfo:
+            parse_text("\n".join(lines))
+        assert str(excinfo.value) == \
+            f"unknown character '1' (line 21, column {column})"
 
 
 #: Integers that int() reads and no writer makes: an underscore between
