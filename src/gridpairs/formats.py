@@ -358,9 +358,10 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
 
     A pair whose d0 and d1 overlap is refused.  The unit divides the
     spacing, so distinct points fill distinct cells, and the sets
-    overlap exactly when the filled grid holds fewer marks than they
-    have points; only a grid over the budget, which is never filled,
-    is refused for an overlap found line by line.
+    overlap exactly when fewer cells of the filled grid are marked, that
+    is not blank, than they have points: one count of the blanks.  Only
+    a grid over the budget, which is never filled, is refused for an
+    overlap found line by line.
     """
     if isinstance(doc, GridSet):
         marks = [(ord("0"), doc.points.lines)]
@@ -388,7 +389,7 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
             at = (x - left) // unit - bottom // unit * stride
             for y in line:
                 grid[y // unit * stride + at] = mark
-    if len(marks) > 1 and (grid.count(b"0") + grid.count(b"1")
+    if len(marks) > 1 and (width * height - grid.count(b"-")
                            != len(doc.d0) + len(doc.d1)):
         raise ValueError(_OVERLAP)
     return (left, bottom), grid.decode()

@@ -19,7 +19,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from operator import add
 from typing import (AbstractSet, Container, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple)
 
@@ -32,7 +31,6 @@ from .geometry import (
     is_integer,
     lines_of,
     moore_neighbors,
-    moore_offsets,
     points_of,
     run_ends,
 )
@@ -374,8 +372,7 @@ def components_within(window: Window, spacing: int,
         a, b = l0.get(key), l1.get(key)
         cells = a or b
         if a and b:  # run_ends needs distinct cells; the sets may overlap
-            cells = (sorted(a + b) if set(a).isdisjoint(b)
-                     else sorted(set(a).union(b)))
+            cells = sorted(set(a).union(b))
         ends = run_ends(cells, s)
         n = len(parent)
         bounded = range(n, n + len(ends) // 2 - 1)
@@ -392,11 +389,7 @@ def components_within(window: Window, spacing: int,
         x, y = find(x), find(y)
         parent[max(x, y)] = min(x, y)
 
-    offsets = moore_offsets(dim - 1, s) if dim > 1 else ()
-    neighbours = {
-        key: [tuple(map(add, key, off)) for off in offsets]
-        for key in runs
-    }
+    neighbours = {key: moore_neighbors(key, s) for key in runs}
     free_side = set()  # lines with a neighbouring line off d0 | d1
     for key, (pa, qa, ia) in runs.items():
         for nkey in neighbours[key]:

@@ -4,18 +4,19 @@ These operators compute the coarse (or fine) boundary pair of the
 restricted (or interpolated) set directly from the input boundary pair.
 No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
-outer layer, and settles each candidate by the side of the free run
-holding it, which validation's walk recorded; interpolation intersects
-half-step dilations of the two coarse boundaries.  Both work on the
-pair's line index with the separable kernels of `geometry`, and return
-their results as line indexes.
+outer layer (the outer half of `geometry.ring` of that dilation), and
+settles each candidate by the side of the free run holding it, which
+validation's walk recorded; interpolation intersects half-step
+dilations of the two coarse boundaries.  Both work on the pair's line
+index with the separable kernels of `geometry`, and return their
+results as line indexes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .geometry import Lines, LineStream, difference, dilate
+from .geometry import Lines, LineStream, dilate, ring
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -73,17 +74,16 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides = _require_valid(pair, 1, "lift_restrict").sides
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
-    step = 2 * n
     l0, l1 = pair.d0.lines, pair.d1.lines
     near = dict(dilate(l0, n, 1, n))
     out1: Lines = {}
-    for key, line in difference(dilate(near, step, n, n), near):
+    for key, line in ring(near, n)[1]:
         ones = set(l1.get(key, ()))
         side = sides.along(key)
         kept = sorted(y for y in line if y in ones or side(y))
         if kept:
             out1[key] = kept
-    out0 = _within(dilate(out1, step, n, n), near)
+    out0 = _within(dilate(out1, 2 * n, n, n), near)
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 

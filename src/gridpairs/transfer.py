@@ -5,16 +5,17 @@ Restriction maps a fine set to the coarse points within half a coarse
 step of it; interpolation maps a coarse set to the fine points within
 half a coarse step.  Both are decided with doubled-unit comparisons, so
 odd n (half-integer radii) costs nothing special.  Both work on the line
-index of the stored points: a finite set moves by the separable
-dilation of `geometry`, a cofinite one by the separable erosion of its
-excluded points.
+index of the stored points, grown by one switch (`_grow`): a finite
+set moves by the separable dilation of `geometry`, a cofinite one by the
+separable erosion of its excluded points.  `layers` grows a set by whole
+steps with the same switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import dilate, erode, is_integer, sorted_lines
+from .geometry import LineStream, dilate, erode, is_integer, sorted_lines
 from .gridset import GridSet, Mode
 
 
@@ -60,15 +61,17 @@ def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
     return _transfer(gridset, n, 1)
 
 
+def _grow(gridset: GridSet, radius_doubled: int, spacing: int) -> LineStream:
+    # The stored points of the set grown by radius_doubled/2 onto the
+    # spacing grid.  A finite set grows by dilation: the target points
+    # within that radius of a stored point.  A cofinite set grows by
+    # erosion of the excluded points: a target point is excluded when
+    # its (never empty) ball on the source grid is.
+    kernel = dilate if gridset.mode is Mode.FINITE else erode
+    return kernel(gridset.points.lines, radius_doubled, gridset.spacing,
+                  spacing)
+
+
 def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
-    # A finite set moves by dilation: the target points within n/2 of a
-    # stored point.  A cofinite set moves by erosion of the excluded
-    # points: a target point is excluded when its (never empty) ball on
-    # the source grid is.
-    lines = gridset.points.lines
-    if gridset.mode is Mode.FINITE:
-        moved = dilate(lines, n, gridset.spacing, target_spacing)
-    else:
-        moved = erode(lines, n, gridset.spacing, target_spacing)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
-                            sorted_lines(moved))
+                            sorted_lines(_grow(gridset, n, target_spacing)))

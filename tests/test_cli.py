@@ -31,11 +31,16 @@ class TestTraceReconstruct:
         assert code == 0
         assert out == fixture_text("fig1a.grid")
 
-    def test_wrong_document_kind(self, capsys):
+    def test_wrong_document_kind(self, tmp_path, capsys):
         code, _, err = run(capsys, "trace", "-i",
                            fixture_path("fig1trace.pair"))
         assert code == 2
         assert "grid set" in err
+        # render takes either kind, but only in 2-D
+        doc = tmp_path / "cube.doc"
+        doc.write_text(NOT_2D_SET)
+        assert run(capsys, "render", "-i", str(doc)) == (
+            2, "", "error: rendering is 2-D only\n")
 
 
 class TestLiftedCommands:
@@ -70,11 +75,16 @@ class TestValidateCommand:
         assert out.count("FAIL") == 1
         assert "INVALID" in out
 
-    def test_valid_pair_passes(self, capsys):
+    def test_valid_pair_passes(self, tmp_path, capsys):
         code, out, _ = run(capsys, "validate", "-i",
                            fixture_path("fig6a.pair"))
         assert code == 0
         assert "result: valid" in out
+        empty = tmp_path / "empty.pair"
+        empty.write_text("#coords v1 kind=gridpair m=3 s=2\n")
+        assert run(capsys, "validate", "-i", str(empty)) == (
+            0, "empty pair: represents the full grid, valid by definition\n"
+               "result: valid\n", "")
 
 
 class TestTransferCommands:
@@ -147,6 +157,9 @@ class TestRandomCommand:
                            "--density", "0.5", "--seed", "1")
         assert code == 2
         assert "window" in err
+        assert run(capsys, "random", "--window", "0,0:5", "--density", "0.5",
+                   "--seed", "1") == (
+            2, "", "error: window corners have different dimensions\n")
 
     @pytest.mark.parametrize("spacing", ["0", "-2"])
     def test_nonpositive_spacing(self, spacing, capsys):

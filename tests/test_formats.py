@@ -497,6 +497,10 @@ class TestConversion:
             parse_text("#stuff v1\n")
         with pytest.raises(ParseError):
             parse_text("")
+        # the header is the first line, even when it is blank
+        with pytest.raises(ParseError) as excinfo:
+            parse_text("\n#coords v1 kind=gridpair m=2 s=1\n")
+        assert str(excinfo.value) == "missing header (line 1)"
 
 
 COORDS_HEADERS = {
@@ -617,6 +621,17 @@ def test_bulk_reader_matches_the_scan_on_valid_documents(dim):
                     assert set(field) == {
                         tuple(map(int, coords))
                         for name, *coords in records if name == label}
+    # a first chunk of lines that are all blank holds no record
+    origin = (0,) * dim
+    text = (f"#coords v1 kind=gridpair m={dim} s=1\n" + "\n" * _CHUNK
+            + f"D0 {' '.join(map(str, origin))}\n"
+            + f"D1 1{' 0' * (dim - 1)}\n")
+    lines = text.splitlines()
+    assert lines[1:_CHUNK + 1] == [""] * _CHUNK
+    assert _read_records(lines, dim, 1, ("D0", "D1")) == \
+        _scan_records(lines, dim, 1, ("D0", "D1"))
+    assert parse_text(text) == BoundaryPair.of([origin],
+                                               [(1,) + origin[1:]])
 
 
 def inject(rng, fault, records, at, sound, dim, spacing, labels):

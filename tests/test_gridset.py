@@ -648,6 +648,19 @@ def test_gridset_refuses_a_mode_that_is_not_a_mode(mode):
 def test_gridset_rejects_off_grid_points():
     with pytest.raises(ValueError):
         GridSet.finite({(1, 0)}, spacing=2)
+    # nor a grid of no dimension or no spacing, nor points of no dimension
+    # or of mixed ones
+    for build, message in [
+        (lambda: GridSet(0, 1, Mode.FINITE, frozenset()),
+         "dimension must be at least 1, got 0"),
+        (lambda: GridSet(2, 0, Mode.FINITE, frozenset()),
+         "spacing must be positive, got 0"),
+        (lambda: GridSet.finite([]), "dim is required for an empty"),
+        (lambda: GridSet.finite([(0, 0), (1,)], dim=2),
+         "point (1,) has dimension 1, expected 2"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_gridset_parse_helpers_roundtrip():

@@ -81,17 +81,24 @@ class TestBoundary1:
 
 
 class TestLayer:
+    # boundary1 and boundary0 are layers 1 and 0, so both are checked
+    # against a scan of the Moore neighbours of every stored point: the
+    # non-members next to a member, and the members next to a non-member.
     def test_layer_one_equals_boundary1(self):
         rng = random.Random(3)
         for _ in range(40):
             M = random_gridset(rng)
-            assert layer(M, 1) == boundary1(M)
+            inner, outer = moore_ring(frozenset(M.points), M.spacing)
+            expected = outer if M.mode is Mode.FINITE else inner
+            assert layer(M, 1) == GridSet.finite(expected, M.spacing, M.dim)
 
     def test_layer_zero_equals_boundary0(self):
         rng = random.Random(4)
         for _ in range(40):
             M = random_gridset(rng)
-            assert layer(M, 0) == boundary0(M)
+            inner, outer = moore_ring(frozenset(M.points), M.spacing)
+            expected = inner if M.mode is Mode.FINITE else outer
+            assert layer(M, 0) == GridSet.finite(expected, M.spacing, M.dim)
 
     @pytest.mark.parametrize("s", [1, 3])
     def test_five_by_five_block(self, s):
@@ -210,6 +217,9 @@ class TestStructuralIdentities:
             empty1 = not boundary1(M).points
             trivial = M.is_empty or M.is_full_grid
             assert empty0 == empty1 == trivial
+        for dim, spacing in ((1, 1), (2, 3)):
+            empty = GridSet.empty(dim, spacing)
+            assert boundary0(empty) == boundary1(empty) == empty
 
     def test_boundary_swap_under_complement(self):
         rng = random.Random(14)

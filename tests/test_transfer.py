@@ -64,6 +64,10 @@ class TestInterpolate:
     def test_rejects_wrong_spacing(self):
         with pytest.raises(ValueError):
             interpolate(GridSet.finite({(0, 0)}), GridRatio(2))
+        # the spacing is right, but the empty set is refused as by restrict
+        with pytest.raises(ValueError,
+                           match="interpolation of the empty set"):
+            interpolate(GridSet.empty(2, 2), GridRatio(2))
 
 
 def near_by_definition(point, source_spacing, n):
