@@ -16,6 +16,18 @@ only filtered is never held whole.  They pay for the lines they keep:
 a run that narrows to nothing is skipped before any range is built,
 and a target with one line in reach shares that line, not a copy.  No
 line they yield is a line of their input, which their callers keep.
+
+Where the lines are dense, the same growths run on a dense form of the
+index (`_Masks`): each line one int with one byte per cell of a shared
+window, grown along the line by byte shifts and across lines by the
+same sweeps, with OR for a dilation and AND for an erosion.  `_form`
+picks the form from the input: masks only when the padded window holds
+a few cells per stored point and the points are not few, so the cost
+keeps following the points.  Callers build the form once, run a whole
+operation on it and read it back once, through one interface
+(`lines`, `dilate`, `erode`, `ring`, `read`) that the set form
+(`_Sets`) shares; the masks live only for that operation.
+
 The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
 operations read it and return their results as line indexes
@@ -30,11 +42,11 @@ from __future__ import annotations
 import collections.abc
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from functools import lru_cache
-from itertools import chain, product
-from operator import add, sub
+from functools import lru_cache, reduce
+from itertools import chain, compress, product
+from operator import add, and_, or_, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
-                    Iterable, Iterator, List, Set, Tuple)
+                    Iterable, Iterator, List, Set, Tuple, Union)
 
 Point = Tuple[int, ...]
 #: A line index: the last coordinates of a point set, keyed by the
@@ -332,6 +344,170 @@ def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
     step = 2 * spacing
     return (_peel(lines, erode(lines, step, spacing, spacing)),
             difference(dilate(lines, step, spacing, spacing), lines))
+
+
+#: The gate of the dense form: most cells of the padded window, on the
+#: source grid and counted once per line, per stored point, and fewest
+#: stored points, for which `_form` builds masks.
+_CELLS_PER_POINT = 4
+_MIN_POINTS = 256
+
+
+class _Sets:
+    """A line index with the set kernels of this module, the form that
+    `_form` falls back to: `lines` are the stored points, and `read`
+    turns a stream of lines into a line index of sorted lists."""
+
+    __slots__ = ("lines",)
+    dilate = staticmethod(dilate)
+    erode = staticmethod(erode)
+    ring = staticmethod(ring)
+    read = staticmethod(sorted_lines)
+
+    def __init__(self, lines: Lines):
+        self.lines = lines
+
+
+class _Masks:
+    """The dense form of a line index: each line one int, a mask with
+    one byte per cell of a window along the last axis that all lines
+    share, 1 at a stored point and 0 elsewhere.
+
+    The window starts on the coarser of the source and target grids,
+    and its cells are steps of the finer.  The kernels have the
+    signatures of the set kernels.  Along the last axis a dilation ORs
+    and an erosion ANDs the mask's byte shifts, by doubling; cells
+    beyond the window count as not stored, and a refining erosion sets
+    the cells off the source grid first, so that only source cells are
+    tested.  Across the key axes `_sweep` ORs or ANDs the masks in
+    reach.  `read` cuts the sorted lines from the target cells of each
+    mask by `compress`, so no line is sorted.
+    """
+
+    __slots__ = ("lines", "_step", "_width", "_targets", "_every",
+                 "_off_source")
+
+    def __init__(self, lines: Lines, lo: int, width: int, source: int,
+                 target: int):
+        self._step = step = min(source, target)
+        self._width, self._every = width, target // step
+        self._targets = list(range(lo, lo + width * step, target))
+        off = bytes(1) + b"\x01" * (source // step - 1)
+        self._off_source = int.from_bytes(
+            (off * -(-width // len(off)))[:width], "little")
+        blank = bytes(width)
+        self.lines: Dict[Point, int] = {}
+        for key, line in lines.items():
+            cells = bytearray(blank)
+            if step == 1:  # a quarter of the loop is the division
+                for c in line:
+                    cells[c - lo] = 1
+            else:
+                for c in line:
+                    cells[(c - lo) // step] = 1
+            self.lines[key] = int.from_bytes(cells, "little")
+
+    def dilate(self, masks: Dict[Point, int], radius_doubled: int,
+               source: int, spacing: int) -> LineStream:
+        h = radius_doubled // 2
+        return self._separable(masks, h, 2 * h + 1, h, source, spacing,
+                               or_, 0)
+
+    def erode(self, masks: Dict[Point, int], radius_doubled: int,
+              source: int, spacing: int) -> LineStream:
+        h = radius_doubled // 2
+        return self._separable(masks, h, source, source - 1 - h, source,
+                               spacing, and_, self._off_source)
+
+    def _separable(self, masks: Dict[Point, int], half: int, gap: int,
+                   widen: int, source: int, spacing: int,
+                   op: Callable[[int, int], int], fill: int) -> LineStream:
+        # One sweep per key axis, and along the last axis `op` of the
+        # shifts by -cells..cells bytes, each shift doubling the span of
+        # those taken so far and the last overlapping them.  As in the
+        # set kernels' `_separable`, the shifts go first when refining,
+        # where there are fewer lines, and last otherwise.
+        cells = half // self._step
+        shifts, span = [], 1
+        while span <= 2 * cells:
+            step = min(span, 2 * cells + 1 - span)
+            shifts.append(8 * step)
+            span += step
+
+        def along(mask: int) -> int:
+            mask |= fill
+            for shift in shifts:
+                mask = op(mask, mask << shift)
+            return mask >> 8 * cells
+
+        first = spacing < source
+        if first:
+            masks = {key: grown for key, mask in masks.items()
+                     if (grown := along(mask))}
+        for j in range(len(next(iter(masks), ()))):
+            masks = {key: mask for key, mask in _sweep(
+                masks, j, half, gap, widen, spacing,
+                lambda *row: reduce(op, row)) if mask}
+        if first:
+            return masks.items()
+        return [(key, grown) for key, mask in masks.items()
+                if (grown := along(mask))]
+
+    def ring(self, masks: Dict[Point, int],
+             spacing: int) -> Tuple[LineStream, LineStream]:
+        """`ring` on masks of one grid: the masks less their erosion,
+        and their dilation less the masks, each computed as it is read."""
+        step = 2 * spacing
+
+        def inner() -> LineStream:
+            eroded = dict(self.erode(masks, step, spacing, spacing))
+            for key, mask in masks.items():
+                mask &= ~eroded.get(key, 0)
+                if mask:
+                    yield key, mask
+
+        def outer() -> LineStream:
+            for key, mask in self.dilate(masks, step, spacing, spacing):
+                mask &= ~masks.get(key, 0)
+                if mask:
+                    yield key, mask
+
+        return inner(), outer()
+
+    def read(self, masks: LineStream) -> Lines:
+        targets, width, every = self._targets, self._width, self._every
+        lines = {}
+        for key, mask in masks:
+            line = list(compress(targets,
+                                 mask.to_bytes(width, "little")[::every]))
+            if line:
+                lines[key] = line
+        return lines
+
+
+_Form = Union[_Sets, _Masks]
+
+
+def _form(lines: Lines, radius: int, source: int, target: int) -> _Form:
+    """A document's line index (sorted lists on the source grid) in the
+    form for growing it by radius onto the target grid and taking one
+    more source step: masks over the window of its last coordinates
+    padded by radius plus one source step on each side, when that
+    window holds at most `_CELLS_PER_POINT` source cells per stored
+    point, once per line, and there are at least `_MIN_POINTS`; sets
+    otherwise, so that the cost follows the points where they are
+    sparse, far apart or few."""
+    points = sum(map(len, lines.values()))
+    if points < _MIN_POINTS:
+        return _Sets(lines)
+    pad = radius + source
+    coarse = max(source, target)
+    lo = (min([line[0] for line in lines.values()]) - pad) // coarse * coarse
+    hi = max([line[-1] for line in lines.values()]) + pad
+    if ((hi - lo) // source + 1) * len(lines) > _CELLS_PER_POINT * points:
+        return _Sets(lines)
+    return _Masks(lines, lo, (hi - lo) // min(source, target) + 1, source,
+                  target)
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

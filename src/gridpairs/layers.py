@@ -6,31 +6,40 @@ distance exactly 1 - k steps from the complement.  Layer 0 is the inner
 boundary and layer 1 the first outer layer, which `boundary0` and
 `boundary1` are and `trace` pairs.  All of them take one step, the
 outer layer of a set (`_outer`), after `transfer`'s growth by k - 1.
+Where the stored points are dense, the growth and the step run on the
+masks of `geometry`'s dense form, built once from the stored points and
+read back once at the end; elsewhere on its set kernels.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .geometry import Lines, LineStream, ring, sorted_lines
+from .geometry import Lines, LineStream, _form, _Form
 from .gridset import GridSet, Mode, complement
 from .pairs import BoundaryPair
 from .transfer import _grow
 
 
-def _outer(mode: Mode, lines: Lines,
-           spacing: int) -> Tuple[LineStream, LineStream]:
-    # The outer layer of the set stored as lines in mode, then that of
-    # its complement: the outer ring of a finite set's points, the
-    # inner ring of a cofinite set's excluded points.  Each is computed
-    # as it is read.
-    inner, outer = ring(lines, spacing)
-    return (outer, inner) if mode is Mode.FINITE else (inner, outer)
+def _outer(gridset: GridSet,
+           k: int) -> Tuple[_Form, Tuple[LineStream, LineStream]]:
+    # The form of the stored points for a growth by k - 1 steps, and in
+    # it the outer layer of the set's (k - 1)-step growth, then that of
+    # its complement: the outer ring of a finite set's grown points,
+    # the inner ring of a cofinite set's eroded excluded points.  Each
+    # is computed as it is read.
+    s = gridset.spacing
+    form = _form(gridset.points.lines, (k - 1) * s, s, s)
+    near = form.lines
+    if k > 1:
+        near = dict(_grow(gridset, form, 2 * (k - 1) * s, s))
+    inner, outer = form.ring(near, s)
+    return form, ((outer, inner) if gridset.mode is Mode.FINITE
+                  else (inner, outer))
 
 
-def _finite(model: GridSet, lines: LineStream) -> GridSet:
-    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE,
-                            sorted_lines(lines))
+def _finite(model: GridSet, lines: Lines) -> GridSet:
+    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE, lines)
 
 
 def boundary0(gridset: GridSet) -> GridSet:
@@ -58,14 +67,11 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     the members exactly when its (k - 1)-step ball is excluded.
     """
     if gridset.is_empty or gridset.is_full_grid:
-        return _finite(gridset, ())
+        return _finite(gridset, {})
     if k <= 0:
         gridset, k = complement(gridset), 1 - k
-    s = gridset.spacing
-    near = gridset.points.lines
-    if k > 1:
-        near = dict(_grow(gridset, 2 * (k - 1) * s, s))
-    return _finite(gridset, _outer(gridset.mode, near, s)[0])
+    form, (outer, _) = _outer(gridset, k)
+    return _finite(gridset, form.read(outer))
 
 
 def trace(gridset: GridSet) -> BoundaryPair:
@@ -77,6 +83,6 @@ def trace(gridset: GridSet) -> BoundaryPair:
     """
     if gridset.is_empty:
         raise ValueError("the empty set has no boundary pair")
-    d1, d0 = map(sorted_lines, _outer(gridset.mode, gridset.points.lines,
-                                      gridset.spacing))
+    form, parts = _outer(gridset, 1)
+    d1, d0 = map(form.read, parts)
     return BoundaryPair._trusted(gridset.dim, gridset.spacing, d0, d1)

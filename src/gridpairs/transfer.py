@@ -7,15 +7,16 @@ half a coarse step.  Both are decided with doubled-unit comparisons, so
 odd n (half-integer radii) costs nothing special.  Both work on the line
 index of the stored points, grown by one switch (`_grow`): a finite
 set moves by the separable dilation of `geometry`, a cofinite one by the
-separable erosion of its excluded points.  `layers` grows a set by whole
-steps with the same switch.
+separable erosion of its excluded points, on the form of the index that
+`geometry._form` picks, masks where the points are dense and sets
+elsewhere.  `layers` grows a set by whole steps with the same switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import LineStream, dilate, erode, is_integer, sorted_lines
+from .geometry import LineStream, _form, _Form, is_integer
 from .gridset import GridSet, Mode
 
 
@@ -61,17 +62,20 @@ def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
     return _transfer(gridset, n, 1)
 
 
-def _grow(gridset: GridSet, radius_doubled: int, spacing: int) -> LineStream:
-    # The stored points of the set grown by radius_doubled/2 onto the
-    # spacing grid.  A finite set grows by dilation: the target points
-    # within that radius of a stored point.  A cofinite set grows by
-    # erosion of the excluded points: a target point is excluded when
-    # its (never empty) ball on the source grid is.
-    kernel = dilate if gridset.mode is Mode.FINITE else erode
-    return kernel(gridset.points.lines, radius_doubled, gridset.spacing,
-                  spacing)
+def _grow(gridset: GridSet, form: _Form, radius_doubled: int,
+          spacing: int) -> LineStream:
+    # The stored points of the set, held in form, grown by
+    # radius_doubled/2 onto the spacing grid.  A finite set grows by
+    # dilation: the target points within that radius of a stored point.
+    # A cofinite set grows by erosion of the excluded points: a target
+    # point is excluded when its (never empty) ball on the source grid is.
+    kernel = form.dilate if gridset.mode is Mode.FINITE else form.erode
+    return kernel(form.lines, radius_doubled, gridset.spacing, spacing)
 
 
 def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
+    form = _form(gridset.points.lines, n // 2, gridset.spacing,
+                 target_spacing)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
-                            sorted_lines(_grow(gridset, n, target_spacing)))
+                            form.read(_grow(gridset, form, n,
+                                            target_spacing)))

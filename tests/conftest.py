@@ -6,9 +6,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import AbstractSet, FrozenSet, Iterator, Set, Tuple, Union
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from gridpairs import geometry
 from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
 from gridpairs.gridset import GridSet, Mode, Window, distance_map, window_of
 from gridpairs.pairs import AxiomCheck
@@ -32,6 +34,33 @@ def fixture_path(name: str) -> str:
 def fixture_text(name: str) -> str:
     with open(fixture_path(name), "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def canonical_lines(doc) -> None:
+    """Assert that every line of a document's point fields is non-empty,
+    ascending and distinct, since documents compare and hash by them."""
+    fields = (doc.points,) if isinstance(doc, GridSet) else (doc.d0, doc.d1)
+    for field in fields:
+        for line in field.lines.values():
+            assert line and all(a < b for a, b in zip(line, line[1:])), line
+
+
+def in_both_forms(compute):
+    """compute() with the dense form's gate forced open, so that every
+    `layers` and `transfer` call runs on masks, then forced shut, so
+    that none does.  The two values must be equal, and so must every
+    document in them, line by line; the value on masks is returned."""
+    values = []
+    for cells, floor in ((math.inf, 1), (0, math.inf)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_CELLS_PER_POINT", cells)
+            patch.setattr(geometry, "_MIN_POINTS", floor)
+            values.append(compute())
+    masks, sets = values
+    assert masks == sets
+    for doc in masks if isinstance(masks, (list, tuple)) else (masks,):
+        canonical_lines(doc)
+    return masks
 
 
 #: Box side per dimension, and the budget of fine points, (n + 1)^m per

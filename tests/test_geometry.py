@@ -6,13 +6,41 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs.geometry import (dilate, erode, grid_range, lines_of,
-                                moore_neighbors, points_of, ring, run_ends,
-                                sorted_lines)
+from gridpairs import geometry
+from gridpairs.geometry import (_form, _Masks, dilate, erode, grid_range,
+                                lines_of, moore_neighbors, points_of, ring,
+                                run_ends, sorted_lines)
 from gridpairs.gridset import Window, window_of
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
                       rd)
+
+
+def masks_of(lines, radius_doubled, source, target):
+    # the dense form of lines for a growth by radius_doubled/2, its gate
+    # forced open
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CELLS_PER_POINT", math.inf)
+        patch.setattr(geometry, "_MIN_POINTS", 1)
+        form = _form(lines, radius_doubled // 2, source, target)
+    assert isinstance(form, _Masks) or not lines
+    return form
+
+
+def read_points(form, lines):
+    # the points of a stream of lines in form, each line checked to be
+    # non-empty, ascending and distinct
+    index = form.read(lines)
+    for line in index.values():
+        assert line and all(a < b for a, b in zip(line, line[1:]))
+    return points_of(index.items())
+
+
+def on_masks(kernel, lines, radius_doubled, source, target):
+    """The points of `kernel` (dilate or erode) on the dense form."""
+    form = masks_of(lines, radius_doubled, source, target)
+    return read_points(form, getattr(form, kernel)(
+        form.lines, radius_doubled, source, target))
 
 
 def brute_ball(center, radius_doubled, spacing):
@@ -148,8 +176,11 @@ def test_dilate_is_the_union_of_balls(case, n, transfer, radius):
     _, s, cells = case
     source, target = transfer(s, n)
     centers = {tuple(source // s * c for c in p) for p in cells}
+    expected = set().union(*[ball_points(c, radius, target) for c in centers])
     assert points_of(dilate(lines_of(centers), radius, source, target)) == \
-        set().union(*[ball_points(c, radius, target) for c in centers])
+        expected
+    assert on_masks("dilate", lines_of(centers), radius, source, target) == \
+        expected
 
 
 @given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),
@@ -163,6 +194,8 @@ def test_erode_keeps_the_points_whose_ball_is_stored(case, n, transfer,
     near = set().union(*[ball_points(p, radius, target) for p in points])
     expected = {v for v in near if ball_points(v, radius, source) <= points}
     assert points_of(erode(lines_of(points), radius, source, target)) == \
+        expected
+    assert on_masks("erode", lines_of(points), radius, source, target) == \
         expected
 
 
@@ -198,8 +231,11 @@ def test_erode_at_the_runs_that_narrow_to_nothing(dim, s, transfer, n,
         line += range(start, start + cells * source, source)
     keys = [(source * k,) for k in range(-3, 4)] if dim == 2 else [()]
     points = {key + (c,) for key in keys for c in line}
-    found = points_of(erode(lines_of(points), radius, source, target))
-    assert found == eroded_by_brute_force(points, radius, source, target)
+    expected = eroded_by_brute_force(points, radius, source, target)
+    assert points_of(erode(lines_of(points), radius, source, target)) == \
+        expected
+    assert on_masks("erode", lines_of(points), radius, source, target) == \
+        expected
 
 
 def test_erode_coarsening_a_run_whose_narrowed_interval_misses_the_grid():
@@ -233,8 +269,11 @@ def test_kernels_yield_no_line_of_their_input(case, n, transfer, extra,
 @given(grid_sets())
 def test_ring_matches_the_moore_neighbour_scan(case):
     _, s, points = case
-    assert tuple(map(points_of, ring(lines_of(points), s))) == \
-        moore_ring(points, s)
+    expected = moore_ring(points, s)
+    assert tuple(map(points_of, ring(lines_of(points), s))) == expected
+    form = masks_of(lines_of(points), 0, s, s)
+    assert tuple(read_points(form, part)
+                 for part in form.ring(form.lines, s)) == expected
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs import formats
+from gridpairs import formats, geometry
 from gridpairs.geometry import moore_neighbors
 from gridpairs.gridset import (GridSet, Mode, Window, complement,
                                distance_map, member)
 from gridpairs.layers import boundary0, boundary1, layer, trace
+from gridpairs.oracle import random_set
+from gridpairs.transfer import GridRatio, interpolate, restrict
 
 from conftest import (ball_points, chebyshev, fixture_text, grid_sets,
-                      moore_ring, recover_boundaries, two_clusters)
+                      in_both_forms, moore_ring, recover_boundaries,
+                      two_clusters)
 
 FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
     - {(x, y) for x in range(3, 6) for y in range(3, 6)}
@@ -291,5 +294,131 @@ def test_layers_match_the_distance_map(case, mode):
     M = GridSet(dim, s, mode, points)
     if M.is_empty or M.is_full_grid:
         return
-    for k in range(-3, 4):
-        assert layer(M, k).points == layer_by_distance_map(M, k), k
+    layers = in_both_forms(lambda: [layer(M, k) for k in range(-3, 4)])
+    for k, found in zip(range(-3, 4), layers):
+        assert found.points == layer_by_distance_map(M, k), k
+
+
+def dense_cases(seed, count):
+    """Seeded sets of dims 1-3 and spacings 1-3 at densities 0.05-0.95,
+    finite and cofinite, in windows around negative origins, shifted by
+    0 or +-10^23 steps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim, s = rng.randint(1, 3), rng.randint(1, 3)
+        side = {1: 90, 2: 16, 3: 7}[dim]
+        shift = s * rng.choice([0, 10**23, -10**23])
+        low = tuple(s * rng.randint(-2 * side, -1) + shift
+                    for _ in range(dim))
+        window = Window(low, tuple(c + s * (side - 1) for c in low))
+        M = random_set(window, rng.choice([0.05, 0.3, 0.5, 0.7, 0.95]),
+                       rng.randrange(1 << 30), spacing=s)
+        if rng.random() < 0.5:
+            M = complement(M)
+        yield M
+
+
+class TestDenseForm:
+    # Every kernel call of `layers` and `transfer` on masks against the
+    # set kernels: the same documents, line by line.
+    def test_layers_and_trace(self):
+        for M in dense_cases(31, 60):
+            if M.is_empty:
+                continue
+            in_both_forms(lambda: [layer(M, k) for k in range(-3, 4)]
+                          + [boundary0(M), boundary1(M), trace(M)])
+
+    def test_transfers(self):
+        for M in dense_cases(32, 60):
+            if M.is_empty:
+                continue
+            for n in (2, 3, 4):
+                fine = GridSet(M.dim, 1, M.mode,
+                               [tuple(c // M.spacing for c in p)
+                                for p in M.points])
+                coarse = GridSet(M.dim, n, M.mode, [tuple(n * c for c in p)
+                                                    for p in fine.points])
+                ratio = GridRatio(n)
+                in_both_forms(lambda: [restrict(fine, ratio),
+                                       interpolate(coarse, ratio)])
+
+    def test_the_noise_inputs_take_masks(self):
+        # the gate admits a 128^2 set at density 0.3 for each operation,
+        # with the windows of layer(M, 3) and of interpolation by 3
+        M = random_set(Window((0, 0), (127, 127)), 0.3, 5)
+        C = random_set(Window((0, 0), (126, 126)), 0.3, 5, spacing=3)
+        built = []
+        real = geometry._Masks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_Masks",
+                          lambda *args: built.append(args) or real(*args))
+            for compute in (lambda: trace(M), lambda: layer(M, 3),
+                            lambda: layer(complement(M), -1),
+                            lambda: restrict(M, GridRatio(2)),
+                            lambda: interpolate(C, GridRatio(3))):
+                compute()
+                assert built, compute
+                built.clear()
+
+
+class TestDenseGate:
+    # Inputs whose window is far larger than their points, or that are
+    # few, never build masks, so the cost keeps following the points.
+    @staticmethod
+    def never_masks(compute):
+        def refuse(*args):
+            raise AssertionError("masks built")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_Masks", refuse)
+            return compute()
+
+    @staticmethod
+    def operations(M):
+        yield lambda: trace(M)
+        for k in (-2, 0, 1, 3):
+            yield lambda k=k: layer(M, k)
+        if M.spacing == 1:
+            yield lambda: restrict(M, GridRatio(2))
+        else:
+            yield lambda: interpolate(M, GridRatio(M.spacing))
+
+    @pytest.mark.parametrize("cofinite", [False, True])
+    def test_two_points_far_apart_on_one_line(self, cofinite):
+        for s in (1, 3):
+            M = GridSet.finite({(0, 0), (0, s * 10**9)}, s)
+            for compute in self.operations(complement(M) if cofinite else M):
+                self.never_masks(compute)
+
+    def test_far_clusters_blobs(self):
+        # 3^2 cores with a fringe at density 0.3, at the far-clusters
+        # spreads, the first two at opposite corners
+        rng = random.Random(5)
+        for spread in (72, 80, 88):
+            points = set()
+            for index in range(3):
+                corner = ((0, spread)[index] | 1,) * 2 if index < 2 else (
+                    rng.randint(0, spread) | 1, rng.randint(0, spread) | 1)
+                box = Window(corner, tuple(c + 2 for c in corner))
+                points.update(box.grid_points(1))
+                points |= random_set(box.inflate(1), 0.3,
+                                     rng.randrange(1 << 30)).points
+            M = GridSet.finite(points)
+            for compute in self.operations(M):
+                self.never_masks(compute)
+            for compute in self.operations(complement(M)):
+                self.never_masks(compute)
+
+    def test_criterion_3_block(self):
+        M = GridSet.finite({(x, y) for x in range(3) for y in range(3)})
+        for compute in self.operations(M):
+            self.never_masks(compute)
+
+    def test_large_k_and_ratio(self):
+        # few points, and a dense 24^2 block whose window the radius of
+        # layer 200 or of restriction by 10^6 would make large
+        small = GridSet.finite({(x, y) for x in range(4) for y in range(4)})
+        block = GridSet.finite({(x, y) for x in range(24) for y in range(24)})
+        for M in (small, block, complement(block)):
+            self.never_masks(lambda: layer(M, 200))
+            self.never_masks(lambda: layer(M, -200))
+            self.never_masks(lambda: restrict(M, GridRatio(10**6)))

@@ -10,7 +10,8 @@ from gridpairs.oracle import best_approx_bruteforce, random_set
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
 from conftest import (ball_points, coarse_dilation, fixture_text, hausdorff,
-                      is_connected, is_voronoi_cover, largest_component)
+                      in_both_forms, is_connected, is_voronoi_cover,
+                      largest_component)
 
 
 def random_fine_set(rng, span=8):
@@ -84,7 +85,7 @@ def check_transfer_by_definition(op, source, n, target_spacing):
     lies within n/2 of it, decided over a window around the stored
     points; outside the window the answer is that of the empty set
     (finite source) or of the full grid (cofinite source)."""
-    got = op(source, GridRatio(n))
+    got = in_both_forms(lambda: op(source, GridRatio(n)))
     assert (got.dim, got.spacing, got.mode) == \
         (source.dim, target_spacing, source.mode)
     axes = list(zip(*source.points))
