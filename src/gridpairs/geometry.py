@@ -20,13 +20,16 @@ line they yield is a line of their input, which their callers keep.
 Where the lines are dense, the same growths run on a dense form of the
 index (`_Masks`): each line one int with one byte per cell of a shared
 window, grown along the line by byte shifts and across lines by the
-same sweeps, with OR for a dilation and AND for an erosion.  `_form`
-picks the form from the input: masks only when the padded window holds
-a few cells per stored point and the points are not few, so the cost
-keeps following the points.  Callers build the form once, run a whole
-operation on it and read it back once, through one interface
-(`lines`, `dilate`, `erode`, `ring`, `read`) that the set form
-(`_Sets`) shares; the masks live only for that operation.
+same sweeps, with OR for a dilation and AND for an erosion.  `_dense`
+is the one gate of that form: masks only when the padded window holds
+a few cells per stored point, the points are not few and, for an
+operation that grows them once, their lines are not short, so the cost
+keeps following the points.  `_form` picks the form of one index by
+it, and `pairs.validate` lays both sets of a pair on one window with
+it.  Callers build the form once, run a whole operation on it and read
+it back once, through one interface (`lines`, `of`, `dilate`, `erode`,
+`ring`, `read`) that the set form (`_Sets`) shares; the masks live
+only for that operation.
 
 The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
@@ -46,7 +49,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress, product
 from operator import add, and_, or_, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
-                    Iterable, Iterator, List, Set, Tuple, Union)
+                    Iterable, Iterator, List, Optional, Set, Tuple, Union)
 
 Point = Tuple[int, ...]
 #: A line index: the last coordinates of a point set, keyed by the
@@ -347,16 +350,19 @@ def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
 
 
 #: The gate of the dense form: most cells of the padded window, on the
-#: source grid and counted once per line, per stored point, and fewest
-#: stored points, for which `_form` builds masks.
+#: source grid and counted once per line, per stored point; fewest
+#: stored points per line, for an operation that grows them once; and
+#: fewest stored points, for which `_dense` builds masks.
 _CELLS_PER_POINT = 4
+_POINTS_PER_LINE = 10
 _MIN_POINTS = 256
 
 
 class _Sets:
     """A line index with the set kernels of this module, the form that
-    `_form` falls back to: `lines` are the stored points, and `read`
-    turns a stream of lines into a line index of sorted lists."""
+    `_form` falls back to: `lines` are the stored points, `of` takes
+    another line index as it is, and `read` turns a stream of lines
+    into a line index of sorted lists."""
 
     __slots__ = ("lines",)
     dilate = staticmethod(dilate)
@@ -367,6 +373,10 @@ class _Sets:
     def __init__(self, lines: Lines):
         self.lines = lines
 
+    @staticmethod
+    def of(lines: Lines) -> Lines:
+        return lines
+
 
 class _Masks:
     """The dense form of a line index: each line one int, a mask with
@@ -374,29 +384,34 @@ class _Masks:
     share, 1 at a stored point and 0 elsewhere.
 
     The window starts on the coarser of the source and target grids,
-    and its cells are steps of the finer.  The kernels have the
-    signatures of the set kernels.  Along the last axis a dilation ORs
-    and an erosion ANDs the mask's byte shifts, by doubling; cells
-    beyond the window count as not stored, and a refining erosion sets
-    the cells off the source grid first, so that only source cells are
-    tested.  Across the key axes `_sweep` ORs or ANDs the masks in
-    reach.  `read` cuts the sorted lines from the target cells of each
-    mask by `compress`, so no line is sorted.
+    and its cells are steps of the finer; `targets` are its cells on
+    the target grid, ascending, and `of` builds the masks of another
+    line index on it.  The kernels have the signatures of the set
+    kernels, and a mask they yield holds cells of their target grid
+    only, so that one kernel's output can be the next one's input.
+    Along the last axis a dilation ORs and an erosion ANDs the mask's
+    byte shifts, by doubling; cells beyond the window count as not
+    stored, and an erosion from a grid coarser than the cells sets the
+    cells off that grid first, so that only its cells are tested.
+    Across the key axes `_sweep` ORs or ANDs the masks in reach.
+    `read` cuts the sorted lines from the target cells of each mask by
+    `compress`, so no line is sorted.
     """
 
-    __slots__ = ("lines", "_step", "_width", "_targets", "_every",
-                 "_off_source")
+    __slots__ = ("lines", "targets", "_lo", "_step", "_width", "_every")
 
     def __init__(self, lines: Lines, lo: int, width: int, source: int,
                  target: int):
-        self._step = step = min(source, target)
-        self._width, self._every = width, target // step
-        self._targets = list(range(lo, lo + width * step, target))
-        off = bytes(1) + b"\x01" * (source // step - 1)
-        self._off_source = int.from_bytes(
-            (off * -(-width // len(off)))[:width], "little")
-        blank = bytes(width)
-        self.lines: Dict[Point, int] = {}
+        self._lo, self._step = lo, min(source, target)
+        self._width, self._every = width, target // self._step
+        self.targets = list(range(lo, lo + width * self._step, target))
+        self.lines = self.of(lines)
+
+    def of(self, lines: Lines) -> Dict[Point, int]:
+        """The masks of a line index whose points lie in the window."""
+        lo, step = self._lo, self._step
+        blank = bytes(self._width)
+        masks: Dict[Point, int] = {}
         for key, line in lines.items():
             cells = bytearray(blank)
             if step == 1:  # a quarter of the loop is the division
@@ -405,7 +420,16 @@ class _Masks:
             else:
                 for c in line:
                     cells[(c - lo) // step] = 1
-            self.lines[key] = int.from_bytes(cells, "little")
+            masks[key] = int.from_bytes(cells, "little")
+        return masks
+
+    def _grid(self, spacing: int) -> int:
+        # 1 at each cell of the window on the spacing grid, which the
+        # window starts on
+        every = spacing // self._step
+        cell = b"\x01" + bytes(every - 1)
+        return int.from_bytes((cell * -(-self._width // every))[:self._width],
+                              "little")
 
     def dilate(self, masks: Dict[Point, int], radius_doubled: int,
                source: int, spacing: int) -> LineStream:
@@ -416,29 +440,33 @@ class _Masks:
     def erode(self, masks: Dict[Point, int], radius_doubled: int,
               source: int, spacing: int) -> LineStream:
         h = radius_doubled // 2
+        off = (self._grid(self._step) ^ self._grid(source)
+               if source > self._step else 0)
         return self._separable(masks, h, source, source - 1 - h, source,
-                               spacing, and_, self._off_source)
+                               spacing, and_, off)
 
     def _separable(self, masks: Dict[Point, int], half: int, gap: int,
                    widen: int, source: int, spacing: int,
                    op: Callable[[int, int], int], fill: int) -> LineStream:
         # One sweep per key axis, and along the last axis `op` of the
         # shifts by -cells..cells bytes, each shift doubling the span of
-        # those taken so far and the last overlapping them.  As in the
-        # set kernels' `_separable`, the shifts go first when refining,
-        # where there are fewer lines, and last otherwise.
+        # those taken so far and the last overlapping them, kept to the
+        # target grid.  As in the set kernels' `_separable`, the shifts
+        # go first when refining, where there are fewer lines, and last
+        # otherwise.
         cells = half // self._step
         shifts, span = [], 1
         while span <= 2 * cells:
             step = min(span, 2 * cells + 1 - span)
             shifts.append(8 * step)
             span += step
+        on = self._grid(spacing) if spacing > self._step else -1
 
         def along(mask: int) -> int:
             mask |= fill
             for shift in shifts:
                 mask = op(mask, mask << shift)
-            return mask >> 8 * cells
+            return mask >> 8 * cells & on
 
         first = spacing < source
         if first:
@@ -475,7 +503,7 @@ class _Masks:
         return inner(), outer()
 
     def read(self, masks: LineStream) -> Lines:
-        targets, width, every = self._targets, self._width, self._every
+        targets, width, every = self.targets, self._width, self._every
         lines = {}
         for key, mask in masks:
             line = list(compress(targets,
@@ -488,26 +516,49 @@ class _Masks:
 _Form = Union[_Sets, _Masks]
 
 
-def _form(lines: Lines, radius: int, source: int, target: int) -> _Form:
-    """A document's line index (sorted lists on the source grid) in the
-    form for growing it by radius onto the target grid and taking one
-    more source step: masks over the window of its last coordinates
-    padded by radius plus one source step on each side, when that
-    window holds at most `_CELLS_PER_POINT` source cells per stored
-    point, once per line, and there are at least `_MIN_POINTS`; sets
-    otherwise, so that the cost follows the points where they are
-    sparse, far apart or few."""
-    points = sum(map(len, lines.values()))
+def _dense(indexes: Tuple[Lines, ...], radius: int, source: int,
+           target: int, once: bool = False) -> Optional[_Masks]:
+    """The dense form of the first of `indexes` (line indexes of sorted
+    lists on the source grid) for growing it by radius onto the target
+    grid and taking one more step of the coarser grid, on a window that
+    all of them share, or None where the masks would not pay.
+
+    The window spans their last coordinates, padded by radius plus that
+    step on each side.  This is the one gate of the dense form: masks
+    need at least `_MIN_POINTS` stored points in all and at most
+    `_CELLS_PER_POINT` source cells of the window, once per line, per
+    point, so that the cost follows the points where they are few or
+    far apart.  An operation that grows the points `once` (a transfer,
+    the walk of `pairs.validate`, the core of `lifted.lift_restrict`)
+    also needs `_POINTS_PER_LINE` points per line: on shorter lines
+    building and reading the masks costs more than the one growth
+    saves.  `layers` takes a ring after its growth and wins on masks at
+    every line length."""
+    lines = [line for index in indexes for line in index.values()]
+    points = sum(map(len, lines))
     if points < _MIN_POINTS:
-        return _Sets(lines)
-    pad = radius + source
+        return None
+    keys = len(indexes[0]) if len(indexes) == 1 else len(set().union(*indexes))
+    if once and points < _POINTS_PER_LINE * keys:
+        return None
     coarse = max(source, target)
-    lo = (min([line[0] for line in lines.values()]) - pad) // coarse * coarse
-    hi = max([line[-1] for line in lines.values()]) + pad
-    if ((hi - lo) // source + 1) * len(lines) > _CELLS_PER_POINT * points:
-        return _Sets(lines)
-    return _Masks(lines, lo, (hi - lo) // min(source, target) + 1, source,
-                  target)
+    pad = radius + coarse
+    lo = (min([line[0] for line in lines]) - pad) // coarse * coarse
+    hi = max([line[-1] for line in lines]) + pad
+    if ((hi - lo) // source + 1) * keys > _CELLS_PER_POINT * points:
+        return None
+    return _Masks(indexes[0], lo, (hi - lo) // min(source, target) + 1,
+                  source, target)
+
+
+def _form(lines: Lines, radius: int, source: int, target: int,
+          once: bool = False) -> _Form:
+    """A document's line index in the form for growing it by radius onto
+    the target grid (`once`, as `_dense` counts it) and taking one more
+    step of the coarser grid: the masks of `_dense` where they pay, the
+    sets otherwise."""
+    form = _dense((lines,), radius, source, target, once)
+    return _Sets(lines) if form is None else form
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

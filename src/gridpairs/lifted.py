@@ -9,14 +9,16 @@ settles each candidate by the side of the free run holding it, which
 validation's walk recorded; interpolation intersects half-step
 dilations of the two coarse boundaries.  Both work on the pair's line
 index with the separable kernels of `geometry`, and return their
-results as line indexes.
+results as line indexes.  Restriction grows the inner boundary on the
+form of it that `geometry._form` picks, line masks where it is dense
+and sets elsewhere, and reads the candidates and the coarse inner
+boundary back from it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .geometry import Lines, LineStream, dilate, ring
+from .geometry import (Lines, LineStream, _form, difference, dilate,
+                       sorted_lines)
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -28,22 +30,16 @@ def _require_valid(pair: BoundaryPair, spacing: int, role: str) -> AxiomReport:
     return require_valid(pair)
 
 
-def _within(lines: LineStream, keep: Lines,
-            cut: Optional[Lines] = None) -> Lines:
-    # Line by line, the points of lines in keep and not in cut, each line
-    # a sorted list.  The kernels share one line object between keys,
-    # so each line kept is a new set.
-    out: Lines = {}
+def _within(lines: LineStream, keep: Lines) -> LineStream:
+    # Line by line, the points of lines in keep, sets or masks alike.
+    # The kernels share one line object between keys, so each line kept
+    # is a new one.
     for key, line in lines:
         common = keep.get(key)
-        if common is None:
-            continue
-        line = line.intersection(common)
-        if cut:
-            line.difference_update(cut.get(key, ()))
-        if line:
-            out[key] = sorted(line)
-    return out
+        if common is not None:
+            line = line & common
+            if line:
+                yield key, line
 
 
 def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -54,8 +50,12 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     line index, onto the coarse grid, one coarse step out from it to
     the candidates, and for each candidate off its line of D1 one
     bisection among the run ends of its line, or none for a line off
-    D0 | D1, whatever the ratio n.  The empty pair maps to the empty
-    pair.  Three facts carry it:
+    D0 | D1, whatever the ratio n.  The dilation, the step out and the
+    inner boundary, the dilated points one coarse step from the outer
+    layer, run on masks where D0 is dense (`geometry._form`), from
+    which the candidates and the inner boundary are each read back
+    once.  The empty pair maps to the empty pair.  Three facts carry
+    it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -74,16 +74,17 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides = _require_valid(pair, 1, "lift_restrict").sides
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
-    l0, l1 = pair.d0.lines, pair.d1.lines
-    near = dict(dilate(l0, n, 1, n))
+    l1 = pair.d1.lines
+    form = _form(pair.d0.lines, n // 2, 1, n, once=True)
+    near = dict(form.dilate(form.lines, n, 1, n))
     out1: Lines = {}
-    for key, line in ring(near, n)[1]:
+    for key, line in form.read(form.ring(near, n)[1]).items():
         ones = set(l1.get(key, ()))
         side = sides.along(key)
-        kept = sorted(y for y in line if y in ones or side(y))
+        kept = [y for y in line if y in ones or side(y)]
         if kept:
             out1[key] = kept
-    out0 = _within(dilate(out1, 2 * n, n, n), near)
+    out0 = form.read(_within(form.dilate(form.of(out1), 2 * n, n, n), near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 
@@ -107,9 +108,10 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     _require_valid(pair, n, "lift_interpolate")
     d0, d1 = pair.d0.lines, pair.d1.lines
     near0, near1 = dict(dilate(d0, n, n, 1)), dict(dilate(d1, n, n, 1))
-    out1 = _within(dilate(d0, n + 2, n, 1), near1, near0)
+    out1 = sorted_lines(difference(_within(dilate(d0, n + 2, n, 1), near1),
+                                   near0))
     if n % 2 == 0:
-        out0 = _within(near0.items(), near1)
+        out0 = sorted_lines(_within(near0.items(), near1))
     else:
-        out0 = _within(dilate(d1, n + 1, n, 1), near0)
+        out0 = sorted_lines(_within(dilate(d1, n + 1, n, 1), near0))
     return BoundaryPair._trusted(pair.dim, 1, out0, out1)

@@ -10,16 +10,25 @@ inside or outside the set, so each free run has the side of the cells
 at its ends, and `Sides` records it.  The runs of a line come from
 `geometry.run_ends`, which also splits the lines that
 `gridset.components_within` labels to name a failing pair's witness.
+Where the pair is dense (the gate of `geometry._dense`), the walk runs
+on line masks instead, one int per line with one byte per cell of a
+window that all lines share: every test of a line is then a few
+operations on its mask and on the OR of its neighbouring lines' masks,
+and the run ends are cut from the masks by `compress`, as `run_ends`
+gives them, so the report is the same in both forms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, repeat
+from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
-                    Tuple)
+                    Set, Tuple)
 
-from .geometry import Lines, Point, moore_neighbors, run_ends
+from .geometry import Lines, Point, _dense, _Masks, moore_neighbors, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -151,13 +160,20 @@ class InvalidPairError(ValueError):
 _PASS = AxiomCheck(True)
 
 
-def _walk(l0: Lines, l1: Lines, dim: int, s: int
-          ) -> Tuple[List[Point], List[Point], List[Point], Optional[Sides]]:
+_Walk = Tuple[List[Point], List[Point], List[Point], Optional[Sides]]
+
+
+def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
     # One pass over the occupied lines.  It gathers the least point of
     # each line of d0 (of d1) with no point of the other set one step
     # away, the least point of each line in both sets, and, while no
     # such point is found, the sides of the free runs, or None once one
-    # of the rules (a)-(c) of `validate` fails.
+    # of the rules (a)-(c) of `validate` fails.  Where the pair is
+    # dense, the pass runs on masks (`_walk_masks`), else point by point.
+    keys = l0.keys() | l1.keys()
+    form = _dense((l0, l1), 0, s, s, once=True)
+    if form is not None:
+        return _walk_masks(form, form.of(l1), keys, dim, s)
     get0, get1 = l0.get, l1.get
     failing0: List[Point] = []
     failing1: List[Point] = []
@@ -165,7 +181,7 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
     found: Dict[Point, Tuple[List[int], bytes]] = {}
     agree = True
     exterior = None
-    for key in l0.keys() | l1.keys():
+    for key in keys:
         beside = moore_neighbors(key, s)
         own = a, b = get0(key), get1(key)
         # each neighbouring line of d0 and of d1, None where it is empty
@@ -250,10 +266,116 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int
                         break
             if not agree:
                 break
-    if not agree:
+    return _walked(failing0, failing1, overlap, found if agree else None,
+                   dim, exterior)
+
+
+def _walked(failing0: List[Point], failing1: List[Point],
+            overlap: List[Point],
+            found: Optional[Dict[Point, Tuple[List[int], bytes]]],
+            dim: int, exterior: Optional[int]) -> _Walk:
+    # The walk's result: its `Sides` are those of the free runs found,
+    # or None once a rule failed.
+    if found is None:
         return failing0, failing1, overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
     return failing0, failing1, overlap, Sides(found, (rays[0], rays[-1]))
+
+
+def _least(mask: int) -> int:
+    # the index of the lowest set byte of a nonzero mask
+    return ((mask & -mask).bit_length() - 1) >> 3
+
+
+def _walk_masks(form: _Masks, m1: Dict[Point, int], keys: Set[Point],
+                dim: int, s: int) -> _Walk:
+    # `_walk` on the masks of a dense pair: d0's are form.lines, d1's
+    # m1, on one window of cells `form.targets`, whose first and last
+    # cells hold no point.  Each test of a line is a few operations on
+    # its mask and on the ORs of its neighbouring lines' masks, u0 and
+    # u1; a shift by 8 bits moves every cell one step along the line.
+    m0, cells = form.lines, form.targets
+    get0, get1 = m0.get, m1.get
+    width = len(cells)
+    every = form._grid(s)
+    zero = repeat(0)
+    failing0: List[Point] = []
+    failing1: List[Point] = []
+    overlap: List[Point] = []
+    found: Dict[Point, Tuple[List[int], bytes]] = {}
+    agree = True
+    exterior = None
+    for key in keys:
+        beside = moore_neighbors(key, s)
+        o0, o1 = get0(key, 0), get1(key, 0)
+        u0 = reduce(or_, map(get0, beside, zero), 0)
+        u1 = reduce(or_, map(get1, beside, zero), 0)
+        # A point touches the other set when that set holds a cell one
+        # step along its own line, or within one step on a neighbouring
+        # line; a point of both sets is not its own neighbour.
+        if o0:
+            near = u1 | o1
+            bad = o0 & ~(u1 | near << 8 | near >> 8)
+            if bad:
+                failing0.append(key + (cells[_least(bad)],))
+        if o1:
+            near = u0 | o0
+            bad = o1 & ~(u0 | near << 8 | near >> 8)
+            if bad:
+                failing1.append(key + (cells[_least(bad)],))
+        if o0 & o1:
+            overlap.append(key + (cells[_least(o0 & o1)],))
+            agree = False
+        if not agree:
+            continue
+        # the run ends, as `run_ends` gives them: the first and the last
+        # cell of each run of d0 | d1, the cells without a neighbour
+        # before (after) them on the line
+        occ = o0 | o1
+        starts = (occ & ~(occ << 8)).to_bytes(width, "little")
+        stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
+        firsts = list(compress(cells, starts))
+        ends = firsts * 2
+        ends[::2] = firsts
+        ends[1::2] = list(compress(cells, stops))
+        if o0 and o1:
+            # a cell's side is 1 when it lies in d1
+            in1 = o1.to_bytes(width, "little")
+            heads = bytes(compress(in1, starts))
+            tails = bytes(compress(in1, stops))
+            # (a): the two end cells of each bounded run
+            if heads[1:] != tails[:-1]:
+                agree = False
+                continue
+            sides = heads + tails[-1:]
+        else:
+            sides = (b"\1" if o1 else b"\0") * (len(firsts) + 1)
+        found[key] = ends, sides
+        if dim == 1:
+            continue
+        # (b): both rays, and every cell beside a line off d0 | d1
+        if exterior is None:
+            exterior = sides[0]
+        if (sides[0] != exterior or sides[-1] != exterior
+                or (o1, o0)[exterior] and not keys.issuperset(beside)):
+            agree = False
+            continue
+        # (c): the free cells of side 1 are the runs after a cell of d1,
+        # found by a carry through the run's bytes filled with ones, and
+        # the left ray when the exterior side is 1; each side's windows
+        # are its runs widened by one cell, and they must not meet the
+        # other set on a neighbouring line
+        free = every & ~occ
+        filled = free * 255
+        ones = filled & ~(filled + (free & o1 << 8)) & every
+        if exterior:
+            ones |= every & (occ & -occ) - 1
+        zeros = free & ~ones
+        if ((zeros | zeros << 8 | zeros >> 8) & u1
+                or (ones | ones << 8 | ones >> 8) & u0):
+            agree = False
+    return _walked(failing0, failing1, overlap, found if agree else None,
+                   dim, exterior)
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
@@ -285,8 +407,13 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     In 1-D only (a) applies, and the two rays keep their own sides.
     Moore-adjacent runs need no union: one run's end cell always lies
     in the other run's window, so (b) or (c) already catches a side
-    mismatch.  The cost is O(|D| 3^(m-1) log |D|) for D = d0 | d1,
-    whatever the bounding box.  The report carries the `Sides`.  Only
+    mismatch.  Point by point the cost is O(|D| 3^(m-1) log |D|) for
+    D = d0 | d1, whatever the bounding box.  A dense pair (at least 256
+    points, 10 per occupied line, and at most 4 cells of the window
+    that the lines share per point) is walked on line masks: each test
+    of a line is a few operations on ints of one byte per window cell,
+    O(3^(m-1) |D|) bytes in all, with no per-point loop but the one
+    that builds the masks.  The report carries the `Sides`.  Only
     when a rule fails, or the sets overlap, are the components labelled
     (`gridset.components_within`, on the same `geometry.run_ends`), to
     name the separation witness: the least point of the first component

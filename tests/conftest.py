@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 from dataclasses import dataclass
 from itertools import product
 from typing import AbstractSet, FrozenSet, Iterator, Set, Tuple, Union
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from gridpairs import geometry
 from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
-from gridpairs.gridset import GridSet, Mode, Window, distance_map, window_of
-from gridpairs.pairs import AxiomCheck
+from gridpairs.gridset import (GridSet, Mode, Window, distance_map, random_set,
+                               window_of)
+from gridpairs.pairs import AxiomCheck, validate
 
 settings.register_profile(
     "deterministic",
@@ -45,22 +47,84 @@ def canonical_lines(doc) -> None:
             assert line and all(a < b for a, b in zip(line, line[1:])), line
 
 
-def in_both_forms(compute):
+def each_form(compute, cells=math.inf):
     """compute() with the dense form's gate forced open, so that every
-    `layers` and `transfer` call runs on masks, then forced shut, so
-    that none does.  The two values must be equal, and so must every
-    document in them, line by line; the value on masks is returned."""
+    `layers`, `transfer` and `lift_restrict` call and every walk of
+    `validate` whose window holds at most `cells` cells per point runs
+    on masks, then forced shut, so that none does: the two values."""
     values = []
-    for cells, floor in ((math.inf, 1), (0, math.inf)):
+    for cap, per_line, floor in ((cells, 0, 1), (0, math.inf, math.inf)):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_CELLS_PER_POINT", cells)
+            patch.setattr(geometry, "_CELLS_PER_POINT", cap)
+            patch.setattr(geometry, "_POINTS_PER_LINE", per_line)
             patch.setattr(geometry, "_MIN_POINTS", floor)
             values.append(compute())
-    masks, sets = values
+    return values
+
+
+def in_both_forms(compute, cells=math.inf):
+    """compute() in both forms of `each_form`.  The two values must be
+    equal, and so must every document in them, line by line; the value
+    on masks is returned."""
+    masks, sets = each_form(compute, cells)
     assert masks == sets
     for doc in masks if isinstance(masks, (list, tuple)) else (masks,):
         canonical_lines(doc)
     return masks
+
+
+def sides_of(report):
+    """The free cells' sides of a report as plain data, or None."""
+    sides = report.sides
+    return None if sides is None else (sides.lines, sides.exterior)
+
+
+def validated_in_both_forms(pair, cells=math.inf):
+    """validate(pair) in both forms of `each_form`: the two reports must
+    be equal, witnesses, description and `Sides` alike; the report on
+    masks is returned."""
+    masks, sets = each_form(lambda: validate(pair), cells)
+    assert masks == sets
+    assert masks.describe() == sets.describe()
+    assert sides_of(masks) == sides_of(sets)
+    return masks
+
+
+def never_masks(compute):
+    """compute(), failing if it builds masks."""
+    def refuse(*args):
+        raise AssertionError("masks built")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_Masks", refuse)
+        return compute()
+
+
+def masks_built(compute):
+    """How many times compute() builds masks."""
+    built = []
+    real = geometry._Masks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_Masks",
+                      lambda *args: built.append(args) or real(*args))
+        compute()
+    return len(built)
+
+
+def far_clusters_blobs():
+    """2-D sets like the far-clusters documents: 3^2 cores with a fringe
+    at density 0.3, the first two at opposite corners, at each of the
+    workload's spreads 72, 80 and 88."""
+    rng = random.Random(5)
+    for spread in (72, 80, 88):
+        points = set()
+        for index in range(3):
+            corner = ((0, spread)[index] | 1,) * 2 if index < 2 else (
+                rng.randint(0, spread) | 1, rng.randint(0, spread) | 1)
+            box = Window(corner, tuple(c + 2 for c in corner))
+            points.update(box.grid_points(1))
+            points |= random_set(box.inflate(1), 0.3,
+                                 rng.randrange(1 << 30)).points
+        yield GridSet.finite(points)
 
 
 #: Box side per dimension, and the budget of fine points, (n + 1)^m per

@@ -21,6 +21,7 @@ def masks_of(lines, radius_doubled, source, target):
     # forced open
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_CELLS_PER_POINT", math.inf)
+        patch.setattr(geometry, "_POINTS_PER_LINE", 0)
         patch.setattr(geometry, "_MIN_POINTS", 1)
         form = _form(lines, radius_doubled // 2, source, target)
     assert isinstance(form, _Masks) or not lines

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridpairs import formats, geometry
+from gridpairs import formats
 from gridpairs.geometry import moore_neighbors
 from gridpairs.gridset import (GridSet, Mode, Window, complement,
                                distance_map, member)
@@ -12,8 +12,9 @@ from gridpairs.layers import boundary0, boundary1, layer, trace
 from gridpairs.oracle import random_set
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import (ball_points, chebyshev, fixture_text, grid_sets,
-                      in_both_forms, moore_ring, recover_boundaries,
+from conftest import (ball_points, chebyshev, far_clusters_blobs,
+                      fixture_text, grid_sets, in_both_forms, masks_built,
+                      moore_ring, never_masks, recover_boundaries,
                       two_clusters)
 
 FIG1A_POINTS = {(x, y) for x in range(2, 10) for y in range(2, 7)} \
@@ -347,30 +348,17 @@ class TestDenseForm:
         # with the windows of layer(M, 3) and of interpolation by 3
         M = random_set(Window((0, 0), (127, 127)), 0.3, 5)
         C = random_set(Window((0, 0), (126, 126)), 0.3, 5, spacing=3)
-        built = []
-        real = geometry._Masks
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_Masks",
-                          lambda *args: built.append(args) or real(*args))
-            for compute in (lambda: trace(M), lambda: layer(M, 3),
-                            lambda: layer(complement(M), -1),
-                            lambda: restrict(M, GridRatio(2)),
-                            lambda: interpolate(C, GridRatio(3))):
-                compute()
-                assert built, compute
-                built.clear()
+        for compute in (lambda: trace(M), lambda: layer(M, 3),
+                        lambda: layer(complement(M), -1),
+                        lambda: restrict(M, GridRatio(2)),
+                        lambda: interpolate(C, GridRatio(3))):
+            assert masks_built(compute), compute
 
 
 class TestDenseGate:
     # Inputs whose window is far larger than their points, or that are
     # few, never build masks, so the cost keeps following the points.
-    @staticmethod
-    def never_masks(compute):
-        def refuse(*args):
-            raise AssertionError("masks built")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_Masks", refuse)
-            return compute()
+    never_masks = staticmethod(never_masks)
 
     @staticmethod
     def operations(M):
@@ -390,19 +378,7 @@ class TestDenseGate:
                 self.never_masks(compute)
 
     def test_far_clusters_blobs(self):
-        # 3^2 cores with a fringe at density 0.3, at the far-clusters
-        # spreads, the first two at opposite corners
-        rng = random.Random(5)
-        for spread in (72, 80, 88):
-            points = set()
-            for index in range(3):
-                corner = ((0, spread)[index] | 1,) * 2 if index < 2 else (
-                    rng.randint(0, spread) | 1, rng.randint(0, spread) | 1)
-                box = Window(corner, tuple(c + 2 for c in corner))
-                points.update(box.grid_points(1))
-                points |= random_set(box.inflate(1), 0.3,
-                                     rng.randrange(1 << 30)).points
-            M = GridSet.finite(points)
+        for M in far_clusters_blobs():
             for compute in self.operations(M):
                 self.never_masks(compute)
             for compute in self.operations(complement(M)):

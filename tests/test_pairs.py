@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpairs import formats
-from gridpairs.gridset import GridSet, Mode, Window, member, window_of
+from gridpairs.gridset import (GridSet, Mode, Window, complement, member,
+                               window_of)
 from gridpairs.layers import trace
+from gridpairs.lifted import lift_restrict
 from gridpairs.oracle import (
     MAX_BRUTE_CELLS,
     closer_set_window,
@@ -18,9 +20,17 @@ from gridpairs.oracle import (
 )
 from gridpairs.pairs import (AxiomCheck, BoundaryPair, InvalidPairError,
                              reconstruct, validate)
+from gridpairs.transfer import GridRatio
 
-from conftest import (adjacency_check, fixture_text, labelling_cases,
-                      large_cofinite_holes, two_clusters)
+from conftest import (adjacency_check, far_clusters_blobs, fixture_text,
+                      in_both_forms, labelling_cases, large_cofinite_holes,
+                      masks_built, never_masks, two_clusters,
+                      validated_in_both_forms)
+
+#: Most window cells per point for which the forced-open gate builds
+#: masks where clusters lie 10^6 or 10^23 steps apart; farther pairs
+#: keep to sets in both runs, as their masks would not fit in memory.
+FAR_CELLS = 2**10
 
 FIG1A_POINTS = frozenset(
     {(x, y) for x in range(2, 10) for y in range(2, 7)}
@@ -90,7 +100,8 @@ def test_adjacency_axioms_match_the_neighbour_scan(case, sides, far):
     # a translated copy of every third point, far along every axis
     d0 |= {tuple(c + far * s for c in p) for p in sorted(d0)[::3]}
     d1 |= {tuple(c + far * s for c in p) for p in sorted(d1)[1::3]}
-    report = validate(BoundaryPair(window.dim, s, d0, d1))
+    report = validated_in_both_forms(BoundaryPair(window.dim, s, d0, d1),
+                                     FAR_CELLS)
     assert report.d0_touches_d1 == adjacency_check(d0, d1, s)
     assert report.d1_touches_d0 == adjacency_check(d1, d0, s)
 
@@ -291,18 +302,21 @@ def checks_of(report):
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_walk_matches_the_references_on_mutated_traces(dim, spacing):
+    # in both forms, every third box shifted by 10^23 steps, and every
+    # third by -10^23
     rng = random.Random(10 * dim + spacing)
     s = spacing
-    box = Window((0,) * dim, ((WALK_SPANS[dim] - 1) * s,) * dim)
     leaks = 0
-    for _ in range(40):
+    for index in range(40):
+        low = s * (0, 10**23, -10**23)[index % 3]
+        box = Window((low,) * dim, (low + (WALK_SPANS[dim] - 1) * s,) * dim)
         M = random_set(box, rng.choice((0.3, 0.5, 0.7)),
                        rng.randrange(10**6), s)
         if rng.random() < 0.5:
             M = GridSet(dim, s, Mode.COFINITE, M.points)
         pair = trace(M)
         for candidate in (pair, mutated(pair, rng)):
-            report = validate(candidate)
+            report = validated_in_both_forms(candidate)
             assert checks_of(report) == reference_checks(candidate)
             leaks += not report.separation.passed
             window = window_of(candidate.d0 | candidate.d1).inflate(s)
@@ -350,10 +364,14 @@ def _block_trace_edited(dim, edits):
 ])
 def test_each_rule_of_the_walk_alone_finds_a_leak(dim, rule, edits):
     pair = _block_trace_edited(dim, edits((1,) * (dim - 1)))
-    report = validate(pair)
-    assert report.failed == ("separation",)
-    assert report.sides is None
-    assert checks_of(report) == reference_checks(pair)
+    for shift in (0, 10**23, -10**23):
+        moved = BoundaryPair.of(
+            [tuple(c + shift for c in p) for p in pair.d0],
+            [tuple(c + shift for c in p) for p in pair.d1], dim=dim)
+        report = validated_in_both_forms(moved)
+        assert report.failed == ("separation",)
+        assert report.sides is None
+        assert checks_of(report) == reference_checks(moved)
 
 
 class TestCostFollowsTheBoundary:
@@ -388,8 +406,55 @@ def test_trace_validates_and_reconstructs_on_two_clusters(case):
         M = GridSet(dim, s, mode,
                     frozenset(tuple(s * c for c in p) for p in points))
         pair = trace(M)
-        assert validate(pair).valid
-        assert reconstruct(pair) == M
+        assert validated_in_both_forms(pair, FAR_CELLS).valid
+        assert in_both_forms(lambda: reconstruct(pair), FAR_CELLS) == M
+
+
+class TestWalkGate:
+    # The walk, and the lifted core after it, build masks for dense
+    # pairs only: pairs whose window is far larger than their points,
+    # whose lines are short, or that are few keep to the per-point walk.
+    @staticmethod
+    def lifted_and_walked(pair):
+        yield lambda: validate(pair)
+        yield lambda: reconstruct(pair)
+        yield lambda: lift_restrict(pair, GridRatio(2))
+
+    def test_two_points_far_apart(self):
+        for pair in (BoundaryPair.of([(0, 0)], [(10**6, 10**6)]),
+                     BoundaryPair.of([(0,)], [(10**6,)])):
+            never_masks(lambda: validate(pair))
+
+    def test_disk_of_radius_128(self):
+        # the size of the largest disk-lift pair: about 2,000 points on
+        # 257 lines
+        r = 128
+        M = GridSet.finite({(x, y) for x in range(-r, r + 1)
+                            for y in range(-r, r + 1)
+                            if x * x + y * y <= r * r})
+        for compute in self.lifted_and_walked(trace(M)):
+            never_masks(compute)
+
+    def test_far_clusters_blobs(self):
+        for M in far_clusters_blobs():
+            for pair in (trace(M), trace(complement(M))):
+                for compute in self.lifted_and_walked(pair):
+                    never_masks(compute)
+
+    def test_criterion_3_block(self):
+        pair = trace(GridSet.finite(product(range(3), repeat=2)))
+        for compute in self.lifted_and_walked(pair):
+            never_masks(compute)
+
+    @pytest.mark.parametrize("side, density", [(96, 0.3), (128, 0.5),
+                                               (128, 0.7)])
+    def test_dense_noise_pairs_take_masks(self, side, density):
+        # the noise-fullset sizes, and a cofinite set: one walk per
+        # validation, and the walk and the core of lift_restrict
+        M = random_set(Window((0, 0), (side - 1, side - 1)), density, 11)
+        for pair in (trace(M), trace(complement(M))):
+            assert masks_built(lambda: validate(pair)) == 1
+            assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 2
 
 
 def _scaled_cluster(case):
