@@ -10,26 +10,27 @@ coordinates of a point set, keyed by the first m - 1 coordinates, as
 sorted lists when `lines_of` builds them and as sets when the kernels
 do.  A Chebyshev ball is a box, a product of intervals, so both are
 separable: one sweep per key axis, and one pass within the lines
-before or after the sweeps, all of them set operations on ints.  They
-yield their lines one at a time (`LineStream`), so a result that is
-only filtered is never held whole.  They pay for the lines they keep:
-a run that narrows to nothing is skipped before any range is built,
-and a target with one line in reach shares that line, not a copy.  No
-line they yield is a line of their input, which their callers keep.
+before or after the sweeps.  They yield their lines one at a time
+(`LineStream`), so a result that is only filtered is never held whole.
+They pay for the lines they keep: a run that narrows to nothing is
+skipped before any range is built, and a target with one line in reach
+shares that line, not a copy.  No line they yield is a line of their
+input, which their callers keep.
 
-Where the lines are dense, the same growths run on a dense form of the
-index (`_Masks`): each line one int with one byte per cell of a shared
-window, grown along the line by byte shifts and across lines by the
-same sweeps, with OR for a dilation and AND for an erosion.  `_dense`
-is the one gate of that form: masks only when the padded window holds
-a few cells per stored point, the points are not few and, for an
-operation that grows them once, their lines are not short, so the cost
-keeps following the points.  `_form` picks the form of one index by
-it, and `pairs.validate` lays both sets of a pair on one window with
-it.  Callers build the form once, run a whole operation on it and read
-it back once, through one interface (`lines`, `of`, `dilate`, `erode`,
-`ring`, `read`) that the set form (`_Sets`) shares; the masks live
-only for that operation.
+The kernels (`dilate`, `erode`, `ring`, and the line-by-line `within`
+and `without`) are written once, on the set form of a line index
+(`_Sets`), over a few steps on one line each.  Where the lines are
+dense, the same kernels run on a second representation of a line
+(`_Masks`): one int with one byte per cell of a shared window, grown
+along the line by byte shifts, combined across lines by OR and AND, and
+cut by AND-NOT.  `_form` is the one gate between them: masks only when
+the padded window holds a few cells per stored point, the points are
+not few and, for an operation that grows them once, their lines are
+not short, so the cost keeps following the points.  It takes one line
+index, or both sets of a pair for `pairs.validate`, which lays them on
+one window.  Callers build the form once, run a whole operation on it
+and read it back once (`lines`, `of`, `read`); the masks live only for
+that operation.
 
 The line index is the one stored form of a document's points
 (`gridset.Document`): the constructors and the parser build it, the
@@ -49,16 +50,15 @@ from functools import lru_cache, reduce
 from itertools import chain, compress, product
 from operator import add, and_, or_, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
-                    Iterable, Iterator, List, Optional, Set, Tuple, Union)
+                    Iterable, Iterator, List, Set, Tuple)
 
 Point = Tuple[int, ...]
 #: A line index: the last coordinates of a point set, keyed by the
 #: first m - 1 coordinates, the line they share.
 Lines = Dict[Point, Collection[int]]
 #: Lines one at a time, as (key, last coordinates), each key once.  The
-#: kernels yield sets; `difference` needs sets first.
-#: One line object may serve several keys, so no line is changed once
-#: it is made.
+#: kernels yield sets, or masks in the dense form.  One line object may
+#: serve several keys, so no line is changed once it is made.
 LineStream = Iterable[Tuple[Point, Collection[int]]]
 
 
@@ -67,9 +67,13 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def moore_offsets(dim: int, spacing: int) -> Tuple[Point, ...]:
-    """The 3^m - 1 nonzero offsets with entries in {-spacing, 0, spacing}."""
+    """The 3^m - 1 nonzero offsets with entries in {-spacing, 0, spacing}.
+
+    The spacing comes from the input, so the cache keeps only the 64
+    most recently used.
+    """
     steps = (-spacing, 0, spacing)
     return tuple(off for off in product(steps, repeat=dim) if any(off))
 
@@ -189,16 +193,6 @@ def points_of(lines: LineStream) -> FrozenSet[Point]:
     return frozenset([key + (c,) for key, line in lines for c in line])
 
 
-def difference(first: LineStream, other: Lines) -> LineStream:
-    """Line by line, the points of first that are not in other."""
-    for key, line in first:
-        cut = other.get(key)
-        if cut is not None:
-            line = line.difference(cut)
-        if line:
-            yield key, line
-
-
 def _spans(line: Iterable[int], gap: int, widen: int,
            spacing: int) -> Set[int]:
     # The multiples of spacing in the runs of the line, a run being a
@@ -227,9 +221,9 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
     # row's target values are the _spans of its values, and the line at
     # a target is `combine` of the lines within half of it, or the one
     # line itself.  Targets with the same lines in reach share one line
-    # object.  No sweep changes a line, and `_separable` yields only
-    # lines that `_spans` or `combine` made, so no yielded line is an
-    # input line.
+    # object.  No sweep changes a line, and `_Sets._separable` yields
+    # only lines that its growth along a line or `combine` made, so no
+    # yielded line is an input line.
     rows: Dict[Tuple[Point, Point], Tuple[List[int], list]] = {}
     for key, line in lines.items():
         at = key[:j], key[j + 1:]
@@ -259,116 +253,33 @@ def _sweep(lines: Lines, j: int, half: int, gap: int, widen: int,
             yield (*head, w, *tail), merged
 
 
-def _separable(lines: Lines, half: int, gap: int, widen: int, source: int,
-               spacing: int, combine: Callable[..., Set[int]]) -> LineStream:
-    # One sweep per key axis, the last one streamed, and the runs within
-    # each line.  Along the last axis a dilation commutes with the
-    # sweeps' unions, and an erosion with their intersections, so the
-    # runs are taken on the input lines when refining (spacing <
-    # source), which has about n times fewer lines than its output, and
-    # otherwise on the output lines, once per line object.
-    first = spacing < source
-    if first:
-        lines = {key: spans for key, line in lines.items()
-                 if (spans := _spans(line, gap, widen, spacing))}
-    axes = len(next(iter(lines), ()))
-    for j in range(axes - 1):
-        lines = {key: line for key, line in _sweep(
-            lines, j, half, gap, widen, spacing, combine) if line}
-    found = _sweep(lines, axes - 1, half, gap, widen, spacing,
-                   combine) if axes else lines.items()
-    if first:
-        for key, line in found:
-            if line:
-                yield key, line
-        return
-    last = spans = None
-    for key, line in found:
-        if line is not last:
-            last = line
-            spans = _spans(line, gap, widen, spacing) if line else None
-        if spans:
-            yield key, spans
-
-
-def dilate(lines: Lines, radius_doubled: int, source: int,
-           spacing: int) -> LineStream:
-    """Points of the spacing grid within Chebyshev distance
-    radius_doubled/2 of some stored point.
-
-    The comparison is 2*dist <= radius_doubled, evaluated exactly, which
-    makes half-integer radii representable without fractions: around
-    each integer point it keeps the offsets up to radius_doubled // 2.
-    The stored points lie on the source grid.  Separably: along each
-    key axis a line is united into the lines within reach, and within
-    each line the runs of points closer than one ball apart are widened.
-    Widening a line commutes with uniting lines, so the source lines are
-    widened before the sweeps when refining (spacing < source), where
-    there are fewer of them, and the output lines after them otherwise.
-    """
-    h = radius_doubled // 2
-    return _separable(lines, h, 2 * h + 1, h, source, spacing, set().union)
-
-
-def erode(lines: Lines, radius_doubled: int, source: int,
-          spacing: int) -> LineStream:
-    """Points of the spacing grid whose ball lies in the stored points.
-
-    The ball of a point is the source-grid points within Chebyshev
-    distance radius_doubled/2 of it, compared exactly as in `dilate`;
-    the stored points lie on the source grid, and radius_doubled >=
-    source, so that every ball holds a source-grid point.  Separably:
-    along each key axis the lines of a ball are intersected, and within
-    each line the runs of consecutive points are narrowed, before the
-    sweeps or after them as in `dilate`, since narrowing a line commutes
-    with intersecting lines.
-    """
-    h = radius_doubled // 2
-    return _separable(lines, h, source, source - 1 - h, source, spacing,
-                      lambda first, *rest: set(first).intersection(*rest))
-
-
-def _peel(lines: Lines, part: LineStream) -> LineStream:
-    # The lines less part, a stream of subsets of them.
-    rest = dict(lines)
-    for key, line in part:
-        rest[key] = set(rest[key]) - line
-    for key, line in rest.items():
-        if line:
-            yield key, line
-
-
-def ring(lines: Lines, spacing: int) -> Tuple[LineStream, LineStream]:
-    """The stored points with a Moore neighbor outside, and those neighbors.
-
-    That is, the points less their one-step erosion, and the one-step
-    dilation less the points.  Each part is computed as it is read.
-    """
-    step = 2 * spacing
-    return (_peel(lines, erode(lines, step, spacing, spacing)),
-            difference(dilate(lines, step, spacing, spacing), lines))
-
-
 #: The gate of the dense form: most cells of the padded window, on the
 #: source grid and counted once per line, per stored point; fewest
 #: stored points per line, for an operation that grows them once; and
-#: fewest stored points, for which `_dense` builds masks.
+#: fewest stored points, for which `_form` builds masks.
 _CELLS_PER_POINT = 4
 _POINTS_PER_LINE = 10
 _MIN_POINTS = 256
 
 
 class _Sets:
-    """A line index with the set kernels of this module, the form that
-    `_form` falls back to: `lines` are the stored points, `of` takes
-    another line index as it is, and `read` turns a stream of lines
-    into a line index of sorted lists."""
+    """A line index with the line kernels, in the form that `_form`
+    falls back to: `lines` are the stored points, each line a set or a
+    sorted list, and a kernel's lines are sets.  `of` takes another
+    line index as it is, and `read` turns a stream of lines into a line
+    index of sorted lists.
+
+    The kernels are written once, here, over a few steps on one line
+    each, which the dense form (`_Masks`) replaces: `_along`, the growth
+    within a line (`_spans`), `_union` and `_meet` across lines, and
+    `_cut`, a line less another.  Each kernel takes its lines as an
+    argument, in this form, and yields them one at a time.
+    """
 
     __slots__ = ("lines",)
-    dilate = staticmethod(dilate)
-    erode = staticmethod(erode)
-    ring = staticmethod(ring)
     read = staticmethod(sorted_lines)
+    _union = staticmethod(set().union)
+    _meet = staticmethod(lambda first, *rest: set(first).intersection(*rest))
 
     def __init__(self, lines: Lines):
         self.lines = lines
@@ -377,8 +288,122 @@ class _Sets:
     def of(lines: Lines) -> Lines:
         return lines
 
+    @staticmethod
+    def _cut(line: Collection[int], off: Collection[int]) -> Set[int]:
+        # a stored line may be a sorted list; a kernel's is not copied
+        return (line if isinstance(line, set) else set(line)).difference(off)
 
-class _Masks:
+    @staticmethod
+    def _along(half: int, source: int, spacing: int,
+               meet: bool) -> Callable[..., Set[int]]:
+        return _spans
+
+    def dilate(self, lines: Lines, radius_doubled: int, source: int,
+               spacing: int) -> LineStream:
+        """Points of the spacing grid within Chebyshev distance
+        radius_doubled/2 of some stored point.
+
+        The comparison is 2*dist <= radius_doubled, evaluated exactly,
+        which makes half-integer radii representable without fractions:
+        around each integer point it keeps the offsets up to
+        radius_doubled // 2.  The stored points lie on the source grid.
+        Separably: along each key axis a line is united into the lines
+        within reach, and within each line the runs of points closer
+        than one ball apart are widened.
+        """
+        h = radius_doubled // 2
+        return self._separable(lines, h, 2 * h + 1, h, source, spacing,
+                               False)
+
+    def erode(self, lines: Lines, radius_doubled: int, source: int,
+              spacing: int) -> LineStream:
+        """Points of the spacing grid whose ball lies in the stored points.
+
+        The ball of a point is the source-grid points within Chebyshev
+        distance radius_doubled/2 of it, compared exactly as in
+        `dilate`; the stored points lie on the source grid, and
+        radius_doubled >= source, so that every ball holds a source-grid
+        point.  Separably: along each key axis the lines of a ball are
+        intersected, and within each line the runs of consecutive points
+        are narrowed.
+        """
+        h = radius_doubled // 2
+        return self._separable(lines, h, source, source - 1 - h, source,
+                               spacing, True)
+
+    def _separable(self, lines: Lines, half: int, gap: int, widen: int,
+                   source: int, spacing: int, meet: bool) -> LineStream:
+        # One sweep per key axis, the last one streamed, and the growth
+        # within each line.  Along the last axis a dilation commutes
+        # with the sweeps' unions, and an erosion with their
+        # intersections, so the lines grow first when refining (spacing
+        # < source), where there are about n times fewer of them than in
+        # the output, and otherwise last, once per output line object.
+        combine = self._meet if meet else self._union
+        along = self._along(half, source, spacing, meet)
+        first = spacing < source
+        if first:
+            lines = {key: grown for key, line in lines.items()
+                     if (grown := along(line, gap, widen, spacing))}
+        axes = len(next(iter(lines), ()))
+        for j in range(axes - 1):
+            lines = {key: line for key, line in _sweep(
+                lines, j, half, gap, widen, spacing, combine) if line}
+        found = _sweep(lines, axes - 1, half, gap, widen, spacing,
+                       combine) if axes else lines.items()
+        if first:
+            for key, line in found:
+                if line:
+                    yield key, line
+            return
+        last = grown = None
+        for key, line in found:
+            if line is not last:
+                last = line
+                grown = along(line, gap, widen, spacing) if line else None
+            if grown:
+                yield key, grown
+
+    def ring(self, lines: Lines,
+             spacing: int) -> Tuple[LineStream, LineStream]:
+        """The stored points with a Moore neighbor outside, and those
+        neighbors, on one grid.
+
+        That is, the points less their one-step erosion, and the one-step
+        dilation less the points.  Each part is computed as it is read.
+        """
+        step = 2 * spacing
+
+        def inner() -> LineStream:
+            yield from self.without(lines.items(), dict(
+                self.erode(lines, step, spacing, spacing)))
+
+        return inner(), self.without(
+            self.dilate(lines, step, spacing, spacing), lines)
+
+    @staticmethod
+    def within(lines: LineStream, keep: Lines) -> LineStream:
+        """Line by line, the points of lines that are in keep; the lines
+        of both are a kernel's, sets or masks."""
+        for key, line in lines:
+            common = keep.get(key)
+            if common is not None:
+                line = line & common
+                if line:
+                    yield key, line
+
+    def without(self, lines: LineStream, other: Lines) -> LineStream:
+        """Line by line, the points of lines that are not in other."""
+        cut = self._cut
+        for key, line in lines:
+            off = other.get(key)
+            if off is not None:
+                line = cut(line, off)
+            if line:
+                yield key, line
+
+
+class _Masks(_Sets):
     """The dense form of a line index: each line one int, a mask with
     one byte per cell of a window along the last axis that all lines
     share, 1 at a stored point and 0 elsewhere.
@@ -386,19 +411,22 @@ class _Masks:
     The window starts on the coarser of the source and target grids,
     and its cells are steps of the finer; `targets` are its cells on
     the target grid, ascending, and `of` builds the masks of another
-    line index on it.  The kernels have the signatures of the set
-    kernels, and a mask they yield holds cells of their target grid
-    only, so that one kernel's output can be the next one's input.
-    Along the last axis a dilation ORs and an erosion ANDs the mask's
-    byte shifts, by doubling; cells beyond the window count as not
-    stored, and an erosion from a grid coarser than the cells sets the
-    cells off that grid first, so that only its cells are tested.
-    Across the key axes `_sweep` ORs or ANDs the masks in reach.
-    `read` cuts the sorted lines from the target cells of each mask by
-    `compress`, so no line is sorted.
+    line index on it.  The kernels are those of `_Sets`, and a mask
+    they yield holds cells of their target grid only, so that one
+    kernel's output can be the next one's input.  Along the last axis a
+    dilation ORs and an erosion ANDs the mask's byte shifts, by
+    doubling; cells beyond the window count as not stored, and an
+    erosion from a grid coarser than the cells sets the cells off that
+    grid first, so that only its cells are tested.  Across the key axes
+    the sweeps OR or AND the masks in reach, and a mask less another is
+    one AND-NOT.  `read` cuts the sorted lines from the target cells of
+    each mask by `compress`, so no line is sorted.
     """
 
-    __slots__ = ("lines", "targets", "_lo", "_step", "_width", "_every")
+    __slots__ = ("targets", "_lo", "_step", "_width", "_every")
+    _union = staticmethod(lambda *row: reduce(or_, row))
+    _meet = staticmethod(lambda *row: reduce(and_, row))
+    _cut = staticmethod(lambda line, off: line & ~off)
 
     def __init__(self, lines: Lines, lo: int, width: int, source: int,
                  target: int):
@@ -423,85 +451,6 @@ class _Masks:
             masks[key] = int.from_bytes(cells, "little")
         return masks
 
-    def _grid(self, spacing: int) -> int:
-        # 1 at each cell of the window on the spacing grid, which the
-        # window starts on
-        every = spacing // self._step
-        cell = b"\x01" + bytes(every - 1)
-        return int.from_bytes((cell * -(-self._width // every))[:self._width],
-                              "little")
-
-    def dilate(self, masks: Dict[Point, int], radius_doubled: int,
-               source: int, spacing: int) -> LineStream:
-        h = radius_doubled // 2
-        return self._separable(masks, h, 2 * h + 1, h, source, spacing,
-                               or_, 0)
-
-    def erode(self, masks: Dict[Point, int], radius_doubled: int,
-              source: int, spacing: int) -> LineStream:
-        h = radius_doubled // 2
-        off = (self._grid(self._step) ^ self._grid(source)
-               if source > self._step else 0)
-        return self._separable(masks, h, source, source - 1 - h, source,
-                               spacing, and_, off)
-
-    def _separable(self, masks: Dict[Point, int], half: int, gap: int,
-                   widen: int, source: int, spacing: int,
-                   op: Callable[[int, int], int], fill: int) -> LineStream:
-        # One sweep per key axis, and along the last axis `op` of the
-        # shifts by -cells..cells bytes, each shift doubling the span of
-        # those taken so far and the last overlapping them, kept to the
-        # target grid.  As in the set kernels' `_separable`, the shifts
-        # go first when refining, where there are fewer lines, and last
-        # otherwise.
-        cells = half // self._step
-        shifts, span = [], 1
-        while span <= 2 * cells:
-            step = min(span, 2 * cells + 1 - span)
-            shifts.append(8 * step)
-            span += step
-        on = self._grid(spacing) if spacing > self._step else -1
-
-        def along(mask: int) -> int:
-            mask |= fill
-            for shift in shifts:
-                mask = op(mask, mask << shift)
-            return mask >> 8 * cells & on
-
-        first = spacing < source
-        if first:
-            masks = {key: grown for key, mask in masks.items()
-                     if (grown := along(mask))}
-        for j in range(len(next(iter(masks), ()))):
-            masks = {key: mask for key, mask in _sweep(
-                masks, j, half, gap, widen, spacing,
-                lambda *row: reduce(op, row)) if mask}
-        if first:
-            return masks.items()
-        return [(key, grown) for key, mask in masks.items()
-                if (grown := along(mask))]
-
-    def ring(self, masks: Dict[Point, int],
-             spacing: int) -> Tuple[LineStream, LineStream]:
-        """`ring` on masks of one grid: the masks less their erosion,
-        and their dilation less the masks, each computed as it is read."""
-        step = 2 * spacing
-
-        def inner() -> LineStream:
-            eroded = dict(self.erode(masks, step, spacing, spacing))
-            for key, mask in masks.items():
-                mask &= ~eroded.get(key, 0)
-                if mask:
-                    yield key, mask
-
-        def outer() -> LineStream:
-            for key, mask in self.dilate(masks, step, spacing, spacing):
-                mask &= ~masks.get(key, 0)
-                if mask:
-                    yield key, mask
-
-        return inner(), outer()
-
     def read(self, masks: LineStream) -> Lines:
         targets, width, every = self.targets, self._width, self._every
         lines = {}
@@ -512,16 +461,47 @@ class _Masks:
                 lines[key] = line
         return lines
 
+    def _grid(self, spacing: int) -> int:
+        # 1 at each cell of the window on the spacing grid, which the
+        # window starts on
+        every = spacing // self._step
+        cell = b"\x01" + bytes(every - 1)
+        return int.from_bytes((cell * -(-self._width // every))[:self._width],
+                              "little")
 
-_Form = Union[_Sets, _Masks]
+    def _along(self, half: int, source: int, spacing: int,
+               meet: bool) -> Callable[..., int]:
+        # The OR (the AND, for an erosion) of a mask's shifts by
+        # -cells..cells bytes, each shift doubling the span of those
+        # taken so far and the last overlapping them, kept to the
+        # target grid.
+        cells = half // self._step
+        shifts, span = [], 1
+        while span <= 2 * cells:
+            step = min(span, 2 * cells + 1 - span)
+            shifts.append(8 * step)
+            span += step
+        on = self._grid(spacing) if spacing > self._step else -1
+        op = and_ if meet else or_
+        fill = (self._grid(self._step) ^ self._grid(source)
+                if meet and source > self._step else 0)
+
+        def along(mask: int, gap: int, widen: int, target: int) -> int:
+            mask |= fill
+            for shift in shifts:
+                mask = op(mask, mask << shift)
+            return mask >> 8 * cells & on
+
+        return along
 
 
-def _dense(indexes: Tuple[Lines, ...], radius: int, source: int,
-           target: int, once: bool = False) -> Optional[_Masks]:
-    """The dense form of the first of `indexes` (line indexes of sorted
-    lists on the source grid) for growing it by radius onto the target
-    grid and taking one more step of the coarser grid, on a window that
-    all of them share, or None where the masks would not pay.
+def _form(indexes: Tuple[Lines, ...], radius: int, source: int,
+          target: int, once: bool = False) -> _Sets:
+    """The first of `indexes` (line indexes of sorted lists on the
+    source grid) in the form for growing it by radius onto the target
+    grid and taking one more step of the coarser grid: its masks, on a
+    window that all of `indexes` share, where they pay, the sets
+    otherwise.
 
     The window spans their last coordinates, padded by radius plus that
     step on each side.  This is the one gate of the dense form: masks
@@ -536,29 +516,19 @@ def _dense(indexes: Tuple[Lines, ...], radius: int, source: int,
     every line length."""
     lines = [line for index in indexes for line in index.values()]
     points = sum(map(len, lines))
-    if points < _MIN_POINTS:
-        return None
-    keys = len(indexes[0]) if len(indexes) == 1 else len(set().union(*indexes))
-    if once and points < _POINTS_PER_LINE * keys:
-        return None
-    coarse = max(source, target)
-    pad = radius + coarse
-    lo = (min([line[0] for line in lines]) - pad) // coarse * coarse
-    hi = max([line[-1] for line in lines]) + pad
-    if ((hi - lo) // source + 1) * keys > _CELLS_PER_POINT * points:
-        return None
-    return _Masks(indexes[0], lo, (hi - lo) // min(source, target) + 1,
-                  source, target)
-
-
-def _form(lines: Lines, radius: int, source: int, target: int,
-          once: bool = False) -> _Form:
-    """A document's line index in the form for growing it by radius onto
-    the target grid (`once`, as `_dense` counts it) and taking one more
-    step of the coarser grid: the masks of `_dense` where they pay, the
-    sets otherwise."""
-    form = _dense((lines,), radius, source, target, once)
-    return _Sets(lines) if form is None else form
+    if points >= _MIN_POINTS:
+        keys = (len(indexes[0]) if len(indexes) == 1
+                else len(set().union(*indexes)))
+        if not once or points >= _POINTS_PER_LINE * keys:
+            coarse = max(source, target)
+            pad = radius + coarse
+            lo = (min([line[0] for line in lines]) - pad) // coarse * coarse
+            hi = max([line[-1] for line in lines]) + pad
+            if ((hi - lo) // source + 1) * keys <= _CELLS_PER_POINT * points:
+                return _Masks(indexes[0], lo,
+                              (hi - lo) // min(source, target) + 1,
+                              source, target)
+    return _Sets(indexes[0])
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

@@ -6,30 +6,30 @@ distance exactly 1 - k steps from the complement.  Layer 0 is the inner
 boundary and layer 1 the first outer layer, which `boundary0` and
 `boundary1` are and `trace` pairs.  All of them take one step, the
 outer layer of a set (`_outer`), after `transfer`'s growth by k - 1.
-Where the stored points are dense, the growth and the step run on the
-masks of `geometry`'s dense form, built once from the stored points and
-read back once at the end; elsewhere on its set kernels.
+The growth and the step run on the form of the stored points that
+`geometry._form` picks: line masks where the points are dense, built
+once and read back once at the end, and sets elsewhere.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .geometry import Lines, LineStream, _form, _Form
+from .geometry import Lines, LineStream, _form, _Sets, is_integer
 from .gridset import GridSet, Mode, complement
 from .pairs import BoundaryPair
 from .transfer import _grow
 
 
 def _outer(gridset: GridSet,
-           k: int) -> Tuple[_Form, Tuple[LineStream, LineStream]]:
+           k: int) -> Tuple[_Sets, Tuple[LineStream, LineStream]]:
     # The form of the stored points for a growth by k - 1 steps, and in
     # it the outer layer of the set's (k - 1)-step growth, then that of
     # its complement: the outer ring of a finite set's grown points,
     # the inner ring of a cofinite set's eroded excluded points.  Each
     # is computed as it is read.
     s = gridset.spacing
-    form = _form(gridset.points.lines, (k - 1) * s, s, s)
+    form = _form((gridset.points.lines,), (k - 1) * s, s, s)
     near = form.lines
     if k > 1:
         near = dict(_grow(gridset, form, 2 * (k - 1) * s, s))
@@ -64,8 +64,11 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     such.  The growth is `transfer`'s, on the line index of the stored
     points: a finite set's points are dilated, a cofinite set's excluded
     points eroded, as an excluded point is at distance at least k from
-    the members exactly when its (k - 1)-step ball is excluded.
+    the members exactly when its (k - 1)-step ball is excluded.  k must
+    be an int, not a bool.
     """
+    if not is_integer(k):
+        raise ValueError(f"layer index must be an integer, got {k!r}")
     if gridset.is_empty or gridset.is_full_grid:
         return _finite(gridset, {})
     if k <= 0:

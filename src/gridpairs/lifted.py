@@ -4,21 +4,20 @@ These operators compute the coarse (or fine) boundary pair of the
 restricted (or interpolated) set directly from the input boundary pair.
 No full set is ever materialized.  Restriction dilates the inner
 boundary onto the coarse grid, steps out once to the candidates for the
-outer layer (the outer half of `geometry.ring` of that dilation), and
+outer layer (the outer half of the `ring` of that dilation), and
 settles each candidate by the side of the free run holding it, which
 validation's walk recorded; interpolation intersects half-step
 dilations of the two coarse boundaries.  Both work on the pair's line
-index with the separable kernels of `geometry`, and return their
-results as line indexes.  Restriction grows the inner boundary on the
-form of it that `geometry._form` picks, line masks where it is dense
-and sets elsewhere, and reads the candidates and the coarse inner
-boundary back from it.
+index with the line kernels of `geometry`, and return their results as
+line indexes.  Restriction grows the inner boundary on the form of it
+that `geometry._form` picks, line masks where it is dense and sets
+elsewhere, and reads the candidates and the coarse inner boundary back
+from it; interpolation runs on the set form.
 """
 
 from __future__ import annotations
 
-from .geometry import (Lines, LineStream, _form, difference, dilate,
-                       sorted_lines)
+from .geometry import Lines, _form, _Sets
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -28,18 +27,6 @@ def _require_valid(pair: BoundaryPair, spacing: int, role: str) -> AxiomReport:
         raise ValueError(
             f"{role} expects a pair with spacing {spacing}, got {pair.spacing}")
     return require_valid(pair)
-
-
-def _within(lines: LineStream, keep: Lines) -> LineStream:
-    # Line by line, the points of lines in keep, sets or masks alike.
-    # The kernels share one line object between keys, so each line kept
-    # is a new one.
-    for key, line in lines:
-        common = keep.get(key)
-        if common is not None:
-            line = line & common
-            if line:
-                yield key, line
 
 
 def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
@@ -75,7 +62,7 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
     l1 = pair.d1.lines
-    form = _form(pair.d0.lines, n // 2, 1, n, once=True)
+    form = _form((pair.d0.lines,), n // 2, 1, n, once=True)
     near = dict(form.dilate(form.lines, n, 1, n))
     out1: Lines = {}
     for key, line in form.read(form.ring(near, n)[1]).items():
@@ -84,7 +71,8 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
         kept = [y for y in line if y in ones or side(y)]
         if kept:
             out1[key] = kept
-    out0 = form.read(_within(form.dilate(form.of(out1), 2 * n, n, n), near))
+    out0 = form.read(form.within(form.dilate(form.of(out1), 2 * n, n, n),
+                                 near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 
@@ -107,11 +95,13 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
     d0, d1 = pair.d0.lines, pair.d1.lines
-    near0, near1 = dict(dilate(d0, n, n, 1)), dict(dilate(d1, n, n, 1))
-    out1 = sorted_lines(difference(_within(dilate(d0, n + 2, n, 1), near1),
-                                   near0))
+    sets = _Sets(d0)
+    near0 = dict(sets.dilate(d0, n, n, 1))
+    near1 = dict(sets.dilate(d1, n, n, 1))
+    out1 = sets.read(sets.without(
+        sets.within(sets.dilate(d0, n + 2, n, 1), near1), near0))
     if n % 2 == 0:
-        out0 = sorted_lines(_within(near0.items(), near1))
+        out0 = sets.read(sets.within(near0.items(), near1))
     else:
-        out0 = sorted_lines(_within(dilate(d1, n + 1, n, 1), near0))
+        out0 = sets.read(sets.within(sets.dilate(d1, n + 1, n, 1), near0))
     return BoundaryPair._trusted(pair.dim, 1, out0, out1)

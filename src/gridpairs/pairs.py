@@ -10,7 +10,7 @@ inside or outside the set, so each free run has the side of the cells
 at its ends, and `Sides` records it.  The runs of a line come from
 `geometry.run_ends`, which also splits the lines that
 `gridset.components_within` labels to name a failing pair's witness.
-Where the pair is dense (the gate of `geometry._dense`), the walk runs
+Where the pair is dense (the gate of `geometry._form`), the walk runs
 on line masks instead, one int per line with one byte per cell of a
 window that all lines share: every test of a line is then a few
 operations on its mask and on the OR of its neighbouring lines' masks,
@@ -28,7 +28,7 @@ from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Set, Tuple)
 
-from .geometry import Lines, Point, _dense, _Masks, moore_neighbors, run_ends
+from .geometry import Lines, Point, _form, _Masks, moore_neighbors, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -171,8 +171,8 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
     # of the rules (a)-(c) of `validate` fails.  Where the pair is
     # dense, the pass runs on masks (`_walk_masks`), else point by point.
     keys = l0.keys() | l1.keys()
-    form = _dense((l0, l1), 0, s, s, once=True)
-    if form is not None:
+    form = _form((l0, l1), 0, s, s, once=True)
+    if isinstance(form, _Masks):
         return _walk_masks(form, form.of(l1), keys, dim, s)
     get0, get1 = l0.get, l1.get
     failing0: List[Point] = []

@@ -7,16 +7,17 @@ half a coarse step.  Both are decided with doubled-unit comparisons, so
 odd n (half-integer radii) costs nothing special.  Both work on the line
 index of the stored points, grown by one switch (`_grow`): a finite
 set moves by the separable dilation of `geometry`, a cofinite one by the
-separable erosion of its excluded points, on the form of the index that
-`geometry._form` picks, masks where the points are dense and sets
-elsewhere.  `layers` grows a set by whole steps with the same switch.
+separable erosion of its excluded points.  Both run the same kernels on
+the representation of the lines that `geometry._form` picks, masks
+where the points are dense and sets elsewhere.  `layers` grows a set by
+whole steps with the same switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import LineStream, _form, _Form, is_integer
+from .geometry import LineStream, _form, _Sets, is_integer
 from .gridset import GridSet, Mode
 
 
@@ -62,7 +63,7 @@ def interpolate(gridset: GridSet, ratio: GridRatio) -> GridSet:
     return _transfer(gridset, n, 1)
 
 
-def _grow(gridset: GridSet, form: _Form, radius_doubled: int,
+def _grow(gridset: GridSet, form: _Sets, radius_doubled: int,
           spacing: int) -> LineStream:
     # The stored points of the set, held in form, grown by
     # radius_doubled/2 onto the spacing grid.  A finite set grows by
@@ -74,7 +75,7 @@ def _grow(gridset: GridSet, form: _Form, radius_doubled: int,
 
 
 def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
-    form = _form(gridset.points.lines, n // 2, gridset.spacing,
+    form = _form((gridset.points.lines,), n // 2, gridset.spacing,
                  target_spacing, once=True)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
                             form.read(_grow(gridset, form, n,

@@ -7,13 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridpairs import geometry
-from gridpairs.geometry import (_form, _Masks, dilate, erode, grid_range,
-                                lines_of, moore_neighbors, points_of, ring,
+from gridpairs.geometry import (_form, _Masks, _Sets, grid_range, lines_of,
+                                moore_neighbors, moore_offsets, points_of,
                                 run_ends, sorted_lines)
 from gridpairs.gridset import Window, window_of
+from gridpairs.pairs import BoundaryPair, validate
 
 from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
                       rd)
+
+# The set form's kernels, which take their lines as an argument.
+SETS = _Sets({})
+dilate, erode, ring = SETS.dilate, SETS.erode, SETS.ring
 
 
 def masks_of(lines, radius_doubled, source, target):
@@ -23,7 +28,7 @@ def masks_of(lines, radius_doubled, source, target):
         patch.setattr(geometry, "_CELLS_PER_POINT", math.inf)
         patch.setattr(geometry, "_POINTS_PER_LINE", 0)
         patch.setattr(geometry, "_MIN_POINTS", 1)
-        form = _form(lines, radius_doubled // 2, source, target)
+        form = _form((lines,), radius_doubled // 2, source, target)
     assert isinstance(form, _Masks) or not lines
     return form
 
@@ -264,6 +269,15 @@ def test_kernels_yield_no_line_of_their_input(case, n, transfer, extra,
     for kernel in (dilate, erode):
         for _, line in kernel(lines, source + extra, source, target):
             assert id(line) not in given_lines
+    # ring, within and without read the caller's index as it is
+    grown = dict(dilate(lines, source + extra, source, source))
+    streams = [*ring(lines, source), SETS.without(lines.items(), grown),
+               SETS.without(grown.items(), lines)]
+    if as_sets:  # `within` takes sets
+        streams += [SETS.within(lines.items(), grown),
+                    SETS.within(grown.items(), lines)]
+    for stream in streams:
+        list(stream)
     assert lines == before
 
 
@@ -277,6 +291,28 @@ def test_ring_matches_the_moore_neighbour_scan(case):
                  for part in form.ring(form.lines, s)) == expected
 
 
+@given(grid_sets(), st.integers(2, 4), st.sampled_from(TRANSFERS),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_line_algebra_is_set_algebra(case, n, transfer, radius, rng):
+    # Two dilations A and B onto the target grid, of a random split of
+    # the points, in both forms: `within` is A & B, `without` is A - B,
+    # and `ring` of A is its Moore-neighbour scan on the target grid.
+    _, s, cells = case
+    source, target = transfer(s, n)
+    points = sorted(tuple(source // s * c for c in p) for p in cells)
+    half = {p for p in points if rng.random() < 0.5}
+    lines = lines_of(points)
+    for form in (_Sets(lines), masks_of(lines, radius, source, target)):
+        a, b = (dict(form.dilate(form.of(lines_of(part)), radius, source,
+                                 target))
+                for part in (half, set(points) - half))
+        A, B = read_points(form, a.items()), read_points(form, b.items())
+        assert read_points(form, form.within(a.items(), b)) == A & B
+        assert read_points(form, form.without(a.items(), b)) == A - B
+        assert tuple(read_points(form, part) for part in
+                     form.ring(a, target)) == moore_ring(A, target)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("spacing", [1, 3])
 def test_moore_neighbors_are_the_ring_one_step_out(dim, spacing):
@@ -284,6 +320,18 @@ def test_moore_neighbors_are_the_ring_one_step_out(dim, spacing):
     ring = moore_neighbors(point, spacing)
     assert len(set(ring)) == len(ring) == 3 ** dim - 1
     assert all(chebyshev(point, q) == spacing for q in ring)
+
+
+def test_moore_offsets_cache_stays_bounded():
+    # The spacing comes from the input.  A 4-D pair's walk takes the
+    # neighbouring lines of its 3-D keys from the cached offsets.
+    spacings = range(1, 201)
+    for s in spacings:
+        origin = (0,) * 4
+        pair = BoundaryPair.of([origin], moore_neighbors(origin, s), s)
+        assert validate(pair).valid
+    info = moore_offsets.cache_info()
+    assert info.currsize <= info.maxsize < len(spacings)
 
 
 def test_infinite_compares_greater():

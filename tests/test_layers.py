@@ -149,6 +149,24 @@ class TestLayer:
             for k in range(-2, 3):
                 assert layer(M, k).points == frozenset()
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, -0.5, True, False, "1"])
+    def test_layer_index_must_be_an_integer(self, k):
+        # refused before the shortcut for the empty set and the full grid
+        block = GridSet.finite({(x, y) for x in range(3) for y in range(3)})
+        for M in (block, GridSet.empty(2), GridSet.full_grid(2)):
+            with pytest.raises(ValueError, match="layer index must be an "
+                                                 "integer"):
+                layer(M, k)
+
+    def test_integer_layer_index_unchanged(self):
+        block = GridSet.finite({(x, y) for x in range(3) for y in range(3)})
+        assert layer(block, 1) == boundary1(block)
+        assert layer(block, 0) == boundary0(block)
+        assert layer(block, -1).points == frozenset({(1, 1)})
+        assert layer(block, 2).points == frozenset(
+            {(x, y) for x in range(-2, 5) for y in range(-2, 5)}
+            - {(x, y) for x in range(-1, 4) for y in range(-1, 4)})
+
 
 class TestFarApart:
     # The bounding box of these sets has about 10^12 cells; layers must
