@@ -98,6 +98,29 @@ def moore_neighbors(point: Point, spacing: int) -> Tuple[Point, ...]:
                   for off in moore_offsets(len(point), spacing)])
 
 
+def _lines_beside(keys: Collection[Point]
+                  ) -> Callable[[Point, int], Tuple[Point, ...]]:
+    # How to list the lines beside a line of keys, the occupied lines of
+    # a line index (a set or a dict): `moore_neighbors`, all 3^(m-1) - 1
+    # of them, unless they outnumber the keys.  Then some of them are
+    # off the keys, and only those among the keys and one off them, which
+    # stands for the others, are listed, at O(|keys| m) per line instead
+    # of 3^(m-1).
+    m = len(next(iter(keys), ()))
+    if 3 ** m - 1 <= len(keys):
+        return moore_neighbors
+
+    def beside(key: Point, spacing: int) -> Tuple[Point, ...]:
+        near = [k for k in keys if k != key
+                and max(map(abs, map(sub, k, key))) <= spacing]
+        for off in product((-spacing, 0, spacing), repeat=m):
+            q = tuple(map(add, key, off))
+            if q not in keys:
+                return (*near, q)
+
+    return beside
+
+
 def grid_range(lo: int, hi: int, spacing: int) -> range:
     """The multiples of spacing in the integer interval [lo, hi], ascending."""
     return range(-(-lo // spacing) * spacing,

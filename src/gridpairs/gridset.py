@@ -26,6 +26,7 @@ from .geometry import (
     Lines,
     Point,
     PointView,
+    _lines_beside,
     check_on_grid,
     grid_range,
     is_integer,
@@ -339,8 +340,11 @@ def components_within(window: Window, spacing: int,
     runs, numbered in lexicographic order.  A run (p, q) touches a set
     with a cell in [p, q] on its own or a neighbouring line, one
     bisection each, until its component is flagged; a line off d0 | d1
-    touches the sets on the lines beside it.  The cost is
-    O(|D| 3^(m-1) log |D|) for D = d0 | d1, whatever the window's area.
+    touches the sets on the lines beside it.  The lines beside a line
+    are its 3^(m-1) - 1 Moore neighbours, or, where those outnumber the
+    K occupied lines, the occupied ones and one off them, so the cost is
+    O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever the
+    window's area and the dimension.
     """
     s = spacing
     l0, l1 = lines_of(d0), lines_of(d1)
@@ -389,7 +393,8 @@ def components_within(window: Window, spacing: int,
         x, y = find(x), find(y)
         parent[max(x, y)] = min(x, y)
 
-    neighbours = {key: moore_neighbors(key, s) for key in runs}
+    beside = _lines_beside(runs)
+    neighbours = {key: beside(key, s) for key in runs}
     free_side = set()  # lines with a neighbouring line off d0 | d1
     for key, (pa, qa, ia) in runs.items():
         for nkey in neighbours[key]:

@@ -7,15 +7,20 @@ the pairs arising this way, and `reconstruct` inverts the boundary
 extraction.  Both read the free runs of the pair's occupied lines: by
 the separation axiom each complement component of D0 | D1 lies wholly
 inside or outside the set, so each free run has the side of the cells
-at its ends, and `Sides` records it.  The runs of a line come from
-`geometry.run_ends`, which also splits the lines that
-`gridset.components_within` labels to name a failing pair's witness.
-Where the pair is dense (the gate of `geometry._form`), the walk runs
-on line masks instead, one int per line with one byte per cell of a
-window that all lines share: every test of a line is then a few
-operations on its mask and on the OR of its neighbouring lines' masks,
-and the run ends are cut from the masks by `compress`, as `run_ends`
-gives them, so the report is the same in both forms.
+at its ends, and `Sides` records it.
+
+`validate` decides the axioms in one walk over the occupied lines.  The
+walk owns the loop, the lines beside each line, the witnesses, the
+rules that span lines and the `Sides`; the tests of one line come in
+two forms, picked once per walk by the gate of `geometry._form`.  Point
+by point, a line is its sorted cells, tested by membership and
+bisection, and its runs come from `geometry.run_ends`, which also splits
+the lines that `gridset.components_within` labels to name a failing
+pair's witness.  On a dense pair a line is a mask, one int with one
+byte per cell of a window that all lines share, tested by a few
+operations on it and on the OR of its neighbouring lines' masks, and
+its run ends are cut from it by `compress`, as `run_ends` gives them, so
+the report is the same in both forms.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Set, Tuple)
 
-from .geometry import Lines, Point, _form, _Masks, moore_neighbors, run_ends
+from .geometry import Lines, Point, _form, _lines_beside, _Masks, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -161,6 +166,8 @@ _PASS = AxiomCheck(True)
 
 
 _Walk = Tuple[List[Point], List[Point], List[Point], Optional[Sides]]
+#: The run ends of a line and their sides, as `Sides.lines` holds them.
+_Line = Tuple[List[int], bytes]
 
 
 def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
@@ -168,118 +175,133 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
     # each line of d0 (of d1) with no point of the other set one step
     # away, the least point of each line in both sets, and, while no
     # such point is found, the sides of the free runs, or None once one
-    # of the rules (a)-(c) of `validate` fails.  Where the pair is
-    # dense, the pass runs on masks (`_walk_masks`), else point by point.
+    # of the rules (a)-(c) of `validate` fails.  The tests of one line
+    # come in two forms, chosen once: point by point (`_tests`,
+    # `_leaks`), or, where the pair is dense, on masks (`_mask_steps`).
+    # `tests` gives the least cell of each set that touches no cell of
+    # the other, the least cell of both, the run ends with their sides
+    # (None unless asked for, or where (a) fails) and what `leaks`, the
+    # rules (b) and (c) of a line, reads of the neighbouring lines.
     keys = l0.keys() | l1.keys()
     form = _form((l0, l1), 0, s, s, once=True)
     if isinstance(form, _Masks):
-        return _walk_masks(form, form.of(l1), keys, dim, s)
-    get0, get1 = l0.get, l1.get
-    failing0: List[Point] = []
-    failing1: List[Point] = []
-    overlap: List[Point] = []
-    found: Dict[Point, Tuple[List[int], bytes]] = {}
-    agree = True
-    exterior = None
+        get0, get1, empty = form.lines.get, form.of(l1).get, 0
+        tests, leaks = _mask_steps(form, keys, s)
+    else:
+        get0, get1, empty = l0.get, l1.get, ()
+        tests, leaks = _tests, _leaks
+    lines_beside, nothing = _lines_beside(keys), repeat(empty)
+    failing0, failing1, overlap = [], [], []
+    found: Dict[Point, _Line] = {}
+    agree, exterior = True, None
     for key in keys:
-        beside = moore_neighbors(key, s)
-        own = a, b = get0(key), get1(key)
-        # each neighbouring line of d0 and of d1, None where it is empty
-        around0, around1 = list(map(get0, beside)), list(map(get1, beside))
-        # d1's line as a set, where the line holds both sets: the
-        # overlap test and the labels of the run ends read it first,
-        # and then it grows into the reach of d0's cells
-        in_b = set(b) if a and b else None
-        shared = in_b is not None and not in_b.isdisjoint(a)
-        if shared:
-            overlap.append(key + (min(in_b.intersection(a)),))
+        beside = lines_beside(key, s)
+        o0, o1 = get0(key, empty), get1(key, empty)
+        # each neighbouring line of d0 and of d1, `empty` off the set
+        lonely0, lonely1, both, line, near0, near1 = tests(
+            o0, o1, map(get0, beside, nothing), map(get1, beside, nothing),
+            s, agree)
+        if lonely0 is not None:
+            failing0.append(key + (lonely0,))
+        if lonely1 is not None:
+            failing1.append(key + (lonely1,))
+        if both is not None:
+            overlap.append(key + (both,))
+        if not agree or line is None:  # None: an overlap, or (a) failed
             agree = False
-        if agree and in_b is not None:
-            ends = run_ends(sorted(a + b), s)
-            # a cell's side is 1 when it lies in d1
-            labels = bytes(map(in_b.__contains__, ends))
-        # A point touches the other set when that set holds a point at
-        # c - s, c or c + s on a neighbouring line, or at c - s or c + s
-        # on its own.  On a line without a point of both sets no point
-        # lies on its own line of the other set, so one set of cells
-        # serves both tests; a point of both sets is not its own
-        # neighbour.  The lines are sorted: the first failing point is
-        # the least on its line.
-        if a:
-            # without in_b, b is empty
-            reach = set() if in_b is None else in_b
-            near = set().union(*filter(None, around1)) if shared else reach
-            reach.update(*filter(None, around1))
-            for c in a:
-                if not (c in near or c - s in reach or c + s in reach):
-                    failing0.append(key + (c,))
-                    break
-        if b:
-            reach = set().union(a or (), *filter(None, around0))
-            near = set().union(*filter(None, around0)) if shared else reach
-            for c in b:
-                if not (c in near or c - s in reach or c + s in reach):
-                    failing1.append(key + (c,))
-                    break
-        if not agree:
             continue
-        if in_b is not None:
-            # (a): the two end cells of each bounded run
-            if labels[1:-1:2] != labels[2:-1:2]:
-                agree = False
-                continue
-            sides = labels[::2] + labels[-1:]
-        else:
-            ends = run_ends(a or b, s)
-            sides = (b"\1" if b else b"\0") * (len(ends) // 2 + 1)
-        found[key] = ends, sides
-        if dim == 1:
-            continue
-        # (b): both rays, and every cell beside a line off d0 | d1
+        found[key] = line
+        # (b): both rays, which in 1-D keep their own sides; then (c),
+        # and (b) beside a line off d0 | d1 (a 1-D line has none beside)
+        sides = line[1]
         if exterior is None:
             exterior = sides[0]
-        if sides[0] != exterior or sides[-1] != exterior:
+        if (sides[0] != exterior or sides[-1] != exterior and dim > 1
+                or leaks(o0, o1, near0, near1, beside, line, exterior)):
             agree = False
-            continue
-        # (c): the window [a - s, b + s] of the bounded run [a, b] between
-        # ends[k - 1] and ends[k] spans those cells; that of the left
-        # (right) ray ends (starts) at the first (last) cell
-        first, last = ends[0], ends[-1]
-        for near0, near1 in zip(around0, around1):
-            if near0 is None and near1 is None:
-                if own[1 - exterior]:
-                    agree = False
-                    break
-                continue
-            # the cells that a run of side 0 (of side 1) must not meet
-            others = near1, near0
-            other = others[exterior]
-            if other and (other[0] <= first or other[-1] >= last):
-                agree = False
-                break
-            for k in range(2, len(ends) - 1, 2):
-                other = others[sides[k // 2]]
-                if other:
-                    i = bisect_left(other, ends[k - 1])
-                    if i < len(other) and other[i] <= ends[k]:
-                        agree = False
-                        break
-            if not agree:
-                break
-    return _walked(failing0, failing1, overlap, found if agree else None,
-                   dim, exterior)
-
-
-def _walked(failing0: List[Point], failing1: List[Point],
-            overlap: List[Point],
-            found: Optional[Dict[Point, Tuple[List[int], bytes]]],
-            dim: int, exterior: Optional[int]) -> _Walk:
-    # The walk's result: its `Sides` are those of the free runs found,
-    # or None once a rule failed.
-    if found is None:
+    if not agree:
         return failing0, failing1, overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
     return failing0, failing1, overlap, Sides(found, (rays[0], rays[-1]))
+
+
+def _tests(a: List[int], b: List[int], around0: Iterable, around1: Iterable,
+           s: int, runs: bool) -> tuple:
+    # The tests of one line point by point, on the cells a of d0 and b
+    # of d1, sorted, () where empty: the least cell of a (of b) that
+    # touches no cell of the other set, the least cell of both, the run
+    # ends with their sides, when `runs` and the line passes (a), and
+    # the neighbouring lines, listed, which `_leaks` reads.
+    around0, around1 = list(around0), list(around1)
+    # d1's line as a set, where the line holds both sets: the overlap
+    # test and the labels of the run ends read it first, and then it
+    # grows into the reach of d0's cells
+    in_b = set(b) if a and b else None
+    lonely0 = lonely1 = both = line = None
+    if in_b is not None and not in_b.isdisjoint(a):
+        both = min(in_b.intersection(a))
+    elif runs:
+        if in_b is not None:
+            ends = run_ends(sorted(a + b), s)
+            # a cell's side is 1 when it lies in d1; (a): the two end
+            # cells of each bounded run
+            labels = bytes(map(in_b.__contains__, ends))
+            if labels[1:-1:2] == labels[2:-1:2]:
+                line = ends, labels[::2] + labels[-1:]
+        else:
+            ends = run_ends(a or b, s)
+            line = ends, (b"\1" if b else b"\0") * (len(ends) // 2 + 1)
+    # A point touches the other set when that set holds a point at
+    # c - s, c or c + s on a neighbouring line, or at c - s or c + s on
+    # its own.  On a line without a point of both sets no point lies on
+    # its own line of the other set, so one set of cells serves both
+    # tests; a point of both sets is not its own neighbour.  The lines
+    # are sorted: the first failing point is the least on its line.
+    if a:
+        # without in_b, b is empty
+        reach = set() if in_b is None else in_b
+        near = reach if both is None else set().union(*around1)
+        reach.update(*around1)
+        for c in a:
+            if not (c in near or c - s in reach or c + s in reach):
+                lonely0 = c
+                break
+    if b:
+        reach = set().union(a, *around0)
+        near = reach if both is None else set().union(*around0)
+        for c in b:
+            if not (c in near or c - s in reach or c + s in reach):
+                lonely1 = c
+                break
+    return lonely0, lonely1, both, line, around0, around1
+
+
+def _leaks(a: List[int], b: List[int], around0: list, around1: list,
+           beside: Tuple[Point, ...], line: _Line, exterior: int) -> bool:
+    # Rule (c) point by point, and rule (b) beside a line off d0 | d1:
+    # the window [a - s, b + s] of the bounded run [a, b] between
+    # ends[k - 1] and ends[k] spans the cells of (c); that of the left
+    # (right) ray ends (starts) at the first (last) cell.
+    ends, sides = line
+    first, last = ends[0], ends[-1]
+    bounded = range(2, len(ends) - 1, 2)
+    for near0, near1 in zip(around0, around1):
+        if not near0 and not near1:
+            if (a, b)[1 - exterior]:
+                return True
+            continue
+        # the cells that a run of side 0 (of side 1) must not meet
+        others = near1, near0
+        other = others[exterior]
+        if other and (other[0] <= first or other[-1] >= last):
+            return True
+        for k in bounded:
+            other = others[sides[k // 2]]
+            if other:
+                i = bisect_left(other, ends[k - 1])
+                if i < len(other) and other[i] <= ends[k]:
+                    return True
+    return False
 
 
 def _least(mask: int) -> int:
@@ -287,134 +309,111 @@ def _least(mask: int) -> int:
     return ((mask & -mask).bit_length() - 1) >> 3
 
 
-def _walk_masks(form: _Masks, m1: Dict[Point, int], keys: Set[Point],
-                dim: int, s: int) -> _Walk:
-    # `_walk` on the masks of a dense pair: d0's are form.lines, d1's
-    # m1, on one window of cells `form.targets`, whose first and last
-    # cells hold no point.  Each test of a line is a few operations on
-    # its mask and on the ORs of its neighbouring lines' masks, u0 and
-    # u1; a shift by 8 bits moves every cell one step along the line.
-    m0, cells = form.lines, form.targets
-    get0, get1 = m0.get, m1.get
+def _mask_steps(form: _Masks, keys: Set[Point], s: int) -> tuple:
+    # `_tests` and `_leaks` on the masks of a dense pair, on one window
+    # of cells `form.targets`, whose first and last cells hold no point.
+    # Each test of a line is a few operations on its masks o0 and o1
+    # and on the ORs of its neighbouring lines' masks, u0 and u1; a
+    # shift by 8 bits moves every cell one step along the line.
+    cells, every = form.targets, form._grid(s)
     width = len(cells)
-    every = form._grid(s)
-    zero = repeat(0)
-    failing0: List[Point] = []
-    failing1: List[Point] = []
-    overlap: List[Point] = []
-    found: Dict[Point, Tuple[List[int], bytes]] = {}
-    agree = True
-    exterior = None
-    for key in keys:
-        beside = moore_neighbors(key, s)
-        o0, o1 = get0(key, 0), get1(key, 0)
-        u0 = reduce(or_, map(get0, beside, zero), 0)
-        u1 = reduce(or_, map(get1, beside, zero), 0)
+
+    def tests(o0: int, o1: int, around0: Iterable, around1: Iterable,
+              s: int, runs: bool) -> tuple:
+        u0 = reduce(or_, around0, 0)
+        u1 = reduce(or_, around1, 0)
         # A point touches the other set when that set holds a cell one
         # step along its own line, or within one step on a neighbouring
         # line; a point of both sets is not its own neighbour.
-        if o0:
-            near = u1 | o1
-            bad = o0 & ~(u1 | near << 8 | near >> 8)
-            if bad:
-                failing0.append(key + (cells[_least(bad)],))
-        if o1:
-            near = u0 | o0
-            bad = o1 & ~(u0 | near << 8 | near >> 8)
-            if bad:
-                failing1.append(key + (cells[_least(bad)],))
+        near0, near1 = u0 | o0, u1 | o1
+        bad0 = o0 & ~(u1 | near1 << 8 | near1 >> 8)
+        bad1 = o1 & ~(u0 | near0 << 8 | near0 >> 8)
+        lonely0 = cells[_least(bad0)] if bad0 else None
+        lonely1 = cells[_least(bad1)] if bad1 else None
+        both = line = None
         if o0 & o1:
-            overlap.append(key + (cells[_least(o0 & o1)],))
-            agree = False
-        if not agree:
-            continue
-        # the run ends, as `run_ends` gives them: the first and the last
-        # cell of each run of d0 | d1, the cells without a neighbour
-        # before (after) them on the line
-        occ = o0 | o1
-        starts = (occ & ~(occ << 8)).to_bytes(width, "little")
-        stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
-        firsts = list(compress(cells, starts))
-        ends = firsts * 2
-        ends[::2] = firsts
-        ends[1::2] = list(compress(cells, stops))
-        if o0 and o1:
-            # a cell's side is 1 when it lies in d1
-            in1 = o1.to_bytes(width, "little")
-            heads = bytes(compress(in1, starts))
-            tails = bytes(compress(in1, stops))
-            # (a): the two end cells of each bounded run
-            if heads[1:] != tails[:-1]:
-                agree = False
-                continue
-            sides = heads + tails[-1:]
-        else:
-            sides = (b"\1" if o1 else b"\0") * (len(firsts) + 1)
-        found[key] = ends, sides
-        if dim == 1:
-            continue
-        # (b): both rays, and every cell beside a line off d0 | d1
-        if exterior is None:
-            exterior = sides[0]
-        if (sides[0] != exterior or sides[-1] != exterior
-                or (o1, o0)[exterior] and not keys.issuperset(beside)):
-            agree = False
-            continue
-        # (c): the free cells of side 1 are the runs after a cell of d1,
+            both = cells[_least(o0 & o1)]
+        elif runs:
+            # the run ends, as `run_ends` gives them: the first and the
+            # last cell of each run of d0 | d1, the cells without a
+            # neighbour before (after) them on the line
+            occ = o0 | o1
+            starts = (occ & ~(occ << 8)).to_bytes(width, "little")
+            stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
+            firsts = list(compress(cells, starts))
+            ends = firsts * 2
+            ends[::2] = firsts
+            ends[1::2] = list(compress(cells, stops))
+            if o0 and o1:
+                # a cell's side is 1 when it lies in d1
+                in1 = o1.to_bytes(width, "little")
+                heads = bytes(compress(in1, starts))
+                tails = bytes(compress(in1, stops))
+                # (a): the two end cells of each bounded run
+                if heads[1:] == tails[:-1]:
+                    line = ends, heads + tails[-1:]
+            else:
+                line = ends, (b"\1" if o1 else b"\0") * (len(firsts) + 1)
+        return lonely0, lonely1, both, line, u0, u1
+
+    def leaks(o0: int, o1: int, u0: int, u1: int, beside: Tuple[Point, ...],
+              line: _Line, exterior: int) -> int:
+        # (b) beside a line off d0 | d1, then (c), nonzero where it
+        # fails: the free cells of side 1 are the runs after a cell of d1,
         # found by a carry through the run's bytes filled with ones, and
         # the left ray when the exterior side is 1; each side's windows
         # are its runs widened by one cell, and they must not meet the
         # other set on a neighbouring line
+        if (o1, o0)[exterior] and not keys.issuperset(beside):
+            return True
+        occ = o0 | o1
         free = every & ~occ
         filled = free * 255
         ones = filled & ~(filled + (free & o1 << 8)) & every
         if exterior:
             ones |= every & (occ & -occ) - 1
         zeros = free & ~ones
-        if ((zeros | zeros << 8 | zeros >> 8) & u1
-                or (ones | ones << 8 | ones >> 8) & u0):
-            agree = False
-    return _walked(failing0, failing1, overlap, found if agree else None,
-                   dim, exterior)
+        return ((zeros | zeros << 8 | zeros >> 8) & u1
+                or (ones | ones << 8 | ones >> 8) & u0)
+
+    return tests, leaks
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
     """Check the five boundary-pair axioms and report per-axiom results.
 
-    One walk over the pair's line index decides them.  On a line that
-    holds both sets, one set of d1's cells serves the overlap test, the
-    adjacency of d0 and the sides of the runs; the disjointness witness
-    is the least point of both sets.  A point touches
-    the other set when that set holds a point one step along its own
-    line or within one step on a neighbouring line; the adjacency
-    witnesses are the least failing points.  The separation axiom (no
-    short-cut from d0 to d1 through free space) holds exactly when no
-    connected component of the grid complement of d0 | d1 is
-    Moore-adjacent to both sets.  The walk reads it off the free runs of
-    the occupied lines: a run is a maximal stretch of free cells along
-    the last axis, and a bounded one lies between two cells of d0 | d1,
-    which give it its side.  For disjoint sets separation holds exactly
-    when
+    One walk over the occupied lines decides them.  A point touches the
+    other set when that set holds a point one step along its own line or
+    within one step on a neighbouring line; the adjacency witnesses are
+    the least failing points, and the disjointness witness is the least
+    point of both sets.  The separation axiom (no short-cut from d0 to
+    d1 through free space) holds exactly when no connected component of
+    the grid complement of d0 | d1 is Moore-adjacent to both sets.  The
+    walk reads it off the free runs of the occupied lines: a run is a
+    maximal stretch of free cells along the last axis, and a bounded one
+    lies between two cells of d0 | d1, which give it its side.  For
+    disjoint sets separation holds exactly when
 
     - (a) the two end cells of each bounded run lie in one set;
     - (b) for dim >= 2, the first and last run of every line and every
       cell on a line beside a line off d0 | d1 share one exterior side,
       as all of them meet the unbounded component;
     - (c) no run [a, b] meets a cell of the other side in [a - s, b + s]
-      on a neighbouring line, one bisection per run and neighbouring
-      line, against the other set only.
+      on a neighbouring line.
 
     In 1-D only (a) applies, and the two rays keep their own sides.
     Moore-adjacent runs need no union: one run's end cell always lies
     in the other run's window, so (b) or (c) already catches a side
-    mismatch.  Point by point the cost is O(|D| 3^(m-1) log |D|) for
-    D = d0 | d1, whatever the bounding box.  A dense pair (at least 256
-    points, 10 per occupied line, and at most 4 cells of the window
-    that the lines share per point) is walked on line masks: each test
-    of a line is a few operations on ints of one byte per window cell,
-    O(3^(m-1) |D|) bytes in all, with no per-point loop but the one
-    that builds the masks.  The report carries the `Sides`.  Only
-    when a rule fails, or the sets overlap, are the components labelled
+    mismatch.  The tests of a line come in two forms, one per form of a
+    line that `geometry._form` picks: point by point, with one
+    bisection per run and neighbouring line for (c), or, on a dense
+    pair, a few operations on line masks, with no per-point loop but the
+    one that builds them.  The lines beside a line are its 3^(m-1) - 1
+    Moore neighbours, or, where those outnumber the K occupied lines
+    (and the pair cannot be valid), the occupied ones and one off them.
+    The cost is O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever
+    the bounding box.  The report carries the `Sides`.  Only when a rule
+    fails, or the sets overlap, are the components labelled
     (`gridset.components_within`, on the same `geometry.run_ends`), to
     name the separation witness: the least point of the first component
     adjacent to both sets, the unbounded ones first.

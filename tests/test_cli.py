@@ -262,6 +262,25 @@ def test_validate_far_two_point_pair_exits_invalid(tmp_path, capsys):
     assert "(separation): FAIL  witness: (-1, -1)" in out
 
 
+def test_validate_a_two_point_pair_in_20_dimensions_exits_invalid(tmp_path,
+                                                                  capsys):
+    # each line has 3^19 - 1 (about 1.2 * 10^9) lines beside it, and the
+    # pair occupies two: the walk and the witness labeller list only
+    # those and one line off them
+    m = 20
+    doc = tmp_path / "m20.pair"
+    doc.write_text(f"#coords v1 kind=gridpair m={m} s=1\n"
+                   f"D0{' 0' * m}\nD1{' 5' * m}\n")
+    code, out, _ = run(capsys, "validate", "-i", str(doc))
+    assert code == 1
+    assert out == ("axiom 1 (nonempty): pass\n"
+                   "axiom 2 (disjoint): pass\n"
+                   f"axiom 3 (d0_touches_d1): FAIL  witness: {(0,) * m}\n"
+                   f"axiom 4 (d1_touches_d0): FAIL  witness: {(5,) * m}\n"
+                   f"axiom 5 (separation): FAIL  witness: {(-1,) * m}\n"
+                   "result: INVALID\n")
+
+
 @pytest.mark.parametrize("argv, text", [
     (["render"], "#coords v1 kind=gridpair m=2 s=1\n"
                  "D0 0 0\nD1 1000000 1000000\n"),

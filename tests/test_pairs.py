@@ -71,7 +71,8 @@ class TestValidate:
 
     def test_a_point_of_both_sets_is_not_its_own_neighbour(self):
         # (1, 0) lies in d0 and d1, and no other d1 point is next to it
-        report = validate(BoundaryPair.of([(0, 0), (1, 0)], [(1, 0)]))
+        report = validated_in_both_forms(
+            BoundaryPair.of([(0, 0), (1, 0)], [(1, 0)]))
         assert report.d0_touches_d1 == AxiomCheck(False, (1, 0))
         assert report.d1_touches_d0.passed
 
@@ -332,6 +333,54 @@ def test_walk_matches_the_references_on_mutated_traces(dim, spacing):
                            for q in cells if q not in candidate.d0
                            and q not in candidate.d1)
     assert leaks >= 10
+
+
+@pytest.mark.parametrize("dim, count", [(4, 12), (5, 9)])
+def test_walk_matches_the_references_in_four_and_five_dimensions(dim, count):
+    # Lone points of a small box, and the traces of 2-D sets laid flat
+    # in the space, on fewer lines than the 3^(m-1) - 1 lines beside
+    # each; and the traces of sets of the full dimension, on as many
+    # lines or more.  Traces lose a point or give it the other label
+    # now and then.  So the walk and the witness labeller list the lines
+    # beside a line in both ways, and a flat trace fails separation only
+    # beside the lines off d0 | d1.  The references flood the window
+    # cell by cell, so the sets stay small: in 5-D a set of the full
+    # dimension is one point.
+    rng = random.Random(dim)
+    box = Window((0,) * dim, (1,) * dim)
+    cells = sorted(box.grid_points(1))
+    regimes = set()
+    for index in range(count):
+        kind = index % 3
+        if kind == 0:
+            sets = set(), set()
+            for p in rng.sample(cells, rng.randint(2, 5)):
+                sets[rng.randrange(2)].add(p)
+            if rng.random() < 0.25:
+                sets[0].add(rng.choice(sorted(sets[1] or sets[0])))
+        else:
+            if kind == 1:
+                flat = trace(random_set(Window((0, 0), (2, 2)), 0.6,
+                                        rng.randrange(10**6)))
+                pad = (0,) * (dim - 2)
+                sets = ({pad + p for p in flat.d0}, {pad + p for p in flat.d1})
+            else:
+                M = (random_set(box, 0.5, rng.randrange(10**6)) if dim == 4
+                     else GridSet.finite({rng.choice(cells)}))
+                pair = trace(M)
+                sets = set(pair.d0), set(pair.d1)
+            if sets[0] and rng.random() < 0.5:
+                p = rng.choice(sorted(sets[0] | sets[1]))
+                own = sets[0] if p in sets[0] else sets[1]
+                own.discard(p)
+                if rng.random() < 0.5:
+                    sets[own is sets[0]].add(p)
+        pair = BoundaryPair(dim, 1, frozenset(sets[0]), frozenset(sets[1]))
+        lines = {p[:-1] for p in pair.d0 | pair.d1}
+        regimes.add(len(lines) < 3 ** (dim - 1) - 1)
+        report = validated_in_both_forms(pair)
+        assert checks_of(report) == reference_checks(pair)
+    assert regimes == {False, True}
 
 
 def _block_trace_edited(dim, edits):
