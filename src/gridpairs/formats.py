@@ -11,20 +11,29 @@ of the bounding box, which makes serialize(parse(...)) idempotent.
 The ASCII reader's Python work follows the marks, not the cells.  A
 canonical body, as the writer writes it, is checked in C-level passes
 over its cells, and each column is cut from it in C.  A sparse grid's
-marks are then found one by one, Python work per mark; a dense grid's
-are picked from every cell by a byte table, per-cell work only in C.
+marks are then found one by one, Python work per mark, into sorted
+lists.  A dense grid's columns are mapped by each character's byte
+table to one byte per cell, 1 at a mark and 0 elsewhere, which
+`geometry` keeps as line masks (`PointView._of_cells`): per-cell work
+only in C, and no list is built unless the points are read one by one.
 CRLF ends, trailing blanks, tabs and "\r", and trailing blank rows
 still parse: such a body is split into rows first.
+
+The ASCII writer writes a dense field column by column: `geometry`
+gives each column's cells, one byte per cell with a bit per field
+(`geometry._cell_columns`), which one `translate` turns into marks and
+one strided slice assignment puts into the grid.  A field held as
+lists is scattered into the grid point by point.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
-from .geometry import Lines, Point, sorted_lines
+from .geometry import Lines, Point, PointView, _cell_columns, sorted_lines
 from .gridset import (ASCII_CELL_BUDGET, Document, GridSet, Mode,
                       window_of_lines)
 from .pairs import BoundaryPair
@@ -44,6 +53,10 @@ _OVERLAP = "overlapping d0/d1 cannot be rendered as an ASCII grid"
 #: Per marker character, the byte table that maps it to 1 and all else to 0.
 _MARK_TABLES = {ch: bytes(int(i == ord(ch)) for i in range(256))
                 for ch in "01"}
+
+#: The marks of a column's cells as `geometry._cell_columns` gives them:
+#: a cell of the first field is "0", of the second only "1", of none "-".
+_CELL_MARKS = bytes.maketrans(b"\0\1\2\3", b"-010")
 
 #: Marks per cell, per marker character, below which an ASCII grid is
 #: sparse: its columns' marks are found one by one (`bytes.find`, about
@@ -169,40 +182,41 @@ def _marks_per_cell(data: bytes, stride: int) -> float:
 
 
 def _read_columns(data: bytes, width: int, origin: Point, spacing: int,
-                  allowed: str) -> List[Lines]:
-    """The line index of each marker character, in `allowed` order.
+                  allowed: str) -> List[PointView]:
+    """The view of the points of each marker character, in `allowed`
+    order.
 
     A line is a column: its key is the column's x and its last
-    coordinates are the y of the column's marks, ascending.  Each
-    column is cut from the grid in C.  On a sparse grid, `bytes.find`
-    then finds its marks one by one; on a dense one, each character's
-    byte table picks them from every cell.  The line indexes are the
-    same either way.
+    coordinates are the y of the column's marks.  Each column is cut
+    from the grid in C.  On a sparse grid, `bytes.find` then finds its
+    marks one by one, into an ascending list; on a dense one, each
+    character's byte table maps its cells to 0 and 1, which the view
+    keeps as masks.  The views are equal either way.
     """
     stride = width + 1
-    height = len(data) // stride
-    # a list: compress over a range would make an int per cell
-    ys = list(range(origin[1], origin[1] + height * spacing, spacing))
     marks = [(ord(ch), _MARK_TABLES[ch], {}) for ch in allowed]
-    if _marks_per_cell(data, stride) < _SPARSE * len(marks):
-        for c in range(width):
-            find = data[c::stride].find
-            for mark, _, lines in marks:
-                at = find(mark)
-                if at >= 0:
-                    line = []
-                    while at >= 0:
-                        line.append(ys[at])
-                        at = find(mark, at + 1)
-                    lines[(origin[0] + c * spacing,)] = line
-    else:
+    if _marks_per_cell(data, stride) >= _SPARSE * len(marks):
         for c in range(width):
             column = data[c::stride]
-            for mark, table, lines in marks:
+            for mark, table, cells in marks:
                 if mark in column:
-                    lines[(origin[0] + c * spacing,)] = list(
-                        compress(ys, column.translate(table)))
-    return [lines for _, _, lines in marks]
+                    cells[(origin[0] + c * spacing,)] = column.translate(table)
+        return [PointView._of_cells(cells, origin[1], spacing)
+                for _, _, cells in marks]
+    height = len(data) // stride
+    # the y of each row, looked up per mark
+    ys = list(range(origin[1], origin[1] + height * spacing, spacing))
+    for c in range(width):
+        find = data[c::stride].find
+        for mark, _, lines in marks:
+            at = find(mark)
+            if at >= 0:
+                line = []
+                while at >= 0:
+                    line.append(ys[at])
+                    at = find(mark, at + 1)
+                lines[(origin[0] + c * spacing,)] = line
+    return [PointView(lines) for _, _, lines in marks]
 
 
 def parse_text(text: str) -> Document:
@@ -237,10 +251,10 @@ def _parse_ascii(kind: str, head: List[str], body: str) -> Document:
     mode = _parse_mode(fields["mode"], 1) if kind == "#gridset" else None
     allowed = "0" if kind == "#gridset" else "01"
     data, width = _ascii_grid(body, "-" + allowed)
-    indexes = _read_columns(data, width, origin, spacing, allowed)
+    views = _read_columns(data, width, origin, spacing, allowed)
     if kind == "#gridset":
-        return GridSet._trusted(dim, spacing, mode, *indexes)
-    return BoundaryPair._trusted(dim, spacing, *indexes)
+        return GridSet._trusted(dim, spacing, mode, *views)
+    return BoundaryPair._trusted(dim, spacing, *views)
 
 
 def _parse_coords(head: List[str], lines: List[str]) -> Document:
@@ -361,36 +375,45 @@ def _ascii_body(doc: Document, unit: int) -> Tuple[Point, str]:
     overlap exactly when fewer cells of the filled grid are marked, that
     is not blank, than they have points: one count of the blanks.  Only
     a grid over the budget, which is never filled, is refused for an
-    overlap found line by line.
+    overlap found line by line.  Dense fields are written column by
+    column, and the others point by point over them.
     """
-    if isinstance(doc, GridSet):
-        marks = [(ord("0"), doc.points.lines)]
-    else:
-        l0, l1 = doc.d0.lines, doc.d1.lines
-        marks = [(ord("0"), l0), (ord("1"), l1)]
-    if not any(lines for _, lines in marks):
+    fields = ((doc.points,) if isinstance(doc, GridSet)
+              else (doc.d0, doc.d1))
+    if not any(fields):
         return (0, 0), ""
-    box = window_of_lines(*[lines for _, lines in marks])
+    box = window_of_lines(*fields)
     (left, bottom), (right, top) = box.lower, box.upper
     width = (right - left) // unit + 1
     height = (top - bottom) // unit + 1
     if width * height > ASCII_CELL_BUDGET:
-        if len(marks) > 1 and any(not set(l0[key]).isdisjoint(l1[key])
-                                  for key in l0.keys() & l1.keys()):
-            raise ValueError(_OVERLAP)
+        if len(fields) > 1:
+            l0, l1 = doc.d0.lines, doc.d1.lines
+            if any(not set(l0[key]).isdisjoint(l1[key])
+                   for key in l0.keys() & l1.keys()):
+                raise ValueError(_OVERLAP)
         raise ValueError(f"an ASCII grid of {width} x {height} cells exceeds "
                          f"the budget of {ASCII_CELL_BUDGET} cells")
     # Cell (x, y) is at row (y - bottom) / unit of the rows of width + 1
-    # bytes, newline included, and at column (x - left) / unit.
+    # bytes, newline included, and at column (x - left) / unit; a
+    # column's cells on the document's grid are `step` bytes apart.
     stride = width + 1
+    step = doc.spacing // unit * stride
     grid = bytearray(b"-" * width + b"\n") * height
-    for mark, lines in marks:
-        for (x,), line in lines.items():
-            at = (x - left) // unit - bottom // unit * stride
-            for y in line:
-                grid[y // unit * stride + at] = mark
-    if len(marks) > 1 and (width * height - grid.count(b"-")
-                           != len(doc.d0) + len(doc.d1)):
+    cells = (top - bottom) // doc.spacing + 1
+    for (x,), column in _cell_columns(fields, bottom, doc.spacing,
+                                      cells).items():
+        at = (x - left) // unit
+        grid[at:at + (cells - 1) * step + 1:step] = column.translate(
+            _CELL_MARKS)
+    for mark, view in zip(b"01", fields):
+        if not view._dense:
+            for (x,), line in view.lines.items():
+                at = (x - left) // unit - bottom // unit * stride
+                for y in line:
+                    grid[y // unit * stride + at] = mark
+    if len(fields) > 1 and (width * height - grid.count(b"-")
+                            != len(doc.d0) + len(doc.d1)):
         raise ValueError(_OVERLAP)
     return (left, bottom), grid.decode()
 

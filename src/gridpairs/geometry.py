@@ -28,17 +28,24 @@ the padded window holds a few cells per stored point, the points are
 not few and, for an operation that grows them once, their lines are
 not short, so the cost keeps following the points.  It takes one line
 index, or both sets of a pair for `pairs.validate`, which lays them on
-one window.  Callers build the form once, run a whole operation on it
-and read it back once (`lines`, `of`, `read`); the masks live only for
-that operation.
+one window.  Callers build the form once from the views of their
+inputs, run a whole operation on it and hand its result back once
+(`lines`, `of`, `read`).
 
 The line index is the one stored form of a document's points
-(`gridset.Document`): the constructors and the parser build it, the
-operations read it and return their results as line indexes
-(`sorted_lines`), and the writers write from it, so point tuples are
-built only where points are listed (`points_of`, or iterating a
-`PointView`, the set view of a line index that each point field of a
-document holds).
+(`gridset.Document`): each point field holds a `PointView`, the set
+view of a line index.  A dense field holds that index as masks until
+its lines are first read: the ASCII reader hands over a dense grid's
+columns as one byte per cell (`PointView._of_cells`), `_Masks.read`
+keeps an operation's masks, `_form` takes a dense input's masks by one
+shift per line, and the ASCII writer asks for the cells of its columns
+(`_cell_columns`), so a dense document's points can stay masks from the
+text it was read from to the text it is written to.  Sparse fields,
+and every operation that `_form` sends to sets, use the lists; the
+constructors build them, the operations return their results as line
+indexes (`sorted_lines`), and the writers write from them, so point
+tuples are built only where points are listed (`points_of`, or
+iterating a `PointView`).
 """
 
 from __future__ import annotations
@@ -131,25 +138,80 @@ class PointView(collections.abc.Set):
     """A read-only set view of the points of a line index (`lines`),
     like `dict.keys()`.
 
-    Its length sums the line lengths, `in` is one dict lookup and one
-    bisection, and iteration goes line by line; the set operators return
-    plain sets.  Views of canonical indexes compare by their lines, and
-    the repr lists the points sorted.  The hash is that of the frozenset
-    of the points, computed on first use and kept.
+    A dense view holds the index as the masks of `_Masks` instead, one
+    int per line with one byte per cell of a window that all its lines
+    share, and cuts its lines from them on first read, by `compress`
+    (`_cut_lines`), and keeps them.  Its length, emptiness, line keys
+    and line ends come from the masks.  `in` is one dict lookup and one
+    bisection, and iteration goes line by line; the set operators
+    return plain sets.  Views of canonical indexes compare by their
+    lines, and the repr lists the points sorted.  The hash is that of
+    the frozenset of the points, computed on first use and kept.
     """
 
-    __slots__ = ("lines", "_hash")
+    __slots__ = ("_lines", "_masks", "_window", "_hash")
 
     def __init__(self, lines: Lines):
-        self.lines = lines
-        self._hash = None
+        self._lines = lines
+        self._masks = self._window = self._hash = None
+
+    @classmethod
+    def _of_masks(cls, masks: Dict[Point, int],
+                  window: Tuple[int, int, int, int]) -> "PointView":
+        # The view of nonzero masks on a window (lo, step, every,
+        # width): `width` cells from lo at `step`, of which every
+        # `every`-th, from the first, may hold a point.
+        self = cls(None)
+        self._masks, self._window = masks, window
+        return self
+
+    @classmethod
+    def _of_cells(cls, cells: Dict[Point, bytes], lo: int,
+                  step: int) -> "PointView":
+        """The dense view of lines given as one byte per cell, 1 at a
+        point and 0 elsewhere, from lo at step; none of them blank."""
+        width = len(next(iter(cells.values()), b""))
+        return cls._of_masks({key: int.from_bytes(line, "little")
+                              for key, line in cells.items()},
+                             (lo, step, 1, width))
+
+    @property
+    def _dense(self) -> bool:
+        """Whether the view holds its line index as masks."""
+        return self._masks is not None
+
+    @property
+    def lines(self) -> Lines:
+        if self._lines is None:
+            self._lines = _cut_lines(self._masks, *self._window)
+        return self._lines
 
     @classmethod
     def _from_iterable(cls, points: Iterable[Point]) -> set:
         return set(points)
 
+    def _line_keys(self) -> Collection[Point]:
+        """The keys of the occupied lines."""
+        return (self._lines if self._masks is None else self._masks).keys()
+
+    def _line_ends(self) -> Tuple[int, int]:
+        """The least and the greatest last coordinate of a nonempty view."""
+        if self._masks is None:
+            lines = self._lines.values()
+            return (min([line[0] for line in lines]),
+                    max([line[-1] for line in lines]))
+        lo, step = self._window[:2]
+        occupied = reduce(or_, self._masks.values())
+        return (lo + _least(occupied) * step,
+                lo + ((occupied.bit_length() - 1) >> 3) * step)
+
+    def __bool__(self) -> bool:
+        return bool(self._lines if self._masks is None else self._masks)
+
     def __len__(self) -> int:
-        return sum(map(len, self.lines.values()))
+        if self._lines is None:
+            return sum(map(int.bit_count, self._masks.values()))
+        return sum(map(len, self._lines.values()))
 
     def __iter__(self) -> Iterator[Point]:
         for key, line in self.lines.items():
@@ -175,6 +237,46 @@ class PointView(collections.abc.Set):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"
+
+
+def _least(mask: int) -> int:
+    """The index of the lowest set byte of a nonzero mask."""
+    return ((mask & -mask).bit_length() - 1) >> 3
+
+
+def _cut_lines(masks: Dict[Point, int], lo: int, step: int, every: int,
+               width: int) -> Lines:
+    # The sorted lines of nonzero masks on a window, cut from the cells
+    # that may hold a point by `compress`, so no line is sorted.
+    targets = list(range(lo, lo + width * step, step * every))
+    return {key: list(compress(targets,
+                               mask.to_bytes(width, "little")[::every]))
+            for key, mask in masks.items()}
+
+
+def _cell_columns(views: Iterable[PointView], lo: int, step: int,
+                  count: int) -> Dict[Point, bytes]:
+    """Per line key of the dense views, its `count` cells from lo at
+    step, one byte per cell, with bit i set where the i-th view holds
+    the cell; views held as lines are left out.
+
+    The cells must hold every point of the dense views, and each view's
+    window steps must divide step.
+    """
+    columns: Dict[Point, int] = {}
+    for bit, view in enumerate(views):
+        if view._masks is None:
+            continue
+        first, cell = view._window[:2]
+        start, every = (lo - first) // cell, step // cell
+        for key, mask in view._masks.items():
+            mask = mask >> 8 * start if start >= 0 else mask << -8 * start
+            if every > 1:
+                mask = int.from_bytes(
+                    mask.to_bytes(count * every, "little")[::every], "little")
+            columns[key] = columns.get(key, 0) | mask << bit
+    return {key: mask.to_bytes(count, "little")
+            for key, mask in columns.items()}
 
 
 def run_ends(cells: List[int], s: int) -> List[int]:
@@ -288,9 +390,9 @@ _MIN_POINTS = 256
 class _Sets:
     """A line index with the line kernels, in the form that `_form`
     falls back to: `lines` are the stored points, each line a set or a
-    sorted list, and a kernel's lines are sets.  `of` takes another
-    line index as it is, and `read` turns a stream of lines into a line
-    index of sorted lists.
+    sorted list, and a kernel's lines are sets.  `of` takes the line
+    index of a view as it is, and `read` turns a stream of lines into
+    the view of a line index of sorted lists.
 
     The kernels are written once, here, over a few steps on one line
     each, which the dense form (`_Masks`) replaces: `_along`, the growth
@@ -300,16 +402,19 @@ class _Sets:
     """
 
     __slots__ = ("lines",)
-    read = staticmethod(sorted_lines)
     _union = staticmethod(set().union)
     _meet = staticmethod(lambda first, *rest: set(first).intersection(*rest))
 
-    def __init__(self, lines: Lines):
-        self.lines = lines
+    def __init__(self, points: PointView):
+        self.lines = self.of(points)
 
     @staticmethod
-    def of(lines: Lines) -> Lines:
-        return lines
+    def of(points: PointView) -> Lines:
+        return points.lines
+
+    @staticmethod
+    def read(lines: LineStream) -> PointView:
+        return PointView(sorted_lines(lines))
 
     @staticmethod
     def _cut(line: Collection[int], off: Collection[int]) -> Set[int]:
@@ -433,17 +538,20 @@ class _Masks(_Sets):
 
     The window starts on the coarser of the source and target grids,
     and its cells are steps of the finer; `targets` are its cells on
-    the target grid, ascending, and `of` builds the masks of another
-    line index on it.  The kernels are those of `_Sets`, and a mask
-    they yield holds cells of their target grid only, so that one
-    kernel's output can be the next one's input.  Along the last axis a
-    dilation ORs and an erosion ANDs the mask's byte shifts, by
-    doubling; cells beyond the window count as not stored, and an
-    erosion from a grid coarser than the cells sets the cells off that
-    grid first, so that only its cells are tested.  Across the key axes
-    the sweeps OR or AND the masks in reach, and a mask less another is
-    one AND-NOT.  `read` cuts the sorted lines from the target cells of
-    each mask by `compress`, so no line is sorted.
+    the target grid, ascending, and `of` lays the points of a view on
+    it: a dense view's masks, on cells of the same step, are moved by
+    one shift per line, and the others are built from the lines.  The
+    kernels are
+    those of `_Sets`, and a mask they yield holds cells of their target
+    grid only, so that one kernel's output can be the next one's input.
+    Along the last axis a dilation ORs and an erosion ANDs the mask's
+    byte shifts, by doubling; cells beyond the window count as not
+    stored, and an erosion from a grid coarser than the cells sets the
+    cells off that grid first, so that only its cells are tested.
+    Across the key axes the sweeps OR or AND the masks in reach, and a
+    mask less another is one AND-NOT.  `read` keeps the nonzero masks,
+    on this window, as a dense `PointView`, which cuts its sorted lines
+    from them only when they are read.
     """
 
     __slots__ = ("targets", "_lo", "_step", "_width", "_every")
@@ -451,19 +559,24 @@ class _Masks(_Sets):
     _meet = staticmethod(lambda *row: reduce(and_, row))
     _cut = staticmethod(lambda line, off: line & ~off)
 
-    def __init__(self, lines: Lines, lo: int, width: int, source: int,
+    def __init__(self, points: PointView, lo: int, width: int, source: int,
                  target: int):
         self._lo, self._step = lo, min(source, target)
         self._width, self._every = width, target // self._step
         self.targets = list(range(lo, lo + width * self._step, target))
-        self.lines = self.of(lines)
+        self.lines = self.of(points)
 
-    def of(self, lines: Lines) -> Dict[Point, int]:
-        """The masks of a line index whose points lie in the window."""
+    def of(self, points: PointView) -> Dict[Point, int]:
+        """The masks of a view whose points lie in the window."""
         lo, step = self._lo, self._step
+        if points._masks is not None and points._window[1] == step:
+            start = (points._window[0] - lo) // step
+            shift = 8 * abs(start)
+            return {key: mask << shift if start >= 0 else mask >> shift
+                    for key, mask in points._masks.items()}
         blank = bytes(self._width)
         masks: Dict[Point, int] = {}
-        for key, line in lines.items():
+        for key, line in points.lines.items():
             cells = bytearray(blank)
             if step == 1:  # a quarter of the loop is the division
                 for c in line:
@@ -474,15 +587,10 @@ class _Masks(_Sets):
             masks[key] = int.from_bytes(cells, "little")
         return masks
 
-    def read(self, masks: LineStream) -> Lines:
-        targets, width, every = self.targets, self._width, self._every
-        lines = {}
-        for key, mask in masks:
-            line = list(compress(targets,
-                                 mask.to_bytes(width, "little")[::every]))
-            if line:
-                lines[key] = line
-        return lines
+    def read(self, masks: LineStream) -> PointView:
+        return PointView._of_masks(
+            {key: mask for key, mask in masks if mask},
+            (self._lo, self._step, self._every, self._width))
 
     def _grid(self, spacing: int) -> int:
         # 1 at each cell of the window on the spacing grid, which the
@@ -518,13 +626,12 @@ class _Masks(_Sets):
         return along
 
 
-def _form(indexes: Tuple[Lines, ...], radius: int, source: int,
+def _form(views: Tuple[PointView, ...], radius: int, source: int,
           target: int, once: bool = False) -> _Sets:
-    """The first of `indexes` (line indexes of sorted lists on the
-    source grid) in the form for growing it by radius onto the target
-    grid and taking one more step of the coarser grid: its masks, on a
-    window that all of `indexes` share, where they pay, the sets
-    otherwise.
+    """The first of `views` (of points on the source grid) in the form
+    for growing it by radius onto the target grid and taking one more
+    step of the coarser grid: its masks, on a window that all of
+    `views` share, where they pay, the sets otherwise.
 
     The window spans their last coordinates, padded by radius plus that
     step on each side.  This is the one gate of the dense form: masks
@@ -536,22 +643,23 @@ def _form(indexes: Tuple[Lines, ...], radius: int, source: int,
     also needs `_POINTS_PER_LINE` points per line: on shorter lines
     building and reading the masks costs more than the one growth
     saves.  `layers` takes a ring after its growth and wins on masks at
-    every line length."""
-    lines = [line for index in indexes for line in index.values()]
-    points = sum(map(len, lines))
+    every line length.  The gate reads the views' lengths, line keys
+    and line ends, which dense views give from their masks."""
+    points = sum(map(len, views))
     if points >= _MIN_POINTS:
-        keys = (len(indexes[0]) if len(indexes) == 1
-                else len(set().union(*indexes)))
+        keys = (len(views[0]._line_keys()) if len(views) == 1 else
+                len(set().union(*[view._line_keys() for view in views])))
         if not once or points >= _POINTS_PER_LINE * keys:
             coarse = max(source, target)
             pad = radius + coarse
-            lo = (min([line[0] for line in lines]) - pad) // coarse * coarse
-            hi = max([line[-1] for line in lines]) + pad
+            ends = [view._line_ends() for view in views if view]
+            lo = (min([end[0] for end in ends]) - pad) // coarse * coarse
+            hi = max([end[1] for end in ends]) + pad
             if ((hi - lo) // source + 1) * keys <= _CELLS_PER_POINT * points:
-                return _Masks(indexes[0], lo,
+                return _Masks(views[0], lo,
                               (hi - lo) // min(source, target) + 1,
                               source, target)
-    return _Sets(indexes[0])
+    return _Sets(views[0])
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

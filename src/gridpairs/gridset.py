@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import (AbstractSet, Container, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+                    NamedTuple, Optional, Tuple, Union)
 
 from .geometry import (
     Lines,
@@ -60,7 +60,8 @@ class Document:
     A point field is stored once, as a `PointView` of its line index
     (`doc.<field>.lines`): sorted lists of distinct values, none of them
     empty, which nothing changes later, so the index is canonical and
-    documents compare and hash by their fields.
+    documents compare and hash by their fields.  A dense field's view
+    may hold the index as line masks until it is first read.
     """
 
     _point_fields: Tuple[Tuple[str, str], ...]
@@ -83,11 +84,14 @@ class Document:
     @classmethod
     def _trusted(cls, *values):
         # Stores fields that are already checked, each point field given
-        # as its line index; skips __post_init__.
+        # as its line index or as a view, which is kept; skips
+        # __post_init__.
         self = object.__new__(cls)
         self.__dict__.update(zip([f.name for f in fields(cls)], values))
         for name, _ in cls._point_fields:
-            self.__dict__[name] = PointView(self.__dict__[name])
+            points = self.__dict__[name]
+            if not isinstance(points, PointView):
+                self.__dict__[name] = PointView(points)
         return self
 
 
@@ -143,11 +147,11 @@ class GridSet(Document):
 
     @property
     def is_empty(self) -> bool:
-        return self.mode is Mode.FINITE and not self.points.lines
+        return self.mode is Mode.FINITE and not self.points
 
     @property
     def is_full_grid(self) -> bool:
-        return self.mode is Mode.COFINITE and not self.points.lines
+        return self.mode is Mode.COFINITE and not self.points
 
 
 @dataclass(frozen=True)
@@ -199,17 +203,20 @@ def window_of(points: Iterable[Point]) -> Window:
     return window_of_lines(lines_of(points))
 
 
-def window_of_lines(*indexes: Lines) -> Window:
-    """The bounding box of the points of line indexes, not all empty,
-    whose lines are sorted: the extents of the keys and the line ends."""
-    keys = set().union(*indexes)
-    every_line = [line for index in indexes for line in index.values()]
-    if not every_line:
+def window_of_lines(*indexes: Union[Lines, PointView]) -> Window:
+    """The bounding box of the points of line indexes with sorted lines,
+    or of views, not all empty: the extents of the keys and the line
+    ends, which a dense view gives from its masks."""
+    views = [index if isinstance(index, PointView) else PointView(index)
+             for index in indexes]
+    ends = [view._line_ends() for view in views if view]
+    if not ends:
         raise ValueError("bounding box of an empty point set")
+    keys = set().union(*[view._line_keys() for view in views])
     lower = [min(axis) for axis in zip(*keys)]
     upper = [max(axis) for axis in zip(*keys)]
-    lower.append(min(line[0] for line in every_line))
-    upper.append(max(line[-1] for line in every_line))
+    lower.append(min(end[0] for end in ends))
+    upper.append(max(end[1] for end in ends))
     return Window(tuple(lower), tuple(upper))
 
 
@@ -228,7 +235,7 @@ def complement(gridset: GridSet) -> GridSet:
     """Complement within the grid; an exact involution."""
     mode = Mode.COFINITE if gridset.mode is Mode.FINITE else Mode.FINITE
     return GridSet._trusted(gridset.dim, gridset.spacing, mode,
-                            gridset.points.lines)
+                            gridset.points)
 
 
 def random_set(window: Window, density: float, seed: int,

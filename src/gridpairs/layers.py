@@ -7,8 +7,9 @@ boundary and layer 1 the first outer layer, which `boundary0` and
 `boundary1` are and `trace` pairs.  All of them take one step, the
 outer layer of a set (`_outer`), after `transfer`'s growth by k - 1.
 The growth and the step run on the form of the stored points that
-`geometry._form` picks: line masks where the points are dense, built
-once and read back once at the end, and sets elsewhere.
+`geometry._form` picks: line masks where the points are dense, taken
+once from the input and kept in the result's point view, and sets
+elsewhere.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _outer(gridset: GridSet,
     # the inner ring of a cofinite set's eroded excluded points.  Each
     # is computed as it is read.
     s = gridset.spacing
-    form = _form((gridset.points.lines,), (k - 1) * s, s, s)
+    form = _form((gridset.points,), (k - 1) * s, s, s)
     near = form.lines
     if k > 1:
         near = dict(_grow(gridset, form, 2 * (k - 1) * s, s))

@@ -11,13 +11,13 @@ dilations of the two coarse boundaries.  Both work on the pair's line
 index with the line kernels of `geometry`, and return their results as
 line indexes.  Restriction grows the inner boundary on the form of it
 that `geometry._form` picks, line masks where it is dense and sets
-elsewhere, and reads the candidates and the coarse inner boundary back
-from it; interpolation runs on the set form.
+elsewhere, reads the candidates back from it and keeps the coarse
+inner boundary in it; interpolation runs on the set form.
 """
 
 from __future__ import annotations
 
-from .geometry import Lines, _form, _Sets
+from .geometry import Lines, PointView, _form, _Sets
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -40,8 +40,8 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     D0 | D1, whatever the ratio n.  The dilation, the step out and the
     inner boundary, the dilated points one coarse step from the outer
     layer, run on masks where D0 is dense (`geometry._form`), from
-    which the candidates and the inner boundary are each read back
-    once.  The empty pair maps to the empty pair.  Three facts carry
+    which the candidates are read back once; the inner boundary keeps
+    its masks.  The empty pair maps to the empty pair.  Three facts carry
     it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
@@ -62,17 +62,17 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
     l1 = pair.d1.lines
-    form = _form((pair.d0.lines,), n // 2, 1, n, once=True)
+    form = _form((pair.d0,), n // 2, 1, n, once=True)
     near = dict(form.dilate(form.lines, n, 1, n))
     out1: Lines = {}
-    for key, line in form.read(form.ring(near, n)[1]).items():
+    for key, line in form.read(form.ring(near, n)[1]).lines.items():
         ones = set(l1.get(key, ()))
         side = sides.along(key)
         kept = [y for y in line if y in ones or side(y)]
         if kept:
             out1[key] = kept
-    out0 = form.read(form.within(form.dilate(form.of(out1), 2 * n, n, n),
-                                 near))
+    out0 = form.read(form.within(
+        form.dilate(form.of(PointView(out1)), 2 * n, n, n), near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 
@@ -94,8 +94,8 @@ def lift_interpolate(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     """
     n = ratio.n
     _require_valid(pair, n, "lift_interpolate")
-    d0, d1 = pair.d0.lines, pair.d1.lines
-    sets = _Sets(d0)
+    sets = _Sets(pair.d0)
+    d0, d1 = sets.lines, pair.d1.lines
     near0 = dict(sets.dilate(d0, n, n, 1))
     near1 = dict(sets.dilate(d1, n, n, 1))
     out1 = sets.read(sets.without(

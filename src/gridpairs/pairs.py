@@ -33,7 +33,8 @@ from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Set, Tuple)
 
-from .geometry import Lines, Point, _form, _lines_beside, _Masks, run_ends
+from .geometry import (Point, PointView, _form, _least, _lines_beside,
+                       _Masks, run_ends)
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -63,7 +64,7 @@ class BoundaryPair(Document):
 
     @property
     def is_empty(self) -> bool:
-        return not self.d0.lines and not self.d1.lines
+        return not self.d0 and not self.d1
 
 
 class Sides:
@@ -170,7 +171,7 @@ _Walk = Tuple[List[Point], List[Point], List[Point], Optional[Sides]]
 _Line = Tuple[List[int], bytes]
 
 
-def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
+def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
     # One pass over the occupied lines.  It gathers the least point of
     # each line of d0 (of d1) with no point of the other set one step
     # away, the least point of each line in both sets, and, while no
@@ -182,13 +183,13 @@ def _walk(l0: Lines, l1: Lines, dim: int, s: int) -> _Walk:
     # the other, the least cell of both, the run ends with their sides
     # (None unless asked for, or where (a) fails) and what `leaks`, the
     # rules (b) and (c) of a line, reads of the neighbouring lines.
-    keys = l0.keys() | l1.keys()
-    form = _form((l0, l1), 0, s, s, once=True)
+    keys = d0._line_keys() | d1._line_keys()
+    form = _form((d0, d1), 0, s, s, once=True)
     if isinstance(form, _Masks):
-        get0, get1, empty = form.lines.get, form.of(l1).get, 0
+        get0, get1, empty = form.lines.get, form.of(d1).get, 0
         tests, leaks = _mask_steps(form, keys, s)
     else:
-        get0, get1, empty = l0.get, l1.get, ()
+        get0, get1, empty = form.lines.get, d1.lines.get, ()
         tests, leaks = _tests, _leaks
     lines_beside, nothing = _lines_beside(keys), repeat(empty)
     failing0, failing1, overlap = [], [], []
@@ -304,11 +305,6 @@ def _leaks(a: List[int], b: List[int], around0: list, around1: list,
     return False
 
 
-def _least(mask: int) -> int:
-    # the index of the lowest set byte of a nonzero mask
-    return ((mask & -mask).bit_length() - 1) >> 3
-
-
 def _mask_steps(form: _Masks, keys: Set[Point], s: int) -> tuple:
     # `_tests` and `_leaks` on the masks of a dense pair, on one window
     # of cells `form.targets`, whose first and last cells hold no point.
@@ -421,18 +417,17 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
-    l0, l1 = pair.d0.lines, pair.d1.lines
-    nonempty = _PASS if l0 and l1 else AxiomCheck(False)
+    nonempty = _PASS if pair.d0 and pair.d1 else AxiomCheck(False)
 
     s = pair.spacing
-    failing0, failing1, overlap, sides = _walk(l0, l1, pair.dim, s)
+    failing0, failing1, overlap, sides = _walk(pair.d0, pair.d1, pair.dim, s)
     disjoint = AxiomCheck(False, min(overlap)) if overlap else _PASS
     d0_touches_d1 = AxiomCheck(False, min(failing0)) if failing0 else _PASS
     d1_touches_d0 = AxiomCheck(False, min(failing1)) if failing1 else _PASS
 
     separation = _PASS
     if sides is None:
-        window = window_of_lines(l0, l1).inflate(s)
+        window = window_of_lines(pair.d0, pair.d1).inflate(s)
         for comp in components_within(window, s, pair.d0, pair.d1):
             if comp.adjacent_d0 and comp.adjacent_d1:
                 separation = AxiomCheck(False, comp.lowest)

@@ -75,7 +75,7 @@ def _grow(gridset: GridSet, form: _Sets, radius_doubled: int,
 
 
 def _transfer(gridset: GridSet, n: int, target_spacing: int) -> GridSet:
-    form = _form((gridset.points.lines,), n // 2, gridset.spacing,
+    form = _form((gridset.points,), n // 2, gridset.spacing,
                  target_spacing, once=True)
     return GridSet._trusted(gridset.dim, target_spacing, gridset.mode,
                             form.read(_grow(gridset, form, n,

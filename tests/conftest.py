@@ -110,6 +110,18 @@ def masks_built(compute):
     return len(built)
 
 
+def lines_built(compute):
+    """How many times compute() cuts the lines of a dense point view
+    from its masks."""
+    built = []
+    real = geometry._cut_lines
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_cut_lines",
+                      lambda *args: built.append(args) or real(*args))
+        compute()
+    return len(built)
+
+
 def far_clusters_blobs():
     """2-D sets like the far-clusters documents: 3^2 cores with a fringe
     at density 0.3, the first two at opposite corners, at each of the

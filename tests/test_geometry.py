@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridpairs import geometry
-from gridpairs.geometry import (_form, _Masks, _Sets, grid_range, lines_of,
-                                moore_neighbors, moore_offsets, points_of,
-                                run_ends, sorted_lines)
+from gridpairs.geometry import (PointView, _form, _Masks, _Sets, grid_range,
+                                lines_of, moore_neighbors, moore_offsets,
+                                points_of, run_ends, sorted_lines)
 from gridpairs.gridset import Window, window_of
 from gridpairs.pairs import BoundaryPair, validate
 
@@ -17,7 +17,7 @@ from conftest import (INFINITE, ball_points, chebyshev, grid_sets, moore_ring,
                       rd)
 
 # The set form's kernels, which take their lines as an argument.
-SETS = _Sets({})
+SETS = _Sets(PointView({}))
 dilate, erode, ring = SETS.dilate, SETS.erode, SETS.ring
 
 
@@ -28,7 +28,8 @@ def masks_of(lines, radius_doubled, source, target):
         patch.setattr(geometry, "_CELLS_PER_POINT", math.inf)
         patch.setattr(geometry, "_POINTS_PER_LINE", 0)
         patch.setattr(geometry, "_MIN_POINTS", 1)
-        form = _form((lines,), radius_doubled // 2, source, target)
+        form = _form((PointView(lines),), radius_doubled // 2, source,
+                     target)
     assert isinstance(form, _Masks) or not lines
     return form
 
@@ -36,7 +37,7 @@ def masks_of(lines, radius_doubled, source, target):
 def read_points(form, lines):
     # the points of a stream of lines in form, each line checked to be
     # non-empty, ascending and distinct
-    index = form.read(lines)
+    index = form.read(lines).lines
     for line in index.values():
         assert line and all(a < b for a, b in zip(line, line[1:]))
     return points_of(index.items())
@@ -302,9 +303,10 @@ def test_line_algebra_is_set_algebra(case, n, transfer, radius, rng):
     points = sorted(tuple(source // s * c for c in p) for p in cells)
     half = {p for p in points if rng.random() < 0.5}
     lines = lines_of(points)
-    for form in (_Sets(lines), masks_of(lines, radius, source, target)):
-        a, b = (dict(form.dilate(form.of(lines_of(part)), radius, source,
-                                 target))
+    for form in (_Sets(PointView(lines)),
+                 masks_of(lines, radius, source, target)):
+        a, b = (dict(form.dilate(form.of(PointView(lines_of(part))), radius,
+                                 source, target))
                 for part in (half, set(points) - half))
         A, B = read_points(form, a.items()), read_points(form, b.items())
         assert read_points(form, form.within(a.items(), b)) == A & B
