@@ -12,10 +12,12 @@ The ASCII reader's Python work follows the marks, not the cells.  A
 canonical body, as the writer writes it, is checked in C-level passes
 over its cells, and each column is cut from it in C.  A sparse grid's
 marks are then found one by one, Python work per mark, into sorted
-lists.  A dense grid's columns are mapped by each character's byte
-table to one byte per cell, 1 at a mark and 0 elsewhere, which
-`geometry` keeps as line masks (`PointView._of_cells`): per-cell work
-only in C, and no list is built unless the points are read one by one.
+lists.  A denser grid's columns are mapped by each character's byte
+table to one byte per cell, 1 at a mark and 0 elsewhere: per-cell work
+only in C.  `geometry` keeps these bytes as line masks where they are
+dense enough for its operations to run on masks, and no list is built
+unless the points are read one by one; elsewhere it picks the marks
+from them into sorted lists (`PointView._of_cells`).
 CRLF ends, trailing blanks, tabs and "\r", and trailing blank rows
 still parse: such a body is split into rows first.
 
@@ -61,9 +63,12 @@ _CELL_MARKS = bytes.maketrans(b"\0\1\2\3", b"-010")
 #: Marks per cell, per marker character, below which an ASCII grid is
 #: sparse: its columns' marks are found one by one (`bytes.find`, about
 #: 120 ns a mark), not picked from every cell by each character's byte
-#: table (`compress` over `translate`, 6-8 ns a cell a character).  On
-#: random 64^2 to 256^2 grids the two cost the same at about 0.07 marks
-#: per cell for one character and 0.14 for two.
+#: table (`translate`, then `compress` into lists by
+#: `PointView._of_cells`, 6-8 ns a cell a character).  On random 64^2 to
+#: 256^2 grids the two cost the same at about 0.07 marks per cell for
+#: one character and 0.14 for two.  Masks, which `_of_cells` keeps only
+#: where a field's columns hold at least 1/4 marks per cell, cost less
+#: than either there.
 _SPARSE = 1 / 16
 
 #: Grid bytes sampled to estimate the marks per cell.
@@ -170,15 +175,15 @@ def _ascii_grid(body: str, known: str) -> Tuple[bytes, int]:
     return "".join([row + "\n" for row in rows]).encode(), width
 
 
-def _marks_per_cell(data: bytes, stride: int) -> float:
-    """The share of marked cells among about `_SAMPLE` bytes of the
-    grid, one every few, its newlines left out."""
+def _marks_per_cell(data: bytes, stride: int, marks: bytes = b"01") -> float:
+    """The share of cells marked by one of `marks` among about `_SAMPLE`
+    bytes of the grid, one every few, its newlines left out."""
     step = len(data) // _SAMPLE + 1
     if step % stride == 0:
         step += 1  # else every sampled byte is in one column
     sample = data[::step]
     cells = len(sample) - sample.count(b"\n")
-    return (cells - sample.count(b"-")) / cells if cells else 0.0
+    return sum(map(sample.count, marks)) / cells if cells else 0.0
 
 
 def _read_columns(data: bytes, width: int, origin: Point, spacing: int,
@@ -189,9 +194,11 @@ def _read_columns(data: bytes, width: int, origin: Point, spacing: int,
     A line is a column: its key is the column's x and its last
     coordinates are the y of the column's marks.  Each column is cut
     from the grid in C.  On a sparse grid, `bytes.find` then finds its
-    marks one by one, into an ascending list; on a dense one, each
+    marks one by one, into an ascending list; on a denser one, each
     character's byte table maps its cells to 0 and 1, which the view
-    keeps as masks.  The views are equal either way.
+    keeps as masks or picks into lists, as the character's sampled
+    share of the cells puts its points.  The views are equal either
+    way.
     """
     stride = width + 1
     marks = [(ord(ch), _MARK_TABLES[ch], {}) for ch in allowed]
@@ -201,8 +208,11 @@ def _read_columns(data: bytes, width: int, origin: Point, spacing: int,
             for mark, table, cells in marks:
                 if mark in column:
                     cells[(origin[0] + c * spacing,)] = column.translate(table)
-        return [PointView._of_cells(cells, origin[1], spacing)
-                for _, _, cells in marks]
+        area = len(data) - len(data) // stride
+        return [PointView._of_cells(
+                    cells, origin[1], spacing,
+                    _marks_per_cell(data, stride, bytes([mark])) * area)
+                for mark, _, cells in marks]
     height = len(data) // stride
     # the y of each row, looked up per mark
     ys = list(range(origin[1], origin[1] + height * spacing, spacing))

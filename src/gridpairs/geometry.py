@@ -35,17 +35,18 @@ inputs, run a whole operation on it and hand its result back once
 The line index is the one stored form of a document's points
 (`gridset.Document`): each point field holds a `PointView`, the set
 view of a line index.  A dense field holds that index as masks until
-its lines are first read: the ASCII reader hands over a dense grid's
-columns as one byte per cell (`PointView._of_cells`), `_Masks.read`
-keeps an operation's masks, `_form` takes a dense input's masks by one
-shift per line, and the ASCII writer asks for the cells of its columns
-(`_cell_columns`), so a dense document's points can stay masks from the
-text it was read from to the text it is written to.  Sparse fields,
-and every operation that `_form` sends to sets, use the lists; the
-constructors build them, the operations return their results as line
-indexes (`sorted_lines`), and the writers write from them, so point
-tuples are built only where points are listed (`points_of`, or
-iterating a `PointView`).
+its lines are first read: the ASCII reader hands over the columns of a
+grid that is not sparse as one byte per cell, which
+`PointView._of_cells` keeps as masks where `_form` may take them,
+`_Masks.read` keeps an operation's masks, `_form` takes a dense
+input's masks by one shift per line, and the ASCII writer asks for the
+cells of its columns (`_cell_columns`), so a dense document's points
+can stay masks from the text it was read from to the text it is
+written to.  Sparse fields, and every operation that `_form` sends to
+sets, use the lists; the constructors build them, the operations
+return their results as line indexes (`sorted_lines`), and the writers
+write from them, so point tuples are built only where points are
+listed (`points_of`, or iterating a `PointView`).
 """
 
 from __future__ import annotations
@@ -166,14 +167,30 @@ class PointView(collections.abc.Set):
         return self
 
     @classmethod
-    def _of_cells(cls, cells: Dict[Point, bytes], lo: int,
-                  step: int) -> "PointView":
-        """The dense view of lines given as one byte per cell, 1 at a
-        point and 0 elsewhere, from lo at step; none of them blank."""
+    def _of_cells(cls, cells: Dict[Point, bytes], lo: int, step: int,
+                  points: float) -> "PointView":
+        """The view of lines given as one byte per cell, 1 at a point
+        and 0 elsewhere, from lo at step; none of them blank.  `points`
+        is their number of points, or an estimate of it.
+
+        It holds masks where `_form` may take them: at least
+        `_MIN_POINTS` points and at most `_CELLS_PER_POINT` cells of its
+        lines per point, which the padding of `_form`'s window only adds
+        to.  `_POINTS_PER_LINE` is left to `_form`, as `layers` takes
+        masks at any line length.  Elsewhere `_form` sends every
+        operation to sets, which would cut the masks into lists again,
+        so the view holds the lists, picked from the cells by
+        `compress`.
+        """
         width = len(next(iter(cells.values()), b""))
-        return cls._of_masks({key: int.from_bytes(line, "little")
-                              for key, line in cells.items()},
-                             (lo, step, 1, width))
+        if (points >= _MIN_POINTS
+                and len(cells) * width <= _CELLS_PER_POINT * points):
+            return cls._of_masks({key: int.from_bytes(line, "little")
+                                  for key, line in cells.items()},
+                                 (lo, step, 1, width))
+        targets = list(range(lo, lo + width * step, step))
+        return cls({key: list(compress(targets, line))
+                    for key, line in cells.items()})
 
     @property
     def _dense(self) -> bool:

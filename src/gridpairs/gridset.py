@@ -20,10 +20,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import (AbstractSet, Container, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple, Union)
+                    NamedTuple, Optional, Tuple)
 
 from .geometry import (
-    Lines,
     Point,
     PointView,
     _lines_beside,
@@ -200,15 +199,13 @@ class Window:
 
 def window_of(points: Iterable[Point]) -> Window:
     """The bounding box of a nonempty point collection."""
-    return window_of_lines(lines_of(points))
+    return window_of_lines(PointView(lines_of(points)))
 
 
-def window_of_lines(*indexes: Union[Lines, PointView]) -> Window:
-    """The bounding box of the points of line indexes with sorted lines,
-    or of views, not all empty: the extents of the keys and the line
-    ends, which a dense view gives from its masks."""
-    views = [index if isinstance(index, PointView) else PointView(index)
-             for index in indexes]
+def window_of_lines(*views: PointView) -> Window:
+    """The bounding box of the points of views, not all empty: the
+    extents of the keys and the line ends, which a dense view gives
+    from its masks."""
     ends = [view._line_ends() for view in views if view]
     if not ends:
         raise ValueError("bounding box of an empty point set")
@@ -357,7 +354,7 @@ def components_within(window: Window, spacing: int,
     l0, l1 = lines_of(d0), lines_of(d1)
     keys = sorted(l0.keys() | l1.keys())
     if keys:
-        box = window_of_lines(l0, l1)
+        box = window_of_lines(PointView(l0), PointView(l1))
         for j, (least, most) in enumerate(zip(box.lower, box.upper)):
             lo, hi = window.lower[j] + s, window.upper[j] - s
             if least < lo or most > hi:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .geometry import Lines, LineStream, _form, _Sets, is_integer
+from .geometry import LineStream, PointView, _form, _Sets, is_integer
 from .gridset import GridSet, Mode, complement
 from .pairs import BoundaryPair
 from .transfer import _grow
@@ -39,8 +39,8 @@ def _outer(gridset: GridSet,
                   else (inner, outer))
 
 
-def _finite(model: GridSet, lines: Lines) -> GridSet:
-    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE, lines)
+def _finite(model: GridSet, points: PointView) -> GridSet:
+    return GridSet._trusted(model.dim, model.spacing, Mode.FINITE, points)
 
 
 def boundary0(gridset: GridSet) -> GridSet:
@@ -71,7 +71,7 @@ def layer(gridset: GridSet, k: int) -> GridSet:
     if not is_integer(k):
         raise ValueError(f"layer index must be an integer, got {k!r}")
     if gridset.is_empty or gridset.is_full_grid:
-        return _finite(gridset, {})
+        return _finite(gridset, PointView({}))
     if k <= 0:
         gridset, k = complement(gridset), 1 - k
     form, (outer, _) = _outer(gridset, k)

@@ -64,15 +64,16 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     l1 = pair.d1.lines
     form = _form((pair.d0,), n // 2, 1, n, once=True)
     near = dict(form.dilate(form.lines, n, 1, n))
-    out1: Lines = {}
+    outer: Lines = {}
     for key, line in form.read(form.ring(near, n)[1]).lines.items():
         ones = set(l1.get(key, ()))
         side = sides.along(key)
         kept = [y for y in line if y in ones or side(y)]
         if kept:
-            out1[key] = kept
+            outer[key] = kept
+    out1 = PointView(outer)
     out0 = form.read(form.within(
-        form.dilate(form.of(PointView(out1)), 2 * n, n, n), near))
+        form.dilate(form.of(out1), 2 * n, n, n), near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 

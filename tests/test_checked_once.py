@@ -179,7 +179,7 @@ def test_member_answers_from_the_line_index(monkeypatch):
     for name in ("fig1a.grid", "fig3c.grid"):
         M = parse_text(fixture_text(name))
         s = M.spacing
-        box = gridset.window_of_lines(M.points.lines).inflate(s)
+        box = gridset.window_of_lines(M.points).inflate(s)
         queries = list(box.grid_points(s))
         answers = [gridset.member(M, q) for q in queries]
         flipped = [gridset.member(complement(M), q) for q in queries]

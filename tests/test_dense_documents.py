@@ -23,7 +23,7 @@ from gridpairs.formats import (ASCII_CELL_BUDGET, parse_text, render,
 from gridpairs.geometry import PointView, _form, lines_of
 from gridpairs.gridset import GridSet, Mode, Window, complement, random_set
 from gridpairs.layers import layer, trace
-from gridpairs.pairs import BoundaryPair
+from gridpairs.pairs import BoundaryPair, validate
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import each_form, fixture_text, lines_built, masks_built
@@ -51,6 +51,8 @@ def read_dense(text):
     """The document of an ASCII text, read by the dense column reader."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_SPARSE", 0.0)
+        patch.setattr(geometry, "_MIN_POINTS", 0)
+        patch.setattr(geometry, "_CELLS_PER_POINT", 10**9)
         doc = parse_text(text)
     assert all(view._dense for view in fields(doc))
     return doc
@@ -62,8 +64,9 @@ def dense_view(points, lo, height, step=1):
     for x, y in points:
         column = cells.setdefault((x,), bytearray(height))
         column[(y - lo) // step] = 1
-    return PointView._of_cells(
-        {key: bytes(column) for key, column in cells.items()}, lo, step)
+    return PointView._of_masks(
+        {key: int.from_bytes(column, "little")
+         for key, column in cells.items()}, (lo, step, 1, height))
 
 
 def padded(text, rows, columns):
@@ -84,7 +87,8 @@ def padded(text, rows, columns):
 
 
 #: Densities of the drawn sets: below the reader's 1/16 marks per cell,
-#: and from below to well above the 1/4 or so of `_form`'s gate.
+#: between it and the 1/4 from which the reader keeps masks where
+#: `_form`'s gate may take them, about that, and well above it.
 DENSITIES = (0.03, 0.1, 0.3, 0.6, 0.95)
 
 
@@ -153,7 +157,14 @@ def test_dense_documents_act_as_their_points(density, spacing, capsys):
     for text in documents(density, spacing):
         doc = parse_text(text)
         if isinstance(doc, GridSet):
-            assert doc.points._dense == (density > 0.05)
+            # the reader estimates the points from a sample: lists well
+            # under 1/4 points per cell, masks well over it and over
+            # the gate's floor of points
+            if density < 0.2:
+                assert not doc.points._dense
+            elif (density > 0.5
+                  and len(doc.points) > 1.5 * geometry._MIN_POINTS):
+                assert doc.points._dense
         twin = rebuilt(doc)
         wide = padded(text, 9, 2)
         expected = outcomes(twin, capsys)
@@ -295,3 +306,20 @@ def test_dense_requests_build_no_lists():
             assert lines_built(request) == 0
             assert masks_built(request) == 1
             assert request() == serialize_ascii(operation(gridset))
+
+
+def test_thin_documents_are_read_into_lists():
+    # A disk's boundary pair holds about 4/R marks per cell: more than
+    # the reader finds one by one, fewer than it keeps as masks.  Its
+    # lines are picked from the byte tables into lists at once, so
+    # validating it cuts none from masks.
+    disk = GridSet(2, 1, Mode.FINITE, frozenset(
+        (x, y) for x in range(-24, 25) for y in range(-24, 25)
+        if x * x + y * y <= 24 * 24))
+    text = serialize_ascii(trace(disk))
+    data, width = formats._ascii_grid(text.split("\n", 1)[1], "-01")
+    assert 2 * formats._SPARSE <= formats._marks_per_cell(data, width + 1)
+    pair = parse_text(text)
+    assert not pair.d0._dense and not pair.d1._dense
+    assert pair == trace(disk)
+    assert lines_built(lambda: validate(parse_text(text))) == 0

@@ -388,7 +388,7 @@ class TestLineStorage:
         if not points:
             return
         l0, l1 = line_index(d0), line_index(d1)
-        window = window_of_lines(l0, l1).inflate(s)
+        window = window_of_lines(PointView(l0), PointView(l1)).inflate(s)
         assert window == window_of(points).inflate(s)
         built = components_within(window, s, d0, d1)
         handed = components_within(window, s, PointView(l0), PointView(l1))
