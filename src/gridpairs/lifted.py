@@ -11,13 +11,14 @@ dilations of the two coarse boundaries.  Both work on the pair's line
 index with the line kernels of `geometry`, and return their results as
 line indexes.  Restriction grows the inner boundary on the form of it
 that `geometry._form` picks, line masks where it is dense and sets
-elsewhere, reads the candidates back from it and keeps the coarse
-inner boundary in it; interpolation runs on the set form.
+elsewhere, settles the candidates in it where the walk also kept its
+sides as masks and reads them back from it otherwise, and keeps the
+coarse inner boundary in it; interpolation runs on the set form.
 """
 
 from __future__ import annotations
 
-from .geometry import Lines, PointView, _form, _Sets
+from .geometry import Lines, PointView, _form, _Masks, _Sets
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -39,10 +40,15 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     bisection among the run ends of its line, or none for a line off
     D0 | D1, whatever the ratio n.  The dilation, the step out and the
     inner boundary, the dilated points one coarse step from the outer
-    layer, run on masks where D0 is dense (`geometry._form`), from
-    which the candidates are read back once; the inner boundary keeps
-    its masks.  The empty pair maps to the empty pair.  Three facts carry
-    it:
+    layer, run on masks where D0 is dense (`geometry._form`).  Where
+    the walk of validation ran on masks too, a line's candidates are
+    settled by one AND with the mask of its cells in D1 or of side 1,
+    shifted onto the form's window (`pairs.Sides._outside`): beyond the
+    walk's window they take the sides of the rays, and on a line off
+    D0 | D1 the exterior side, and the outer layer keeps the masks.
+    Otherwise the candidates are read back as lists once.  The inner
+    boundary keeps the form's masks.  The empty pair maps to the empty
+    pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -61,17 +67,23 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides = _require_valid(pair, 1, "lift_restrict").sides
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
-    l1 = pair.d1.lines
     form = _form((pair.d0,), n // 2, 1, n, once=True)
     near = dict(form.dilate(form.lines, n, 1, n))
-    outer: Lines = {}
-    for key, line in form.read(form.ring(near, n)[1]).lines.items():
-        ones = set(l1.get(key, ()))
-        side = sides.along(key)
-        kept = [y for y in line if y in ones or side(y)]
-        if kept:
-            outer[key] = kept
-    out1 = PointView(outer)
+    candidates = form.ring(near, n)[1]
+    if isinstance(form, _Masks) and sides._dense:
+        # both on cells of step 1, the pair's spacing
+        out1 = form.read((key, line & sides._outside(key, form._lo))
+                         for key, line in candidates)
+    else:
+        l1 = pair.d1.lines
+        outer: Lines = {}
+        for key, line in form.read(candidates).lines.items():
+            ones = set(l1.get(key, ()))
+            side = sides.along(key)
+            kept = [y for y in line if y in ones or side(y)]
+            if kept:
+                outer[key] = kept
+        out1 = PointView(outer)
     out0 = form.read(form.within(
         form.dilate(form.of(out1), 2 * n, n, n), near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)

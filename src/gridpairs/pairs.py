@@ -19,8 +19,11 @@ the lines that `gridset.components_within` labels to name a failing
 pair's witness.  On a dense pair a line is a mask, one int with one
 byte per cell of a window that all lines share, tested by a few
 operations on it and on the OR of its neighbouring lines' masks, and
-its run ends are cut from it by `compress`, as `run_ends` gives them, so
-the report is the same in both forms.
+its runs' sides are the mask of its free cells of side 1.  `Sides`
+keeps them as masks, from which `reconstruct` and
+`lifted.lift_restrict` read a line's cells outside the set by a shift
+or two, and cuts the run ends that the walk point by point gives only
+when they are read, so the report is the same in both forms.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
-                    Set, Tuple)
+                    Tuple)
 
 from .geometry import (Point, PointView, _form, _least, _lines_beside,
                        _Masks, run_ends)
@@ -81,16 +84,47 @@ class Sides:
     and the right ray: in 1-D each has its own, and for dim >= 2 both
     are the side of the unbounded component, which holds both rays of
     every line and every line off d0 | d1.
+
+    The walk of a dense pair keeps its sides as masks instead, on the
+    window of its line masks (lo, cell step, 1, width): per occupied
+    line the mask of its free cells of side 1, the rays' cells in the
+    window included, with the masks of d0 and d1.  `lines` is cut from
+    them on first read, as `PointView.lines` is, and kept; `of` reads
+    the masks, through `_outside`, the cells of side 1 or of d1 of a
+    line on any window of the same cells, on which `reconstruct` and
+    `lifted.lift_restrict` work without cutting a line.
     """
 
-    __slots__ = ("lines", "exterior", "_off")
+    __slots__ = ("_lines", "exterior", "_off", "_masks", "_window")
 
-    def __init__(self, lines: Dict[Point, Tuple[List[int], bytes]],
+    def __init__(self, lines: Optional[Dict[Point, _Line]],
                  exterior: Tuple[int, ...]):
-        self.lines = lines
+        self._lines = lines
         self.exterior = exterior
         # a line off d0 | d1: no ends, and one run of the exterior side
         self._off = (), bytes(exterior[:1])
+        self._masks = self._window = None
+
+    @classmethod
+    def _of_masks(cls, ones: Dict[Point, int], masks0: Dict[Point, int],
+                  masks1: Dict[Point, int], window: Tuple[int, int, int, int],
+                  exterior: Tuple[int, ...]) -> "Sides":
+        # The sides of a walk on masks: the free cells of side 1 of
+        # each occupied line, and the masks of d0 and d1, on the window.
+        self = cls(None, exterior)
+        self._masks, self._window = (ones, masks0, masks1), window
+        return self
+
+    @property
+    def _dense(self) -> bool:
+        """Whether the sides are held as masks."""
+        return self._masks is not None
+
+    @property
+    def lines(self) -> Dict[Point, _Line]:
+        if self._lines is None:
+            self._lines = _cut_sides(*self._masks, *self._window)
+        return self._lines
 
     def along(self, key: Point) -> Callable[[int], int]:
         """The side of each free cell of line key, by its last coordinate."""
@@ -99,7 +133,61 @@ class Sides:
 
     def of(self, q: Point) -> int:
         """The side of q, a grid point off d0 and d1."""
-        return self.along(q[:-1])(q[-1])
+        if self._masks is None:
+            return self.along(q[:-1])(q[-1])
+        if q[-1] < self._window[0]:  # on a left ray or a line off d0 | d1
+            return self.exterior[0]
+        return self._outside(q[:-1], q[-1]) & 1
+
+    def _outside(self, key: Point, lo: int) -> int:
+        # The cells of line key from lo, at the window's cell step, that
+        # lie in d1 or are free of side 1, one bit each, in the low bit
+        # of a byte per cell: beyond the window those of the ray of side
+        # 1, and all of a line off d0 | d1 where the exterior side is 1.
+        # The low bits of the bytes are the cells outside the set that
+        # a valid pair bounds.
+        ones, _, masks1 = self._masks
+        left, right = self.exterior
+        line = ones.get(key)
+        if line is None:
+            return -left
+        first, step, _, width = self._window
+        line |= masks1.get(key, 0)
+        if right:
+            line |= -1 << 8 * width
+        shift = 8 * ((first - lo) // step)
+        if shift < 0:
+            return line >> -shift
+        return line << shift | (1 << shift) - 1 if left else line << shift
+
+
+#: The run ends of a line and their sides, as `Sides.lines` holds them.
+_Line = Tuple[List[int], bytes]
+
+
+def _cut_sides(ones: Dict[Point, int], masks0: Dict[Point, int],
+               masks1: Dict[Point, int], lo: int, step: int, every: int,
+               width: int) -> Dict[Point, _Line]:
+    # `Sides.lines` of a walk on masks, for each line of d0 | d1: the run
+    # ends as `run_ends` gives them, the first and the last cell of each
+    # run of d0 | d1, which have no neighbour before (after) them on the
+    # line, cut by `compress`; a cell's side is 1 when it lies in d1, and
+    # by rule (a) a bounded run's side is that of both cells around it.
+    cells = list(range(lo, lo + width * step, step))
+    lines = {}
+    for key in ones:
+        o1 = masks1.get(key, 0)
+        occ = masks0.get(key, 0) | o1
+        starts = (occ & ~(occ << 8)).to_bytes(width, "little")
+        stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
+        firsts = list(compress(cells, starts))
+        ends = firsts * 2
+        ends[::2] = firsts
+        ends[1::2] = list(compress(cells, stops))
+        in1 = o1.to_bytes(width, "little")
+        lines[key] = ends, (bytes(compress(in1, starts))
+                            + bytes(compress(in1, stops))[-1:])
+    return lines
 
 
 @dataclass(frozen=True)
@@ -167,8 +255,6 @@ _PASS = AxiomCheck(True)
 
 
 _Walk = Tuple[List[Point], List[Point], List[Point], Optional[Sides]]
-#: The run ends of a line and their sides, as `Sides.lines` holds them.
-_Line = Tuple[List[int], bytes]
 
 
 def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
@@ -178,28 +264,33 @@ def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
     # such point is found, the sides of the free runs, or None once one
     # of the rules (a)-(c) of `validate` fails.  The tests of one line
     # come in two forms, chosen once: point by point (`_tests`,
-    # `_leaks`), or, where the pair is dense, on masks (`_mask_steps`).
-    # `tests` gives the least cell of each set that touches no cell of
-    # the other, the least cell of both, the run ends with their sides
-    # (None unless asked for, or where (a) fails) and what `leaks`, the
-    # rules (b) and (c) of a line, reads of the neighbouring lines.
+    # `_leaks`, `Sides`), or, where the pair is dense, on masks
+    # (`_mask_steps`).  `tests` gives the least cell of each set that
+    # touches no cell of the other, the least cell of both, the line's
+    # runs, a pair whose second item starts and ends with the sides of
+    # the rays (None unless asked for, or where (a) fails), and what
+    # `leaks`, the rules (b) and (c) of a line, reads of the
+    # neighbouring lines; `sides` makes the `Sides` of the runs found.
     keys = d0._line_keys() | d1._line_keys()
     form = _form((d0, d1), 0, s, s, once=True)
     if isinstance(form, _Masks):
-        get0, get1, empty = form.lines.get, form.of(d1).get, 0
-        tests, leaks = _mask_steps(form, keys, s)
+        masks1 = form.of(d1)
+        get0, get1, empty = form.lines.get, masks1.get, 0
+        # at most as many lines beside a line as `_lines_beside` lists
+        tests, leaks, sides, nothing = _mask_steps(
+            form, masks1, s, min(3 ** (dim - 1), len(keys) + 1))
     else:
         get0, get1, empty = form.lines.get, d1.lines.get, ()
-        tests, leaks = _tests, _leaks
-    lines_beside, nothing = _lines_beside(keys), repeat(empty)
+        tests, leaks, sides, nothing = _tests, _leaks, Sides, repeat(())
+    lines_beside = _lines_beside(keys)
     failing0, failing1, overlap = [], [], []
-    found: Dict[Point, _Line] = {}
+    found: Dict[Point, tuple] = {}
     agree, exterior = True, None
     for key in keys:
         beside = lines_beside(key, s)
         o0, o1 = get0(key, empty), get1(key, empty)
-        # each neighbouring line of d0 and of d1, `empty` off the set
-        lonely0, lonely1, both, line, near0, near1 = tests(
+        # each neighbouring line of d0 and of d1, `nothing` off the set
+        lonely0, lonely1, both, line, near = tests(
             o0, o1, map(get0, beside, nothing), map(get1, beside, nothing),
             s, agree)
         if lonely0 is not None:
@@ -214,16 +305,16 @@ def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
         found[key] = line
         # (b): both rays, which in 1-D keep their own sides; then (c),
         # and (b) beside a line off d0 | d1 (a 1-D line has none beside)
-        sides = line[1]
+        rays = line[1]
         if exterior is None:
-            exterior = sides[0]
-        if (sides[0] != exterior or sides[-1] != exterior and dim > 1
-                or leaks(o0, o1, near0, near1, beside, line, exterior)):
+            exterior = rays[0]
+        if (rays[0] != exterior or rays[-1] != exterior and dim > 1
+                or leaks(o0, o1, near, line, exterior)):
             agree = False
     if not agree:
         return failing0, failing1, overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
-    return failing0, failing1, overlap, Sides(found, (rays[0], rays[-1]))
+    return failing0, failing1, overlap, sides(found, (rays[0], rays[-1]))
 
 
 def _tests(a: List[int], b: List[int], around0: Iterable, around1: Iterable,
@@ -274,11 +365,11 @@ def _tests(a: List[int], b: List[int], around0: Iterable, around1: Iterable,
             if not (c in near or c - s in reach or c + s in reach):
                 lonely1 = c
                 break
-    return lonely0, lonely1, both, line, around0, around1
+    return lonely0, lonely1, both, line, (around0, around1)
 
 
-def _leaks(a: List[int], b: List[int], around0: list, around1: list,
-           beside: Tuple[Point, ...], line: _Line, exterior: int) -> bool:
+def _leaks(a: List[int], b: List[int], near: Tuple[list, list], line: _Line,
+           exterior: int) -> bool:
     # Rule (c) point by point, and rule (b) beside a line off d0 | d1:
     # the window [a - s, b + s] of the bounded run [a, b] between
     # ends[k - 1] and ends[k] spans the cells of (c); that of the left
@@ -286,7 +377,7 @@ def _leaks(a: List[int], b: List[int], around0: list, around1: list,
     ends, sides = line
     first, last = ends[0], ends[-1]
     bounded = range(2, len(ends) - 1, 2)
-    for near0, near1 in zip(around0, around1):
+    for near0, near1 in zip(*near):
         if not near0 and not near1:
             if (a, b)[1 - exterior]:
                 return True
@@ -305,14 +396,25 @@ def _leaks(a: List[int], b: List[int], around0: list, around1: list,
     return False
 
 
-def _mask_steps(form: _Masks, keys: Set[Point], s: int) -> tuple:
-    # `_tests` and `_leaks` on the masks of a dense pair, on one window
-    # of cells `form.targets`, whose first and last cells hold no point.
-    # Each test of a line is a few operations on its masks o0 and o1
-    # and on the ORs of its neighbouring lines' masks, u0 and u1; a
-    # shift by 8 bits moves every cell one step along the line.
+def _mask_steps(form: _Masks, masks1: Dict[Point, int], s: int,
+                beside: int) -> tuple:
+    # `_tests`, `_leaks` and `Sides` on the masks of a dense pair, d0's
+    # `form.lines` and d1's masks1, on one window of cells
+    # `form.targets`, whose first and last cells hold no point, and what
+    # stands for a neighbouring line off a set.  Each test of a line is
+    # a few operations on its masks o0 and o1 and on the ORs of its
+    # neighbouring lines' masks, u0 and u1; a shift by 8 bits moves
+    # every cell one step along the line.  A line's runs are the mask of
+    # its free cells of side 1, the rays' cells in the window included,
+    # and the sides of its rays.
     cells, every = form.targets, form._grid(s)
-    width = len(cells)
+    window = form._lo, form._step, 1, form._width
+    # A neighbouring line off a set stands as the bit of its place among
+    # the at most `beside` lines beside a line, above the window and
+    # apart from it by more than a shift, so u0 & u1 holds one of these
+    # bits exactly where a neighbouring line is off d0 | d1.
+    off = 8 * (form._width + 2)
+    nothing = [1 << off + i for i in range(beside)]
 
     def tests(o0: int, o1: int, around0: Iterable, around1: Iterable,
               s: int, runs: bool) -> tuple:
@@ -330,49 +432,42 @@ def _mask_steps(form: _Masks, keys: Set[Point], s: int) -> tuple:
         if o0 & o1:
             both = cells[_least(o0 & o1)]
         elif runs:
-            # the run ends, as `run_ends` gives them: the first and the
-            # last cell of each run of d0 | d1, the cells without a
-            # neighbour before (after) them on the line
+            # The free cells of side 1 are the runs after a cell of d1,
+            # found by a carry through the run's bytes filled with ones,
+            # and the left ray, before the first cell, when that is of
+            # d1.  (a): no run after a cell of d1 ends before a cell of
+            # d0, and no run after a cell of d0 before a cell of d1.
             occ = o0 | o1
-            starts = (occ & ~(occ << 8)).to_bytes(width, "little")
-            stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
-            firsts = list(compress(cells, starts))
-            ends = firsts * 2
-            ends[::2] = firsts
-            ends[1::2] = list(compress(cells, stops))
-            if o0 and o1:
-                # a cell's side is 1 when it lies in d1
-                in1 = o1.to_bytes(width, "little")
-                heads = bytes(compress(in1, starts))
-                tails = bytes(compress(in1, stops))
-                # (a): the two end cells of each bounded run
-                if heads[1:] == tails[:-1]:
-                    line = ends, heads + tails[-1:]
-            else:
-                line = ends, (b"\1" if o1 else b"\0") * (len(firsts) + 1)
-        return lonely0, lonely1, both, line, u0, u1
+            free = every & ~occ
+            filled = free * 255
+            ones = filled & ~(filled + (free & o1 << 8)) & every
+            first = occ & -occ
+            if not (ones & o0 >> 8 or free & ~ones & -first & o1 >> 8):
+                if o1 & first:
+                    ones |= every & first - 1
+                line = ones, bytes((o1 & first and 1,
+                                    o1 >> occ.bit_length() - 1 & 1))
+        return lonely0, lonely1, both, line, (u0, u1)
 
-    def leaks(o0: int, o1: int, u0: int, u1: int, beside: Tuple[Point, ...],
-              line: _Line, exterior: int) -> int:
+    def leaks(o0: int, o1: int, near: Tuple[int, int], line: tuple,
+              exterior: int) -> int:
         # (b) beside a line off d0 | d1, then (c), nonzero where it
-        # fails: the free cells of side 1 are the runs after a cell of d1,
-        # found by a carry through the run's bytes filled with ones, and
-        # the left ray when the exterior side is 1; each side's windows
-        # are its runs widened by one cell, and they must not meet the
-        # other set on a neighbouring line
-        if (o1, o0)[exterior] and not keys.issuperset(beside):
+        # fails: each side's windows are its free cells widened by one
+        # cell, and they must not meet the other set on a neighbouring
+        # line
+        u0, u1 = near
+        if (o1, o0)[exterior] and (u0 & u1) >> off:
             return True
-        occ = o0 | o1
-        free = every & ~occ
-        filled = free * 255
-        ones = filled & ~(filled + (free & o1 << 8)) & every
-        if exterior:
-            ones |= every & (occ & -occ) - 1
-        zeros = free & ~ones
+        ones = line[0]
+        zeros = every & ~(o0 | o1 | ones)
         return ((zeros | zeros << 8 | zeros >> 8) & u1
                 or (ones | ones << 8 | ones >> 8) & u0)
 
-    return tests, leaks
+    def sides(found: Dict[Point, tuple], exterior: Tuple[int, ...]) -> Sides:
+        ones = {key: line[0] for key, line in found.items()}
+        return Sides._of_masks(ones, form.lines, masks1, window, exterior)
+
+    return tests, leaks, sides, nothing
 
 
 def validate(pair: BoundaryPair) -> AxiomReport:
@@ -408,7 +503,8 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     Moore neighbours, or, where those outnumber the K occupied lines
     (and the pair cannot be valid), the occupied ones and one off them.
     The cost is O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever
-    the bounding box.  The report carries the `Sides`.  Only when a rule
+    the bounding box.  The report carries the `Sides`, as masks where
+    the walk ran on them.  Only when a rule
     fails, or the sets overlap, are the components labelled
     (`gridset.components_within`, on the same `geometry.run_ends`), to
     name the separation witness: the least point of the first component
@@ -452,17 +548,23 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     the set and, for a valid pair, is adjacent to exactly one of d0/d1,
     which validation's `Sides` record for each free run.  The result is
     finite when the exterior side is d1 and cofinite when it is d0; in
-    1-D the two rays must have one side.  The empty pair reconstructs to the full grid.  The result's line index
-    is that of d0 (d1 when cofinite) plus the bounded runs of that side:
-    only the lines that grow are copied, and only those runs' cells are
-    enumerated.  In 1-D the gap between two far clusters is one bounded
-    run.
+    1-D the two rays must have one side.  The empty pair reconstructs
+    to the full grid.
+
+    The result's line index is that of d0 (d1 when cofinite) plus the
+    bounded runs of that side: only the lines that grow are copied, and
+    only those runs' cells are enumerated.  In 1-D the gap between two
+    far clusters is one bounded run.  Where the walk ran on masks, each
+    line of the result is one mask on the walk's window: the cells of
+    side 1 or of d1 (`Sides._outside`) for a cofinite set, the others
+    for a finite one, so the result is a dense view and no line is cut.
     """
     report = require_valid(pair)
     if pair.is_empty:
         return GridSet.full_grid(pair.dim, pair.spacing)
 
-    exterior = report.sides.exterior
+    sides = report.sides
+    exterior = sides.exterior
     if len(set(exterior)) > 1:
         raise ValueError(
             "the two infinite rays reconstruct to different sides, so the "
@@ -470,16 +572,26 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     cofinite = exterior[0] == 0
     mode, stored = (Mode.COFINITE, 1) if cofinite else (Mode.FINITE, 0)
     s = pair.spacing
+    if sides._dense:
+        lo, width = sides._window[0], sides._window[3]
+        every = int.from_bytes(b"\1" * width, "little")
+        # the cells outside the set are a cofinite set's stored points,
+        # and the window's other cells a finite set's
+        flip = 0 if cofinite else every
+        masks = {key: mask for key in sides._masks[0]
+                 if (mask := (sides._outside(key, lo) ^ flip) & every)}
+        return GridSet._trusted(pair.dim, s, mode,
+                                PointView._of_masks(masks, sides._window))
     lines = dict((pair.d1 if cofinite else pair.d0).lines)
     # the bounded runs on the stored side: inside a finite set, outside
     # a cofinite one
-    for key, (ends, sides) in report.sides.lines.items():
+    for key, (ends, runs) in sides.lines.items():
         grown: List[int] = []
-        for j in range(1, len(sides) - 1):
-            if sides[j] == stored:
+        for j in range(1, len(runs) - 1):
+            if runs[j] == stored:
                 grown.extend(range(ends[2 * j - 1] + s, ends[2 * j], s))
         if grown:
             grown.extend(lines.get(key, ()))
             grown.sort()
             lines[key] = grown
-    return GridSet._trusted(pair.dim, pair.spacing, mode, lines)
+    return GridSet._trusted(pair.dim, s, mode, lines)

@@ -23,7 +23,8 @@ from gridpairs.formats import (ASCII_CELL_BUDGET, parse_text, render,
 from gridpairs.geometry import PointView, _form, lines_of
 from gridpairs.gridset import GridSet, Mode, Window, complement, random_set
 from gridpairs.layers import layer, trace
-from gridpairs.pairs import BoundaryPair, validate
+from gridpairs.lifted import lift_restrict
+from gridpairs.pairs import AxiomReport, BoundaryPair, reconstruct, validate
 from gridpairs.transfer import GridRatio, restrict
 
 from conftest import each_form, fixture_text, lines_built, masks_built
@@ -292,20 +293,35 @@ def test_a_form_takes_a_dense_view_as_its_lines(source, target):
 
 def test_dense_requests_build_no_lists():
     # parse, trace, layer(M, 3) or restriction by 2, and write, of a
-    # dense 128^2 ASCII set, finite and cofinite, all on masks
+    # dense 128^2 ASCII set, finite and cofinite, all on masks; then
+    # parse, validate, reconstruct or lift_restrict by 2, 3 or 4, and
+    # write, of its trace: the walk keeps its sides as masks, which
+    # reconstruct and lift_restrict read
     M = random_set(Window((0, 0), (127, 127)), 0.5, 7)
+    lifts = [lambda pair, n=n: lift_restrict(pair, GridRatio(n))
+             for n in (2, 3, 4)]
     for gridset in (M, complement(M)):
-        text = serialize_ascii(gridset)
-        for operation in (trace, lambda M: layer(M, 3),
-                          lambda M: restrict(M, GridRatio(2))):
+        pair = trace(gridset)
+        requests = [(gridset, operation, serialize_ascii, 1)
+                    for operation in (trace, lambda M: layer(M, 3),
+                                      lambda M: restrict(M, GridRatio(2)))]
+        requests += [(pair, validate, AxiomReport.describe, 1),
+                     (pair, reconstruct, serialize_ascii, 1)]
+        requests += [(pair, lift, serialize_ascii, 2) for lift in lifts]
+        for doc, operation, write, masks in requests:
+            text = serialize_ascii(doc)
+
             def request():
                 doc = parse_text(text)
-                assert doc.points._dense
-                return serialize_ascii(operation(doc))
+                assert all(view._dense for view in fields(doc))
+                return write(operation(doc))
 
             assert lines_built(request) == 0
-            assert masks_built(request) == 1
-            assert request() == serialize_ascii(operation(gridset))
+            assert masks_built(request) == masks
+            # the list route: the document from its points, with the
+            # dense form's gate forced open and forced shut
+            assert each_form(lambda: write(operation(rebuilt(doc)))) == (
+                [request()] * 2)
 
 
 def test_thin_documents_are_read_into_lists():

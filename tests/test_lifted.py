@@ -13,7 +13,8 @@ from gridpairs.pairs import (BoundaryPair, InvalidPairError, reconstruct,
                             validate)
 from gridpairs.transfer import GridRatio, interpolate, restrict
 
-from conftest import fixture_text, large_cofinite_holes, two_clusters
+from conftest import (fixture_text, in_both_forms, large_cofinite_holes,
+                      two_clusters)
 
 
 def empty_pair(spacing, dim=2):
@@ -153,8 +154,10 @@ class TestLocality:
     def test_half_line_restricts_like_a_long_segment(self, n):
         # (-inf, 0] is a valid 1-D pair whose rays lie on opposite sides,
         # so no full set stands behind it; near 0 it restricts as
-        # [-60, 0] does
-        half = lift_restrict(BoundaryPair.of([(0,)], [(1,)]), GridRatio(n))
+        # [-60, 0] does, on masks, where the candidates beyond the walk's
+        # window take each ray's side, and on sets
+        half = in_both_forms(lambda: lift_restrict(
+            BoundaryPair.of([(0,)], [(1,)]), GridRatio(n)))
         segment = lift_restrict(trace(GridSet.finite(
             {(c,) for c in range(-60, 1)})), GridRatio(n))
         assert half.d0 == {p for p in segment.d0 if p[0] > -30}

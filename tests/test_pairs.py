@@ -22,10 +22,10 @@ from gridpairs.pairs import (AxiomCheck, BoundaryPair, InvalidPairError,
                              reconstruct, validate)
 from gridpairs.transfer import GridRatio
 
-from conftest import (adjacency_check, far_clusters_blobs, fixture_text,
-                      in_both_forms, labelling_cases, large_cofinite_holes,
-                      masks_built, never_masks, two_clusters,
-                      validated_in_both_forms)
+from conftest import (adjacency_check, each_form, far_clusters_blobs,
+                      fixture_text, in_both_forms, labelling_cases,
+                      large_cofinite_holes, masks_built, never_masks,
+                      sides_of, two_clusters, validated_in_both_forms)
 
 #: Most window cells per point for which the forced-open gate builds
 #: masks where clusters lie 10^6 or 10^23 steps apart; farther pairs
@@ -333,6 +333,46 @@ def test_walk_matches_the_references_on_mutated_traces(dim, spacing):
                            for q in cells if q not in candidate.d0
                            and q not in candidate.d1)
     assert leaks >= 10
+
+
+@pytest.mark.parametrize("spacing", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
+    # A walk on masks answers `Sides.of` from its masks: beyond its
+    # window by the rays' sides, and on a line off d0 | d1 by the
+    # exterior side.  Every free cell of the window of d0 | d1 inflated
+    # by 2n + 2 steps, farther than the candidates of `lift_restrict`
+    # at ratio n reach, and far out on the rays, has the side that the
+    # walk point by point gives it, in traces of finite and cofinite
+    # sets, every third box shifted by 10^23 steps, and every third by
+    # -10^23.
+    rng = random.Random(100 + 10 * dim + spacing)
+    s, n = spacing, (5, 5, 2)[dim - 1]
+    span = {1: 12, 2: 8, 3: 4}[dim]
+    cofinite = 0
+    for index in range(9):
+        low = s * (0, 10**23, -10**23)[index % 3]
+        box = Window((low,) * dim, (low + (span - 1) * s,) * dim)
+        M = random_set(box, rng.choice((0.3, 0.5, 0.7)),
+                       rng.randrange(10**6), s)
+        if rng.random() < 0.3:
+            M = GridSet(dim, s, Mode.COFINITE, M.points)
+            cofinite += 1
+        pair = trace(M)
+        if pair.is_empty:
+            continue
+        masks, sets = each_form(lambda: validate(pair))
+        assert masks.sides._dense and not sets.sides._dense
+        window = window_of(pair.d0 | pair.d1).inflate((2 * n + 2) * s)
+        free = [q for q in window.grid_points(s)
+                if q not in pair.d0 and q not in pair.d1]
+        # and on the rays of each line, 10^30 steps out
+        free += [p[:-1] + (p[-1] + far * s,) for p in pair.d0 | pair.d1
+                 for far in (-10**30, 10**30)]
+        assert ([masks.sides.of(q) for q in free]
+                == [sets.sides.of(q) for q in free])
+        assert sides_of(masks) == sides_of(sets)
+    assert cofinite
 
 
 @pytest.mark.parametrize("dim, count", [(4, 12), (5, 9)])
