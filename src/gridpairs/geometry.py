@@ -576,11 +576,12 @@ class _Masks(_Sets):
     _meet = staticmethod(lambda *row: reduce(and_, row))
     _cut = staticmethod(lambda line, off: line & ~off)
 
-    def __init__(self, points: PointView, lo: int, width: int, source: int,
+    def __init__(self, points: PointView, lo: int, hi: int, source: int,
                  target: int):
         self._lo, self._step = lo, min(source, target)
-        self._width, self._every = width, target // self._step
-        self.targets = list(range(lo, lo + width * self._step, target))
+        self._width = (hi - lo) // self._step + 1
+        self._every = target // self._step
+        self.targets = list(range(lo, hi + 1, target))
         self.lines = self.of(points)
 
     def of(self, points: PointView) -> Dict[Point, int]:
@@ -651,32 +652,42 @@ def _form(views: Tuple[PointView, ...], radius: int, source: int,
     `views` share, where they pay, the sets otherwise.
 
     The window spans their last coordinates, padded by radius plus that
-    step on each side.  This is the one gate of the dense form: masks
-    need at least `_MIN_POINTS` stored points in all and at most
-    `_CELLS_PER_POINT` source cells of the window, once per line, per
-    point, so that the cost follows the points where they are few or
-    far apart.  An operation that grows the points `once` (a transfer,
-    the walk of `pairs.validate`, the core of `lifted.lift_restrict`)
-    also needs `_POINTS_PER_LINE` points per line: on shorter lines
-    building and reading the masks costs more than the one growth
-    saves.  `layers` takes a ring after its growth and wins on masks at
-    every line length.  The gate reads the views' lengths, line keys
-    and line ends, which dense views give from their masks."""
+    step on each side.  This is the one gate of the dense form, which
+    `_masks` skips: masks need at least `_MIN_POINTS` stored points in
+    all and at most `_CELLS_PER_POINT` source cells of the window, once
+    per line, per point, so that the cost follows the points where they
+    are few or far apart.  An operation that grows the points `once` (a
+    transfer, the walk of `pairs.validate`) also needs
+    `_POINTS_PER_LINE` points per line: on shorter lines building and
+    reading the masks costs more than the one growth saves.  `layers`
+    takes a ring after its growth and wins on masks at every line
+    length.  The gate reads the views' lengths, line keys and line ends,
+    which dense views give from their masks."""
     points = sum(map(len, views))
     if points >= _MIN_POINTS:
         keys = (len(views[0]._line_keys()) if len(views) == 1 else
                 len(set().union(*[view._line_keys() for view in views])))
         if not once or points >= _POINTS_PER_LINE * keys:
-            coarse = max(source, target)
-            pad = radius + coarse
-            ends = [view._line_ends() for view in views if view]
-            lo = (min([end[0] for end in ends]) - pad) // coarse * coarse
-            hi = max([end[1] for end in ends]) + pad
+            lo, hi = _padded(views, radius, max(source, target))
             if ((hi - lo) // source + 1) * keys <= _CELLS_PER_POINT * points:
-                return _Masks(views[0], lo,
-                              (hi - lo) // min(source, target) + 1,
-                              source, target)
+                return _Masks(views[0], lo, hi, source, target)
     return _Sets(views[0])
+
+
+def _padded(views: Tuple[PointView, ...], radius: int,
+            coarse: int) -> Tuple[int, int]:
+    # The first and the last cell of `_form`'s window, on the coarse grid
+    pad = radius + coarse
+    ends = [view._line_ends() for view in views if view]
+    return ((min([end[0] for end in ends]) - pad) // coarse * coarse,
+            max([end[1] for end in ends]) + pad)
+
+
+def _masks(views: Tuple[PointView, ...], radius: int, source: int,
+           target: int) -> _Masks:
+    """The first of `views` as masks on `_form`'s window, ungated."""
+    return _Masks(views[0], *_padded(views, radius, max(source, target)),
+                  source, target)
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

@@ -20,10 +20,11 @@ pair's witness.  On a dense pair a line is a mask, one int with one
 byte per cell of a window that all lines share, tested by a few
 operations on it and on the OR of its neighbouring lines' masks, and
 its runs' sides are the mask of its free cells of side 1.  `Sides`
-keeps them as masks, from which `reconstruct` and
-`lifted.lift_restrict` read a line's cells outside the set by a shift
-or two, and cuts the run ends that the walk point by point gives only
-when they are read, so the report is the same in both forms.
+keeps one mask per line, its cells in d1 or free of side 1, from which
+`reconstruct` and `lifted.lift_restrict` read a line's cells outside
+the set by a shift or two, and `Sides.of` answers as it does on the
+run ends of the walk point by point, so the report is the same in both
+forms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, repeat
+from itertools import repeat
 from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Tuple)
@@ -85,55 +86,34 @@ class Sides:
     are the side of the unbounded component, which holds both rays of
     every line and every line off d0 | d1.
 
-    The walk of a dense pair keeps its sides as masks instead, on the
-    window of its line masks (lo, cell step, 1, width): per occupied
-    line the mask of its free cells of side 1, the rays' cells in the
-    window included, with the masks of d0 and d1.  `lines` is cut from
-    them on first read, as `PointView.lines` is, and kept; `of` reads
-    the masks, through `_outside`, the cells of side 1 or of d1 of a
-    line on any window of the same cells, on which `reconstruct` and
-    `lifted.lift_restrict` work without cutting a line.
+    The walk of a dense pair keeps its sides as masks instead, and
+    `lines` is None: per occupied line, on the window of its line masks
+    (lo, cell step, 1, width), the mask of its cells in d1 or free of
+    side 1, the rays' cells in the window included.  `of` reads them
+    through `_outside`, which lays them on any window of the same
+    cells, as `reconstruct` and `lifted.lift_restrict` do.
     """
 
-    __slots__ = ("_lines", "exterior", "_off", "_masks", "_window")
+    __slots__ = ("lines", "exterior", "_off", "_masks", "_window")
 
     def __init__(self, lines: Optional[Dict[Point, _Line]],
-                 exterior: Tuple[int, ...]):
-        self._lines = lines
-        self.exterior = exterior
+                 exterior: Tuple[int, ...],
+                 masks: Optional[Dict[Point, int]] = None,
+                 window: Optional[Tuple[int, int, int, int]] = None):
+        self.lines, self.exterior = lines, exterior
         # a line off d0 | d1: no ends, and one run of the exterior side
         self._off = (), bytes(exterior[:1])
-        self._masks = self._window = None
-
-    @classmethod
-    def _of_masks(cls, ones: Dict[Point, int], masks0: Dict[Point, int],
-                  masks1: Dict[Point, int], window: Tuple[int, int, int, int],
-                  exterior: Tuple[int, ...]) -> "Sides":
-        # The sides of a walk on masks: the free cells of side 1 of
-        # each occupied line, and the masks of d0 and d1, on the window.
-        self = cls(None, exterior)
-        self._masks, self._window = (ones, masks0, masks1), window
-        return self
-
-    @property
-    def _dense(self) -> bool:
-        """Whether the sides are held as masks."""
-        return self._masks is not None
-
-    @property
-    def lines(self) -> Dict[Point, _Line]:
-        if self._lines is None:
-            self._lines = _cut_sides(*self._masks, *self._window)
-        return self._lines
+        self._masks, self._window = masks, window
 
     def along(self, key: Point) -> Callable[[int], int]:
-        """The side of each free cell of line key, by its last coordinate."""
+        """The side of each free cell of line key, by its last coordinate;
+        for sides held as run ends."""
         ends, sides = self.lines.get(key, self._off)
         return lambda c: sides[(bisect_left(ends, c) + 1) // 2]
 
     def of(self, q: Point) -> int:
         """The side of q, a grid point off d0 and d1."""
-        if self._masks is None:
+        if self.lines is not None:
             return self.along(q[:-1])(q[-1])
         if q[-1] < self._window[0]:  # on a left ray or a line off d0 | d1
             return self.exterior[0]
@@ -146,13 +126,11 @@ class Sides:
         # 1, and all of a line off d0 | d1 where the exterior side is 1.
         # The low bits of the bytes are the cells outside the set that
         # a valid pair bounds.
-        ones, _, masks1 = self._masks
         left, right = self.exterior
-        line = ones.get(key)
+        line = self._masks.get(key)
         if line is None:
             return -left
         first, step, _, width = self._window
-        line |= masks1.get(key, 0)
         if right:
             line |= -1 << 8 * width
         shift = 8 * ((first - lo) // step)
@@ -163,31 +141,6 @@ class Sides:
 
 #: The run ends of a line and their sides, as `Sides.lines` holds them.
 _Line = Tuple[List[int], bytes]
-
-
-def _cut_sides(ones: Dict[Point, int], masks0: Dict[Point, int],
-               masks1: Dict[Point, int], lo: int, step: int, every: int,
-               width: int) -> Dict[Point, _Line]:
-    # `Sides.lines` of a walk on masks, for each line of d0 | d1: the run
-    # ends as `run_ends` gives them, the first and the last cell of each
-    # run of d0 | d1, which have no neighbour before (after) them on the
-    # line, cut by `compress`; a cell's side is 1 when it lies in d1, and
-    # by rule (a) a bounded run's side is that of both cells around it.
-    cells = list(range(lo, lo + width * step, step))
-    lines = {}
-    for key in ones:
-        o1 = masks1.get(key, 0)
-        occ = masks0.get(key, 0) | o1
-        starts = (occ & ~(occ << 8)).to_bytes(width, "little")
-        stops = (occ & ~(occ >> 8)).to_bytes(width, "little")
-        firsts = list(compress(cells, starts))
-        ends = firsts * 2
-        ends[::2] = firsts
-        ends[1::2] = list(compress(cells, stops))
-        in1 = o1.to_bytes(width, "little")
-        lines[key] = ends, (bytes(compress(in1, starts))
-                            + bytes(compress(in1, stops))[-1:])
-    return lines
 
 
 @dataclass(frozen=True)
@@ -464,8 +417,9 @@ def _mask_steps(form: _Masks, masks1: Dict[Point, int], s: int,
                 or (ones | ones << 8 | ones >> 8) & u0)
 
     def sides(found: Dict[Point, tuple], exterior: Tuple[int, ...]) -> Sides:
-        ones = {key: line[0] for key, line in found.items()}
-        return Sides._of_masks(ones, form.lines, masks1, window, exterior)
+        return Sides(None, exterior, {key: line[0] | masks1.get(key, 0)
+                                      for key, line in found.items()},
+                     window)
 
     return tests, leaks, sides, nothing
 
@@ -504,11 +458,11 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     (and the pair cannot be valid), the occupied ones and one off them.
     The cost is O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever
     the bounding box.  The report carries the `Sides`, as masks where
-    the walk ran on them.  Only when a rule
-    fails, or the sets overlap, are the components labelled
-    (`gridset.components_within`, on the same `geometry.run_ends`), to
-    name the separation witness: the least point of the first component
-    adjacent to both sets, the unbounded ones first.
+    the walk ran on them.  Only when a rule fails, or the sets overlap,
+    are the components labelled (`gridset.components_within`, on the
+    same `geometry.run_ends`), to name the separation witness: the
+    least point of the first component adjacent to both sets, the
+    unbounded ones first.
     """
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
@@ -555,9 +509,10 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     bounded runs of that side: only the lines that grow are copied, and
     only those runs' cells are enumerated.  In 1-D the gap between two
     far clusters is one bounded run.  Where the walk ran on masks, each
-    line of the result is one mask on the walk's window: the cells of
-    side 1 or of d1 (`Sides._outside`) for a cofinite set, the others
-    for a finite one, so the result is a dense view and no line is cut.
+    line of the result is one mask on the walk's window: the line's
+    stored mask of `Sides`, its cells of side 1 or of d1, for a
+    cofinite set, and the window's other cells for a finite one, so the
+    result is a dense view and no line is cut.
     """
     report = require_valid(pair)
     if pair.is_empty:
@@ -572,14 +527,13 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     cofinite = exterior[0] == 0
     mode, stored = (Mode.COFINITE, 1) if cofinite else (Mode.FINITE, 0)
     s = pair.spacing
-    if sides._dense:
-        lo, width = sides._window[0], sides._window[3]
-        every = int.from_bytes(b"\1" * width, "little")
+    if sides.lines is None:  # held as masks
+        every = int.from_bytes(b"\1" * sides._window[3], "little")
         # the cells outside the set are a cofinite set's stored points,
         # and the window's other cells a finite set's
         flip = 0 if cofinite else every
-        masks = {key: mask for key in sides._masks[0]
-                 if (mask := (sides._outside(key, lo) ^ flip) & every)}
+        masks = {key: mask for key, outside in sides._masks.items()
+                 if (mask := (outside ^ flip) & every)}
         return GridSet._trusted(pair.dim, s, mode,
                                 PointView._of_masks(masks, sides._window))
     lines = dict((pair.d1 if cofinite else pair.d0).lines)

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from gridpairs import geometry
-from gridpairs.geometry import Point, check_on_grid, grid_range, moore_neighbors
+from gridpairs.geometry import (Point, check_on_grid, grid_range,
+                                moore_neighbors, run_ends)
 from gridpairs.gridset import (GridSet, Mode, Window, distance_map, random_set,
                                window_of)
 from gridpairs.pairs import AxiomCheck, validate
@@ -73,10 +74,24 @@ def in_both_forms(compute, cells=math.inf):
     return masks
 
 
-def sides_of(report):
-    """The free cells' sides of a report as plain data, or None."""
+def sides_of(report, pair):
+    """The free cells' sides of a pair's report as plain data, or None:
+    per occupied line its run ends, rebuilt by `run_ends`, and the sides
+    that `Sides.of` gives its left ray, the first free cell of each
+    bounded run and its right ray, with the exterior sides.  Sides held
+    as run ends must hold these."""
     sides = report.sides
-    return None if sides is None else (sides.lines, sides.exterior)
+    if sides is None:
+        return None
+    s, l0, l1 = pair.spacing, pair.d0.lines, pair.d1.lines
+    lines = {}
+    for key in l0.keys() | l1.keys():
+        ends = run_ends(sorted([*l0.get(key, ()), *l1.get(key, ())]), s)
+        firsts = [ends[0] - s, *[c + s for c in ends[1:-1:2]], ends[-1] + s]
+        lines[key] = ends, bytes([sides.of(key + (c,)) for c in firsts])
+    if sides.lines is not None:
+        assert lines == sides.lines
+    return lines, sides.exterior
 
 
 def validated_in_both_forms(pair, cells=math.inf):
@@ -86,7 +101,7 @@ def validated_in_both_forms(pair, cells=math.inf):
     masks, sets = each_form(lambda: validate(pair), cells)
     assert masks == sets
     assert masks.describe() == sets.describe()
-    assert sides_of(masks) == sides_of(sets)
+    assert sides_of(masks, pair) == sides_of(sets, pair)
     return masks
 
 

@@ -20,7 +20,7 @@ from gridpairs.oracle import (
 )
 from gridpairs.pairs import (AxiomCheck, BoundaryPair, InvalidPairError,
                              reconstruct, validate)
-from gridpairs.transfer import GridRatio
+from gridpairs.transfer import GridRatio, restrict
 
 from conftest import (adjacency_check, each_form, far_clusters_blobs,
                       fixture_text, in_both_forms, labelling_cases,
@@ -362,7 +362,7 @@ def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
         if pair.is_empty:
             continue
         masks, sets = each_form(lambda: validate(pair))
-        assert masks.sides._dense and not sets.sides._dense
+        assert masks.sides.lines is None and sets.sides.lines is not None
         window = window_of(pair.d0 | pair.d1).inflate((2 * n + 2) * s)
         free = [q for q in window.grid_points(s)
                 if q not in pair.d0 and q not in pair.d1]
@@ -371,7 +371,7 @@ def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
                  for far in (-10**30, 10**30)]
         assert ([masks.sides.of(q) for q in free]
                 == [sets.sides.of(q) for q in free])
-        assert sides_of(masks) == sides_of(sets)
+        assert sides_of(masks, pair) == sides_of(sets, pair)
     assert cofinite
 
 
@@ -544,6 +544,25 @@ class TestWalkGate:
         for pair in (trace(M), trace(complement(M))):
             assert masks_built(lambda: validate(pair)) == 1
             assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 2
+
+    def test_core_follows_the_walk(self):
+        # The core of lift_restrict takes the form that the walk took,
+        # also where D0 alone would not pass the gate: on these traces
+        # the walk runs on masks, while at 24^2 D0 alone has too few
+        # points for them and at 48^2 too wide a window for n >= 4.
+        # Where the walk keeps to sets, so does the core.
+        sets = [random_set(Window((0, 0), (side - 1, side - 1)), 0.3, 9)
+                for side in (24, 48)]
+        sets.append(GridSet(2, 1, Mode.COFINITE, random_set(
+            Window((0, 0), (23, 23)), 0.7, 9).points))
+        pairs = [(M, trace(M)) for M in sets]
+        sparse = trace(next(far_clusters_blobs()))
+        for n in range(2, 6):
+            ratio = GridRatio(n)
+            for M, pair in pairs:
+                assert masks_built(lambda: lift_restrict(pair, ratio)) == 2
+                assert lift_restrict(pair, ratio) == trace(restrict(M, ratio))
+            never_masks(lambda: lift_restrict(sparse, ratio))
 
 
 def _scaled_cluster(case):
