@@ -58,7 +58,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress, product
 from operator import add, and_, or_, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
-                    Iterable, Iterator, List, Set, Tuple)
+                    Iterable, Iterator, List, Optional, Set, Tuple)
 
 Point = Tuple[int, ...]
 #: A line index: the last coordinates of a point set, keyed by the
@@ -651,43 +651,41 @@ def _form(views: Tuple[PointView, ...], radius: int, source: int,
     step of the coarser grid: its masks, on a window that all of
     `views` share, where they pay, the sets otherwise.
 
-    The window spans their last coordinates, padded by radius plus that
-    step on each side.  This is the one gate of the dense form, which
-    `_masks` skips: masks need at least `_MIN_POINTS` stored points in
-    all and at most `_CELLS_PER_POINT` source cells of the window, once
-    per line, per point, so that the cost follows the points where they
-    are few or far apart.  An operation that grows the points `once` (a
-    transfer, the walk of `pairs.validate`) also needs
-    `_POINTS_PER_LINE` points per line: on shorter lines building and
-    reading the masks costs more than the one growth saves.  `layers`
-    takes a ring after its growth and wins on masks at every line
-    length.  The gate reads the views' lengths, line keys and line ends,
-    which dense views give from their masks."""
+    This is the gate of the dense form: masks need at least
+    `_MIN_POINTS` stored points in all and a window that `_windowed`
+    takes for them and the views' line keys.  An operation that grows
+    the points `once` (a transfer, the walk of `pairs.validate`) also
+    needs `_POINTS_PER_LINE` points per line: on shorter lines building
+    and reading the masks costs more than the one growth saves.
+    `layers` takes a ring after its growth and wins on masks at every
+    line length.  The gate reads the views' lengths, line keys and line
+    ends, which dense views give from their masks."""
     points = sum(map(len, views))
     if points >= _MIN_POINTS:
         keys = (len(views[0]._line_keys()) if len(views) == 1 else
                 len(set().union(*[view._line_keys() for view in views])))
         if not once or points >= _POINTS_PER_LINE * keys:
-            lo, hi = _padded(views, radius, max(source, target))
-            if ((hi - lo) // source + 1) * keys <= _CELLS_PER_POINT * points:
-                return _Masks(views[0], lo, hi, source, target)
+            masks = _windowed(views, radius, source, target, points, keys)
+            if masks is not None:
+                return masks
     return _Sets(views[0])
 
 
-def _padded(views: Tuple[PointView, ...], radius: int,
-            coarse: int) -> Tuple[int, int]:
-    # The first and the last cell of `_form`'s window, on the coarse grid
+def _windowed(views: Tuple[PointView, ...], radius: int, source: int,
+              target: int, points: int, keys: int) -> Optional[_Masks]:
+    """The first of `views` as masks on a window that all of them share,
+    spanning their last coordinates padded by radius plus one step of
+    the coarser grid on each side; None where it holds more than
+    `_CELLS_PER_POINT` source cells, once per line of keys, per one of
+    points, so that the cost follows those counts whatever the radius."""
+    coarse = max(source, target)
     pad = radius + coarse
     ends = [view._line_ends() for view in views if view]
-    return ((min([end[0] for end in ends]) - pad) // coarse * coarse,
-            max([end[1] for end in ends]) + pad)
-
-
-def _masks(views: Tuple[PointView, ...], radius: int, source: int,
-           target: int) -> _Masks:
-    """The first of `views` as masks on `_form`'s window, ungated."""
-    return _Masks(views[0], *_padded(views, radius, max(source, target)),
-                  source, target)
+    lo = (min([end[0] for end in ends]) - pad) // coarse * coarse
+    hi = max([end[1] for end in ends]) + pad
+    if ((hi - lo) // source + 1) * keys > _CELLS_PER_POINT * points:
+        return None
+    return _Masks(views[0], lo, hi, source, target)
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

@@ -9,15 +9,14 @@ settles each candidate by the side of the free run holding it, which
 validation's walk recorded; interpolation intersects half-step
 dilations of the two coarse boundaries.  Both work on the pair's line
 index with the line kernels of `geometry`, and return their results as
-line indexes.  Restriction runs on the form that validation's walk
-took for the pair, line masks where the pair is dense and sets
-elsewhere, so the candidates and the walk's sides meet in one form;
-interpolation runs on the set form.
+line indexes.  Restriction runs on line masks where validation's walk
+did, unless the ratio widens its window past the pair's points, and
+on sets elsewhere; interpolation runs on the set form.
 """
 
 from __future__ import annotations
 
-from .geometry import Lines, PointView, _masks, _Sets
+from .geometry import Lines, PointView, _Sets, _windowed
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -36,18 +35,21 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     works on boundary data alone: one dilation of D0, from the pair's
     line index, onto the coarse grid, one coarse step out from it to
     the candidates, and the side of each candidate, whatever the ratio
-    n.  The core takes the form that the walk of validation took.
-    Where the walk ran on masks, the dilation, the step out and the
-    inner boundary, the dilated points one coarse step from the outer
-    layer, run on D0's masks (`geometry._masks`), and a line's
-    candidates are settled by one AND with the walk's mask of its cells
-    in D1 or of side 1, shifted onto the core's window
-    (`pairs.Sides._outside`): beyond the walk's window they take the
-    sides of the rays, and on a line off D0 | D1 the exterior side.
-    Otherwise they run on sets, with one bisection among the run ends
-    of its line for each candidate off its line of D1, or none for a
-    line off D0 | D1, and only the candidates kept are sorted.  The
-    empty pair maps to the empty pair.  Three facts carry it:
+    n.  The core takes the form that the walk of validation took, where
+    the window fits the pair.  Where the walk ran on masks and D0's
+    window, padded by n/2 + n, fits the points of the pair
+    (`geometry._windowed`), the dilation, the step out and the inner
+    boundary, the dilated points one coarse step from the outer layer,
+    run on D0's masks, and a line's candidates are settled by one AND
+    with the walk's mask of its cells in D1 or of side 1, shifted onto
+    the core's window (`pairs.Sides._outside`): beyond the walk's
+    window they take the sides of the rays, and on a line off D0 | D1
+    the exterior side.  Otherwise they run on sets, and each candidate
+    off its line of D1 takes its side from `Sides.along`: a bisection
+    among its line's run ends, or a shift of the walk's line mask; only
+    the candidates kept are sorted.  So a large n, widening the window,
+    sends a pair walked on masks to sets, and the cost follows the
+    pair.  The empty pair maps to the empty pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -66,11 +68,14 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides = _require_valid(pair, 1, "lift_restrict").sides
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
-    dense = sides.lines is None  # the form that the walk took
-    form = _masks((pair.d0,), n // 2, 1, n) if dense else _Sets(pair.d0)
+    # the form that the walk took, while the window fits the pair
+    masks = sides.lines is None and _windowed(
+        (pair.d0,), n // 2, 1, n, len(pair.d0) + len(pair.d1),
+        len(pair.d0._line_keys()))
+    form = masks or _Sets(pair.d0)
     near = dict(form.dilate(form.lines, n, 1, n))
     candidates = form.ring(near, n)[1]
-    if dense:
+    if masks:
         # both on cells of step 1, the pair's spacing
         out1 = form.read((key, line & sides._outside(key, form._lo))
                          for key, line in candidates)

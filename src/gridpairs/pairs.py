@@ -91,7 +91,8 @@ class Sides:
     (lo, cell step, 1, width), the mask of its cells in d1 or free of
     side 1, the rays' cells in the window included.  `of` reads them
     through `_outside`, which lays them on any window of the same
-    cells, as `reconstruct` and `lifted.lift_restrict` do.
+    cells, as `reconstruct` and `lifted.lift_restrict` do, and `along`
+    through `of`, one shift of its line's mask per cell.
     """
 
     __slots__ = ("lines", "exterior", "_off", "_masks", "_window")
@@ -106,8 +107,9 @@ class Sides:
         self._masks, self._window = masks, window
 
     def along(self, key: Point) -> Callable[[int], int]:
-        """The side of each free cell of line key, by its last coordinate;
-        for sides held as run ends."""
+        """The side of each free cell of line key, by its last coordinate."""
+        if self.lines is None:  # held as masks
+            return lambda c: self.of(key + (c,))
         ends, sides = self.lines.get(key, self._off)
         return lambda c: sides[(bisect_left(ends, c) + 1) // 2]
 

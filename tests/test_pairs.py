@@ -13,8 +13,10 @@ from gridpairs.layers import trace
 from gridpairs.lifted import lift_restrict
 from gridpairs.oracle import (
     MAX_BRUTE_CELLS,
+    Direction,
     closer_set_window,
     components_bfs,
+    lifted_via_full,
     random_set,
     separation_bruteforce,
 )
@@ -370,7 +372,8 @@ def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
         free += [p[:-1] + (p[-1] + far * s,) for p in pair.d0 | pair.d1
                  for far in (-10**30, 10**30)]
         assert ([masks.sides.of(q) for q in free]
-                == [sets.sides.of(q) for q in free])
+                == [sets.sides.of(q) for q in free]
+                == [masks.sides.along(q[:-1])(q[-1]) for q in free])
         assert sides_of(masks, pair) == sides_of(sets, pair)
     assert cofinite
 
@@ -549,8 +552,9 @@ class TestWalkGate:
         # The core of lift_restrict takes the form that the walk took,
         # also where D0 alone would not pass the gate: on these traces
         # the walk runs on masks, while at 24^2 D0 alone has too few
-        # points for them and at 48^2 too wide a window for n >= 4.
-        # Where the walk keeps to sets, so does the core.
+        # points for them and at 48^2 too few for its window at n >= 4,
+        # a window that the points of the whole pair cover.  Where the
+        # walk keeps to sets, so does the core.
         sets = [random_set(Window((0, 0), (side - 1, side - 1)), 0.3, 9)
                 for side in (24, 48)]
         sets.append(GridSet(2, 1, Mode.COFINITE, random_set(
@@ -563,6 +567,20 @@ class TestWalkGate:
                 assert masks_built(lambda: lift_restrict(pair, ratio)) == 2
                 assert lift_restrict(pair, ratio) == trace(restrict(M, ratio))
             never_masks(lambda: lift_restrict(sparse, ratio))
+
+    def test_core_keeps_to_the_pair_at_a_large_ratio(self):
+        # At ratio 10^6 the core's window would hold about 3 * 10^6
+        # cells per line, whatever the pair: a pair walked on masks
+        # then runs its core on sets, reading its candidates' sides
+        # from the walk's masks, so only the walk builds masks.
+        ratio = GridRatio(10**6)
+        M = random_set(Window((0, 0), (23, 23)), 0.3, 9)
+        for M in (M, GridSet(2, 1, Mode.COFINITE, M.points)):
+            pair = trace(M)
+            assert validate(pair).sides.lines is None
+            assert masks_built(lambda: lift_restrict(pair, ratio)) == 1
+            assert (lift_restrict(pair, ratio)
+                    == lifted_via_full(pair, ratio, Direction.RESTRICT))
 
 
 def _scaled_cluster(case):
