@@ -4,7 +4,7 @@ Every subcommand is a thin adapter around one library call: it parses a
 document from --input (default stdin), applies the operation, and writes
 the result to --output (default stdout) in the requested format, by
 default the input's.  Exit codes: 0 success, 1 validation failure, 2
-usage, parse or I/O error.
+usage, parse or I/O error, or a result that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_INVALID
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory for this request", file=sys.stderr)
         return EXIT_USAGE
 
 

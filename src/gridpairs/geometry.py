@@ -26,11 +26,10 @@ along the line by byte shifts, combined across lines by OR and AND, and
 cut by AND-NOT.  `_form` is the one gate between them: masks only when
 the padded window holds a few cells per stored point, the points are
 not few and, for an operation that grows them once, their lines are
-not short, so the cost keeps following the points.  It takes one line
-index, or both sets of a pair for `pairs.validate`, which lays them on
-one window.  Callers build the form once from the views of their
-inputs, run a whole operation on it and hand its result back once
-(`lines`, `of`, `read`).
+not short, so the cost keeps following the points.  Callers build the
+form once from the views of their inputs, run a whole operation on it
+and hand its result back once (`lines`, `of`, `read`).  `pairs.validate`
+lays a pair on bit boards instead (`_Board`), a bit per cell.
 
 The line index is the one stored form of a document's points
 (`gridset.Document`): each point field holds a `PointView`, the set
@@ -56,6 +55,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import lru_cache, reduce
 from itertools import chain, compress, product
+from math import prod
 from operator import add, and_, or_, sub
 from typing import (Callable, Collection, DefaultDict, Dict, FrozenSet,
                     Iterable, Iterator, List, Optional, Set, Tuple)
@@ -553,25 +553,23 @@ class _Masks(_Sets):
     one byte per cell of a window along the last axis that all lines
     share, 1 at a stored point and 0 elsewhere.
 
-    The window starts on the coarser of the source and target grids,
-    and its cells are steps of the finer; `targets` are its cells on
-    the target grid, ascending, and `of` lays the points of a view on
+    The window starts on the coarser of the source and target grids, and
+    its cells are steps of the finer; `of` lays the points of a view on
     it: a dense view's masks, on cells of the same step, are moved by
     one shift per line, and the others are built from the lines.  The
-    kernels are
-    those of `_Sets`, and a mask they yield holds cells of their target
-    grid only, so that one kernel's output can be the next one's input.
-    Along the last axis a dilation ORs and an erosion ANDs the mask's
-    byte shifts, by doubling; cells beyond the window count as not
-    stored, and an erosion from a grid coarser than the cells sets the
-    cells off that grid first, so that only its cells are tested.
-    Across the key axes the sweeps OR or AND the masks in reach, and a
-    mask less another is one AND-NOT.  `read` keeps the nonzero masks,
-    on this window, as a dense `PointView`, which cuts its sorted lines
-    from them only when they are read.
+    kernels are those of `_Sets`, and a mask they yield holds cells of
+    their target grid only, so that one kernel's output can be the next
+    one's input.  Along the last axis a dilation ORs and an erosion ANDs
+    the mask's byte shifts, by doubling; cells beyond the window count
+    as not stored, and an erosion from a grid coarser than the cells
+    sets the cells off that grid first, so that only its cells are
+    tested.  Across the key axes the sweeps OR or AND the masks in
+    reach, and a mask less another is one AND-NOT.  `read` keeps the
+    nonzero masks, on this window, as a dense `PointView`, which cuts
+    its sorted lines from them only when they are read.
     """
 
-    __slots__ = ("targets", "_lo", "_step", "_width", "_every")
+    __slots__ = ("_lo", "_step", "_width", "_every")
     _union = staticmethod(lambda *row: reduce(or_, row))
     _meet = staticmethod(lambda *row: reduce(and_, row))
     _cut = staticmethod(lambda line, off: line & ~off)
@@ -581,7 +579,6 @@ class _Masks(_Sets):
         self._lo, self._step = lo, min(source, target)
         self._width = (hi - lo) // self._step + 1
         self._every = target // self._step
-        self.targets = list(range(lo, hi + 1, target))
         self.lines = self.of(points)
 
     def of(self, points: PointView) -> Dict[Point, int]:
@@ -645,39 +642,42 @@ class _Masks(_Sets):
 
 
 def _form(views: Tuple[PointView, ...], radius: int, source: int,
-          target: int, once: bool = False) -> _Sets:
+          target: int, once: bool = False, build: bool = True) -> _Sets:
     """The first of `views` (of points on the source grid) in the form
     for growing it by radius onto the target grid and taking one more
     step of the coarser grid: its masks, on a window that all of
-    `views` share, where they pay, the sets otherwise.
+    `views` share, where they pay, the sets otherwise (without `build`,
+    only whether it takes masks).
 
     This is the gate of the dense form: masks need at least
     `_MIN_POINTS` stored points in all and a window that `_windowed`
     takes for them and the views' line keys.  An operation that grows
-    the points `once` (a transfer, the walk of `pairs.validate`) also
-    needs `_POINTS_PER_LINE` points per line: on shorter lines building
-    and reading the masks costs more than the one growth saves.
-    `layers` takes a ring after its growth and wins on masks at every
-    line length.  The gate reads the views' lengths, line keys and line
-    ends, which dense views give from their masks."""
+    the points `once` (a transfer, the core of `lifted.lift_restrict`)
+    also needs `_POINTS_PER_LINE` points per line: on shorter lines
+    building and reading the masks costs more than the one growth
+    saves.  `layers` takes a ring after its growth and wins on masks at
+    every line length.  The gate reads the views' lengths, line keys and
+    line ends, which dense views give from their masks."""
     points = sum(map(len, views))
     if points >= _MIN_POINTS:
         keys = (len(views[0]._line_keys()) if len(views) == 1 else
                 len(set().union(*[view._line_keys() for view in views])))
         if not once or points >= _POINTS_PER_LINE * keys:
-            masks = _windowed(views, radius, source, target, points, keys)
+            masks = _windowed(views, radius, source, target, points, keys,
+                              build)
             if masks is not None:
                 return masks
-    return _Sets(views[0])
+    return _Sets(views[0]) if build else None
 
 
 def _windowed(views: Tuple[PointView, ...], radius: int, source: int,
-              target: int, points: int, keys: int) -> Optional[_Masks]:
-    """The first of `views` as masks on a window that all of them share,
-    spanning their last coordinates padded by radius plus one step of
-    the coarser grid on each side; None where it holds more than
-    `_CELLS_PER_POINT` source cells, once per line of keys, per one of
-    points, so that the cost follows those counts whatever the radius."""
+              target: int, points: int, keys: int,
+              build: bool = True) -> Optional[_Masks]:
+    """The first of `views` as masks (True without `build`) on a window
+    that all of them share, spanning their last coordinates padded by
+    radius plus one step of the coarser grid on each side; None where it
+    holds more than `_CELLS_PER_POINT` source cells, once per line of
+    keys, per one of points, so the cost follows those counts."""
     coarse = max(source, target)
     pad = radius + coarse
     ends = [view._line_ends() for view in views if view]
@@ -685,7 +685,83 @@ def _windowed(views: Tuple[PointView, ...], radius: int, source: int,
     hi = max([end[1] for end in ends]) + pad
     if ((hi - lo) // source + 1) * keys > _CELLS_PER_POINT * points:
         return None
-    return _Masks(views[0], lo, hi, source, target)
+    return _Masks(views[0], lo, hi, source, target) if build else True
+
+
+#: The gate of the bit boards of `pairs.validate`: most bits of a board
+#: per point of the pair.
+_BITS_PER_POINT = 64
+#: A byte mask's cells as binary digits, and binary digits as cells.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_CELLS = bytes.maketrans(b"01", b"\0\1")
+
+
+class _Board:
+    """The layout of a bit board, an int of one bit per cell.  Its rows
+    are the lines of the box of the pair's line keys, padded by a blank
+    line at each end of each key axis, in lexicographic order.  A row holds `width` cells from `lo` at `step`,
+    a free cell beyond the pair's at each end, and a guard bit or more,
+    in `row` bits, whole bytes; a stride shifts one step along an axis.
+    `at` gives the row of each line key, `every` and `starts` hold each
+    row's cells, and its first cell."""
+
+    __slots__ = ("lo", "step", "width", "row", "rows", "at", "strides",
+                 "starts", "every")
+
+    @classmethod
+    def of(cls, views: Tuple[PointView, ...], keys: Collection[Point],
+           step: int) -> Optional["_Board"]:
+        """The board of the views' lines keys; None, before anything is
+        built, where it has over `_BITS_PER_POINT` bits per point."""
+        self, ends = cls(), [view._line_ends() for view in views if view]
+        self.lo, self.step = min([end[0] for end in ends]) - step, step
+        self.width = (max([end[1] for end in ends]) - self.lo) // step + 2
+        self.row = 8 * (self.width // 8 + 1)
+        keys = list(keys)
+        axes = list(zip(*keys))
+        lows = [min(axis) - step for axis in axes]
+        counts = [(max(axis) - low) // step + 2
+                  for axis, low in zip(axes, lows)]
+        self.rows = prod(counts)
+        if self.row * self.rows > _BITS_PER_POINT * sum(map(len, views)):
+            return None
+        rows = [0] * len(keys)
+        for axis, low, count in zip(axes, lows, counts):
+            rows = [i * count + (k - low) // step for i, k in zip(rows, axis)]
+        self.at = dict(zip(keys, rows))
+        self.strides = [self.row * prod(counts[j + 1:])
+                        for j in range(len(axes))]
+        self.starts = int.from_bytes(
+            (1).to_bytes(self.row // 8, "little") * self.rows, "little")
+        self.every = self.starts * ((1 << self.width) - 1)
+        return self
+
+    def build(self, view: PointView) -> int:
+        """The board of a view's points: a dense view's masks as the
+        digits of one numeral, the last row first, or point by point."""
+        lo, step, row = self.lo, self.step, self.row
+        if view._masks is not None and view._window[1:3] == (step, 1):
+            shift = 8 * ((view._window[0] - lo) // step)
+            digits = [bytes(row)] * self.rows
+            for key, mask in view._masks.items():
+                mask = mask << shift if shift >= 0 else mask >> -shift
+                digits[~self.at[key]] = mask.to_bytes(row, "big")
+            return int(b"".join(digits).translate(_DIGITS), 2)
+        cells = bytearray(self.rows * row // 8)
+        first = lo // step
+        rows = self.at
+        for key, line in view.lines.items():
+            base = rows[key] * row - first
+            for c in line:
+                at = base + c // step
+                cells[at >> 3] |= 1 << (at & 7)
+        return int.from_bytes(cells, "little")
+
+    def box(self, board: int) -> int:
+        """Each bit spread to the rows a step away along any key axis."""
+        for stride in self.strides:
+            board |= board << stride | board >> stride
+        return board
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

@@ -9,36 +9,27 @@ the separation axiom each complement component of D0 | D1 lies wholly
 inside or outside the set, so each free run has the side of the cells
 at its ends, and `Sides` records it.
 
-`validate` decides the axioms in one walk over the occupied lines.  The
-walk owns the loop, the lines beside each line, the witnesses, the
-rules that span lines and the `Sides`; the tests of one line come in
-two forms, picked once per walk by the gate of `geometry._form`.  Point
-by point, a line is its sorted cells, tested by membership and
+`validate` decides the axioms in one walk.  Where the gate of
+`geometry._Board` takes the pair, it runs on one bit board per set: each
+test is a few big-int operations, with no loop over the lines, and the
+`Sides` are the board of the cells in d1 or free of side 1.  Wider
+windows, and every pair that fails a test there, are walked on sets,
+line by line: a line is its sorted cells, tested by membership and
 bisection, and its runs come from `geometry.run_ends`, which also splits
 the lines that `gridset.components_within` labels to name a failing
-pair's witness.  On a dense pair a line is a mask, one int with one
-byte per cell of a window that all lines share, tested by a few
-operations on it and on the OR of its neighbouring lines' masks, and
-its runs' sides are the mask of its free cells of side 1.  `Sides`
-keeps one mask per line, its cells in d1 or free of side 1, from which
-`reconstruct` and `lifted.lift_restrict` read a line's cells outside
-the set by a shift or two, and `Sides.of` answers as it does on the
-run ends of the walk point by point, so the report is the same in both
-forms.
+pair's witness.  So an invalid pair's report is the walk on sets' alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import repeat
-from operator import or_
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Tuple)
 
-from .geometry import (Point, PointView, _form, _least, _lines_beside,
-                       _Masks, run_ends)
+from .geometry import (_CELLS, Point, PointView, _Board, _lines_beside,
+                       run_ends)
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -86,56 +77,61 @@ class Sides:
     are the side of the unbounded component, which holds both rays of
     every line and every line off d0 | d1.
 
-    The walk of a dense pair keeps its sides as masks instead, and
-    `lines` is None: per occupied line, on the window of its line masks
-    (lo, cell step, 1, width), the mask of its cells in d1 or free of
-    side 1, the rays' cells in the window included.  `of` reads them
-    through `_outside`, which lays them on any window of the same
-    cells, as `reconstruct` and `lifted.lift_restrict` do, and `along`
-    through `of`, one shift of its line's mask per cell.
+    The walk on bit boards keeps a `geometry._Board` of its cells in d1
+    or free of side 1 instead, and `lines` is None; `of` and `along`
+    read a line of it bit by bit, and `_outside` as a byte mask.
     """
 
-    __slots__ = ("lines", "exterior", "_off", "_masks", "_window")
+    __slots__ = ("lines", "exterior", "_off", "_board", "_bits", "_bytes")
 
     def __init__(self, lines: Optional[Dict[Point, _Line]],
                  exterior: Tuple[int, ...],
-                 masks: Optional[Dict[Point, int]] = None,
-                 window: Optional[Tuple[int, int, int, int]] = None):
+                 board: Optional[Tuple[_Board, int]] = None):
         self.lines, self.exterior = lines, exterior
         # a line off d0 | d1: no ends, and one run of the exterior side
         self._off = (), bytes(exterior[:1])
-        self._masks, self._window = masks, window
+        if board is not None:
+            self._board, self._bits = board
+            self._bytes = self._bits.to_bytes(
+                self._board.rows * self._board.row // 8, "little")
 
     def along(self, key: Point) -> Callable[[int], int]:
         """The side of each free cell of line key, by its last coordinate."""
-        if self.lines is None:  # held as masks
-            return lambda c: self.of(key + (c,))
-        ends, sides = self.lines.get(key, self._off)
-        return lambda c: sides[(bisect_left(ends, c) + 1) // 2]
+        if self.lines is not None:
+            ends, sides = self.lines.get(key, self._off)
+            return lambda c: sides[(bisect_left(ends, c) + 1) // 2]
+        board, (left, right) = self._board, self.exterior
+        row = self._row(key)
+        if row is None:
+            return lambda c: left
+        row |= -right << board.width  # beyond the window: the right ray
+        lo, step = board.lo, board.step
+        return lambda c: row >> (c - lo) // step & 1 if c >= lo else left
 
     def of(self, q: Point) -> int:
         """The side of q, a grid point off d0 and d1."""
-        if self.lines is not None:
-            return self.along(q[:-1])(q[-1])
-        if q[-1] < self._window[0]:  # on a left ray or a line off d0 | d1
-            return self.exterior[0]
-        return self._outside(q[:-1], q[-1]) & 1
+        return self.along(q[:-1])(q[-1])
+
+    def _row(self, key: Point) -> Optional[int]:
+        # the bits of line key on the board, None off its lines, all of
+        # whose cells take the exterior side
+        index, size = self._board.at.get(key), self._board.row // 8
+        return None if index is None else int.from_bytes(
+            self._bytes[index * size:index * size + size], "little")
 
     def _outside(self, key: Point, lo: int) -> int:
-        # The cells of line key from lo, at the window's cell step, that
-        # lie in d1 or are free of side 1, one bit each, in the low bit
-        # of a byte per cell: beyond the window those of the ray of side
-        # 1, and all of a line off d0 | d1 where the exterior side is 1.
-        # The low bits of the bytes are the cells outside the set that
-        # a valid pair bounds.
-        left, right = self.exterior
-        line = self._masks.get(key)
-        if line is None:
+        # The cells of line key from lo, at the board's step, outside
+        # the set that a valid pair bounds, in d1 or free of side 1, as
+        # the low bit of a byte per cell, beyond the board by the rays.
+        board, (left, right) = self._board, self.exterior
+        row = self._row(key)
+        if row is None:
             return -left
-        first, step, _, width = self._window
+        line = int.from_bytes(format(row, f"0{board.row}b").encode()
+                              .translate(_CELLS), "big")
         if right:
-            line |= -1 << 8 * width
-        shift = 8 * ((first - lo) // step)
+            line |= -1 << 8 * board.width
+        shift = 8 * ((board.lo - lo) // board.step)
         if shift < 0:
             return line >> -shift
         return line << shift | (1 << shift) - 1 if left else line << shift
@@ -212,42 +208,67 @@ _PASS = AxiomCheck(True)
 _Walk = Tuple[List[Point], List[Point], List[Point], Optional[Sides]]
 
 
+def _board_walk(d0: PointView, d1: PointView, dim: int,
+                s: int) -> Optional[Sides]:
+    # The walk on one bit board per set, where they fit: the `Sides` of
+    # a pair that passes every test of `_walk`, else None.  A shift by
+    # one bit moves every cell a step along its line.
+    board = _Board.of((d0, d1), d0._line_keys() | d1._line_keys(), s)
+    if board is None:
+        return None
+    b0, b1 = board.build(d0), board.build(d1)
+    near0, near1 = board.box(b0), board.box(b1)
+    if (b0 & b1 or b0 & ~(near1 | near1 << 1 | near1 >> 1)
+            or b1 & ~(near0 | near0 << 1 | near0 >> 1)):
+        return None
+    # The free cells of side 1 are the runs after a cell of d1, found by
+    # a carry through each run, and the left rays (all of a blank line)
+    # where the first cell is of d1.  (a): no run after a cell of d1
+    # ends before one of d0, and no bounded run after d0 before d1.
+    occupied = b0 | b1
+    free = board.every ^ occupied
+    ones = free & ~(free + (free & b1 << 1))
+    left = free & ~(free + board.starts)
+    if ones & b0 >> 1 or free & ~ones & ~left & b1 >> 1:
+        return None
+    first = left << 1 & occupied
+    right = free & ~left & board.starts << board.width - 1
+    exterior = (first & b1 and 1, right & ones and 1)
+    if dim > 1:
+        # (b): all rays take one side, as the blank lines do, for (c)
+        side = exterior[0]
+        if first & (b1, b0)[side] or right & (ones, ~ones)[side]:
+            return None
+        exterior = side, side
+    if exterior[0]:
+        ones |= left
+    if dim > 1:
+        # (c): no cell of a side is a neighbour of the other side's set
+        zeros = free & ~ones
+        if ((zeros | zeros << 1 | zeros >> 1) & near1
+                or (ones | ones << 1 | ones >> 1) & near0):
+            return None
+    return Sides(None, exterior, (board, b1 | ones))
+
+
 def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
-    # One pass over the occupied lines.  It gathers the least point of
-    # each line of d0 (of d1) with no point of the other set one step
-    # away, the least point of each line in both sets, and, while no
-    # such point is found, the sides of the free runs, or None once one
-    # of the rules (a)-(c) of `validate` fails.  The tests of one line
-    # come in two forms, chosen once: point by point (`_tests`,
-    # `_leaks`, `Sides`), or, where the pair is dense, on masks
-    # (`_mask_steps`).  `tests` gives the least cell of each set that
-    # touches no cell of the other, the least cell of both, the line's
-    # runs, a pair whose second item starts and ends with the sides of
-    # the rays (None unless asked for, or where (a) fails), and what
-    # `leaks`, the rules (b) and (c) of a line, reads of the
-    # neighbouring lines; `sides` makes the `Sides` of the runs found.
+    # One pass over the occupied lines, on sets.  It gathers the least
+    # point of each line of d0 (of d1) with no point of the other set one
+    # step away, the least point of each line in both sets, and, while
+    # no such point is found, the sides of the free runs (`_tests`), or
+    # None once one of the rules (a)-(c) of `validate` fails (`_leaks`).
     keys = d0._line_keys() | d1._line_keys()
-    form = _form((d0, d1), 0, s, s, once=True)
-    if isinstance(form, _Masks):
-        masks1 = form.of(d1)
-        get0, get1, empty = form.lines.get, masks1.get, 0
-        # at most as many lines beside a line as `_lines_beside` lists
-        tests, leaks, sides, nothing = _mask_steps(
-            form, masks1, s, min(3 ** (dim - 1), len(keys) + 1))
-    else:
-        get0, get1, empty = form.lines.get, d1.lines.get, ()
-        tests, leaks, sides, nothing = _tests, _leaks, Sides, repeat(())
+    get0, get1 = d0.lines.get, d1.lines.get
     lines_beside = _lines_beside(keys)
     failing0, failing1, overlap = [], [], []
-    found: Dict[Point, tuple] = {}
+    found: Dict[Point, _Line] = {}
     agree, exterior = True, None
     for key in keys:
         beside = lines_beside(key, s)
-        o0, o1 = get0(key, empty), get1(key, empty)
-        # each neighbouring line of d0 and of d1, `nothing` off the set
-        lonely0, lonely1, both, line, near = tests(
-            o0, o1, map(get0, beside, nothing), map(get1, beside, nothing),
-            s, agree)
+        o0, o1 = get0(key, ()), get1(key, ())
+        lonely0, lonely1, both, line, near = _tests(
+            o0, o1, map(get0, beside, repeat(())),
+            map(get1, beside, repeat(())), s, agree)
         if lonely0 is not None:
             failing0.append(key + (lonely0,))
         if lonely1 is not None:
@@ -264,12 +285,12 @@ def _walk(d0: PointView, d1: PointView, dim: int, s: int) -> _Walk:
         if exterior is None:
             exterior = rays[0]
         if (rays[0] != exterior or rays[-1] != exterior and dim > 1
-                or leaks(o0, o1, near, line, exterior)):
+                or _leaks(o0, o1, near, line, exterior)):
             agree = False
     if not agree:
         return failing0, failing1, overlap, None
     rays = found[()][1] if dim == 1 else bytes([exterior])
-    return failing0, failing1, overlap, sides(found, (rays[0], rays[-1]))
+    return failing0, failing1, overlap, Sides(found, (rays[0], rays[-1]))
 
 
 def _tests(a: List[int], b: List[int], around0: Iterable, around1: Iterable,
@@ -351,81 +372,6 @@ def _leaks(a: List[int], b: List[int], near: Tuple[list, list], line: _Line,
     return False
 
 
-def _mask_steps(form: _Masks, masks1: Dict[Point, int], s: int,
-                beside: int) -> tuple:
-    # `_tests`, `_leaks` and `Sides` on the masks of a dense pair, d0's
-    # `form.lines` and d1's masks1, on one window of cells
-    # `form.targets`, whose first and last cells hold no point, and what
-    # stands for a neighbouring line off a set.  Each test of a line is
-    # a few operations on its masks o0 and o1 and on the ORs of its
-    # neighbouring lines' masks, u0 and u1; a shift by 8 bits moves
-    # every cell one step along the line.  A line's runs are the mask of
-    # its free cells of side 1, the rays' cells in the window included,
-    # and the sides of its rays.
-    cells, every = form.targets, form._grid(s)
-    window = form._lo, form._step, 1, form._width
-    # A neighbouring line off a set stands as the bit of its place among
-    # the at most `beside` lines beside a line, above the window and
-    # apart from it by more than a shift, so u0 & u1 holds one of these
-    # bits exactly where a neighbouring line is off d0 | d1.
-    off = 8 * (form._width + 2)
-    nothing = [1 << off + i for i in range(beside)]
-
-    def tests(o0: int, o1: int, around0: Iterable, around1: Iterable,
-              s: int, runs: bool) -> tuple:
-        u0 = reduce(or_, around0, 0)
-        u1 = reduce(or_, around1, 0)
-        # A point touches the other set when that set holds a cell one
-        # step along its own line, or within one step on a neighbouring
-        # line; a point of both sets is not its own neighbour.
-        near0, near1 = u0 | o0, u1 | o1
-        bad0 = o0 & ~(u1 | near1 << 8 | near1 >> 8)
-        bad1 = o1 & ~(u0 | near0 << 8 | near0 >> 8)
-        lonely0 = cells[_least(bad0)] if bad0 else None
-        lonely1 = cells[_least(bad1)] if bad1 else None
-        both = line = None
-        if o0 & o1:
-            both = cells[_least(o0 & o1)]
-        elif runs:
-            # The free cells of side 1 are the runs after a cell of d1,
-            # found by a carry through the run's bytes filled with ones,
-            # and the left ray, before the first cell, when that is of
-            # d1.  (a): no run after a cell of d1 ends before a cell of
-            # d0, and no run after a cell of d0 before a cell of d1.
-            occ = o0 | o1
-            free = every & ~occ
-            filled = free * 255
-            ones = filled & ~(filled + (free & o1 << 8)) & every
-            first = occ & -occ
-            if not (ones & o0 >> 8 or free & ~ones & -first & o1 >> 8):
-                if o1 & first:
-                    ones |= every & first - 1
-                line = ones, bytes((o1 & first and 1,
-                                    o1 >> occ.bit_length() - 1 & 1))
-        return lonely0, lonely1, both, line, (u0, u1)
-
-    def leaks(o0: int, o1: int, near: Tuple[int, int], line: tuple,
-              exterior: int) -> int:
-        # (b) beside a line off d0 | d1, then (c), nonzero where it
-        # fails: each side's windows are its free cells widened by one
-        # cell, and they must not meet the other set on a neighbouring
-        # line
-        u0, u1 = near
-        if (o1, o0)[exterior] and (u0 & u1) >> off:
-            return True
-        ones = line[0]
-        zeros = every & ~(o0 | o1 | ones)
-        return ((zeros | zeros << 8 | zeros >> 8) & u1
-                or (ones | ones << 8 | ones >> 8) & u0)
-
-    def sides(found: Dict[Point, tuple], exterior: Tuple[int, ...]) -> Sides:
-        return Sides(None, exterior, {key: line[0] | masks1.get(key, 0)
-                                      for key, line in found.items()},
-                     window)
-
-    return tests, leaks, sides, nothing
-
-
 def validate(pair: BoundaryPair) -> AxiomReport:
     """Check the five boundary-pair axioms and report per-axiom results.
 
@@ -451,27 +397,30 @@ def validate(pair: BoundaryPair) -> AxiomReport:
     In 1-D only (a) applies, and the two rays keep their own sides.
     Moore-adjacent runs need no union: one run's end cell always lies
     in the other run's window, so (b) or (c) already catches a side
-    mismatch.  The tests of a line come in two forms, one per form of a
-    line that `geometry._form` picks: point by point, with one
-    bisection per run and neighbouring line for (c), or, on a dense
-    pair, a few operations on line masks, with no per-point loop but the
-    one that builds them.  The lines beside a line are its 3^(m-1) - 1
-    Moore neighbours, or, where those outnumber the K occupied lines
-    (and the pair cannot be valid), the occupied ones and one off them.
-    The cost is O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever
-    the bounding box.  The report carries the `Sides`, as masks where
-    the walk ran on them.  Only when a rule fails, or the sets overlap,
-    are the components labelled (`gridset.components_within`, on the
-    same `geometry.run_ends`), to name the separation witness: the
-    least point of the first component adjacent to both sets, the
-    unbounded ones first.
+    mismatch.  Where a `geometry._Board` fits, at most `_BITS_PER_POINT`
+    bits per point, the walk runs first on one board per set: about 60
+    big-int operations, each linear in the board, and 0.1 us per point
+    to build the boards.  Otherwise, and where a test fails there, it
+    runs on sets, with one bisection per run and neighbouring line for
+    (c); the lines beside a line are its 3^(m-1) - 1 Moore neighbours,
+    or, where those outnumber the K occupied lines (and the pair cannot
+    be valid), the occupied ones and one off them, so the cost is
+    O(|D| min(3^(m-1), K) log |D|) for D = d0 | d1, whatever the
+    bounding box.  Only when a rule fails, or the sets overlap, are the
+    components labelled (`gridset.components_within`, on the same
+    `geometry.run_ends`), to name the separation witness: the least
+    point of the first component adjacent to both sets, the unbounded
+    ones first.
     """
     if pair.is_empty:
         return AxiomReport(True, _PASS, _PASS, _PASS, _PASS, _PASS)
 
-    nonempty = _PASS if pair.d0 and pair.d1 else AxiomCheck(False)
-
     s = pair.spacing
+    sides = _board_walk(pair.d0, pair.d1, pair.dim, s)
+    if sides is not None:
+        return AxiomReport(False, _PASS, _PASS, _PASS, _PASS, _PASS, sides)
+
+    nonempty = _PASS if pair.d0 and pair.d1 else AxiomCheck(False)
     failing0, failing1, overlap, sides = _walk(pair.d0, pair.d1, pair.dim, s)
     disjoint = AxiomCheck(False, min(overlap)) if overlap else _PASS
     d0_touches_d1 = AxiomCheck(False, min(failing0)) if failing0 else _PASS
@@ -510,11 +459,10 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     The result's line index is that of d0 (d1 when cofinite) plus the
     bounded runs of that side: only the lines that grow are copied, and
     only those runs' cells are enumerated.  In 1-D the gap between two
-    far clusters is one bounded run.  Where the walk ran on masks, each
-    line of the result is one mask on the walk's window: the line's
-    stored mask of `Sides`, its cells of side 1 or of d1, for a
-    cofinite set, and the window's other cells for a finite one, so the
-    result is a dense view and no line is cut.
+    far clusters is one bounded run.  From a board of `Sides`, the
+    result is its cells outside the set (inside, if finite) as a byte
+    per cell per line, which `PointView._of_cells` keeps as masks or
+    lists, so no line is sorted.
     """
     report = require_valid(pair)
     if pair.is_empty:
@@ -529,15 +477,22 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
     cofinite = exterior[0] == 0
     mode, stored = (Mode.COFINITE, 1) if cofinite else (Mode.FINITE, 0)
     s = pair.spacing
-    if sides.lines is None:  # held as masks
-        every = int.from_bytes(b"\1" * sides._window[3], "little")
+    if sides.lines is None:  # held as a board
+        board = sides._board
         # the cells outside the set are a cofinite set's stored points,
-        # and the window's other cells a finite set's
-        flip = 0 if cofinite else every
-        masks = {key: mask for key, outside in sides._masks.items()
-                 if (mask := (outside ^ flip) & every)}
-        return GridSet._trusted(pair.dim, s, mode,
-                                PointView._of_masks(masks, sides._window))
+        # and the window's other cells a finite set's; a blank line
+        # holds neither
+        bits = sides._bits if cofinite else board.every & ~sides._bits
+        row, width = board.row, board.width
+        cells = format(bits, f"0{board.rows * row}b").encode().translate(
+            _CELLS)[::-1]
+        lines = {}
+        for key in pair.d0._line_keys() | pair.d1._line_keys():
+            at = board.at[key] * row
+            if 1 in (line := cells[at:at + width]):
+                lines[key] = line
+        return GridSet._trusted(pair.dim, s, mode, PointView._of_cells(
+            lines, board.lo, s, bits.bit_count()))
     lines = dict((pair.d1 if cofinite else pair.d0).lines)
     # the bounded runs on the stored side: inside a finite set, outside
     # a cofinite one

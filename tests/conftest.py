@@ -49,14 +49,17 @@ def canonical_lines(doc) -> None:
 
 
 def each_form(compute, cells=math.inf):
-    """compute() with the dense form's gate forced open, so that every
-    `layers`, `transfer` and `lift_restrict` call and every walk of
-    `validate` whose window holds at most `cells` cells per point runs
-    on masks, then forced shut, so that none does: the two values."""
+    """compute() with the dense form's gate and the board gate forced
+    open, so that every `layers`, `transfer` and `lift_restrict` call
+    whose window holds at most `cells` cells per point runs on masks,
+    and every walk of `validate` whose board holds at most `cells` bits
+    per point runs on boards, then with both forced shut, so that none
+    does: the two values."""
     values = []
     for cap, per_line, floor in ((cells, 0, 1), (0, math.inf, math.inf)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "_CELLS_PER_POINT", cap)
+            patch.setattr(geometry, "_BITS_PER_POINT", cap)
             patch.setattr(geometry, "_POINTS_PER_LINE", per_line)
             patch.setattr(geometry, "_MIN_POINTS", floor)
             values.append(compute())
@@ -97,7 +100,7 @@ def sides_of(report, pair):
 def validated_in_both_forms(pair, cells=math.inf):
     """validate(pair) in both forms of `each_form`: the two reports must
     be equal, witnesses, description and `Sides` alike; the report on
-    masks is returned."""
+    boards is returned."""
     masks, sets = each_form(lambda: validate(pair), cells)
     assert masks == sets
     assert masks.describe() == sets.describe()
@@ -132,6 +135,17 @@ def lines_built(compute):
     real = geometry._cut_lines
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_cut_lines",
+                      lambda *args: built.append(args) or real(*args))
+        compute()
+    return len(built)
+
+
+def boards_built(compute):
+    """How many boards compute() builds for the walk of `validate`."""
+    built = []
+    real = geometry._Board.build
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry._Board, "build",
                       lambda *args: built.append(args) or real(*args))
         compute()
     return len(built)

@@ -113,7 +113,8 @@ def test_criterion_3_lifted_operator_oracle_equivalence():
                     if index % 10 == 9:
                         M = complement(M)
                     pair = trace(M)
-                    # the walk and the core on masks and on sets
+                    # the walk on boards and the core on masks, and
+                    # both on sets
                     assert in_both_forms(
                         lambda: lift_restrict(pair, ratio)) == \
                         trace(restrict(M, ratio)), (dim, n, index)

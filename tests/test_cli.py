@@ -252,6 +252,24 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("operation, argv", [
+        ("reconstruct", ["reconstruct", "-i", fixture_path("fig1trace.pair")]),
+        ("interpolate", ["interpolate", "--ratio", "2", "-i",
+                         fixture_path("fig1a.grid")]),
+    ])
+    def test_out_of_memory_exits_2(self, operation, argv, monkeypatch,
+                                   capsys):
+        # a result too large to hold: one error line, no traceback
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, operation, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 def test_validate_far_two_point_pair_exits_invalid(tmp_path, capsys):
     doc = tmp_path / "far.pair"

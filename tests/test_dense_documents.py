@@ -27,7 +27,8 @@ from gridpairs.lifted import lift_restrict
 from gridpairs.pairs import AxiomReport, BoundaryPair, reconstruct, validate
 from gridpairs.transfer import GridRatio, restrict
 
-from conftest import each_form, fixture_text, lines_built, masks_built
+from conftest import (boards_built, each_form, fixture_text, lines_built,
+                      masks_built)
 
 FIGURES = ["fig1a.grid", "fig1trace.pair", "fig2a.pair", "fig2b.pair",
            "fig2c.pair", "fig3a.grid", "fig3c.grid", "fig6a.pair",
@@ -295,8 +296,9 @@ def test_dense_requests_build_no_lists():
     # parse, trace, layer(M, 3) or restriction by 2, and write, of a
     # dense 128^2 ASCII set, finite and cofinite, all on masks; then
     # parse, validate, reconstruct or lift_restrict by 2, 3 or 4, and
-    # write, of its trace: the walk keeps its sides as masks, which
-    # reconstruct and lift_restrict read
+    # write, of its trace: the walk builds its two boards from the
+    # masks and keeps its sides as a board, which reconstruct turns
+    # into masks and the core of lift_restrict, on masks, reads
     M = random_set(Window((0, 0), (127, 127)), 0.5, 7)
     lifts = [lambda pair, n=n: lift_restrict(pair, GridRatio(n))
              for n in (2, 3, 4)]
@@ -305,9 +307,9 @@ def test_dense_requests_build_no_lists():
         requests = [(gridset, operation, serialize_ascii, 1)
                     for operation in (trace, lambda M: layer(M, 3),
                                       lambda M: restrict(M, GridRatio(2)))]
-        requests += [(pair, validate, AxiomReport.describe, 1),
-                     (pair, reconstruct, serialize_ascii, 1)]
-        requests += [(pair, lift, serialize_ascii, 2) for lift in lifts]
+        requests += [(pair, validate, AxiomReport.describe, 0),
+                     (pair, reconstruct, serialize_ascii, 0)]
+        requests += [(pair, lift, serialize_ascii, 1) for lift in lifts]
         for doc, operation, write, masks in requests:
             text = serialize_ascii(doc)
 
@@ -318,6 +320,7 @@ def test_dense_requests_build_no_lists():
 
             assert lines_built(request) == 0
             assert masks_built(request) == masks
+            assert boards_built(request) == (2 if doc is pair else 0)
             # the list route: the document from its points, with the
             # dense form's gate forced open and forced shut
             assert each_form(lambda: write(operation(rebuilt(doc)))) == (

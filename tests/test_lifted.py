@@ -155,7 +155,7 @@ class TestLocality:
         # (-inf, 0] is a valid 1-D pair whose rays lie on opposite sides,
         # so no full set stands behind it; near 0 it restricts as
         # [-60, 0] does, on masks, where the candidates beyond the walk's
-        # window take each ray's side, and on sets
+        # board take each ray's side, and on sets
         half = in_both_forms(lambda: lift_restrict(
             BoundaryPair.of([(0,)], [(1,)]), GridRatio(n)))
         segment = lift_restrict(trace(GridSet.finite(

@@ -24,10 +24,11 @@ from gridpairs.pairs import (AxiomCheck, BoundaryPair, InvalidPairError,
                              reconstruct, validate)
 from gridpairs.transfer import GridRatio, restrict
 
-from conftest import (adjacency_check, each_form, far_clusters_blobs,
-                      fixture_text, in_both_forms, labelling_cases,
-                      large_cofinite_holes, masks_built, never_masks,
-                      sides_of, two_clusters, validated_in_both_forms)
+from conftest import (adjacency_check, boards_built, each_form,
+                      far_clusters_blobs, fixture_text, in_both_forms,
+                      labelling_cases, large_cofinite_holes, masks_built,
+                      never_masks, sides_of, two_clusters,
+                      validated_in_both_forms)
 
 #: Most window cells per point for which the forced-open gate builds
 #: masks where clusters lie 10^6 or 10^23 steps apart; farther pairs
@@ -340,8 +341,8 @@ def test_walk_matches_the_references_on_mutated_traces(dim, spacing):
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
-    # A walk on masks answers `Sides.of` from its masks: beyond its
-    # window by the rays' sides, and on a line off d0 | d1 by the
+    # A walk on boards answers `Sides.of` from its board: beyond its
+    # window by the rays' sides, and on a line off the board by the
     # exterior side.  Every free cell of the window of d0 | d1 inflated
     # by 2n + 2 steps, farther than the candidates of `lift_restrict`
     # at ratio n reach, and far out on the rays, has the side that the
@@ -363,18 +364,18 @@ def test_mask_sides_answer_as_the_run_ends_beyond_the_window(dim, spacing):
         pair = trace(M)
         if pair.is_empty:
             continue
-        masks, sets = each_form(lambda: validate(pair))
-        assert masks.sides.lines is None and sets.sides.lines is not None
+        boards, sets = each_form(lambda: validate(pair))
+        assert boards.sides.lines is None and sets.sides.lines is not None
         window = window_of(pair.d0 | pair.d1).inflate((2 * n + 2) * s)
         free = [q for q in window.grid_points(s)
                 if q not in pair.d0 and q not in pair.d1]
         # and on the rays of each line, 10^30 steps out
         free += [p[:-1] + (p[-1] + far * s,) for p in pair.d0 | pair.d1
                  for far in (-10**30, 10**30)]
-        assert ([masks.sides.of(q) for q in free]
+        assert ([boards.sides.of(q) for q in free]
                 == [sets.sides.of(q) for q in free]
-                == [masks.sides.along(q[:-1])(q[-1]) for q in free])
-        assert sides_of(masks, pair) == sides_of(sets, pair)
+                == [boards.sides.along(q[:-1])(q[-1]) for q in free])
+        assert sides_of(boards, pair) == sides_of(sets, pair)
     assert cofinite
 
 
@@ -503,9 +504,10 @@ def test_trace_validates_and_reconstructs_on_two_clusters(case):
 
 
 class TestWalkGate:
-    # The walk, and the lifted core after it, build masks for dense
-    # pairs only: pairs whose window is far larger than their points,
-    # whose lines are short, or that are few keep to the per-point walk.
+    # The walk builds no masks, and the lifted core after it builds them
+    # for dense pairs only: pairs whose window is far larger than their
+    # points, whose lines are short, or that are few keep the core to
+    # sets.  The walk takes one board per set where the board fits.
     @staticmethod
     def lifted_and_walked(pair):
         yield lambda: validate(pair)
@@ -524,8 +526,29 @@ class TestWalkGate:
         M = GridSet.finite({(x, y) for x in range(-r, r + 1)
                             for y in range(-r, r + 1)
                             if x * x + y * y <= r * r})
-        for compute in self.lifted_and_walked(trace(M)):
+        pair = trace(M)
+        for compute in self.lifted_and_walked(pair):
             never_masks(compute)
+        assert boards_built(lambda: validate(pair)) == 2
+
+    def test_the_board_is_sized_before_it_is_built(self):
+        # The gate reads the line keys and line ends: the trace of two
+        # 3^2 blocks 10^9 apart and the two-point pair in 20 dimensions,
+        # each on a board of about 10^18 bits, build none, and the trace
+        # of a 96^2 box, on 14 bits per point, one per set.
+        # Each report is the one the walk on sets gives.
+        block = list(product(range(3), repeat=2))
+        far = block + [(x + 10**9, y + 10**9) for x, y in block]
+        box = product(range(96), repeat=2)
+        for pair, boards in (
+                (trace(GridSet.finite(far)), 0),
+                (BoundaryPair.of([(0,) * 20], [(5,) * 20]), 0),
+                (trace(GridSet.finite(box)), 2)):
+            assert boards_built(lambda: validate(pair)) == boards
+            report, sets = validate(pair), each_form(lambda: validate(pair),
+                                                     0)[1]
+            assert report == sets and report.describe() == sets.describe()
+            assert sides_of(report, pair) == sides_of(sets, pair)
 
     def test_far_clusters_blobs(self):
         for M in far_clusters_blobs():
@@ -542,19 +565,23 @@ class TestWalkGate:
                                                (128, 0.7)])
     def test_dense_noise_pairs_take_masks(self, side, density):
         # the noise-fullset sizes, and a cofinite set: one walk per
-        # validation, and the walk and the core of lift_restrict
+        # validation, on one board per set, and masks for the core of
+        # lift_restrict
         M = random_set(Window((0, 0), (side - 1, side - 1)), density, 11)
         for pair in (trace(M), trace(complement(M))):
-            assert masks_built(lambda: validate(pair)) == 1
-            assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 2
+            assert masks_built(lambda: validate(pair)) == 0
+            assert boards_built(lambda: validate(pair)) == 2
+            assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 1
+            assert boards_built(
+                lambda: lift_restrict(pair, GridRatio(2))) == 2
 
     def test_core_follows_the_walk(self):
-        # The core of lift_restrict takes the form that the walk took,
-        # also where D0 alone would not pass the gate: on these traces
-        # the walk runs on masks, while at 24^2 D0 alone has too few
-        # points for them and at 48^2 too few for its window at n >= 4,
-        # a window that the points of the whole pair cover.  Where the
-        # walk keeps to sets, so does the core.
+        # The core of lift_restrict takes masks where the dense form's
+        # gate takes the whole pair, also where D0 alone would not pass
+        # it: at 24^2 D0 alone has too few points for them and at 48^2
+        # too few for its window at n >= 4, a window that the points of
+        # the whole pair cover.  Where the gate keeps the pair to sets,
+        # so does the core.
         sets = [random_set(Window((0, 0), (side - 1, side - 1)), 0.3, 9)
                 for side in (24, 48)]
         sets.append(GridSet(2, 1, Mode.COFINITE, random_set(
@@ -564,21 +591,21 @@ class TestWalkGate:
         for n in range(2, 6):
             ratio = GridRatio(n)
             for M, pair in pairs:
-                assert masks_built(lambda: lift_restrict(pair, ratio)) == 2
+                assert masks_built(lambda: lift_restrict(pair, ratio)) == 1
                 assert lift_restrict(pair, ratio) == trace(restrict(M, ratio))
             never_masks(lambda: lift_restrict(sparse, ratio))
 
     def test_core_keeps_to_the_pair_at_a_large_ratio(self):
         # At ratio 10^6 the core's window would hold about 3 * 10^6
-        # cells per line, whatever the pair: a pair walked on masks
-        # then runs its core on sets, reading its candidates' sides
-        # from the walk's masks, so only the walk builds masks.
+        # cells per line, whatever the pair: a dense pair then runs its
+        # core on sets, reading its candidates' sides from the walk's
+        # boards, so no masks are built.
         ratio = GridRatio(10**6)
         M = random_set(Window((0, 0), (23, 23)), 0.3, 9)
         for M in (M, GridSet(2, 1, Mode.COFINITE, M.points)):
             pair = trace(M)
             assert validate(pair).sides.lines is None
-            assert masks_built(lambda: lift_restrict(pair, ratio)) == 1
+            assert masks_built(lambda: lift_restrict(pair, ratio)) == 0
             assert (lift_restrict(pair, ratio)
                     == lifted_via_full(pair, ratio, Direction.RESTRICT))
 
