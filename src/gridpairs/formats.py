@@ -456,7 +456,9 @@ def render(doc: Document, unit: Optional[int] = None) -> str:
     if doc.dim != 2:
         raise ValueError("rendering is 2-D only")
     unit = doc.spacing if unit is None else unit
-    if unit < 1 or doc.spacing % unit:
+    if unit < 1:
+        raise ValueError(f"unit must be positive, got {unit}")
+    if doc.spacing % unit:
         raise ValueError(f"unit {unit} must divide the spacing {doc.spacing}")
     _, body = _ascii_body(doc, unit)
     if not body:

@@ -29,7 +29,9 @@ not few and, for an operation that grows them once, their lines are
 not short, so the cost keeps following the points.  Callers build the
 form once from the views of their inputs, run a whole operation on it
 and hand its result back once (`lines`, `of`, `read`).  `pairs.validate`
-lays a pair on bit boards instead (`_Board`), a bit per cell.
+lays a pair on bit boards instead (`_Board`), a bit per cell, and its
+readers take a board's rows back from `_Board.cells` as one byte per
+cell.
 
 The line index is the one stored form of a document's points
 (`gridset.Document`): each point field holds a `PointView`, the set
@@ -642,50 +644,44 @@ class _Masks(_Sets):
 
 
 def _form(views: Tuple[PointView, ...], radius: int, source: int,
-          target: int, once: bool = False, build: bool = True) -> _Sets:
+          target: int, once: bool = False) -> _Sets:
     """The first of `views` (of points on the source grid) in the form
     for growing it by radius onto the target grid and taking one more
     step of the coarser grid: its masks, on a window that all of
-    `views` share, where they pay, the sets otherwise (without `build`,
-    only whether it takes masks).
+    `views` share, where they pay, the sets otherwise.  The window spans
+    their last coordinates, padded by radius plus that step on each
+    side.
 
     This is the gate of the dense form: masks need at least
-    `_MIN_POINTS` stored points in all and a window that `_windowed`
-    takes for them and the views' line keys.  An operation that grows
-    the points `once` (a transfer, the core of `lifted.lift_restrict`)
-    also needs `_POINTS_PER_LINE` points per line: on shorter lines
-    building and reading the masks costs more than the one growth
-    saves.  `layers` takes a ring after its growth and wins on masks at
-    every line length.  The gate reads the views' lengths, line keys and
-    line ends, which dense views give from their masks."""
+    `_MIN_POINTS` stored points in all and at most `_CELLS_PER_POINT`
+    source cells of the window, once per line of the views' keys, per
+    point, so the cost follows the points where they are few or far
+    apart.  An operation that grows the points `once` (a transfer, the
+    core of `lifted.lift_restrict`) also needs `_POINTS_PER_LINE` points
+    per line: on shorter lines building and reading the masks costs
+    more than the one growth saves.  `layers` takes a ring after its
+    growth and wins on masks at every line length.  The gate reads the
+    views' lengths, line keys and line ends, which dense views give
+    from their masks."""
     points = sum(map(len, views))
     if points >= _MIN_POINTS:
         keys = (len(views[0]._line_keys()) if len(views) == 1 else
                 len(set().union(*[view._line_keys() for view in views])))
         if not once or points >= _POINTS_PER_LINE * keys:
-            masks = _windowed(views, radius, source, target, points, keys,
-                              build)
-            if masks is not None:
-                return masks
-    return _Sets(views[0]) if build else None
+            coarse = max(source, target)
+            pad = radius + coarse
+            first, last = _extent(views)
+            lo, hi = (first - pad) // coarse * coarse, last + pad
+            if ((hi - lo) // source + 1) * keys <= _CELLS_PER_POINT * points:
+                return _Masks(views[0], lo, hi, source, target)
+    return _Sets(views[0])
 
 
-def _windowed(views: Tuple[PointView, ...], radius: int, source: int,
-              target: int, points: int, keys: int,
-              build: bool = True) -> Optional[_Masks]:
-    """The first of `views` as masks (True without `build`) on a window
-    that all of them share, spanning their last coordinates padded by
-    radius plus one step of the coarser grid on each side; None where it
-    holds more than `_CELLS_PER_POINT` source cells, once per line of
-    keys, per one of points, so the cost follows those counts."""
-    coarse = max(source, target)
-    pad = radius + coarse
+def _extent(views: Iterable[PointView]) -> Tuple[int, int]:
+    """The least and the greatest last coordinate of the points of
+    views, not all empty."""
     ends = [view._line_ends() for view in views if view]
-    lo = (min([end[0] for end in ends]) - pad) // coarse * coarse
-    hi = max([end[1] for end in ends]) + pad
-    if ((hi - lo) // source + 1) * keys > _CELLS_PER_POINT * points:
-        return None
-    return _Masks(views[0], lo, hi, source, target) if build else True
+    return min([end[0] for end in ends]), max([end[1] for end in ends])
 
 
 #: The gate of the bit boards of `pairs.validate`: most bits of a board
@@ -699,11 +695,13 @@ _CELLS = bytes.maketrans(b"01", b"\0\1")
 class _Board:
     """The layout of a bit board, an int of one bit per cell.  Its rows
     are the lines of the box of the pair's line keys, padded by a blank
-    line at each end of each key axis, in lexicographic order.  A row holds `width` cells from `lo` at `step`,
-    a free cell beyond the pair's at each end, and a guard bit or more,
-    in `row` bits, whole bytes; a stride shifts one step along an axis.
-    `at` gives the row of each line key, `every` and `starts` hold each
-    row's cells, and its first cell."""
+    line at each end of each key axis, in lexicographic order.  A row
+    holds `width` cells from `lo` at `step`, a free cell beyond the
+    pair's at each end, and a guard bit or more, in `row` bits, whole
+    bytes; a stride shifts one step along an axis.  `at` gives the row
+    of each line key, `every` and `starts` hold each row's cells, and
+    its first cell.  `build` lays points on a board and `cells` reads
+    them back, one byte per cell."""
 
     __slots__ = ("lo", "step", "width", "row", "rows", "at", "strides",
                  "starts", "every")
@@ -711,11 +709,11 @@ class _Board:
     @classmethod
     def of(cls, views: Tuple[PointView, ...], keys: Collection[Point],
            step: int) -> Optional["_Board"]:
-        """The board of the views' lines keys; None, before anything is
+        """The board of the views' line keys; None, before anything is
         built, where it has over `_BITS_PER_POINT` bits per point."""
-        self, ends = cls(), [view._line_ends() for view in views if view]
-        self.lo, self.step = min([end[0] for end in ends]) - step, step
-        self.width = (max([end[1] for end in ends]) - self.lo) // step + 2
+        self, (first, last) = cls(), _extent(views)
+        self.lo, self.step = first - step, step
+        self.width = (last - self.lo) // step + 2
         self.row = 8 * (self.width // 8 + 1)
         keys = list(keys)
         axes = list(zip(*keys))
@@ -756,6 +754,12 @@ class _Board:
                 at = base + c // step
                 cells[at >> 3] |= 1 << (at & 7)
         return int.from_bytes(cells, "little")
+
+    def cells(self, board: int) -> bytes:
+        """The rows of a board up to its last set bit as one byte per
+        cell, the lowest bit first: 1 where the bit is set, else 0."""
+        digits = -(-board.bit_length() // self.row) * self.row
+        return format(board, f"0{digits}b").encode().translate(_CELLS)[::-1]
 
     def box(self, board: int) -> int:
         """Each bit spread to the rows a step away along any key axis."""

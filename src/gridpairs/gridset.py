@@ -25,6 +25,7 @@ from typing import (AbstractSet, Container, Dict, Iterable, Iterator, List,
 from .geometry import (
     Point,
     PointView,
+    _extent,
     _lines_beside,
     check_on_grid,
     grid_range,
@@ -206,15 +207,12 @@ def window_of_lines(*views: PointView) -> Window:
     """The bounding box of the points of views, not all empty: the
     extents of the keys and the line ends, which a dense view gives
     from its masks."""
-    ends = [view._line_ends() for view in views if view]
-    if not ends:
+    if not any(views):
         raise ValueError("bounding box of an empty point set")
     keys = set().union(*[view._line_keys() for view in views])
-    lower = [min(axis) for axis in zip(*keys)]
-    upper = [max(axis) for axis in zip(*keys)]
-    lower.append(min(end[0] for end in ends))
-    upper.append(max(end[1] for end in ends))
-    return Window(tuple(lower), tuple(upper))
+    first, last = _extent(views)
+    return Window((*[min(axis) for axis in zip(*keys)], first),
+                  (*[max(axis) for axis in zip(*keys)], last))
 
 
 def member(gridset: GridSet, point: Point) -> bool:

@@ -9,14 +9,15 @@ settles each candidate by the side of the free run holding it, which
 validation's walk recorded; interpolation intersects half-step
 dilations of the two coarse boundaries.  Both work on the pair's line
 index with the line kernels of `geometry`, and return their results as
-line indexes.  Restriction runs on line masks where the pair is dense
-and validation's walk kept its sides as a board, unless the ratio
-widens its window past the pair's points; interpolation runs on sets.
+line indexes.  Restriction runs on line masks where validation's walk
+kept its sides as a board and the dense form's gate takes the pair,
+which it does not where the ratio widens the window past the pair's
+points; interpolation runs on sets.
 """
 
 from __future__ import annotations
 
-from .geometry import Lines, PointView, _form, _Sets, _windowed
+from .geometry import Lines, PointView, _form, _Masks, _Sets
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -35,13 +36,13 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     works on boundary data alone: one dilation of D0, from the pair's
     line index, onto the coarse grid, one coarse step out from it to
     the candidates, and the side of each candidate, whatever the ratio
-    n.  Where the dense form's gate (`geometry._form`) takes D0 and D1
-    for one growth, the walk kept its sides as a board and D0's window,
-    padded by n/2 + n, fits the pair's points, the dilation, the step
-    out and the inner boundary, the dilated points one coarse step from
-    the outer layer, run on D0's masks, and a line's candidates are
-    settled by one AND with that line of the board of the cells in D1 or
-    of side 1, as a byte mask on the core's window
+    n.  Where the walk kept its sides as a board and the dense form's
+    gate (`geometry._form`) takes D0 and D1 for one growth by n/2 onto
+    the coarse grid, on their window padded by n/2 + n, the dilation,
+    the step out and the inner boundary, the dilated points one coarse
+    step from the outer layer, run on D0's masks, and a line's
+    candidates are settled by one AND with that line of the board of
+    the cells in D1 or of side 1, as a byte mask on the core's window
     (`pairs.Sides._outside`): beyond the board's window they take the
     sides of the rays, and off its lines the exterior side.  Otherwise
     they run on sets, and each candidate off its line of D1 takes its
@@ -68,16 +69,12 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides = _require_valid(pair, 1, "lift_restrict").sides
     if sides is None:  # the empty pair
         return BoundaryPair._trusted(pair.dim, n, {}, {})
-    # masks where the pair is dense, its sides a board, and the window fits
-    masks = (sides.lines is None
-             and _form((pair.d0, pair.d1), 0, 1, 1, once=True, build=False)
-             and _windowed((pair.d0,), n // 2, 1, n,
-                           len(pair.d0) + len(pair.d1),
-                           len(pair.d0._line_keys())))
-    form = masks or _Sets(pair.d0)
+    # masks where the sides are a board and the gate takes the pair
+    form = (_Sets(pair.d0) if sides.lines is not None
+            else _form((pair.d0, pair.d1), n // 2, 1, n, once=True))
     near = dict(form.dilate(form.lines, n, 1, n))
     candidates = form.ring(near, n)[1]
-    if masks:
+    if isinstance(form, _Masks):
         # both on cells of step 1, the pair's spacing
         out1 = form.read((key, line & sides._outside(key, form._lo))
                          for key, line in candidates)

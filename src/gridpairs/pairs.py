@@ -28,8 +28,7 @@ from itertools import repeat
 from typing import (AbstractSet, Callable, Dict, Iterable, List, Optional,
                     Tuple)
 
-from .geometry import (_CELLS, Point, PointView, _Board, _lines_beside,
-                       run_ends)
+from .geometry import Point, PointView, _Board, _lines_beside, run_ends
 from .gridset import (Document, GridSet, Mode, components_within, dim_of,
                       window_of_lines)
 
@@ -127,8 +126,7 @@ class Sides:
         row = self._row(key)
         if row is None:
             return -left
-        line = int.from_bytes(format(row, f"0{board.row}b").encode()
-                              .translate(_CELLS), "big")
+        line = int.from_bytes(board.cells(row), "little")
         if right:
             line |= -1 << 8 * board.width
         shift = 8 * ((board.lo - lo) // board.step)
@@ -484,8 +482,7 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
         # holds neither
         bits = sides._bits if cofinite else board.every & ~sides._bits
         row, width = board.row, board.width
-        cells = format(bits, f"0{board.rows * row}b").encode().translate(
-            _CELLS)[::-1]
+        cells = board.cells(bits)
         lines = {}
         for key in pair.d0._line_keys() | pair.d1._line_keys():
             at = board.at[key] * row

@@ -213,6 +213,12 @@ class TestRenderCommand:
                            "-i", fixture_path("fig3c.grid"))
         assert code == 2
 
+    @pytest.mark.parametrize("unit", ["0", "-1"])
+    def test_nonpositive_unit(self, unit, capsys):
+        assert run(capsys, "render", "--unit", unit,
+                   "-i", fixture_path("fig3c.grid")) == (
+            2, "", f"error: unit must be positive, got {unit}\n")
+
     @pytest.mark.parametrize("args", [(), ("--unit", "1")])
     def test_overlapping_pair_is_refused(self, args, tmp_path, capsys):
         doc = tmp_path / "overlap.pair"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpairs import formats
+from gridpairs.geometry import _form
 from gridpairs.gridset import (GridSet, Mode, Window, complement, member,
                                window_of)
 from gridpairs.layers import trace
@@ -608,6 +609,25 @@ class TestWalkGate:
             assert masks_built(lambda: lift_restrict(pair, ratio)) == 0
             assert (lift_restrict(pair, ratio)
                     == lifted_via_full(pair, ratio, Direction.RESTRICT))
+
+    def test_dense_lines_far_apart_keep_the_core_to_sets(self):
+        # Two 32^2 blocks at density 0.5, 10^4 apart along x: the dense
+        # form's gate takes the pair, whose lines are long and whose
+        # window is narrow, but its board would span the 10^4 lines
+        # between the blocks' keys.  The walk then keeps its sides as
+        # run ends, and the core of lift_restrict runs on sets.
+        block = random_set(Window((0, 0), (31, 31)), 0.5, 9).points
+        points = frozenset([*block, *[(x + 10**4, y) for x, y in block]])
+        for mode in (Mode.FINITE, Mode.COFINITE):
+            M = GridSet(2, 1, mode, points)
+            pair = trace(M)
+            assert boards_built(lambda: validate(pair)) == 0
+            for n in (2, 3, 5):
+                ratio = GridRatio(n)
+                assert masks_built(lambda: _form(
+                    (pair.d0, pair.d1), n // 2, 1, n, once=True)) == 1
+                assert masks_built(lambda: lift_restrict(pair, ratio)) == 0
+                assert lift_restrict(pair, ratio) == trace(restrict(M, ratio))
 
 
 def _scaled_cluster(case):
