@@ -36,18 +36,20 @@ cell.
 The line index is the one stored form of a document's points
 (`gridset.Document`): each point field holds a `PointView`, the set
 view of a line index.  A dense field holds that index as masks until
-its lines are first read: the ASCII reader hands over the columns of a
-grid that is not sparse as one byte per cell, which
-`PointView._of_cells` keeps as masks where `_form` may take them,
-`_Masks.read` keeps an operation's masks, `_form` takes a dense
-input's masks by one shift per line, and the ASCII writer asks for the
-cells of its columns (`_cell_columns`), so a dense document's points
-can stay masks from the text it was read from to the text it is
-written to.  Sparse fields, and every operation that `_form` sends to
-sets, use the lists; the constructors build them, the operations
-return their results as line indexes (`sorted_lines`), and the writers
-write from them, so point tuples are built only where points are
-listed (`points_of`, or iterating a `PointView`).
+its lines are first read, one byte per point of its document's grid:
+the ASCII reader hands over the columns of a grid that is not sparse
+as one byte per cell, which `PointView._of_cells` keeps as masks where
+`_form` may take them, `_Masks.read` keeps an operation's masks, less
+any cells off the target grid, `_form` takes a dense input's masks by
+one shift per line where its cells are steps of the input's grid, and
+the ASCII writer asks for the cells of its columns (`_cell_columns`),
+so a dense document's points can stay masks from the text it was read
+from, through a chain of operations, to the text it is written to.
+Sparse fields, and every operation that `_form` sends to sets, use the
+lists; the constructors build them, the operations return their
+results as line indexes (`sorted_lines`), and the writers write from
+them, so point tuples are built only where points are listed
+(`points_of`, or iterating a `PointView`).
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ class PointView(collections.abc.Set):
 
     A dense view holds the index as the masks of `_Masks` instead, one
     int per line with one byte per cell of a window that all its lines
-    share, and cuts its lines from them on first read, by `compress`
-    (`_cut_lines`), and keeps them.  Its length, emptiness, line keys
+    share, whose cells are the points of its document's grid, and cuts
+    its lines from them on first read, by `compress` (`_cut_lines`),
+    and keeps them.  Its length, emptiness, line keys
     and line ends come from the masks.  `in` is one dict lookup and one
     bisection, and iteration goes line by line; the set operators
     return plain sets.  Views of canonical indexes compare by their
@@ -160,10 +163,10 @@ class PointView(collections.abc.Set):
 
     @classmethod
     def _of_masks(cls, masks: Dict[Point, int],
-                  window: Tuple[int, int, int, int]) -> "PointView":
-        # The view of nonzero masks on a window (lo, step, every,
-        # width): `width` cells from lo at `step`, of which every
-        # `every`-th, from the first, may hold a point.
+                  window: Tuple[int, int, int]) -> "PointView":
+        # The view of nonzero masks on a window (lo, step, width):
+        # `width` cells from lo at `step`, the spacing of the view's
+        # document, so each cell is a grid point.
         self = cls(None)
         self._masks, self._window = masks, window
         return self
@@ -189,7 +192,7 @@ class PointView(collections.abc.Set):
                 and len(cells) * width <= _CELLS_PER_POINT * points):
             return cls._of_masks({key: int.from_bytes(line, "little")
                                   for key, line in cells.items()},
-                                 (lo, step, 1, width))
+                                 (lo, step, width))
         targets = list(range(lo, lo + width * step, step))
         return cls({key: list(compress(targets, line))
                     for key, line in cells.items()})
@@ -263,13 +266,12 @@ def _least(mask: int) -> int:
     return ((mask & -mask).bit_length() - 1) >> 3
 
 
-def _cut_lines(masks: Dict[Point, int], lo: int, step: int, every: int,
+def _cut_lines(masks: Dict[Point, int], lo: int, step: int,
                width: int) -> Lines:
-    # The sorted lines of nonzero masks on a window, cut from the cells
-    # that may hold a point by `compress`, so no line is sorted.
-    targets = list(range(lo, lo + width * step, step * every))
-    return {key: list(compress(targets,
-                               mask.to_bytes(width, "little")[::every]))
+    # The sorted lines of nonzero masks on a window, cut from its cells
+    # by `compress`, so no line is sorted.
+    targets = list(range(lo, lo + width * step, step))
+    return {key: list(compress(targets, mask.to_bytes(width, "little")))
             for key, mask in masks.items()}
 
 
@@ -279,20 +281,16 @@ def _cell_columns(views: Iterable[PointView], lo: int, step: int,
     step, one byte per cell, with bit i set where the i-th view holds
     the cell; views held as lines are left out.
 
-    The cells must hold every point of the dense views, and each view's
-    window steps must divide step.
+    The cells must hold every point of the dense views, which are views
+    on the step grid: their windows start on it and step by step.
     """
     columns: Dict[Point, int] = {}
     for bit, view in enumerate(views):
         if view._masks is None:
             continue
-        first, cell = view._window[:2]
-        start, every = (lo - first) // cell, step // cell
+        start = (lo - view._window[0]) // step
         for key, mask in view._masks.items():
             mask = mask >> 8 * start if start >= 0 else mask << -8 * start
-            if every > 1:
-                mask = int.from_bytes(
-                    mask.to_bytes(count * every, "little")[::every], "little")
             columns[key] = columns.get(key, 0) | mask << bit
     return {key: mask.to_bytes(count, "little")
             for key, mask in columns.items()}
@@ -567,8 +565,12 @@ class _Masks(_Sets):
     sets the cells off that grid first, so that only its cells are
     tested.  Across the key axes the sweeps OR or AND the masks in
     reach, and a mask less another is one AND-NOT.  `read` keeps the
-    nonzero masks, on this window, as a dense `PointView`, which cuts
-    its sorted lines from them only when they are read.
+    nonzero masks as a dense `PointView` on the target grid's cells
+    only: where the target grid is the coarser, each mask is strided
+    once, to every `target // source`-th cell from the window's start.
+    So the view's cells are its document's grid, the next operation's
+    `of` takes its masks by one shift per line, and it cuts its sorted
+    lines from them only when they are read.
     """
 
     __slots__ = ("_lo", "_step", "_width", "_every")
@@ -605,9 +607,15 @@ class _Masks(_Sets):
         return masks
 
     def read(self, masks: LineStream) -> PointView:
+        width, every = self._width, self._every
+        if every == 1:
+            kept = {key: mask for key, mask in masks if mask}
+        else:  # the target grid's cells: every `every`-th, from lo
+            kept = {key: int.from_bytes(
+                        mask.to_bytes(width, "little")[::every], "little")
+                    for key, mask in masks if mask}
         return PointView._of_masks(
-            {key: mask for key, mask in masks if mask},
-            (self._lo, self._step, self._every, self._width))
+            kept, (self._lo, self._step * every, -(-width // every)))
 
     def _grid(self, spacing: int) -> int:
         # 1 at each cell of the window on the spacing grid, which the
@@ -735,10 +743,11 @@ class _Board:
         return self
 
     def build(self, view: PointView) -> int:
-        """The board of a view's points: a dense view's masks as the
-        digits of one numeral, the last row first, or point by point."""
+        """The board of a view's points: a dense view's masks, whose
+        cells step as the board's, as the digits of one numeral, the
+        last row first, or point by point."""
         lo, step, row = self.lo, self.step, self.row
-        if view._masks is not None and view._window[1:3] == (step, 1):
+        if view._masks is not None:
             shift = 8 * ((view._window[0] - lo) // step)
             digits = [bytes(row)] * self.rows
             for key, mask in view._masks.items():

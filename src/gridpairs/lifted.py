@@ -17,7 +17,7 @@ points; interpolation runs on sets.
 
 from __future__ import annotations
 
-from .geometry import Lines, PointView, _form, _Masks, _Sets
+from .geometry import _form, _Masks, _Sets
 from .pairs import AxiomReport, BoundaryPair, require_valid
 from .transfer import GridRatio
 
@@ -47,10 +47,12 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     sides of the rays, and off its lines the exterior side.  Otherwise
     they run on sets, and each candidate off its line of D1 takes its
     side from `Sides.along`: a bisection among its line's run ends, or a
-    bit of the board; only the candidates kept are sorted.  So a large
-    n, widening the window, sends a dense pair to sets, and the cost
-    follows the pair.  The empty pair maps to the empty pair.  Three
-    facts carry it:
+    bit of the board.  The candidates kept, masks or lists, are the
+    outer layer: the form reads them as the result's D1 (masks of the
+    coarse grid's cells, or sorted lists) and dilates them as they are
+    for its D0.  So a large n, widening the window, sends a dense pair
+    to sets, and the cost follows the pair.  The empty pair maps to the
+    empty pair.  Three facts carry it:
 
     - The coarse points within n/2 of D0 lie in R and include its inner
       boundary: a path from a member of M to an R-complement neighbour
@@ -76,20 +78,19 @@ def lift_restrict(pair: BoundaryPair, ratio: GridRatio) -> BoundaryPair:
     candidates = form.ring(near, n)[1]
     if isinstance(form, _Masks):
         # both on cells of step 1, the pair's spacing
-        out1 = form.read((key, line & sides._outside(key, form._lo))
-                         for key, line in candidates)
+        outer = {key: kept for key, line in candidates
+                 if (kept := line & sides._outside(key, form._lo))}
     else:
         l1 = pair.d1.lines
-        outer: Lines = {}
+        outer = {}
         for key, line in candidates:
             ones = set(l1.get(key, ()))
             side = sides.along(key)
-            kept = sorted([y for y in line if y in ones or side(y)])
+            kept = [y for y in line if y in ones or side(y)]
             if kept:
                 outer[key] = kept
-        out1 = PointView(outer)
-    out0 = form.read(form.within(
-        form.dilate(form.of(out1), 2 * n, n, n), near))
+    out1 = form.read(outer.items())
+    out0 = form.read(form.within(form.dilate(outer, 2 * n, n, n), near))
     return BoundaryPair._trusted(pair.dim, n, out0, out1)
 
 

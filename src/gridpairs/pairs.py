@@ -122,6 +122,10 @@ class Sides:
         # The cells of line key from lo, at the board's step, outside
         # the set that a valid pair bounds, in d1 or free of side 1, as
         # the low bit of a byte per cell, beyond the board by the rays.
+        # lo lies n // 2 + n - 1 cells or more before the board's first
+        # cell: the one caller, the core of `lifted.lift_restrict`, pads
+        # the pair by n // 2 + n and rounds down to the coarse grid, and
+        # the board starts one step before the pair.
         board, (left, right) = self._board, self.exterior
         row = self._row(key)
         if row is None:
@@ -130,8 +134,6 @@ class Sides:
         if right:
             line |= -1 << 8 * board.width
         shift = 8 * ((board.lo - lo) // board.step)
-        if shift < 0:
-            return line >> -shift
         return line << shift | (1 << shift) - 1 if left else line << shift
 
 

@@ -68,7 +68,7 @@ def dense_view(points, lo, height, step=1):
         column[(y - lo) // step] = 1
     return PointView._of_masks(
         {key: int.from_bytes(column, "little")
-         for key, column in cells.items()}, (lo, step, 1, height))
+         for key, column in cells.items()}, (lo, step, height))
 
 
 def padded(text, rows, columns):
@@ -342,3 +342,25 @@ def test_thin_documents_are_read_into_lists():
     assert not pair.d0._dense and not pair.d1._dense
     assert pair == trace(disk)
     assert lines_built(lambda: validate(parse_text(text))) == 0
+
+
+def test_chained_requests_on_dense_data_build_no_lists():
+    # A dense result's masks lie on its own grid, so the next request
+    # takes them as they are: trace after restriction, and validate or
+    # reconstruct after lift_restrict.  Each chain equals the route
+    # through the full sets.  The one cut: restricting the complement
+    # excludes 8 points, too few for masks, so its trace runs on sets,
+    # which read the lines.
+    M = random_set(Window((0, 0), (127, 127)), 0.5, 7)
+    for gridset, cut in ((M, 0), (complement(M), 1)):
+        pair = trace(gridset)
+        chains = [
+            (lambda: trace(restrict(gridset, GridRatio(2))),
+             trace(rebuilt(restrict(gridset, GridRatio(2)))), cut),
+            (lambda: validate(lift_restrict(pair, GridRatio(2))),
+             validate(trace(restrict(gridset, GridRatio(2)))), 0),
+            (lambda: reconstruct(lift_restrict(pair, GridRatio(3))),
+             restrict(gridset, GridRatio(3)), 0)]
+        for chain, route, cuts in chains:
+            assert lines_built(chain) == cuts
+            assert chain() == route
