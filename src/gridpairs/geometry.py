@@ -29,9 +29,9 @@ not few and, for an operation that grows them once, their lines are
 not short, so the cost keeps following the points.  Callers build the
 form once from the views of their inputs, run a whole operation on it
 and hand its result back once (`lines`, `of`, `read`).  `pairs.validate`
-lays a pair on bit boards instead (`_Board`), a bit per cell, and its
-readers take a board's rows back from `_Board.cells` as one byte per
-cell.
+and the cores of `lifted` lay a pair on bit boards instead (`_Board`),
+one int with a bit per cell, grown by shift-ORs along every axis, and
+read a board's rows back as one byte per cell (`_Board.read`).
 
 The line index is the one stored form of a document's points
 (`gridset.Document`): each point field holds a `PointView`, the set
@@ -40,9 +40,11 @@ its lines are first read, one byte per point of its document's grid:
 the ASCII reader hands over the columns of a grid that is not sparse
 as one byte per cell, which `PointView._of_cells` keeps as masks where
 `_form` may take them, `_Masks.read` keeps an operation's masks, less
-any cells off the target grid, `_form` takes a dense input's masks by
-one shift per line where its cells are steps of the input's grid, and
-the ASCII writer asks for the cells of its columns (`_cell_columns`),
+any cells off the target grid, as `_Board.view` keeps a lifted core's
+results, `_form` takes a dense input's masks by one shift per line
+where its cells are steps of the input's grid and spreads them by one
+strided slice assignment where they are finer, and the ASCII writer
+asks for the cells of its columns (`_cell_columns`),
 so a dense document's points can stay masks from the text it was read
 from, through a chain of operations, to the text it is written to.
 Sparse fields, and every operation that `_form` sends to sets, use the
@@ -273,6 +275,28 @@ def _cut_lines(masks: Dict[Point, int], lo: int, step: int,
     targets = list(range(lo, lo + width * step, step))
     return {key: list(compress(targets, mask.to_bytes(width, "little")))
             for key, mask in masks.items()}
+
+
+def _spread(line: bytes, start: int, every: int, size: int) -> bytearray:
+    # `size` cells, one byte each, holding cell i of line at cell
+    # start + i * every, by one strided slice assignment; the cells of
+    # line that fall outside must be blank.
+    skip = max(0, -(start // every))
+    first = start + skip * every
+    part = line[skip:skip + len(range(first, size, every))]
+    cells = bytearray(size)
+    cells[first:first + len(part) * every:every] = part
+    return cells
+
+
+def _doublings(cells: int) -> List[int]:
+    # The shifts whose running OR, each shift applied to the OR so far,
+    # spans 0..2 * cells: each doubles the span, the last overlaps it.
+    shifts, span = [], 1
+    while span <= 2 * cells:
+        shifts.append(min(span, 2 * cells + 1 - span))
+        span += shifts[-1]
+    return shifts
 
 
 def _cell_columns(views: Iterable[PointView], lo: int, step: int,
@@ -555,8 +579,10 @@ class _Masks(_Sets):
 
     The window starts on the coarser of the source and target grids, and
     its cells are steps of the finer; `of` lays the points of a view on
-    it: a dense view's masks, on cells of the same step, are moved by
-    one shift per line, and the others are built from the lines.  The
+    it: a dense view's masks are moved by one shift per line where its
+    cells are the window's, and spread to every k-th cell by one strided
+    slice assignment where each is k of them (`_spread`, interpolation's
+    coarse input), and the others are built from the lines.  The
     kernels are those of `_Sets`, and a mask they yield holds cells of
     their target grid only, so that one kernel's output can be the next
     one's input.  Along the last axis a dilation ORs and an erosion ANDs
@@ -588,10 +614,18 @@ class _Masks(_Sets):
     def of(self, points: PointView) -> Dict[Point, int]:
         """The masks of a view whose points lie in the window."""
         lo, step = self._lo, self._step
-        if points._masks is not None and points._window[1] == step:
-            start = (points._window[0] - lo) // step
-            shift = 8 * abs(start)
-            return {key: mask << shift if start >= 0 else mask >> shift
+        if points._masks is not None and points._window[1] % step == 0:
+            view_lo, view_step, view_width = points._window
+            start = (view_lo - lo) // step
+            if view_step == step:
+                shift = 8 * abs(start)
+                return {key: mask << shift if start >= 0 else mask >> shift
+                        for key, mask in points._masks.items()}
+            # a coarser view's cells, every `every`-th of the window's
+            every, width = view_step // step, self._width
+            return {key: int.from_bytes(_spread(
+                        mask.to_bytes(view_width, "little"), start, every,
+                        width), "little")
                     for key, mask in points._masks.items()}
         blank = bytes(self._width)
         masks: Dict[Point, int] = {}
@@ -632,11 +666,7 @@ class _Masks(_Sets):
         # taken so far and the last overlapping them, kept to the
         # target grid.
         cells = half // self._step
-        shifts, span = [], 1
-        while span <= 2 * cells:
-            step = min(span, 2 * cells + 1 - span)
-            shifts.append(8 * step)
-            span += step
+        shifts = [8 * shift for shift in _doublings(cells)]
         on = self._grid(spacing) if spacing > self._step else -1
         op = and_ if meet else or_
         fill = (self._grid(self._step) ^ self._grid(source)
@@ -664,13 +694,13 @@ def _form(views: Tuple[PointView, ...], radius: int, source: int,
     `_MIN_POINTS` stored points in all and at most `_CELLS_PER_POINT`
     source cells of the window, once per line of the views' keys, per
     point, so the cost follows the points where they are few or far
-    apart.  An operation that grows the points `once` (a transfer, the
-    core of `lifted.lift_restrict`) also needs `_POINTS_PER_LINE` points
-    per line: on shorter lines building and reading the masks costs
-    more than the one growth saves.  `layers` takes a ring after its
-    growth and wins on masks at every line length.  The gate reads the
-    views' lengths, line keys and line ends, which dense views give
-    from their masks."""
+    apart.  An operation that grows the points `once`, a transfer, also
+    needs `_POINTS_PER_LINE` points per line: on shorter lines building
+    and reading the masks costs more than the one growth saves.  The
+    lifted operators ask the board's gate instead.  `layers` takes a
+    ring after its growth and wins on masks at every line length.  The
+    gate reads the views' lengths, line keys and line ends, which dense
+    views give from their masks."""
     points = sum(map(len, views))
     if points >= _MIN_POINTS:
         keys = (len(views[0]._line_keys()) if len(views) == 1 else
@@ -692,8 +722,9 @@ def _extent(views: Iterable[PointView]) -> Tuple[int, int]:
     return min([end[0] for end in ends]), max([end[1] for end in ends])
 
 
-#: The gate of the bit boards of `pairs.validate`: most bits of a board
-#: per point of the pair.
+#: The gate of the bit boards of `pairs.validate` and of the cores of
+#: `lifted`: most bits of a board per point of the pair, or of the
+#: result's order for an interpolation.
 _BITS_PER_POINT = 64
 #: A byte mask's cells as binary digits, and binary digits as cells.
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -702,40 +733,51 @@ _CELLS = bytes.maketrans(b"01", b"\0\1")
 
 class _Board:
     """The layout of a bit board, an int of one bit per cell.  Its rows
-    are the lines of the box of the pair's line keys, padded by a blank
-    line at each end of each key axis, in lexicographic order.  A row
-    holds `width` cells from `lo` at `step`, a free cell beyond the
-    pair's at each end, and a guard bit or more, in `row` bits, whole
-    bytes; a stride shifts one step along an axis.  `at` gives the row
-    of each line key, `every` and `starts` hold each row's cells, and
-    its first cell.  `build` lays points on a board and `cells` reads
-    them back, one byte per cell."""
+    are the lines of the box of the views' line keys, padded by `pad`
+    blank lines at each end of each key axis, in lexicographic order.
+    A row holds `width` cells from `lo` at `step`, `pad` free cells
+    beyond the views' at each end, and a guard bit or more, in `row`
+    bits, whole bytes; a stride shifts one step along a key axis, and
+    `lows` and `counts` give each key axis's first row and its number of
+    rows.  `at` gives the row of each line key, `every` and `starts`
+    hold each row's cells, and its first cell.
 
-    __slots__ = ("lo", "step", "width", "row", "rows", "at", "strides",
-                 "starts", "every")
+    `build` lays points on a board, `grow` dilates it and `ones` finds
+    the free cells of side 1; `grid` is the board of a coarser grid's
+    cells, and `read` and `view` read a board's rows back on such a
+    grid, one byte per cell.  A shift that moves a bit past the end of
+    its row lands in the next row, so the padding must hold the growths
+    from the views' cells, summed: `grow` by k steps of j cells reaches
+    k * j cells further."""
+
+    __slots__ = ("lo", "step", "width", "row", "rows", "lows", "counts",
+                 "at", "strides", "starts", "every")
 
     @classmethod
-    def of(cls, views: Tuple[PointView, ...], keys: Collection[Point],
-           step: int) -> Optional["_Board"]:
-        """The board of the views' line keys; None, before anything is
-        built, where it has over `_BITS_PER_POINT` bits per point."""
+    def of(cls, views: Tuple[PointView, ...], step: int, pad: int = 1,
+           scale: int = 1) -> Optional["_Board"]:
+        """The board of the views' line keys, padded by `pad` cells of
+        `step`; None, before anything is built, where it has over
+        `_BITS_PER_POINT` bits per point, `scale` points counted for
+        each point of the views."""
         self, (first, last) = cls(), _extent(views)
-        self.lo, self.step = first - step, step
-        self.width = (last - self.lo) // step + 2
+        self.lo, self.step = first - pad * step, step
+        self.width = (last - self.lo) // step + pad + 1
         self.row = 8 * (self.width // 8 + 1)
-        keys = list(keys)
+        keys = list(set().union(*[view._line_keys() for view in views]))
         axes = list(zip(*keys))
-        lows = [min(axis) - step for axis in axes]
-        counts = [(max(axis) - low) // step + 2
-                  for axis, low in zip(axes, lows)]
-        self.rows = prod(counts)
-        if self.row * self.rows > _BITS_PER_POINT * sum(map(len, views)):
+        self.lows = [min(axis) - pad * step for axis in axes]
+        self.counts = [(max(axis) - low) // step + pad + 1
+                       for axis, low in zip(axes, self.lows)]
+        self.rows = prod(self.counts)
+        if (self.row * self.rows
+                > _BITS_PER_POINT * scale * sum(map(len, views))):
             return None
         rows = [0] * len(keys)
-        for axis, low, count in zip(axes, lows, counts):
+        for axis, low, count in zip(axes, self.lows, self.counts):
             rows = [i * count + (k - low) // step for i, k in zip(rows, axis)]
         self.at = dict(zip(keys, rows))
-        self.strides = [self.row * prod(counts[j + 1:])
+        self.strides = [self.row * prod(self.counts[j + 1:])
                         for j in range(len(axes))]
         self.starts = int.from_bytes(
             (1).to_bytes(self.row // 8, "little") * self.rows, "little")
@@ -744,14 +786,21 @@ class _Board:
 
     def build(self, view: PointView) -> int:
         """The board of a view's points: a dense view's masks, whose
-        cells step as the board's, as the digits of one numeral, the
-        last row first, or point by point."""
+        cells are steps of the board's, spread to the board's cells and
+        read as the digits of one numeral, or point by point."""
         lo, step, row = self.lo, self.step, self.row
         if view._masks is not None:
-            shift = 8 * ((view._window[0] - lo) // step)
+            first, every, width = view._window
+            start, every = (first - lo) // step, every // step
             digits = [bytes(row)] * self.rows
             for key, mask in view._masks.items():
-                mask = mask << shift if shift >= 0 else mask >> -shift
+                if every == 1:
+                    shift = 8 * start
+                    mask = mask << shift if shift >= 0 else mask >> -shift
+                else:
+                    mask = int.from_bytes(_spread(
+                        mask.to_bytes(width, "little"), start, every, row),
+                        "little")
                 digits[~self.at[key]] = mask.to_bytes(row, "big")
             return int(b"".join(digits).translate(_DIGITS), 2)
         cells = bytearray(self.rows * row // 8)
@@ -764,17 +813,86 @@ class _Board:
                 cells[at >> 3] |= 1 << (at & 7)
         return int.from_bytes(cells, "little")
 
-    def cells(self, board: int) -> bytes:
-        """The rows of a board up to its last set bit as one byte per
-        cell, the lowest bit first: 1 where the bit is set, else 0."""
-        digits = -(-board.bit_length() // self.row) * self.row
-        return format(board, f"0{digits}b").encode().translate(_CELLS)[::-1]
-
-    def box(self, board: int) -> int:
-        """Each bit spread to the rows a step away along any key axis."""
-        for stride in self.strides:
-            board |= board << stride | board >> stride
+    def grow(self, board: int, cells: int, step: int = 1) -> int:
+        """Each bit spread to the cells within `cells` steps of `step`
+        cells along every axis: the OR of its shifts by -cells..cells
+        such steps, by doubling, along the line and each key axis."""
+        shifts = _doublings(cells)
+        for unit in (step, *[stride * step for stride in self.strides]):
+            for shift in shifts:
+                board |= board << shift * unit
+            board >>= cells * unit
         return board
+
+    def ones(self, occupied: int, b1: int,
+             side: Optional[int] = None) -> Tuple[int, int, int]:
+        """The free cells of the rows, the left rays (all of a blank
+        row), and the free cells of side 1, for the cells of d0 | d1
+        (`occupied`) and of d1 (`b1`) of a pair whose runs agree.
+
+        A run has side 1 where a cell of d1 comes before it, found by a
+        carry through each run; the left rays take `side`, where it is
+        None that of the rows' first cells: 1 where any is of d1."""
+        free = self.every ^ occupied
+        ones = free & ~(free + (free & b1 << 1))
+        left = free & ~(free + self.starts)
+        if side is None:
+            side = left << 1 & b1
+        return free, left, ones | left if side else ones
+
+    def grid(self, every: int) -> int:
+        """The board of the cells on the grid of every `every`-th step,
+        whose coordinates are multiples of every * step, by doubling
+        along the line and each key axis."""
+        board = 1
+        for low, count, unit in ((self.lo, self.width, 1), *reversed(
+                list(zip(self.lows, self.counts, self.strides)))):
+            board <<= -(low // self.step) % every * unit
+            span = every
+            while span < count:
+                board |= board << span * unit
+                span *= 2
+            board &= (1 << count * unit) - 1
+        return board
+
+    def read(self, board: int,
+             every: int = 1) -> Tuple[Dict[Point, bytes], int, int]:
+        """The rows of a board on the grid of every `every`-th step, as
+        one byte per cell of that grid from its first cell in the row,
+        by line key, blank rows left out; that first cell, and the
+        cells per row.  Blank rows are skipped by a search for the next
+        set cell, so the cost follows the rows that are not."""
+        step, row = self.step, self.row
+        # the rows up to the last set bit, one byte per cell
+        digits = -(-board.bit_length() // row) * row
+        cells = format(board, f"0{digits}b").encode().translate(_CELLS)[::-1]
+        first = -(self.lo // step) % every
+        width = len(range(first, self.width, every))
+        span = width * every
+        axes = list(zip(self.lows, self.counts))[::-1]
+        lines = {}
+        at = cells.find(1)
+        while at >= 0:
+            index = at // row
+            at = index * row + first
+            line = cells[at:at + span:every]
+            key = ()
+            for low, count in axes:
+                index, i = divmod(index, count)
+                key = (low + i * step, *key)
+            if 1 in line and (every == 1 or not any(
+                    [c // step % every for c in key])):
+                lines[key] = line
+            at = cells.find(1, at - first + row)
+        return lines, self.lo + first * step, width
+
+    def view(self, board: int, every: int = 1) -> PointView:
+        """The dense view of a board's cells on the grid of every
+        `every`-th step, one byte per cell of that grid."""
+        lines, lo, width = self.read(board, every)
+        return PointView._of_masks(
+            {key: int.from_bytes(line, "little")
+             for key, line in lines.items()}, (lo, every * self.step, width))
 
 
 def check_on_grid(points: Collection[Point], dim: int, spacing: int,

@@ -78,7 +78,7 @@ class Sides:
 
     The walk on bit boards keeps a `geometry._Board` of its cells in d1
     or free of side 1 instead, and `lines` is None; `of` and `along`
-    read a line of it bit by bit, and `_outside` as a byte mask.
+    read a line of it bit by bit, and `reconstruct` reads it whole.
     """
 
     __slots__ = ("lines", "exterior", "_off", "_board", "_bits", "_bytes")
@@ -117,24 +117,6 @@ class Sides:
         index, size = self._board.at.get(key), self._board.row // 8
         return None if index is None else int.from_bytes(
             self._bytes[index * size:index * size + size], "little")
-
-    def _outside(self, key: Point, lo: int) -> int:
-        # The cells of line key from lo, at the board's step, outside
-        # the set that a valid pair bounds, in d1 or free of side 1, as
-        # the low bit of a byte per cell, beyond the board by the rays.
-        # lo lies n // 2 + n - 1 cells or more before the board's first
-        # cell: the one caller, the core of `lifted.lift_restrict`, pads
-        # the pair by n // 2 + n and rounds down to the coarse grid, and
-        # the board starts one step before the pair.
-        board, (left, right) = self._board, self.exterior
-        row = self._row(key)
-        if row is None:
-            return -left
-        line = int.from_bytes(board.cells(row), "little")
-        if right:
-            line |= -1 << 8 * board.width
-        shift = 8 * ((board.lo - lo) // board.step)
-        return line << shift | (1 << shift) - 1 if left else line << shift
 
 
 #: The run ends of a line and their sides, as `Sides.lines` holds them.
@@ -213,41 +195,31 @@ def _board_walk(d0: PointView, d1: PointView, dim: int,
     # The walk on one bit board per set, where they fit: the `Sides` of
     # a pair that passes every test of `_walk`, else None.  A shift by
     # one bit moves every cell a step along its line.
-    board = _Board.of((d0, d1), d0._line_keys() | d1._line_keys(), s)
+    board = _Board.of((d0, d1), s)
     if board is None:
         return None
     b0, b1 = board.build(d0), board.build(d1)
-    near0, near1 = board.box(b0), board.box(b1)
-    if (b0 & b1 or b0 & ~(near1 | near1 << 1 | near1 >> 1)
-            or b1 & ~(near0 | near0 << 1 | near0 >> 1)):
+    near0, near1 = board.grow(b0, 1), board.grow(b1, 1)
+    if b0 & b1 or b0 & ~near1 or b1 & ~near0:
         return None
-    # The free cells of side 1 are the runs after a cell of d1, found by
-    # a carry through each run, and the left rays (all of a blank line)
-    # where the first cell is of d1.  (a): no run after a cell of d1
-    # ends before one of d0, and no bounded run after d0 before d1.
+    # The free cells of side 1 (`_Board.ones`), the left rays taking the
+    # side of the first cells.  (a): no run after a cell of d1 ends
+    # before one of d0, and no bounded run after d0 before d1.
     occupied = b0 | b1
-    free = board.every ^ occupied
-    ones = free & ~(free + (free & b1 << 1))
-    left = free & ~(free + board.starts)
+    free, left, ones = board.ones(occupied, b1)
     if ones & b0 >> 1 or free & ~ones & ~left & b1 >> 1:
         return None
     first = left << 1 & occupied
     right = free & ~left & board.starts << board.width - 1
     exterior = (first & b1 and 1, right & ones and 1)
     if dim > 1:
-        # (b): all rays take one side, as the blank lines do, for (c)
+        # (b): all rays take one side, as the blank lines do; (c): no
+        # cell of a side is a neighbour of the other side's set
         side = exterior[0]
-        if first & (b1, b0)[side] or right & (ones, ~ones)[side]:
+        if (first & (b1, b0)[side] or right & (ones, ~ones)[side]
+                or free & ~ones & near1 or ones & near0):
             return None
         exterior = side, side
-    if exterior[0]:
-        ones |= left
-    if dim > 1:
-        # (c): no cell of a side is a neighbour of the other side's set
-        zeros = free & ~ones
-        if ((zeros | zeros << 1 | zeros >> 1) & near1
-                or (ones | ones << 1 | ones >> 1) & near0):
-            return None
     return Sides(None, exterior, (board, b1 | ones))
 
 
@@ -483,15 +455,9 @@ def reconstruct(pair: BoundaryPair) -> GridSet:
         # and the window's other cells a finite set's; a blank line
         # holds neither
         bits = sides._bits if cofinite else board.every & ~sides._bits
-        row, width = board.row, board.width
-        cells = board.cells(bits)
-        lines = {}
-        for key in pair.d0._line_keys() | pair.d1._line_keys():
-            at = board.at[key] * row
-            if 1 in (line := cells[at:at + width]):
-                lines[key] = line
+        lines, lo, _ = board.read(bits)
         return GridSet._trusted(pair.dim, s, mode, PointView._of_cells(
-            lines, board.lo, s, bits.bit_count()))
+            lines, lo, s, bits.bit_count()))
     lines = dict((pair.d1 if cofinite else pair.d0).lines)
     # the bounded runs on the stored side: inside a finite set, outside
     # a cofinite one

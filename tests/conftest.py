@@ -50,11 +50,12 @@ def canonical_lines(doc) -> None:
 
 def each_form(compute, cells=math.inf):
     """compute() with the dense form's gate and the board gate forced
-    open, so that every `layers`, `transfer` and `lift_restrict` call
-    whose window holds at most `cells` cells per point runs on masks,
-    and every walk of `validate` whose board holds at most `cells` bits
-    per point runs on boards, then with both forced shut, so that none
-    does: the two values."""
+    open, so that every `layers` and `transfer` call whose window holds
+    at most `cells` cells per point runs on masks, and every walk of
+    `validate` and core of `lift_restrict` and `lift_interpolate` whose
+    board holds at most `cells` bits per point (of the result's order,
+    for `lift_interpolate`) runs on boards, then with both forced shut,
+    so that none does: the two values."""
     values = []
     for cap, per_line, floor in ((cells, 0, 1), (0, math.inf, math.inf)):
         with pytest.MonkeyPatch.context() as patch:

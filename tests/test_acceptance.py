@@ -113,8 +113,7 @@ def test_criterion_3_lifted_operator_oracle_equivalence():
                     if index % 10 == 9:
                         M = complement(M)
                     pair = trace(M)
-                    # the walk on boards and the core on masks, and
-                    # both on sets
+                    # the walk and the core on boards, and both on sets
                     assert in_both_forms(
                         lambda: lift_restrict(pair, ratio)) == \
                         trace(restrict(M, ratio)), (dim, n, index)
@@ -128,7 +127,8 @@ def test_criterion_3_lifted_operator_oracle_equivalence():
                         if index % 10 == 4:
                             C = complement(C)
                     cpair = trace(C)
-                    assert lift_interpolate(cpair, ratio) == \
+                    assert in_both_forms(
+                        lambda: lift_interpolate(cpair, ratio)) == \
                         trace(interpolate(C, ratio)), (dim, n, index)
 
 

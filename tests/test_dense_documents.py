@@ -23,9 +23,9 @@ from gridpairs.formats import (ASCII_CELL_BUDGET, parse_text, render,
 from gridpairs.geometry import PointView, _form, lines_of
 from gridpairs.gridset import GridSet, Mode, Window, complement, random_set
 from gridpairs.layers import layer, trace
-from gridpairs.lifted import lift_restrict
+from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.pairs import AxiomReport, BoundaryPair, reconstruct, validate
-from gridpairs.transfer import GridRatio, restrict
+from gridpairs.transfer import GridRatio, interpolate, restrict
 
 from conftest import (boards_built, each_form, fixture_text, lines_built,
                       masks_built)
@@ -298,19 +298,20 @@ def test_dense_requests_build_no_lists():
     # parse, validate, reconstruct or lift_restrict by 2, 3 or 4, and
     # write, of its trace: the walk builds its two boards from the
     # masks and keeps its sides as a board, which reconstruct turns
-    # into masks and the core of lift_restrict, on masks, reads
+    # into masks, and the core of lift_restrict builds two boards of
+    # its own from the masks and reads its results from them as masks
     M = random_set(Window((0, 0), (127, 127)), 0.5, 7)
     lifts = [lambda pair, n=n: lift_restrict(pair, GridRatio(n))
              for n in (2, 3, 4)]
     for gridset in (M, complement(M)):
         pair = trace(gridset)
-        requests = [(gridset, operation, serialize_ascii, 1)
+        requests = [(gridset, operation, serialize_ascii, 1, 0)
                     for operation in (trace, lambda M: layer(M, 3),
                                       lambda M: restrict(M, GridRatio(2)))]
-        requests += [(pair, validate, AxiomReport.describe, 0),
-                     (pair, reconstruct, serialize_ascii, 0)]
-        requests += [(pair, lift, serialize_ascii, 1) for lift in lifts]
-        for doc, operation, write, masks in requests:
+        requests += [(pair, validate, AxiomReport.describe, 0, 2),
+                     (pair, reconstruct, serialize_ascii, 0, 2)]
+        requests += [(pair, lift, serialize_ascii, 0, 4) for lift in lifts]
+        for doc, operation, write, masks, boards in requests:
             text = serialize_ascii(doc)
 
             def request():
@@ -320,7 +321,7 @@ def test_dense_requests_build_no_lists():
 
             assert lines_built(request) == 0
             assert masks_built(request) == masks
-            assert boards_built(request) == (2 if doc is pair else 0)
+            assert boards_built(request) == boards
             # the list route: the document from its points, with the
             # dense form's gate forced open and forced shut
             assert each_form(lambda: write(operation(rebuilt(doc)))) == (
@@ -346,8 +347,11 @@ def test_thin_documents_are_read_into_lists():
 
 def test_chained_requests_on_dense_data_build_no_lists():
     # A dense result's masks lie on its own grid, so the next request
-    # takes them as they are: trace after restriction, and validate or
-    # reconstruct after lift_restrict.  Each chain equals the route
+    # takes them as they are: trace after restriction, validate or
+    # reconstruct after lift_restrict, and lift_interpolate after
+    # lift_restrict on a solid disk, where each call walks its pair on
+    # two boards and runs its core on two more, and the interpolation's
+    # fine board spreads the coarse masks.  Each chain equals the route
     # through the full sets.  The one cut: restricting the complement
     # excludes 8 points, too few for masks, so its trace runs on sets,
     # which read the lines.
@@ -364,3 +368,40 @@ def test_chained_requests_on_dense_data_build_no_lists():
         for chain, route, cuts in chains:
             assert lines_built(chain) == cuts
             assert chain() == route
+    r = 40
+    disk = GridSet.finite({(x, y) for x in range(-r, r + 1)
+                           for y in range(-r, r + 1)
+                           if x * x + y * y <= r * r})
+    pair = trace(disk)
+    for n in (2, 3, 4):
+        ratio = GridRatio(n)
+
+        def chain():
+            return lift_interpolate(lift_restrict(pair, ratio), ratio)
+
+        assert lines_built(chain) == 0
+        assert boards_built(chain) == 8
+        assert chain() == trace(interpolate(restrict(disk, ratio), ratio))
+
+
+@pytest.mark.parametrize("density", [0.5, 0.7])
+def test_coarse_dense_input_is_spread_not_cut(density):
+    # noise-fullset's interpolate-n3 request: a 128^2 window at spacing
+    # 3, finite and cofinite, read from ASCII as masks, which the form
+    # of the interpolation spreads to its finer cells, so no lines are
+    # cut; the result equals the route from the points on both forms
+    window = Window((0, 0), (127, 127))
+    M = random_set(window, density, 5, 3)
+    for gridset in (M, complement(M)):
+        text = serialize_ascii(gridset)
+
+        def request():
+            doc = parse_text(text)
+            assert doc.points._dense
+            return serialize_ascii(interpolate(doc, GridRatio(3)))
+
+        assert lines_built(request) == 0
+        assert masks_built(request) == 1
+        assert each_form(lambda: serialize_ascii(
+            interpolate(rebuilt(parse_text(text)), GridRatio(3)))) == (
+            [request()] * 2)

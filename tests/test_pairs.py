@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpairs import formats
+from gridpairs import formats, lifted
 from gridpairs.geometry import _form
 from gridpairs.gridset import (GridSet, Mode, Window, complement, member,
                                window_of)
 from gridpairs.layers import trace
-from gridpairs.lifted import lift_restrict
+from gridpairs.lifted import lift_interpolate, lift_restrict
 from gridpairs.oracle import (
     MAX_BRUTE_CELLS,
     Direction,
@@ -566,23 +566,22 @@ class TestWalkGate:
                                                (128, 0.7)])
     def test_dense_noise_pairs_take_masks(self, side, density):
         # the noise-fullset sizes, and a cofinite set: one walk per
-        # validation, on one board per set, and masks for the core of
-        # lift_restrict
+        # validation, on one board per set, and the core of
+        # lift_restrict on one more board per set, with no masks
         M = random_set(Window((0, 0), (side - 1, side - 1)), density, 11)
         for pair in (trace(M), trace(complement(M))):
             assert masks_built(lambda: validate(pair)) == 0
             assert boards_built(lambda: validate(pair)) == 2
-            assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 1
+            assert masks_built(lambda: lift_restrict(pair, GridRatio(2))) == 0
             assert boards_built(
-                lambda: lift_restrict(pair, GridRatio(2))) == 2
+                lambda: lift_restrict(pair, GridRatio(2))) == 4
 
     def test_core_follows_the_walk(self):
-        # The core of lift_restrict takes masks where the dense form's
-        # gate takes the whole pair, also where D0 alone would not pass
-        # it: at 24^2 D0 alone has too few points for them and at 48^2
-        # too few for its window at n >= 4, a window that the points of
-        # the whole pair cover.  Where the gate keeps the pair to sets,
-        # so does the core.
+        # The core of lift_restrict takes a board where its padded board
+        # fits the whole pair, also where D0 alone would not fit it: at
+        # 24^2 and 48^2, at n = 2 to 5, one board per set after the
+        # walk's two.  Where the gate keeps the pair to sets, as it
+        # keeps the walk of the far blobs, so does the core.
         sets = [random_set(Window((0, 0), (side - 1, side - 1)), 0.3, 9)
                 for side in (24, 48)]
         sets.append(GridSet(2, 1, Mode.COFINITE, random_set(
@@ -592,9 +591,10 @@ class TestWalkGate:
         for n in range(2, 6):
             ratio = GridRatio(n)
             for M, pair in pairs:
-                assert masks_built(lambda: lift_restrict(pair, ratio)) == 1
+                assert boards_built(lambda: lift_restrict(pair, ratio)) == 4
                 assert lift_restrict(pair, ratio) == trace(restrict(M, ratio))
             never_masks(lambda: lift_restrict(sparse, ratio))
+            assert boards_built(lambda: lift_restrict(sparse, ratio)) == 0
 
     def test_core_keeps_to_the_pair_at_a_large_ratio(self):
         # At ratio 10^6 the core's window would hold about 3 * 10^6
@@ -609,6 +609,43 @@ class TestWalkGate:
             assert masks_built(lambda: lift_restrict(pair, ratio)) == 0
             assert (lift_restrict(pair, ratio)
                     == lifted_via_full(pair, ratio, Direction.RESTRICT))
+
+    def test_far_pairs_and_large_ratios_keep_both_cores_off_boards(self):
+        # The board of each lifted core spans the pair's window padded
+        # by about the ratio: two 3^2 blocks 10^6 apart, and ratios 10^6
+        # and 10^8, would put millions of bits or more behind each point
+        # of the pair or of the result, so both cores take sets, and the
+        # only boards built are the walk's.  At those ratios the
+        # interpolation is stopped where it takes sets: its set core
+        # dilates D0 by n/2 in full.
+        block = list(product(range(3), repeat=2))
+        far = GridSet.finite(block + [(x + 10**6, y) for x, y in block])
+        coarse = GridSet.finite([(2 * x, 2 * y) for x, y in far.points], 2)
+        for pair, lift, direction in (
+                (trace(far), lift_restrict, Direction.RESTRICT),
+                (trace(coarse), lift_interpolate, Direction.INTERPOLATE)):
+            assert boards_built(lambda: lift(pair, GridRatio(2))) == 0
+            assert (lift(pair, GridRatio(2))
+                    == lifted_via_full(pair, GridRatio(2), direction))
+        dense = trace(random_set(Window((0, 0), (23, 23)), 0.3, 9))
+
+        def refuse(*args):
+            raise AssertionError("sets")
+
+        for n in (10**6, 10**8):
+            ratio = GridRatio(n)
+            assert boards_built(lambda: lift_restrict(dense, ratio)) == 2
+            assert (lift_restrict(dense, ratio)
+                    == lifted_via_full(dense, ratio, Direction.RESTRICT))
+            segment = BoundaryPair.of([(0,), (n,)], [(-n,), (2 * n,)], n)
+
+            def to_sets():
+                with pytest.raises(AssertionError, match="sets"):
+                    lift_interpolate(segment, ratio)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lifted, "_Sets", refuse)
+                assert boards_built(to_sets) == 2
 
     def test_dense_lines_far_apart_keep_the_core_to_sets(self):
         # Two 32^2 blocks at density 0.5, 10^4 apart along x: the dense
